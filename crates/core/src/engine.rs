@@ -1,7 +1,7 @@
 //! Execution engines: one API over the serial, batched and pipelined ways
 //! of driving an [`Llc`] through a request stream.
 //!
-//! The repository grew three drive styles organically:
+//! A driver can feed a cache three ways:
 //!
 //! * **Serial** — one [`Llc::access`] call per request; the timing-faithful
 //!   style the cycle-level simulator needs (each outcome feeds back into
@@ -11,7 +11,9 @@
 //!   prefetch pipelining.
 //! * **Pipelined** — [`PipelinedBankedLlc`]: requests stream into per-bank
 //!   ring buffers and are consumed in long bank-major runs, with the only
-//!   true barrier at the epoch boundary.
+//!   true barrier at the epoch boundary. It is also the one engine with a
+//!   worker pool (`bank_jobs > 1`), so a banked machine asking for workers
+//!   is built on it whichever kind was named.
 //!
 //! [`EngineKind`] names the style (config files, `--engine` flags);
 //! [`Engine`] borrows a cache and drives windows of requests through the

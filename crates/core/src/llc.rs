@@ -737,9 +737,9 @@ impl VantageLlc {
         let mut um = 0u64;
         for f in 0..self.meta.len() {
             if self.array.occupant(f as Frame).is_none() {
-                // A never-filled (or restored-from-v1) frame must carry the
-                // sentinel so size audits cannot confuse it with a
-                // partition-0 line; anything else is a stale tag.
+                // A never-filled frame must carry the sentinel so size
+                // audits cannot confuse it with a partition-0 line;
+                // anything else is a stale tag.
                 if self.meta.part(f) != UNMANAGED || self.meta.ts(f) != 0 {
                     self.meta.set(f, UNMANAGED, 0);
                     report.repaired_tags += 1;
@@ -1910,9 +1910,6 @@ impl vantage_snapshot::Snapshot for VantageLlc {
     /// scratch) are rebuilt on load rather than stored.
     fn save_state(&self, enc: &mut vantage_snapshot::Encoder) {
         enc.put_u64(self.accesses);
-        // The SoA lanes serialize directly; the byte layout is identical to
-        // the v1 (AoS) format, which gathered the same two slices from the
-        // per-frame structs.
         enc.put_u16_slice(self.meta.parts());
         enc.put_u8_slice(self.meta.ts_lane());
         enc.put_u64(self.parts.len() as u64);
@@ -1963,9 +1960,8 @@ impl vantage_snapshot::Snapshot for VantageLlc {
         }
         self.tele.save_state(enc);
         self.array.save_state(enc);
-        // v3 lifecycle tail, after everything a v2 reader consumes: the
-        // slot-state lane plus the pending arrival/departure queues. v2
-        // payloads simply end here, which is how `load_state` detects them.
+        // Lifecycle tail: the slot-state lane plus the pending
+        // arrival/departure queues.
         let lane: Vec<u8> = self
             .slot_state
             .iter()
@@ -1980,9 +1976,8 @@ impl vantage_snapshot::Snapshot for VantageLlc {
         let departed: Vec<u16> = self.pending_departed.iter().map(|p| p.raw()).collect();
         enc.put_u16_slice(&arrived);
         enc.put_u16_slice(&departed);
-        // v5 ownership tail, after the lifecycle tail: the share mode plus
-        // the per-partition sharing counters. v3/v4 payloads end at the
-        // queues above, which is how `load_state` detects their absence.
+        // Ownership tail: the share mode plus the per-partition sharing
+        // counters.
         self.own.save_state(enc);
     }
 
@@ -2109,54 +2104,40 @@ impl vantage_snapshot::Snapshot for VantageLlc {
         };
         self.tele.load_state(dec)?;
         self.array.load_state(dec)?;
-        // v3 lifecycle tail; a v2 payload ends exactly at the array, so any
-        // remaining bytes are the slot-state lane + pending queues.
-        let (slot_state, pending_arrived, pending_departed) = if dec.remaining() > 0 {
-            let lane = dec.take_u8_vec()?;
-            if lane.len() != npart {
-                return Err(dec.mismatch("slot-state lane length differs"));
-            }
-            let mut slots = Vec::with_capacity(npart);
-            for b in lane {
-                slots.push(match b {
-                    0 => SlotState::Active,
-                    1 => SlotState::Draining,
-                    2 => SlotState::Free,
-                    _ => return Err(dec.invalid("unknown slot state")),
-                });
-            }
-            let take_queue = |dec: &mut vantage_snapshot::Decoder<'_>|
-             -> vantage_snapshot::Result<Vec<PartitionId>> {
-                let raw = dec.take_u16_vec()?;
-                let mut ids = Vec::with_capacity(raw.len());
-                for r in raw {
-                    let id = PartitionId::from_raw(r);
-                    if id.is_unmanaged() || id.index() >= npart {
-                        return Err(dec.invalid("lifecycle queue names an out-of-range slot"));
-                    }
-                    ids.push(id);
+        // Lifecycle tail: the slot-state lane + pending queues.
+        let lane = dec.take_u8_vec()?;
+        if lane.len() != npart {
+            return Err(dec.mismatch("slot-state lane length differs"));
+        }
+        let mut slot_state = Vec::with_capacity(npart);
+        for b in lane {
+            slot_state.push(match b {
+                0 => SlotState::Active,
+                1 => SlotState::Draining,
+                2 => SlotState::Free,
+                _ => return Err(dec.invalid("unknown slot state")),
+            });
+        }
+        let take_queue = |dec: &mut vantage_snapshot::Decoder<'_>|
+         -> vantage_snapshot::Result<Vec<PartitionId>> {
+            let raw = dec.take_u16_vec()?;
+            let mut ids = Vec::with_capacity(raw.len());
+            for r in raw {
+                let id = PartitionId::from_raw(r);
+                if id.is_unmanaged() || id.index() >= npart {
+                    return Err(dec.invalid("lifecycle queue names an out-of-range slot"));
                 }
-                Ok(ids)
-            };
-            let arrived = take_queue(dec)?;
-            let departed = take_queue(dec)?;
-            (slots, arrived, departed)
-        } else {
-            // v1/v2: a fixed population, every slot live.
-            (vec![SlotState::Active; npart], Vec::new(), Vec::new())
+                ids.push(id);
+            }
+            Ok(ids)
         };
-        // v5 ownership tail. Older payloads end at the lifecycle queues:
-        // they were recorded under the implicit Adopt-equivalent behavior,
-        // so the host's configured mode is kept and the counters start
-        // from zero.
+        let pending_arrived = take_queue(dec)?;
+        let pending_departed = take_queue(dec)?;
+        // Ownership tail, sized by the snapshot's slot table.
         if self.own.partitions() != npart {
             self.own = Ownership::new(self.own.mode(), npart);
-        } else {
-            self.own.reset_counters();
         }
-        if dec.remaining() > 0 {
-            self.own.load_state(dec)?;
-        }
+        self.own.load_state(dec)?;
         for (p, s) in slot_state.iter().enumerate() {
             if *s != SlotState::Active && self.parts[p].target != 0 {
                 return Err(dec.invalid("dead slot carries a capacity target"));
@@ -2168,10 +2149,9 @@ impl vantage_snapshot::Snapshot for VantageLlc {
         self.pending_arrived = pending_arrived;
         self.pending_departed = pending_departed;
         self.meta.load_lanes(parts_tags, ts_tags);
-        // Normalize never-filled frames to the sentinel: v1 (AoS) snapshots
-        // stored their `Tag::default()` junk (`part = 0`), which the SoA
-        // store must not mistake for partition-0 lines. Harmless for v2
-        // snapshots, which already carry the sentinel.
+        // Input validation: a never-filled frame must carry the sentinel,
+        // whatever the payload claims, or the SoA store would count a
+        // forged owner into that partition's lines.
         for f in 0..frames {
             if self.array.occupant(f as Frame).is_none() {
                 self.meta.set(f, UNMANAGED, 0);

@@ -43,7 +43,12 @@ pub const USAGE: &str = "options:
   --seed N     master seed (default 42)
   --jobs N     worker threads for mix-level parallelism
   --banks N    shard each simulated LLC across N address-interleaved banks
-  --bank-jobs M  worker threads serving banked batches (<= 1 is serial)
+  --bank-jobs M  worker threads serving banked windows (<= 1 stays on the
+                 calling thread). Workers start only for callers that hand
+                 over batches of >= 256 requests (perf-parallel, library
+                 access_batch callers such as the security leak kernel); the
+                 figure/run simulations issue one access at a time and never
+                 start one
   --engine E   execution engine for banked machines: serial, batched
                (default), or pipelined (per-bank ring buffers, bank-major
                drains, epoch barriers)

@@ -6,8 +6,8 @@
 //! harness measures both halves of that claim on the acceptance-gate
 //! configuration (Vantage on Z4/52 banks):
 //!
-//! * **Scaling** — aggregate accesses/second of the batched
-//!   [`ParallelBankedLlc`] versus the serial per-access [`BankedLlc`]
+//! * **Scaling** — aggregate accesses/second of the batched engine (see
+//!   [`build_batched`]) versus the serial per-access [`BankedLlc`]
 //!   baseline at 2, 4 and 8 banks, on identical seeded workloads.
 //! * **Determinism** — every run folds its outcome stream, final
 //!   statistics and partition sizes into one FNV-1a digest; the serial and
@@ -32,8 +32,8 @@ use vantage::{VantageConfig, VantageLlc};
 use vantage_cache::hash::mix64;
 use vantage_cache::{LineAddr, ZArray};
 use vantage_partitioning::{
-    pipeline::DIGEST_SEED, AccessOutcome, AccessRequest, BankedLlc, Llc, ParallelBankedLlc,
-    PartitionId, PipelinedBankedLlc, RingStats, Sharded,
+    pipeline::DIGEST_SEED, AccessOutcome, AccessRequest, BankedLlc, Llc, PartitionId,
+    PipelinedBankedLlc, RingStats, Sharded,
 };
 
 use vantage_bench::BenchRecord;
@@ -248,6 +248,19 @@ fn build_banked(frames: usize, banks: usize, seed: u64) -> BankedLlc {
     llc
 }
 
+/// The batched side of the sweep, built by the rule `Scheme::try_build`
+/// applies to a `Batched` machine: the grouped [`BankedLlc`] path at
+/// `jobs <= 1` (what every recorded `banked*_batched_j1` row measured), the
+/// pipelined engine and its worker pool above that.
+fn build_batched(frames: usize, banks: usize, seed: u64, jobs: usize) -> Box<dyn Llc> {
+    let banked = build_banked(frames, banks, seed);
+    if jobs > 1 {
+        Box::new(PipelinedBankedLlc::from_banked(banked, jobs))
+    } else {
+        Box::new(banked)
+    }
+}
+
 /// The shared workload: uniform random lines over `PARTS` partitions, each
 /// with a private working set of `2 * frames` lines (8x total capacity
 /// pressure), keeping the sweep miss-heavy and memory-bound — the regime
@@ -418,9 +431,8 @@ fn run_sweep(opts: &Options, scale: Scale) -> (Vec<ScalingResult>, f64, f64) {
             // every round replays the identical simulation (equal digests)
             // and only the timing differs.
             let mut serial = build_banked(scale.frames, banks, seed);
-            let mut par =
-                ParallelBankedLlc::from_banked(build_banked(scale.frames, banks, seed), jobs);
-            let (ms, mb, ratio) = run_pair(&mut serial, &mut par, &reqs, warmup);
+            let mut batched = build_batched(scale.frames, banks, seed, jobs);
+            let (ms, mb, ratio) = run_pair(&mut serial, batched.as_mut(), &reqs, warmup);
             if rounds > 1 {
                 eprintln!(
                     "  banked{banks} round {}/{rounds}: {:>10.0} serial, {:>10.0} batched \
@@ -834,8 +846,8 @@ mod tests {
         let warmup = scale.warmup as usize;
         for jobs in [1, 2] {
             let mut serial = build_banked(scale.frames, 4, seed);
-            let mut par = ParallelBankedLlc::from_banked(build_banked(scale.frames, 4, seed), jobs);
-            let (ms, mb, _ratio) = run_pair(&mut serial, &mut par, &reqs, warmup);
+            let mut batched = build_batched(scale.frames, 4, seed, jobs);
+            let (ms, mb, _ratio) = run_pair(&mut serial, batched.as_mut(), &reqs, warmup);
             assert_eq!(ms.hash, mb.hash, "jobs={jobs} diverged from serial");
         }
     }

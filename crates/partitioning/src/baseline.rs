@@ -363,8 +363,7 @@ impl vantage_snapshot::Snapshot for BaselineLlc {
         enc.put_u64(self.accesses);
         self.tele.save_state(enc);
         self.array.save_state(enc);
-        // v5 ownership tail. Readers detect it by presence (older
-        // snapshots simply end here), mirroring the v3 lifecycle tail.
+        // Ownership tail: share mode + sharing counters.
         self.own.save_state(enc);
     }
 
@@ -406,9 +405,8 @@ impl vantage_snapshot::Snapshot for BaselineLlc {
         if owner.len() != frames {
             return Err(dec.mismatch("owner map length differs from frame count"));
         }
-        // v2 snapshots mark never-filled frames with the [`TAG_UNMANAGED`]
-        // sentinel; v1 snapshots left them at owner 0. Both pass here, and
-        // the normalization below makes them indistinguishable afterwards.
+        // Never-filled frames carry the [`TAG_UNMANAGED`] sentinel; every
+        // other owner must name a partition.
         if owner
             .iter()
             .any(|&o| o != TAG_UNMANAGED && o as usize >= partitions)
@@ -434,9 +432,10 @@ impl vantage_snapshot::Snapshot for BaselineLlc {
             }
             _ => unreachable!("tag validated against variant above"),
         }
-        // Normalize unoccupied frames to the sentinel convention so a v1
-        // snapshot restores into exactly the state a fresh v2 run would
-        // have. Occupied frames must carry a real partition ID.
+        // Input validation: an unoccupied frame carries the sentinel
+        // whatever the payload claims (a forged owner would corrupt the
+        // `TagMeta` count index), and an occupied frame must carry a real
+        // partition ID.
         for f in 0..frames {
             if self.array.occupant(f as u32).is_none() {
                 self.meta.set(f, TAG_UNMANAGED, 0);
@@ -446,12 +445,7 @@ impl vantage_snapshot::Snapshot for BaselineLlc {
         }
         self.part_lines = part_lines;
         self.accesses = accesses;
-        // Pre-v5 snapshots end here: no ownership tail means the host's
-        // configured mode stands and the sharing counters start at zero.
-        if dec.remaining() > 0 {
-            self.own.load_state(dec)?;
-        }
-        Ok(())
+        self.own.load_state(dec)
     }
 }
 

@@ -16,6 +16,12 @@
 //!
 //! Vantage itself implements this same [`Llc`] trait (in the `vantage`
 //! crate), so simulators and experiments treat all schemes uniformly.
+//!
+//! Any of them can be sharded across address-interleaved banks:
+//! [`BankedLlc`] is the sharded cache itself (per-access and grouped-batch
+//! service, one thread), and [`PipelinedBankedLlc`] is the queueing front
+//! over it — per-bank rings drained bank-major, plus the workspace's only
+//! worker pool (over [`spsc`] channels) when built with more than one job.
 
 pub mod banked;
 pub mod baseline;
@@ -23,7 +29,6 @@ pub mod caps;
 pub mod error;
 pub mod hist;
 pub mod llc;
-pub mod parallel;
 pub mod pipeline;
 pub mod pipp;
 pub mod sharded;
@@ -39,7 +44,6 @@ pub use llc::{
     AccessKind, AccessOutcome, AccessRequest, LifecycleError, Llc, LlcStats, PartitionObservations,
     PartitionSpec,
 };
-pub use parallel::ParallelBankedLlc;
 pub use pipeline::{PipelinedBankedLlc, RingStats};
 pub use pipp::{PippConfig, PippLlc};
 pub use sharded::Sharded;

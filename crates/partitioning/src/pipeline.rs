@@ -33,11 +33,16 @@
 //! an engine with queued work, which is what keeps pipelined snapshots
 //! bit-identical to serial ones.
 //!
-//! With `jobs > 1`, [`run_window`](PipelinedBankedLlc::run_window) streams
-//! batches through bounded SPSC rings to scoped worker threads (one owner
-//! per bank, round-robin over workers) so consumption overlaps production;
-//! with `jobs <= 1` the same rings buffer the window in-process and the
-//! drain runs inline. Both paths serve identical per-bank sequences.
+//! This is also the workspace's one worker pool. With `jobs > 1`, a window
+//! of at least [`PipelinedBankedLlc::PARALLEL_THRESHOLD`] requests — handed
+//! over through [`run_window`](PipelinedBankedLlc::run_window) or
+//! [`Llc::access_batch`] — streams its batches through bounded SPSC queues
+//! to scoped worker threads (one owner per bank, round-robin over workers)
+//! so consumption overlaps production; smaller windows, and every window at
+//! `jobs <= 1`, buffer in the rings and drain inline. Both paths stage
+//! through the same routine and serve identical per-bank sequences. Workers
+//! are spawned per window with [`std::thread::scope`]: windows in the
+//! thousands amortize the spawn cost, and no thread outlives the call.
 
 use std::collections::VecDeque;
 
@@ -275,19 +280,14 @@ impl PipelinedBankedLlc {
         self.inner
     }
 
-    fn fresh_batch(&mut self) -> WorkBatch {
-        self.spares.pop().unwrap_or_default()
-    }
-
-    /// Closes bank `b`'s staging batch onto its ring, sampling occupancy,
-    /// and fires an inline backpressure drain when the ring is full.
-    fn close_staging(&mut self, b: usize) {
-        let fresh = self.fresh_batch();
-        let full = std::mem::replace(&mut self.staging[b], fresh);
-        if full.reqs.is_empty() {
-            self.spares.push(full);
+    /// Closes bank `b`'s open batch onto its ring, sampling occupancy, and
+    /// fires an inline backpressure drain when the ring is full. A no-op
+    /// while the open batch is empty.
+    fn close_staging(&mut self, b: usize, out: Option<&mut [AccessOutcome]>) {
+        if self.staging[b].reqs.is_empty() {
             return;
         }
+        let full = take_open(&mut self.staging, &mut self.spares, b);
         self.rings[b].push_back(full);
         let depth = self.rings[b].len();
         self.ring_stats.peak_depth = self.ring_stats.peak_depth.max(depth);
@@ -296,7 +296,20 @@ impl PipelinedBankedLlc {
         if depth >= self.ring_cap {
             // Production outran this bank's ring: serve its whole queued
             // run now. Still one long bank-major run, just cut earlier.
-            self.drain_bank(b);
+            self.drain_bank(b, out);
+        }
+    }
+
+    /// Stages `reqs` (see [`stage`]) and closes every batch that fills onto
+    /// its bank's ring. `out` is the request-order outcome slice of an
+    /// [`Llc::access_batch`] call: with it, batches record scatter indices
+    /// and any backpressure drain scatters into it.
+    fn enqueue(&mut self, reqs: &[AccessRequest], mut out: Option<&mut [AccessOutcome]>) {
+        let (seed, batch, scatter) = (self.inner.bank_seed(), self.batch, out.is_some());
+        self.pending += reqs.len();
+        let mut next = 0;
+        while let Some(b) = stage(&mut self.staging, seed, batch, reqs, &mut next, scatter) {
+            self.close_staging(b, out.as_deref_mut());
         }
     }
 
@@ -307,53 +320,23 @@ impl PipelinedBankedLlc {
     /// are folded into the per-bank digests when drained and otherwise
     /// discarded. Use [`Llc::access_batch`] when outcomes are needed.
     pub fn ingest(&mut self, reqs: &[AccessRequest]) {
-        let n = self.rings.len();
-        let seed = self.inner.bank_seed();
-        for &req in reqs {
-            let b = mix_bucket(req.addr.0, seed, n as u32) as usize;
-            self.staging[b].reqs.push(req);
-            self.pending += 1;
-            if self.staging[b].reqs.len() >= self.batch {
-                self.close_staging(b);
-            }
-        }
+        self.enqueue(reqs, None);
     }
 
     /// Drains every queued batch for bank `b` — one contiguous bank-major
-    /// run — folding outcomes into the bank's digest. Batches carrying
-    /// scatter indices must go through [`drain_bank_scatter`] instead.
-    fn drain_bank(&mut self, b: usize) {
+    /// run — folding outcomes into the bank's digest and, with `out`,
+    /// scattering them to each batch's recorded request-order positions.
+    fn drain_bank(&mut self, b: usize, mut out: Option<&mut [AccessOutcome]>) {
         while let Some(mut wb) = self.rings[b].pop_front() {
-            debug_assert!(wb.idxs.is_empty(), "scatter batch on the digest-only drain");
-            self.scratch.clear();
-            self.inner
-                .bank_mut(b)
-                .access_batch(&wb.reqs, &mut self.scratch);
-            let mut d = self.digests[b];
-            for o in &self.scratch {
-                d = fnv(d, o.is_hit() as u64);
+            let bank = self.inner.bank_mut(b);
+            serve(bank, &wb.reqs, &mut self.scratch, &mut self.digests[b]);
+            let scattered = if out.is_some() { wb.reqs.len() } else { 0 };
+            debug_assert_eq!(wb.idxs.len(), scattered, "batch staged for the other drain");
+            if let Some(out) = out.as_deref_mut() {
+                for (&i, &o) in wb.idxs.iter().zip(&self.scratch) {
+                    out[i as usize] = o;
+                }
             }
-            self.digests[b] = d;
-            self.pending -= wb.reqs.len();
-            wb.reqs.clear();
-            self.spares.push(wb);
-        }
-    }
-
-    /// [`drain_bank`] that additionally scatters outcomes into `out` at
-    /// each batch's recorded request-order positions.
-    fn drain_bank_scatter(&mut self, b: usize, out: &mut [AccessOutcome]) {
-        while let Some(mut wb) = self.rings[b].pop_front() {
-            self.scratch.clear();
-            self.inner
-                .bank_mut(b)
-                .access_batch(&wb.reqs, &mut self.scratch);
-            let mut d = self.digests[b];
-            for (&i, &o) in wb.idxs.iter().zip(&self.scratch) {
-                d = fnv(d, o.is_hit() as u64);
-                out[i as usize] = o;
-            }
-            self.digests[b] = d;
             self.pending -= wb.reqs.len();
             wb.idxs.clear();
             wb.reqs.clear();
@@ -361,21 +344,25 @@ impl PipelinedBankedLlc {
         }
     }
 
+    /// Closes every open batch and serves every ring, bank-major.
+    fn flush(&mut self, mut out: Option<&mut [AccessOutcome]>) {
+        for b in 0..self.rings.len() {
+            self.close_staging(b, out.as_deref_mut());
+        }
+        for b in 0..self.rings.len() {
+            self.drain_bank(b, out.as_deref_mut());
+        }
+        debug_assert_eq!(self.pending, 0, "flush left queued work behind");
+    }
+
     /// Quiesces the engine: closes every staging batch and serves every
     /// ring, bank-major. This is the *only* point where queued work is
     /// guaranteed served; epoch repartitioning, checkpoints, stats reads
     /// and lifecycle operations all sit behind it.
     pub fn barrier(&mut self) {
-        if self.pending == 0 {
-            return;
+        if self.pending != 0 {
+            self.flush(None);
         }
-        for b in 0..self.rings.len() {
-            self.close_staging(b);
-        }
-        for b in 0..self.rings.len() {
-            self.drain_bank(b);
-        }
-        debug_assert_eq!(self.pending, 0, "barrier left queued work behind");
     }
 
     /// Serves one window of requests through the engine's native path and
@@ -385,12 +372,18 @@ impl PipelinedBankedLlc {
     /// banks round-robin, fed over bounded SPSC queues). Outcomes fold into
     /// the per-bank digests; use [`Llc::access_batch`] to get them back.
     pub fn run_window(&mut self, reqs: &[AccessRequest]) {
+        self.serve_window(reqs, None);
+    }
+
+    /// [`run_window`](Self::run_window), additionally scattering outcomes
+    /// into `out` (one slot per request, in request order) when given.
+    fn serve_window(&mut self, reqs: &[AccessRequest], mut out: Option<&mut [AccessOutcome]>) {
+        self.barrier();
         if self.jobs > 1 && reqs.len() >= Self::PARALLEL_THRESHOLD {
-            self.barrier();
-            self.run_parallel(reqs, None);
+            self.run_parallel(reqs, out);
         } else {
-            self.ingest(reqs);
-            self.barrier();
+            self.enqueue(reqs, out.as_deref_mut());
+            self.flush(out);
         }
     }
 
@@ -398,20 +391,24 @@ impl PipelinedBankedLlc {
     /// stream bounded batches to `jobs` workers (worker `j` owns every bank
     /// `b` with `b % jobs == j`), fold digests bank-FIFO in the workers.
     /// With `out`, outcomes also scatter back to request order.
-    fn run_parallel(&mut self, reqs: &[AccessRequest], out: Option<&mut [AccessOutcome]>) {
+    fn run_parallel(&mut self, reqs: &[AccessRequest], mut out: Option<&mut [AccessOutcome]>) {
         debug_assert_eq!(self.pending, 0, "parallel window entered un-quiesced");
-        let jobs = self.jobs;
-        let batch = self.batch;
-        let seed = self.inner.bank_seed();
-        let nbanks = self.rings.len();
-        let digests = &mut self.digests;
-        let want_idxs = out.is_some();
+        let Self {
+            inner,
+            staging,
+            spares,
+            digests,
+            ..
+        } = self;
+        let (jobs, batch, seed, scatter) =
+            (self.jobs, self.batch, inner.bank_seed(), out.is_some());
 
-        // Round-robin banks over workers, handing each worker its banks'
-        // digest seeds. Disjoint &mut borrows, checked by iter_mut.
+        // Round-robin banks over workers, each bank travelling with its
+        // digest: bank `b` is slot `b / jobs` of worker `b % jobs`. Disjoint
+        // &mut borrows, checked by iter_mut.
         let mut worker_banks: Vec<Vec<OwnedBank<'_>>> = (0..jobs).map(|_| Vec::new()).collect();
-        for (b, bank) in self.inner.banks_mut().iter_mut().enumerate() {
-            worker_banks[b % jobs].push((b, bank, digests[b]));
+        for (b, owned) in inner.banks_mut().iter_mut().zip(digests).enumerate() {
+            worker_banks[b % jobs].push(owned);
         }
 
         std::thread::scope(|s| {
@@ -423,134 +420,129 @@ impl PipelinedBankedLlc {
                 handles.push(s.spawn(move || consumer_loop(my_banks, &rx)));
             }
 
-            // Produce: per-bank runs flush to the owning worker the moment
-            // they reach the batch size. Ordered scan + FIFO queue + single
-            // owner per bank preserves per-bank request order end-to-end.
-            let mut bufs: Vec<WorkBatch> = (0..nbanks).map(|_| WorkBatch::default()).collect();
-            for (i, &req) in reqs.iter().enumerate() {
-                let b = mix_bucket(req.addr.0, seed, nbanks as u32) as usize;
-                if want_idxs {
-                    bufs[b].idxs.push(i as u32);
-                }
-                bufs[b].reqs.push(req);
-                if bufs[b].reqs.len() == batch {
-                    let wb = std::mem::take(&mut bufs[b]);
-                    let _ = senders[b % jobs].send((b, wb));
-                }
+            // Produce: a bank's batch ships to its owning worker the moment
+            // it fills, the remainders at the end. Ordered scan + FIFO queue
+            // + single owner per bank preserves per-bank request order
+            // end-to-end. A failed send means the worker died; the join
+            // below reports it.
+            let mut next = 0;
+            while let Some(b) = stage(staging, seed, batch, reqs, &mut next, scatter) {
+                let _ = senders[b % jobs].send((b / jobs, take_open(staging, spares, b)));
             }
-            for (b, buf) in bufs.iter_mut().enumerate() {
-                if !buf.reqs.is_empty() {
-                    let _ = senders[b % jobs].send((b, std::mem::take(buf)));
+            for b in 0..staging.len() {
+                if !staging[b].reqs.is_empty() {
+                    let _ = senders[b % jobs].send((b / jobs, take_open(staging, spares, b)));
                 }
             }
             drop(senders); // EOF: workers drain and return
 
-            let mut scatter = out;
             for h in handles {
                 // A worker panic (a bank's scheme panicked mid-access)
                 // propagates rather than silently losing outcomes.
-                let (pairs, bank_digests) = h.join().expect("bank consumer panicked");
-                if let Some(out) = scatter.as_deref_mut() {
+                let pairs = h.join().expect("bank consumer panicked");
+                if let Some(out) = out.as_deref_mut() {
                     for (i, o) in pairs {
                         out[i as usize] = o;
                     }
-                }
-                for (b, d) in bank_digests {
-                    digests[b] = d;
                 }
             }
         });
     }
 }
 
-/// A consumer-owned bank: its index, the bank itself, and its running
-/// outcome digest.
-type OwnedBank<'a> = (usize, &'a mut Box<dyn Llc>, u64);
+/// The one staging routine, shared by `ingest`, the inline `access_batch`
+/// and the parallel producer: routes `reqs[*next..]` to their banks' open
+/// batches in request order — recording each request's position when
+/// `scatter` is set — until some bank's batch holds `batch` requests, and
+/// returns that bank so the caller can hand the batch on (to a ring or a
+/// worker). `None` means the whole window is staged.
+fn stage(
+    open: &mut [WorkBatch],
+    seed: u64,
+    batch: usize,
+    reqs: &[AccessRequest],
+    next: &mut usize,
+    scatter: bool,
+) -> Option<usize> {
+    let nbanks = open.len() as u32;
+    for (i, &req) in reqs.iter().enumerate().skip(*next) {
+        let b = mix_bucket(req.addr.0, seed, nbanks) as usize;
+        let wb = &mut open[b];
+        if scatter {
+            wb.idxs.push(i as u32);
+        }
+        wb.reqs.push(req);
+        if wb.reqs.len() >= batch {
+            *next = i + 1;
+            return Some(b);
+        }
+    }
+    *next = reqs.len();
+    None
+}
 
-/// Serves batches for one consumer's banks until its queue signals EOF.
-/// Returns the scatter pairs (empty unless the producer recorded indices)
-/// and each owned bank's final digest.
-#[allow(clippy::type_complexity)]
+/// Swaps bank `b`'s open batch for a recycled empty one and returns it.
+fn take_open(open: &mut [WorkBatch], spares: &mut Vec<WorkBatch>, b: usize) -> WorkBatch {
+    std::mem::replace(&mut open[b], spares.pop().unwrap_or_default())
+}
+
+/// Serves one batch on its bank, leaving the outcomes in `scratch` and
+/// folding their hit bits into the bank's digest.
+fn serve(
+    bank: &mut dyn Llc,
+    reqs: &[AccessRequest],
+    scratch: &mut Vec<AccessOutcome>,
+    digest: &mut u64,
+) {
+    scratch.clear();
+    bank.access_batch(reqs, scratch);
+    for o in scratch.iter() {
+        *digest = fnv(*digest, o.is_hit() as u64);
+    }
+}
+
+/// A consumer-owned bank and its running outcome digest.
+type OwnedBank<'a> = (&'a mut Box<dyn Llc>, &'a mut u64);
+
+/// Serves `(slot, batch)` work for one consumer's banks until its queue
+/// signals EOF. Returns the scatter pairs (empty unless the producer
+/// recorded indices).
 fn consumer_loop(
     mut my_banks: Vec<OwnedBank<'_>>,
     rx: &spsc::Receiver<(usize, WorkBatch)>,
-) -> (Vec<(u32, AccessOutcome)>, Vec<(usize, u64)>) {
+) -> Vec<(u32, AccessOutcome)> {
     let mut pairs = Vec::new();
     let mut scratch = Vec::new();
-    while let Some((b, wb)) = rx.recv() {
-        let (_, bank, digest) = my_banks
-            .iter_mut()
-            .find(|(owned, _, _)| *owned == b)
-            .expect("batch routed to owning consumer");
-        scratch.clear();
-        bank.access_batch(&wb.reqs, &mut scratch);
-        for &o in &scratch {
-            *digest = fnv(*digest, o.is_hit() as u64);
-        }
+    while let Some((slot, wb)) = rx.recv() {
+        let (bank, digest) = &mut my_banks[slot];
+        serve(bank.as_mut(), &wb.reqs, &mut scratch, digest);
         pairs.extend(wb.idxs.iter().copied().zip(scratch.iter().copied()));
     }
-    let digests = my_banks.iter().map(|&(b, _, d)| (b, d)).collect();
-    (pairs, digests)
+    pairs
 }
 
 impl Llc for PipelinedBankedLlc {
-    /// Serves one request inline. Quiesces first so the request observes
-    /// every previously ingested access in order; the single-access path is
-    /// therefore an implicit barrier, not a hot path.
+    /// Serves one request inline, routed once. Quiesces first so the request
+    /// observes every previously ingested access in order; with nothing
+    /// queued that is one branch, which (with the digest fold) is what a
+    /// per-access driver (`CmpSim` on a `--bank-jobs N` machine) pays over
+    /// [`BankedLlc`].
     fn access(&mut self, req: AccessRequest) -> AccessOutcome {
         self.barrier();
         let b = self.inner.bank_of(req.addr);
-        let o = self.inner.access(req);
+        let o = self.inner.bank_mut(b).access(req);
         self.digests[b] = fnv(self.digests[b], o.is_hit() as u64);
         o
     }
 
-    /// The outcome-returning path: quiesce, shard the batch into the rings
-    /// with scatter indices, drain bank-major, and hand outcomes back in
-    /// request order. Identical results to [`BankedLlc::access_batch`];
-    /// bank-major service schedule.
+    /// The outcome-returning path: quiesce, serve the batch as one window
+    /// with scatter indices, and hand outcomes back in request order.
+    /// Identical results to [`BankedLlc::access_batch`]; bank-major service
+    /// schedule.
     fn access_batch(&mut self, reqs: &[AccessRequest], out: &mut Vec<AccessOutcome>) {
-        self.barrier();
         let start = out.len();
         out.resize(start + reqs.len(), AccessOutcome::Miss);
-        if self.jobs > 1 && reqs.len() >= Self::PARALLEL_THRESHOLD {
-            self.run_parallel(reqs, Some(&mut out[start..]));
-            return;
-        }
-        let n = self.rings.len();
-        let seed = self.inner.bank_seed();
-        for (i, &req) in reqs.iter().enumerate() {
-            let b = mix_bucket(req.addr.0, seed, n as u32) as usize;
-            self.staging[b].idxs.push(i as u32);
-            self.staging[b].reqs.push(req);
-            self.pending += 1;
-            // No inline backpressure here: these batches carry scatter
-            // indices scoped to this call, so they drain below, in full.
-            if self.staging[b].reqs.len() >= self.batch {
-                let fresh = self.fresh_batch();
-                let full = std::mem::replace(&mut self.staging[b], fresh);
-                self.rings[b].push_back(full);
-                let depth = self.rings[b].len();
-                self.ring_stats.peak_depth = self.ring_stats.peak_depth.max(depth);
-                self.ring_stats.depth_sum += depth as u64;
-                self.ring_stats.samples += 1;
-            }
-        }
-        for b in 0..n {
-            if !self.staging[b].reqs.is_empty() {
-                let fresh = self.fresh_batch();
-                let full = std::mem::replace(&mut self.staging[b], fresh);
-                self.rings[b].push_back(full);
-            }
-        }
-        let out_tail = {
-            // Split the borrow: drain needs &mut self, scatter needs the
-            // tail of `out`. The tail is disjoint from every field of self.
-            &mut out[start..]
-        };
-        for b in 0..n {
-            self.drain_bank_scatter(b, out_tail);
-        }
+        self.serve_window(reqs, Some(&mut out[start..]));
     }
 
     fn num_partitions(&self) -> usize {
@@ -643,9 +635,9 @@ impl vantage_snapshot::Snapshot for PipelinedBankedLlc {
             self.pending, 0,
             "checkpoint cut mid-window: barrier() before save_state"
         );
-        // The rings hold no simulation state once drained; the wrapped
-        // serial engine is the whole checkpoint, so snapshots interchange
-        // with serial/parallel engines at any job count.
+        // The rings and the worker pool hold no simulation state once
+        // drained; the wrapped serial engine is the whole checkpoint, so
+        // snapshots interchange with `BankedLlc` and across job counts.
         self.inner.save_state(enc);
     }
 
@@ -655,14 +647,10 @@ impl vantage_snapshot::Snapshot for PipelinedBankedLlc {
     ) -> vantage_snapshot::Result<()> {
         // Queued pre-restore work is meaningless against the restored
         // state; drop it and start the new run quiesced with fresh digests.
-        for b in 0..self.rings.len() {
-            self.staging[b].idxs.clear();
-            self.staging[b].reqs.clear();
-            while let Some(mut wb) = self.rings[b].pop_front() {
-                wb.idxs.clear();
-                wb.reqs.clear();
-                self.spares.push(wb);
-            }
+        for (open, ring) in self.staging.iter_mut().zip(&mut self.rings) {
+            open.idxs.clear();
+            open.reqs.clear();
+            ring.clear();
         }
         self.pending = 0;
         self.reset_digests();
@@ -756,18 +744,23 @@ mod tests {
         for chunk in reqs.chunks(777) {
             serial.access_batch(chunk, &mut serial_out);
         }
-        for jobs in [1, 2, 4] {
+        // Chunks of 777 run the worker pool at jobs > 1; chunks of 100 sit
+        // below PARALLEL_THRESHOLD and stay inline at any job count.
+        for (jobs, chunk) in [(1, 777), (2, 777), (4, 777), (2, 100)] {
             let mut pipe = PipelinedBankedLlc::try_new(banks(4, 512), 7, jobs)
                 .expect("valid bank set")
                 .with_batch_size(64);
             let mut out = Vec::new();
-            for chunk in reqs.chunks(777) {
+            for chunk in reqs.chunks(chunk) {
                 pipe.access_batch(chunk, &mut out);
             }
             assert_eq!(serial_out, out, "outcomes diverge at jobs={jobs}");
             assert_eq!(serial.stats_mut().hits, pipe.stats_mut().hits);
             assert_eq!(serial.stats_mut().misses, pipe.stats_mut().misses);
             assert_eq!(serial.stats_mut().evictions, pipe.stats_mut().evictions);
+            for p in (0..2).map(PartitionId::from_index) {
+                assert_eq!(serial.partition_size(p), pipe.partition_size(p));
+            }
             assert_eq!(pipe.pending(), 0);
         }
     }

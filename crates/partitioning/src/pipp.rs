@@ -449,8 +449,7 @@ impl vantage_snapshot::Snapshot for PippLlc {
         enc.put_u64(self.accesses);
         self.tele.save_state(enc);
         self.array.save_state(enc);
-        // v5 ownership tail. Readers detect it by presence (older
-        // snapshots simply end here), mirroring the v3 lifecycle tail.
+        // Ownership tail: share mode + sharing counters.
         self.own.save_state(enc);
     }
 
@@ -501,9 +500,8 @@ impl vantage_snapshot::Snapshot for PippLlc {
         {
             return Err(dec.mismatch("per-partition metadata lengths differ"));
         }
-        // v2 snapshots mark never-filled frames with the [`TAG_UNMANAGED`]
-        // sentinel; v1 snapshots left them at owner 0. Both pass here, and
-        // the normalization below makes them indistinguishable afterwards.
+        // Never-filled frames carry the [`TAG_UNMANAGED`] sentinel; every
+        // other owner must name a partition.
         if owner
             .iter()
             .any(|&o| o != TAG_UNMANAGED && o as usize >= partitions)
@@ -520,10 +518,11 @@ impl vantage_snapshot::Snapshot for PippLlc {
         self.array.load_state(dec)?;
         self.chain = chain;
         self.meta.load_lanes(owner, pos_of);
-        // Normalize unoccupied frames to the sentinel convention so a v1
-        // snapshot restores into exactly the state a fresh v2 run would
-        // have (the chain position in the stamp lane stays meaningful for
-        // empty frames and is left untouched).
+        // Input validation: an unoccupied frame carries the sentinel
+        // whatever the payload claims (a forged owner would corrupt the
+        // `TagMeta` count index; the chain position in the stamp lane stays
+        // meaningful for empty frames and is left untouched), and an
+        // occupied frame must carry a real partition ID.
         for f in 0..frames {
             if self.array.occupant(f as u32).is_none() {
                 self.meta.set_part(f, TAG_UNMANAGED);
@@ -538,12 +537,7 @@ impl vantage_snapshot::Snapshot for PippLlc {
         self.interval_misses = interval_misses;
         self.rng = SmallRng::from_state(rng_state);
         self.accesses = accesses;
-        // Pre-v5 snapshots end here: no ownership tail means the host's
-        // configured mode stands and the sharing counters start at zero.
-        if dec.remaining() > 0 {
-            self.own.load_state(dec)?;
-        }
-        Ok(())
+        self.own.load_state(dec)
     }
 }
 

@@ -1,8 +1,8 @@
 //! The [`Sharded`] trait: caches composed of independent address-hashed
 //! banks.
 //!
-//! Multi-banked LLCs ([`BankedLlc`](crate::BankedLlc) and its parallel
-//! counterpart) split capacity into `B` independent banks and steer every
+//! Multi-banked LLCs ([`BankedLlc`](crate::BankedLlc) and the pipelined
+//! engine over it) split capacity into `B` independent banks and steer every
 //! access to one bank by hashing its line address. Experiments and telemetry
 //! code need to see through that composition — which bank an address maps
 //! to, how many banks there are, per-bank statistics — without downcasting

@@ -1,14 +1,15 @@
 //! Bounded single-producer/single-consumer channels.
 //!
-//! The parallel sharded engine ([`ParallelBankedLlc`](crate::ParallelBankedLlc))
-//! streams per-bank request batches from the producing thread to one worker
-//! per bank group. Each worker gets its own channel, so the queues are
-//! strictly SPSC; the bound applies backpressure when a worker falls behind,
-//! keeping the number of in-flight batches (and therefore memory) constant.
+//! The pipelined engine ([`PipelinedBankedLlc`](crate::PipelinedBankedLlc)),
+//! when built with more than one job, streams per-bank request batches from
+//! the producing thread to one worker per bank group. Each worker gets its
+//! own channel, so the queues are strictly SPSC; the bound applies
+//! backpressure when a worker falls behind, keeping the number of in-flight
+//! batches (and therefore memory) constant.
 //!
 //! The implementation is a `Mutex<VecDeque>` + two `Condvar`s — boring on
-//! purpose: batches are coarse (tens of requests), so queue operations are
-//! far off the hot path and lock-free cleverness would buy nothing.
+//! purpose: batches are coarse (thousands of requests), so queue operations
+//! are far off the hot path and lock-free cleverness would buy nothing.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};

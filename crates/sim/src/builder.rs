@@ -55,7 +55,8 @@ impl LlcBuilder {
         self
     }
 
-    /// Serves banked batches with `jobs` worker threads (`<= 1` is serial).
+    /// Serves banked windows with `jobs` worker threads (`<= 1` stays on the
+    /// calling thread; see [`SystemConfig::bank_jobs`]).
     pub fn bank_jobs(mut self, jobs: usize) -> Self {
         self.sys.bank_jobs = jobs;
         self

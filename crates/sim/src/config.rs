@@ -244,18 +244,22 @@ pub struct SystemConfig {
     /// slices behind a steering hash (Table 2's "8 MB NUCA, 4 banks"),
     /// each running its own controller.
     pub banks: usize,
-    /// Worker threads serving banked batches. `<= 1` serves banks serially
-    /// on the calling thread; larger values (meaningful only with
-    /// `banks > 1`) spin up a scoped worker pool per batch. Results are
-    /// bit-identical either way.
+    /// Worker threads serving banked windows. `<= 1` serves banks on the
+    /// calling thread; larger values (meaningful only with `banks > 1`)
+    /// build the
+    /// [`PipelinedBankedLlc`](vantage_partitioning::PipelinedBankedLlc)
+    /// whatever [`engine`](Self::engine) says, and its scoped worker pool
+    /// runs for every window of at least
+    /// [`PARALLEL_THRESHOLD`](vantage_partitioning::PipelinedBankedLlc::PARALLEL_THRESHOLD)
+    /// requests handed over through `access_batch`/`run_window`. A driver
+    /// that issues one `access` at a time (`CmpSim`) never starts a worker.
+    /// Results are bit-identical either way.
     pub bank_jobs: usize,
     /// Execution engine for banked machines (`banks > 1`):
     /// [`EngineKind::Batched`] (the default) serves driver batches through
-    /// the grouped [`BankedLlc`](vantage_partitioning::BankedLlc) path — or
-    /// the worker-pool
-    /// [`ParallelBankedLlc`](vantage_partitioning::ParallelBankedLlc) when
-    /// `bank_jobs > 1` — while [`EngineKind::Pipelined`] routes accesses
-    /// through the ring-buffered
+    /// the grouped [`BankedLlc`](vantage_partitioning::BankedLlc) path,
+    /// while [`EngineKind::Pipelined`] — or any engine at `bank_jobs > 1` —
+    /// routes accesses through the ring-buffered
     /// [`PipelinedBankedLlc`](vantage_partitioning::PipelinedBankedLlc)
     /// with bank-major drains and epoch barriers. [`EngineKind::Serial`]
     /// builds the same cache as `Batched`; the distinction matters to

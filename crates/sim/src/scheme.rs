@@ -9,9 +9,9 @@ use vantage_cache::{
     CacheArray, RandomArray, RripConfig, RripMode, SetAssocArray, SkewArray, ZArray,
 };
 use vantage_partitioning::{
-    BankedLlc, BaselineLlc, HasInvariants, HasPartitionPolicy, LifecycleError, Llc,
-    ParallelBankedLlc, PartitionId, PartitionSpec, PipelinedBankedLlc, PippConfig, PippLlc,
-    RankPolicy, SchemeConfigError, Sharded, WayPartLlc,
+    BankedLlc, BaselineLlc, HasInvariants, HasPartitionPolicy, LifecycleError, Llc, PartitionId,
+    PartitionSpec, PipelinedBankedLlc, PippConfig, PippLlc, RankPolicy, SchemeConfigError, Sharded,
+    WayPartLlc,
 };
 use vantage_telemetry::Telemetry;
 
@@ -113,28 +113,22 @@ pub enum Scheme {
     /// Vantage.
     Vantage(VantageLlc),
     /// Any of the above sharded across address-interleaved banks
-    /// (`SystemConfig::banks > 1`), served serially.
+    /// (`SystemConfig::banks > 1`), served on the calling thread
+    /// (`EngineKind::{Serial, Batched}` at `bank_jobs <= 1`).
     Banked {
         /// The sharded cache.
         llc: BankedLlc,
         /// Whether UCP drives the wrapped scheme (false for baselines).
         ucp: bool,
     },
-    /// A banked machine served by a worker pool
-    /// (`SystemConfig::bank_jobs > 1`); results are bit-identical to
-    /// [`Scheme::Banked`].
-    ParallelBanked {
-        /// The sharded cache and its worker pool.
-        llc: ParallelBankedLlc,
-        /// Whether UCP drives the wrapped scheme (false for baselines).
-        ucp: bool,
-    },
     /// A banked machine fed through per-bank ring buffers with bank-major
-    /// drains (`SystemConfig::engine == EngineKind::Pipelined`); queued
-    /// work flushes at epoch barriers ([`Scheme::epoch_barrier`]). Results
-    /// are bit-identical to [`Scheme::Banked`].
+    /// drains, and the one variant that owns a worker pool: built when
+    /// `SystemConfig::engine == EngineKind::Pipelined` or
+    /// `SystemConfig::bank_jobs > 1`. Queued work flushes at epoch barriers
+    /// ([`Scheme::epoch_barrier`]). Results are bit-identical to
+    /// [`Scheme::Banked`].
     Pipelined {
-        /// The ring-buffered sharded cache.
+        /// The ring-buffered sharded cache and its worker pool.
         llc: PipelinedBankedLlc,
         /// Whether UCP drives the wrapped scheme (false for baselines).
         ucp: bool,
@@ -190,19 +184,13 @@ impl Scheme {
                 .collect::<Result<Vec<_>, _>>()?;
             let banked = BankedLlc::try_new(banks, sys.seed ^ 0xBA2C)?;
             let ucp = !matches!(kind, SchemeKind::Baseline { .. });
-            return Ok(match sys.engine {
-                EngineKind::Pipelined => Scheme::Pipelined {
-                    llc: PipelinedBankedLlc::from_banked(banked, sys.bank_jobs),
-                    ucp,
-                },
-                EngineKind::Serial | EngineKind::Batched if sys.bank_jobs > 1 => {
-                    Scheme::ParallelBanked {
-                        llc: ParallelBankedLlc::from_banked(banked, sys.bank_jobs),
-                        ucp,
-                    }
-                }
-                EngineKind::Serial | EngineKind::Batched => Scheme::Banked { llc: banked, ucp },
-            });
+            // The one type that owns queues is also the one that owns a
+            // worker pool, so asking for either builds it.
+            if sys.engine == EngineKind::Pipelined || sys.bank_jobs > 1 {
+                let llc = PipelinedBankedLlc::from_banked(banked, sys.bank_jobs);
+                return Ok(Scheme::Pipelined { llc, ucp });
+            }
+            return Ok(Scheme::Banked { llc: banked, ucp });
         }
         let seed = sys.seed ^ 0xCAC4E;
         Ok(match kind {
@@ -254,7 +242,6 @@ impl Scheme {
             Scheme::Pipp(l) => Box::new(l),
             Scheme::Vantage(l) => Box::new(l),
             Scheme::Banked { llc, .. } => Box::new(llc),
-            Scheme::ParallelBanked { llc, .. } => Box::new(llc),
             Scheme::Pipelined { llc, .. } => Box::new(llc),
         }
     }
@@ -267,7 +254,6 @@ impl Scheme {
             Scheme::Pipp(l) => l,
             Scheme::Vantage(l) => l,
             Scheme::Banked { llc, .. } => llc,
-            Scheme::ParallelBanked { llc, .. } => llc,
             Scheme::Pipelined { llc, .. } => llc,
         }
     }
@@ -280,7 +266,6 @@ impl Scheme {
             Scheme::Pipp(l) => l,
             Scheme::Vantage(l) => l,
             Scheme::Banked { llc, .. } => llc,
-            Scheme::ParallelBanked { llc, .. } => llc,
             Scheme::Pipelined { llc, .. } => llc,
         }
     }
@@ -326,9 +311,7 @@ impl Scheme {
     pub fn uses_ucp(&self) -> bool {
         match self {
             Scheme::Baseline(_) => false,
-            Scheme::Banked { ucp, .. }
-            | Scheme::ParallelBanked { ucp, .. }
-            | Scheme::Pipelined { ucp, .. } => *ucp,
+            Scheme::Banked { ucp, .. } | Scheme::Pipelined { ucp, .. } => *ucp,
             _ => true,
         }
     }
@@ -337,7 +320,6 @@ impl Scheme {
     pub fn as_sharded(&self) -> Option<&dyn Sharded> {
         match self {
             Scheme::Banked { llc, .. } => Some(llc),
-            Scheme::ParallelBanked { llc, .. } => Some(llc),
             Scheme::Pipelined { llc, .. } => Some(llc),
             _ => None,
         }
@@ -520,13 +502,27 @@ mod tests {
         let kind = SchemeKind::vantage_paper();
         let mut serial = Scheme::try_build(&kind, &serial_sys).expect("valid scheme config");
         let mut par = Scheme::try_build(&kind, &par_sys).expect("valid scheme config");
-        for i in 0..20_000u64 {
-            let req = AccessRequest::read(
+        assert!(matches!(serial, Scheme::Banked { .. }));
+        assert!(matches!(par, Scheme::Pipelined { .. }));
+        let req = |i: u64| {
+            AccessRequest::read(
                 PartitionId::from_index((i % 4) as usize),
                 vantage_cache::LineAddr((i * 131) % 9000),
+            )
+        };
+        for i in 0..20_000u64 {
+            assert_eq!(
+                serial.llc_mut().access(req(i)),
+                par.llc_mut().access(req(i))
             );
-            assert_eq!(serial.llc_mut().access(req), par.llc_mut().access(req));
         }
+        // One window above the pool threshold, so the workers really run.
+        let window: Vec<AccessRequest> = (20_000..21_000).map(req).collect();
+        assert!(window.len() >= PipelinedBankedLlc::PARALLEL_THRESHOLD);
+        let (mut out_s, mut out_p) = (Vec::new(), Vec::new());
+        serial.llc_mut().access_batch(&window, &mut out_s);
+        par.llc_mut().access_batch(&window, &mut out_p);
+        assert_eq!(out_s, out_p);
         for p in 0..4 {
             assert_eq!(
                 serial.llc().partition_size(PartitionId::from_index(p)),

@@ -90,7 +90,9 @@ fn resume_is_bit_identical_for_every_scheme_at_three_split_points() {
     let base = quick_sys();
     let mut banked = base.clone();
     banked.banks = 4;
-    banked.bank_jobs = 2; // ParallelBankedLlc with a live worker pool
+    // Builds Scheme::Pipelined; CmpSim issues one access at a time, so the
+    // worker pool never starts and every access is an inline barrier.
+    banked.bank_jobs = 2;
     let mix = &mixes(4, 1, 7)[12];
     let cases: Vec<(SchemeKind, SystemConfig)> = vec![
         (SchemeKind::vantage_paper(), base.clone()),

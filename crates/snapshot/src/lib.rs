@@ -29,36 +29,12 @@
 //!   [CRC-32 (IEEE) of payload, u32 LE]
 //! ```
 //!
-//! Versioning rule: writers emit [`FORMAT_VERSION`]; readers accept the
-//! closed range [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]. Any
-//! change to section payload encodings bumps the version; files newer
-//! than this build are rejected with [`SnapshotError::UnsupportedVersion`]
-//! rather than misread, while older supported versions are migrated on
-//! load (consumers query [`SnapshotReader::version`] when they care).
-//! Version history:
-//!
-//! * **v1** — original format. Per-frame partition tags use owner 0 for
-//!   never-filled frames.
-//! * **v2** — tag metadata is stored as dense SoA lanes; never-filled
-//!   frames carry the explicit unmanaged sentinel (`u16::MAX`) in the
-//!   partition lane. Payload bytes are otherwise identical to v1, and
-//!   v1 files restore by normalizing unoccupied frames on load.
-//! * **v3** — partition tables are dynamic (service-mode lifecycle): the
-//!   Vantage LLC payload appends a slot-state lane plus the pending
-//!   arrival/departure queues, and controller payloads may carry more or
-//!   fewer partitions than the restoring object was built with (readers
-//!   resize). v1/v2 files restore by treating every build-time partition
-//!   as live.
-//! * **v4** — reserved for an interim ownership-counter encoding that was
-//!   superseded before release; no writer ever emitted it. Readers treat
-//!   a v4 header exactly like v3.
-//! * **v5** — line-ownership tail: every scheme payload appends the
-//!   [`ShareMode`](../vantage_cache/enum.ShareMode.html) byte plus the
-//!   per-partition sharing counters (shared hits, ownership transfers,
-//!   replica fills) after the v3 lifecycle tail. v1–v4 payloads end
-//!   before the tail and restore with the host's configured mode and
-//!   zeroed counters; a present tail whose mode differs from the host's
-//!   is rejected (lines were placed under the recorded mode).
+//! Versioning rule: writers emit [`FORMAT_VERSION`] and readers accept
+//! exactly that version. No snapshot outlives the build that wrote it
+//! (checkpoints are crash-recovery and fork points, not archives), so any
+//! change to section payload encodings bumps the version and every other
+//! version — older or newer — is rejected with
+//! [`SnapshotError::UnsupportedVersion`] rather than misread or migrated.
 //!
 //! Unknown *extra* sections in a current-version file are ignored, so
 //! writers may add sections without a version bump as long as existing
@@ -72,12 +48,8 @@ use std::path::Path;
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"VNTGSNAP";
 
-/// The format version this build writes.
+/// The one format version this build writes and reads.
 pub const FORMAT_VERSION: u32 = 5;
-
-/// The oldest format version this build still reads (older payloads are
-/// migrated on load — see the module-level version history).
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Hard ceiling on a single section payload (1 GiB). A hostile length
 /// prefix larger than this is reported as malformed instead of being
@@ -97,8 +69,7 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not a snapshot at all.
     BadMagic,
-    /// The file's format version is outside
-    /// [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`].
+    /// The file's format version is not [`FORMAT_VERSION`].
     UnsupportedVersion {
         /// Version found in the file header.
         found: u32,
@@ -640,7 +611,6 @@ impl SnapshotWriter {
 /// `SnapshotReader` that exists at all is structurally sound.
 #[derive(Debug)]
 pub struct SnapshotReader {
-    version: u32,
     sections: BTreeMap<String, Vec<u8>>,
 }
 
@@ -663,7 +633,7 @@ impl SnapshotReader {
         let version = d.take_u32().map_err(|_| SnapshotError::Truncated {
             context: "file header".into(),
         })?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -718,14 +688,7 @@ impl SnapshotReader {
                 context: format!("{} bytes of trailing garbage after sections", d.remaining()),
             });
         }
-        Ok(Self { version, sections })
-    }
-
-    /// The format version the file was written with (within
-    /// [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`], or the reader
-    /// would not exist).
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(Self { sections })
     }
 
     /// Reads and validates the snapshot at `path`.
@@ -835,25 +798,22 @@ mod tests {
 
     #[test]
     fn supported_version_range_is_read_and_reported() {
-        // The writer emits the current version...
+        // The writer emits the current version, which parses...
         let bytes = SnapshotWriter::new().to_bytes();
-        let r = SnapshotReader::from_bytes(&bytes).unwrap();
-        assert_eq!(r.version(), FORMAT_VERSION);
-        // ...and every still-supported older version parses too, with
-        // the actual file version surfaced for load-time migration.
-        for v in MIN_FORMAT_VERSION..FORMAT_VERSION {
-            let mut old = bytes.clone();
-            old[8..12].copy_from_slice(&v.to_le_bytes());
-            let r = SnapshotReader::from_bytes(&old).unwrap();
-            assert_eq!(r.version(), v);
+        assert_eq!(&bytes[8..12], &FORMAT_VERSION.to_le_bytes());
+        SnapshotReader::from_bytes(&bytes).unwrap();
+        // ...and every other header version, older or newer, is rejected
+        // with the version it claimed.
+        for v in (0..=6u32).filter(|&v| v != FORMAT_VERSION) {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&v.to_le_bytes());
+            match SnapshotReader::from_bytes(&other).unwrap_err() {
+                SnapshotError::UnsupportedVersion { found, supported } => {
+                    assert_eq!((found, supported), (v, FORMAT_VERSION));
+                }
+                err => panic!("version {v} gave {err:?}"),
+            }
         }
-        // Version 0 predates the format and stays rejected.
-        let mut zero = bytes.clone();
-        zero[8..12].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            SnapshotReader::from_bytes(&zero).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 0, .. }
-        ));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Engine-equivalence tests for the parallel sharded-bank engine: on the
-//! same seeded mixed trace, [`ParallelBankedLlc`] at any worker count must
-//! be indistinguishable from the serial per-access [`BankedLlc`] — same
-//! outcome stream, same statistics, same partition sizes, and the same
-//! multiset of telemetry records (per-bank streams interleave differently
-//! in the shared ring, so order is not part of the contract).
+//! Engine-equivalence tests for the sharded-bank engines: on the same
+//! seeded mixed trace, the grouped [`BankedLlc`] batch path and
+//! [`PipelinedBankedLlc`] at any worker count must be indistinguishable
+//! from the serial per-access [`BankedLlc`] — same outcome stream, same
+//! statistics, same partition sizes, and the same multiset of telemetry
+//! records (per-bank streams interleave differently in the shared ring, so
+//! order is not part of the contract).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +12,7 @@ use vantage_partitioning::PartitionId;
 use vantage_repro::cache::{LineAddr, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{
-    AccessOutcome, AccessRequest, BankedLlc, Llc, ParallelBankedLlc, PipelinedBankedLlc,
+    AccessOutcome, AccessRequest, BankedLlc, Llc, PipelinedBankedLlc,
 };
 use vantage_repro::sim::{Scheme, SchemeKind, SystemConfig};
 use vantage_repro::telemetry::{RingSink, Telemetry};
@@ -101,13 +102,16 @@ fn run_serial(mut llc: BankedLlc, reqs: &[AccessRequest]) -> Observed {
     })
 }
 
-/// Drives `llc` through `access_batch` in uneven chunks (to exercise batch
-/// boundaries) with telemetry attached.
-fn run_batched(mut llc: ParallelBankedLlc, reqs: &[AccessRequest]) -> Observed {
+/// Drives `llc` through `access_batch` in uneven `chunk`-sized pieces (to
+/// exercise batch boundaries) with telemetry attached. On the pipelined
+/// engine each chunk is sharded into the per-bank rings (or streamed to the
+/// worker pool) and drained bank-major, so this exercises the full
+/// shard/queue/drain path.
+fn run_batched(mut llc: impl Llc, reqs: &[AccessRequest], chunk: usize) -> Observed {
     let (sink, reader) = RingSink::with_capacity(1 << 20);
     assert!(llc.set_telemetry(Telemetry::new(Box::new(sink), 512)));
     let mut outcomes = Vec::with_capacity(reqs.len());
-    for chunk in reqs.chunks(999) {
+    for chunk in reqs.chunks(chunk) {
         llc.access_batch(chunk, &mut outcomes);
     }
     llc.take_telemetry();
@@ -116,10 +120,10 @@ fn run_batched(mut llc: ParallelBankedLlc, reqs: &[AccessRequest]) -> Observed {
     })
 }
 
-/// The tentpole determinism claim: batched, sharded service at 1, 2 and 4
-/// workers replays the serial reference bit-for-bit.
+/// The grouped-batch determinism claim: regrouping each batch by bank
+/// replays the per-access serial reference bit-for-bit.
 #[test]
-fn parallel_engine_matches_serial_at_every_worker_count() {
+fn batched_engine_matches_serial() {
     let reqs = mixed_trace(120_000, 0xD15C);
     let reference = run_serial(build_banked(9), &reqs);
     assert!(
@@ -132,43 +136,14 @@ fn parallel_engine_matches_serial_at_every_worker_count() {
         "telemetry captured nothing"
     );
 
-    for jobs in [1, 2, 4] {
-        let par = ParallelBankedLlc::from_banked(build_banked(9), jobs);
-        let got = run_batched(par, &reqs);
-        assert_eq!(
-            got.outcomes, reference.outcomes,
-            "outcome stream diverged at {jobs} workers"
-        );
-        assert_eq!(
-            got.stats, reference.stats,
-            "stats diverged at {jobs} workers"
-        );
-        assert_eq!(
-            got.sizes, reference.sizes,
-            "sizes diverged at {jobs} workers"
-        );
-        assert_eq!(
-            got.telemetry, reference.telemetry,
-            "telemetry record multiset diverged at {jobs} workers"
-        );
-    }
-}
-
-/// Drives a pipelined ring engine through `access_batch` in uneven chunks
-/// with telemetry attached — each chunk is ingested into the per-bank rings
-/// and drained bank-major, so this exercises the full shard/queue/drain
-/// path, not just the serial fallback.
-fn run_pipelined(mut llc: PipelinedBankedLlc, reqs: &[AccessRequest]) -> Observed {
-    let (sink, reader) = RingSink::with_capacity(1 << 20);
-    assert!(llc.set_telemetry(Telemetry::new(Box::new(sink), 512)));
-    let mut outcomes = Vec::with_capacity(reqs.len());
-    for chunk in reqs.chunks(997) {
-        llc.access_batch(chunk, &mut outcomes);
-    }
-    llc.take_telemetry();
-    observe(&mut llc, outcomes, || {
-        reader.records().iter().map(|r| format!("{r:?}")).collect()
-    })
+    let got = run_batched(build_banked(9), &reqs, 999);
+    assert_eq!(got.outcomes, reference.outcomes, "outcome stream diverged");
+    assert_eq!(got.stats, reference.stats, "stats diverged");
+    assert_eq!(got.sizes, reference.sizes, "sizes diverged");
+    assert_eq!(
+        got.telemetry, reference.telemetry,
+        "telemetry record multiset diverged"
+    );
 }
 
 /// The pipelined ring engine holds the same contract at every worker
@@ -182,7 +157,7 @@ fn pipelined_engine_matches_serial_at_every_worker_count() {
 
     for jobs in [1, 2, 4, 8] {
         let pipe = PipelinedBankedLlc::from_banked(build_banked(9), jobs);
-        let got = run_pipelined(pipe, &reqs);
+        let got = run_batched(pipe, &reqs, 997);
         assert_eq!(
             got.outcomes, reference.outcomes,
             "outcome stream diverged at {jobs} pipelined workers"
@@ -204,7 +179,8 @@ fn pipelined_engine_matches_serial_at_every_worker_count() {
 
 /// The same equivalence holds for engines built through the `Scheme`
 /// builder (the path simulations actually take): a banked machine with a
-/// worker pool must replay the serial banked machine exactly.
+/// worker pool — the pipelined engine, whichever `EngineKind` asked for it
+/// — must replay the serial banked machine exactly.
 #[test]
 fn builder_parallel_scheme_matches_builder_serial_scheme() {
     let sys = {
@@ -230,8 +206,9 @@ fn builder_parallel_scheme_matches_builder_serial_scheme() {
 
     for jobs in [2, 4] {
         let mut scheme = build(jobs);
-        assert!(matches!(scheme, Scheme::ParallelBanked { .. }));
+        assert!(matches!(scheme, Scheme::Pipelined { .. }));
         let mut outcomes = Vec::with_capacity(reqs.len());
+        // 777 is above the pool threshold, so the workers really run.
         for chunk in reqs.chunks(777) {
             scheme.llc_mut().access_batch(chunk, &mut outcomes);
         }

@@ -266,59 +266,3 @@ fn telemetry_multisets_match_goldens() {
         );
     }
 }
-
-/// A v1 (array-of-structs era) checkpoint must restore into the current
-/// snapshot layer and continue bit-identically. The formats share their
-/// payload encoding — the SoA lanes serialize exactly where the AoS
-/// fields did, and the v3 lifecycle tail is appended after everything a
-/// v1/v2 reader consumes — so the differences are the header version, the
-/// v1 convention of leaving never-filled frames tagged owner 0 (restore
-/// normalizes those to the sentinel), and the tail (whose absence restore
-/// tolerates; presence is harmless to the fixture). A version-patched
-/// image is therefore a faithful v1 fixture, exercised at an early split
-/// (array partially filled, so the normalization path runs) and a late
-/// one (array full).
-#[test]
-fn v1_checkpoint_restores_into_v2_with_identical_digests() {
-    use vantage_repro::snapshot::SnapshotReader;
-    let mix = &mixes(4, 1, 11)[17];
-    for kind in [
-        SchemeKind::vantage_paper(),
-        SchemeKind::WayPart,
-        SchemeKind::Pipp,
-    ] {
-        let build = || {
-            let mut s = CmpSim::new(golden_sys(), &kind, mix);
-            s.enable_trace(60_000);
-            s
-        };
-        let mut straight = build();
-        let want = straight.run();
-        let total = straight.steps();
-        for split in [total / 20, total * 3 / 4] {
-            let mut warm = build();
-            assert!(warm.run_for(split).is_none(), "paused before completion");
-            let v2 = warm.write_checkpoint().to_bytes();
-            assert_eq!(&v2[8..12], &5u32.to_le_bytes(), "checkpoints write v5");
-            let mut v1 = v2.clone();
-            v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-            let reader = SnapshotReader::from_bytes(&v1).expect("v1 image parses");
-            assert_eq!(reader.version(), 1);
-            let mut resumed = build();
-            resumed.restore_checkpoint(&reader).expect("v1 restores");
-            let got = resumed.run();
-            let ctx = format!("{} @ {split}", got.label);
-            assert_eq!(want.l2_misses, got.l2_misses, "misses diverged: {ctx}");
-            let (wb, gb): (Vec<u64>, Vec<u64>) = (
-                want.ipc.iter().map(|x| x.to_bits()).collect(),
-                got.ipc.iter().map(|x| x.to_bits()).collect(),
-            );
-            assert_eq!(wb, gb, "IPC bit patterns diverged: {ctx}");
-            assert_eq!(
-                trace_digest(&want),
-                trace_digest(&got),
-                "trace digests diverged: {ctx}"
-            );
-        }
-    }
-}

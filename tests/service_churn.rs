@@ -1,17 +1,17 @@
 //! Service-mode lifecycle tests: partition churn must be deterministic
 //! across engines, survive mid-churn checkpoints bit-identically, honor
 //! QoS floors for whoever is live, drain destroyed partitions through
-//! the ordinary demotion machinery, and reject hostile lifecycle state
-//! in snapshots (while still accepting pre-lifecycle v2 payloads).
+//! the ordinary demotion machinery, and reject hostile or truncated
+//! lifecycle state in snapshots.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vantage_repro::cache::{LineAddr, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{
-    AccessOutcome, AccessRequest, BankedLlc, Llc, ParallelBankedLlc, PartitionId, PartitionSpec,
+    AccessOutcome, AccessRequest, BankedLlc, Llc, PartitionId, PartitionSpec, PipelinedBankedLlc,
 };
-use vantage_repro::snapshot::{Decoder, Encoder, Snapshot};
+use vantage_repro::snapshot::{Decoder, Encoder, Snapshot, SnapshotError};
 use vantage_repro::ucp::{AllocationPolicy, PolicyInput, QosGuarantee};
 use vantage_repro::workloads::{ChurnEvent, TenantChurn, TenantChurnConfig};
 
@@ -149,7 +149,7 @@ fn churn_is_deterministic_across_serial_and_parallel_engines() {
     assert!(reference.outcomes.iter().any(|o| o.is_hit()));
     assert!(reference.outcomes.iter().any(|o| !o.is_hit()));
     for jobs in [1, 2, 4] {
-        let mut par = ParallelBankedLlc::from_banked(build_banked(7, 4), jobs);
+        let mut par = PipelinedBankedLlc::from_banked(build_banked(7, 4), jobs);
         let got = drive(&mut par, &mut churn_gen(0xC0DE), 60_000, 997);
         assert_eq!(
             got.slots, reference.slots,
@@ -335,7 +335,7 @@ fn qos_floors_hold_for_live_tenants_throughout_churn() {
     assert!(!slot_of.is_empty(), "population must end non-empty");
 }
 
-/// Byte offsets of the v3 lifecycle tail, counted from the end of the
+/// Byte offsets of the lifecycle tail, counted from the end of the
 /// payload: `u8_slice` slot lane (8 + npart bytes), then the arrived and
 /// departed queues as `u16_slice`s (8 + 2·len each).
 fn tail_layout(npart: usize, arrived: usize, departed: usize) -> (usize, usize, usize) {
@@ -345,7 +345,7 @@ fn tail_layout(npart: usize, arrived: usize, departed: usize) -> (usize, usize, 
     (lane_bytes, arrived_bytes, departed_bytes)
 }
 
-/// Byte size of the v5 ownership tail that follows the lifecycle tail:
+/// Byte size of the ownership tail that follows the lifecycle tail:
 /// a mode byte plus three length-prefixed `u64` counter lanes.
 fn ownership_tail_bytes(npart: usize) -> usize {
     1 + 3 * (8 + 8 * npart)
@@ -377,59 +377,11 @@ fn lifecycle_checkpoint() -> (VantageLlc, Vec<u8>, usize) {
 }
 
 #[test]
-fn v2_checkpoints_without_the_lifecycle_tail_still_restore() {
-    let mut llc = fresh_llc(29);
-    let a = llc
-        .create_partition(PartitionSpec::with_target(512))
-        .expect("slot available");
-    let mut rng = SmallRng::seed_from_u64(31);
-    for _ in 0..8_000 {
-        llc.access(AccessRequest::read(a, LineAddr(rng.gen_range(0..600))));
-    }
-    let _ = llc.observations(); // empty queues: the tail carries no ids
-    let npart = llc.num_partitions();
-    let mut enc = Encoder::new();
-    llc.save_state(&mut enc);
-    let mut bytes = enc.into_bytes();
-    // A v2 writer stopped at the array section; synthesize its payload by
-    // trimming the v5 ownership tail and the v3 lifecycle tail (every slot
-    // here is Active and no sharing has happened, so nothing is lost).
-    let (lane, arr, dep) = tail_layout(npart, 0, 0);
-    let own = ownership_tail_bytes(npart);
-    bytes.truncate(bytes.len() - own - lane - arr - dep);
-    let mut restored = fresh_llc(29);
-    restored
-        .load_state(&mut Decoder::new(&bytes, "v2 checkpoint"))
-        .expect("v2 payload restores");
-    // All slots live, no pending lifecycle events.
-    let obs = restored.observations();
-    assert!(
-        obs.live.iter().all(|&l| l),
-        "v2 restore must mark all slots live"
-    );
-    assert!(obs.arrived.is_empty() && obs.departed.is_empty());
-    // Both caches replay the same future.
-    let mut rng2 = SmallRng::seed_from_u64(77);
-    for _ in 0..4_000 {
-        let addr = LineAddr(rng2.gen_range(0..600));
-        assert_eq!(
-            llc.access(AccessRequest::read(a, addr)),
-            restored.access(AccessRequest::read(a, addr)),
-            "restored v2 cache diverged"
-        );
-    }
-    assert_eq!(
-        format!("{:?}", llc.stats()),
-        format!("{:?}", restored.stats())
-    );
-}
-
-#[test]
 fn hostile_lifecycle_tails_are_rejected() {
     let (_, bytes, npart) = lifecycle_checkpoint();
     let (lane, arr, dep) = tail_layout(npart, 1, 1);
-    // The v5 ownership tail sits past the lifecycle tail; every
-    // end-relative offset below must skip over it.
+    // The ownership tail sits past the lifecycle tail; every end-relative
+    // offset below must skip over it.
     let own = ownership_tail_bytes(npart);
     let try_restore =
         |bytes: &[u8]| fresh_llc(17).load_state(&mut Decoder::new(bytes, "hostile checkpoint"));
@@ -470,4 +422,62 @@ fn hostile_lifecycle_tails_are_rejected() {
         try_restore(&evil).is_err(),
         "short slot-state lane accepted"
     );
+
+    // Both tails are mandatory: a payload cut exactly at a tail boundary is
+    // truncated, not an older dialect to restore with defaults.
+    for (cut, what) in [
+        (bytes.len() - own, "ownership"),
+        (bytes.len() - own - dep - arr - lane, "lifecycle"),
+    ] {
+        assert!(
+            matches!(
+                try_restore(&bytes[..cut]),
+                Err(SnapshotError::Truncated { .. })
+            ),
+            "payload cut before the {what} tail accepted"
+        );
+    }
+}
+
+/// The other three schemes end their payloads with the same mandatory
+/// ownership tail: cut exactly before it they are truncated, uncut they
+/// restore and consume every byte.
+#[test]
+fn scheme_payloads_cut_before_the_ownership_tail_are_rejected() {
+    use vantage_repro::cache::SetAssocArray;
+    use vantage_repro::partitioning::{BaselineLlc, PippConfig, PippLlc, RankPolicy, WayPartLlc};
+    const PARTS: usize = 2;
+    fn check<L: Llc + Snapshot>(name: &str, build: fn() -> L) {
+        let mut llc = build();
+        for i in 0..2_000u64 {
+            let part = PartitionId::from_index(i as usize % PARTS);
+            llc.access(AccessRequest::read(part, LineAddr((i * 7) % 400)));
+        }
+        let mut enc = Encoder::new();
+        llc.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let cut = &bytes[..bytes.len() - ownership_tail_bytes(PARTS)];
+        assert!(
+            matches!(
+                build().load_state(&mut Decoder::new(cut, name)),
+                Err(SnapshotError::Truncated { .. })
+            ),
+            "{name}: payload cut before the ownership tail accepted"
+        );
+        let mut dec = Decoder::new(&bytes, name);
+        build()
+            .load_state(&mut dec)
+            .expect("uncut payload restores");
+        dec.finish().expect("ownership tail ends the payload");
+    }
+    check("baseline", || {
+        let array = Box::new(SetAssocArray::hashed(256, 4, 3));
+        BaselineLlc::try_new(array, PARTS, RankPolicy::Lru).expect("valid geometry")
+    });
+    check("way-part", || {
+        WayPartLlc::try_new(256, 4, PARTS, 3).expect("valid geometry")
+    });
+    check("pipp", || {
+        PippLlc::try_new(256, 4, PARTS, PippConfig::default(), 3).expect("valid geometry")
+    });
 }
