@@ -133,21 +133,6 @@ pub enum SlotState {
     Free,
 }
 
-/// One partition's keep window (`CurrentTS`, `CurrentTS - SetpointTS`),
-/// snapshotted once per miss walk. A mid-walk setpoint adjustment thus
-/// takes effect from the next walk — adjustments happen at most once per
-/// `c = 256` candidates, well inside the feedback loop's time constant.
-#[derive(Clone, Copy, Debug, Default)]
-struct KeepWin {
-    current: u8,
-    window: u8,
-    /// Draining slot: every resident line counts as stale. A destroyed
-    /// partition's coarse clock never advances again (only its own
-    /// accesses tick it), so without this its freshest lines would read
-    /// age 0 forever and the drain would stall short of empty.
-    draining: bool,
-}
-
 /// A Vantage-partitioned last-level cache over any [`CacheArray`].
 ///
 /// # Example
@@ -199,9 +184,6 @@ pub struct VantageLlc {
     vstats: VantageStats,
     walk: Walk,
     moves: Vec<(Frame, Frame)>,
-    /// Per-walk keep-window snapshots (SetpointLru rule), reused across
-    /// misses to stay allocation-free.
-    win: Vec<KeepWin>,
     /// Candidate-scan scratch lanes (SetpointLru fast path): the walk's
     /// tag metadata gathered once into contiguous lanes, plus the
     /// branchless stale mask evaluated over them. Persistent so the miss
@@ -324,7 +306,6 @@ impl VantageLlc {
             vstats: VantageStats::default(),
             walk: Walk::with_capacity(64),
             moves: Vec::with_capacity(8),
-            win: Vec::with_capacity(partitions),
             scan_part: Vec::with_capacity(64),
             scan_ts: Vec::with_capacity(64),
             scan_stale: Vec::with_capacity(64),
@@ -1138,8 +1119,8 @@ impl VantageLlc {
         // --- Demotion pass over all candidates (§4.3, "Misses"). ---
         // Per-candidate invariants are hoisted out of the loop: the
         // `DemotionMode` × `RankMode` dispatch collapses to a [`DemoteRule`],
-        // the feedback constants become locals, and (SetpointLru) each
-        // partition's keep window is snapshotted once per walk.
+        // the feedback constants become locals, and (SetpointLru) the stale
+        // test runs over the whole walk before any controller state moves.
         let rule = match (self.cfg.demotion_mode, self.cfg.rank) {
             (DemotionMode::Setpoint, RankMode::Lru) => DemoteRule::SetpointLru,
             (DemotionMode::Setpoint, RankMode::Rrip { .. }) => DemoteRule::SetpointRrip,
@@ -1148,26 +1129,6 @@ impl VantageLlc {
         };
         let cands_period = self.cfg.cands_period;
         let max_rrpv = self.max_rrpv;
-        // Snapshotting every keep window per miss is O(partitions) — fine
-        // for a handful of cores, ruinous at service-mode populations
-        // (thousands of tenants). Past the broadcast width the stale mask
-        // reads each candidate's own partition instead, so the snapshot is
-        // skipped entirely; both reads happen before any per-walk state
-        // mutation, so the two paths stay bit-identical.
-        let broadcast = self.parts.len() <= 8;
-        if rule == DemoteRule::SetpointLru && broadcast {
-            self.win.clear();
-            self.win.extend(
-                self.parts
-                    .iter()
-                    .zip(self.slot_state.iter())
-                    .map(|(st, slot)| KeepWin {
-                        current: st.lru.current(),
-                        window: st.keep_window(),
-                        draining: *slot == SlotState::Draining,
-                    }),
-            );
-        }
         let mut empty: Option<usize> = None;
         let mut best_um: Option<(usize, u8)> = None; // (walk idx, age/rrpv)
         let mut first_demoted: Option<usize> = None;
@@ -1176,9 +1137,10 @@ impl VantageLlc {
             // Fast path for the practical controller: the walk's tags are
             // gathered once into contiguous scratch lanes, the stale test
             // (the only per-candidate predicate that depends solely on the
-            // per-walk keep-window snapshot) is evaluated branchlessly over
-            // whole lanes, and a serial resolution pass then applies the
-            // walk-order-dependent state updates. Bit-identical to the
+            // keep windows as they stand when the walk starts) is evaluated
+            // branchlessly over whole lanes, and a serial resolution pass
+            // then applies the walk-order-dependent state updates.
+            // Bit-identical to the
             // generic loop below: candidate frames are deduplicated, so no
             // mid-walk demotion can change another candidate's tag, and
             // everything order-sensitive — the live `actual > target`
@@ -1208,32 +1170,21 @@ impl VantageLlc {
             }
             self.scan_stale.clear();
             self.scan_stale.resize(occ, 0);
-            if broadcast {
-                // Gather-free: broadcast each partition's window over the
-                // candidate lanes (few partitions — the common case).
-                for (q, w) in self.win.iter().enumerate() {
-                    let q16 = q as u16;
-                    for i in 0..occ {
-                        let hit = u8::from(self.scan_part[i] == q16)
-                            & (u8::from(w.current.wrapping_sub(self.scan_ts[i]) > w.window)
-                                | u8::from(w.draining));
-                        self.scan_stale[i] |= hit;
-                    }
-                }
-            } else {
-                // Many partitions: one window lookup per candidate beats
-                // npart passes over the lanes (and no per-miss snapshot of
-                // every partition's window is ever built). Reading the live
-                // state here is safe: no setpoint or clock moves until the
-                // resolution loop below.
-                for i in 0..occ {
-                    let q = self.scan_part[i] as usize;
-                    if let Some(st) = self.parts.get(q) {
-                        self.scan_stale[i] =
-                            u8::from(
-                                st.lru.current().wrapping_sub(self.scan_ts[i]) > st.keep_window(),
-                            ) | u8::from(self.slot_state[q] == SlotState::Draining);
-                    }
+            // One keep-window lookup per candidate. Reading the live
+            // controller state here is safe: no setpoint or clock moves
+            // until the resolution loop below, so a mid-walk setpoint
+            // adjustment takes effect from the next walk. `get` tolerates
+            // UNMANAGED and corrupted IDs (their mask bit stays 0). A
+            // draining slot's lines all count as stale: a destroyed
+            // partition's coarse clock never advances again (only its own
+            // accesses tick it), so without this its freshest lines would
+            // read age 0 forever and the drain would stall short of empty.
+            for i in 0..occ {
+                let q = self.scan_part[i] as usize;
+                if let Some(st) = self.parts.get(q) {
+                    self.scan_stale[i] =
+                        u8::from(st.lru.current().wrapping_sub(self.scan_ts[i]) > st.keep_window())
+                            | u8::from(self.slot_state[q] == SlotState::Draining);
                 }
             }
             for i in 0..occ {
