@@ -101,8 +101,8 @@ impl RripConfig {
 /// let rrpv = p.insertion_rrpv(0, LineAddr(4));
 /// assert_eq!(rrpv, 6); // SRRIP inserts at max-1 = 2^3 - 2
 ///
-/// let mut cands = [3u8, 6, 7, 0];
-/// let (victim, aged) = p.select_victim(&cands);
+/// let cands = [3u8, 6, 7, 0];
+/// let (victim, aged) = p.select_victim(cands);
 /// assert_eq!((victim, aged), (2, 0)); // an RRPV-7 line exists
 /// ```
 #[derive(Clone, Debug)]
@@ -265,13 +265,12 @@ impl RripPolicy {
     /// # Panics
     ///
     /// Panics if `candidates` is empty.
-    pub fn select_victim(&self, candidates: &[u8]) -> (usize, u8) {
-        assert!(!candidates.is_empty(), "no candidates to select from");
-        let (idx, &best) = candidates
-            .iter()
+    pub fn select_victim(&self, candidates: impl IntoIterator<Item = u8>) -> (usize, u8) {
+        let (idx, best) = candidates
+            .into_iter()
             .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .expect("non-empty");
+            .max_by_key(|&(_, v)| v)
+            .expect("no candidates to select from");
         (idx, self.max - best)
     }
 }
@@ -359,14 +358,14 @@ mod tests {
     #[test]
     fn victim_selection_prefers_max_rrpv() {
         let p = policy(RripMode::Srrip);
-        let (v, aging) = p.select_victim(&[1, 7, 3]);
+        let (v, aging) = p.select_victim([1, 7, 3]);
         assert_eq!((v, aging), (1, 0));
     }
 
     #[test]
     fn victim_selection_reports_aging_deficit() {
         let p = policy(RripMode::Srrip);
-        let (v, aging) = p.select_victim(&[1, 4, 3]);
+        let (v, aging) = p.select_victim([1, 4, 3]);
         assert_eq!(v, 1);
         assert_eq!(aging, 3, "all candidates age by max - best");
     }
@@ -442,6 +441,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no candidates")]
     fn empty_candidates_panics() {
-        policy(RripMode::Srrip).select_victim(&[]);
+        policy(RripMode::Srrip).select_victim([]);
     }
 }

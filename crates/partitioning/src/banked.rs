@@ -269,6 +269,16 @@ impl Llc for BankedLlc {
         &mut self.agg
     }
 
+    /// Takes every bank's interval too: swapping out only the lazily
+    /// summed aggregate would let the next refresh re-sum the same counts.
+    fn take_stats(&mut self) -> LlcStats {
+        self.refresh_stats();
+        for bank in &mut self.banks {
+            bank.take_stats();
+        }
+        std::mem::replace(&mut self.agg, LlcStats::new(self.partitions))
+    }
+
     /// Fans the handle's sink out to every bank through a [`SharedSink`],
     /// tagging each bank's records. Returns `false` (leaving telemetry
     /// uninstalled) if any bank rejects telemetry or the handle is disabled.
@@ -442,6 +452,15 @@ mod tests {
         }
         let s = llc.stats_mut();
         assert_eq!(s.total_hits() + s.total_misses(), 1000);
+        // Taking an interval empties the banks too, so the next interval
+        // holds only its own accesses.
+        let s = llc.take_stats();
+        assert_eq!(s.total_hits() + s.total_misses(), 1000);
+        for i in 0..300u64 {
+            llc.access(AccessRequest::read(PartitionId::from_index(0), LineAddr(i)));
+        }
+        let s = llc.take_stats();
+        assert_eq!(s.total_hits() + s.total_misses(), 300);
     }
 
     #[test]

@@ -7,14 +7,11 @@
 //! Fig. 6b. Partition IDs are still tracked so experiments can observe how
 //! free-for-all sharing divides capacity, but targets are ignored.
 
-use vantage_cache::{
-    CacheArray, Frame, Ownership, PartitionId, RripConfig, RripPolicy, ShareMode, TagMeta, Walk,
-    TAG_UNMANAGED,
-};
-use vantage_telemetry::{PartitionSample, Telemetry, TelemetryEvent};
+use vantage_cache::{CacheArray, Frame, LineAddr, RripConfig, RripPolicy, TagMeta, Walk};
+use vantage_snapshot::{Decoder, Encoder, Snapshot};
 
 use crate::error::SchemeConfigError;
-use crate::llc::{AccessOutcome, AccessRequest, Llc, LlcStats, PartitionObservations};
+use crate::frame::{Mechanism, SchemeFrame};
 
 /// Replacement ranking used by [`BaselineLlc`].
 #[derive(Clone, Debug)]
@@ -25,11 +22,20 @@ pub enum RankPolicy {
     Rrip(RripConfig),
 }
 
-enum RankState {
+/// The unpartitioned [`Mechanism`]: one cache-wide ranking, no targets.
+pub enum Unpartitioned {
     /// Exact LRU needs full-width clocks; the shared stamp lane is unused.
-    Lru { last: Vec<u64>, clock: u64 },
+    Lru {
+        /// Per-frame access clocks.
+        last: Vec<u64>,
+        /// The cache-wide access clock.
+        clock: u64,
+    },
     /// RRPVs live in the shared [`TagMeta`] stamp lane.
-    Rrip { policy: RripPolicy },
+    Rrip {
+        /// Insertion/promotion policy and its set-dueling state.
+        policy: RripPolicy,
+    },
 }
 
 /// An unpartitioned shared cache.
@@ -47,24 +53,7 @@ enum RankState {
 /// llc.access(AccessRequest::read(PartitionId::from_index(0), 0x10.into()));
 /// assert_eq!(llc.stats().hits[0], 1);
 /// ```
-pub struct BaselineLlc {
-    array: Box<dyn CacheArray>,
-    rank: RankState,
-    /// Per-frame tag lanes shared with the Vantage core: the partition lane
-    /// records which partition inserted each line (stats only,
-    /// [`TAG_UNMANAGED`] for never-filled frames); the stamp lane carries
-    /// RRPVs under [`RankState::Rrip`] and is unused under LRU.
-    meta: TagMeta,
-    part_lines: Vec<u64>,
-    /// Cross-partition sharing resolution and its per-partition counters.
-    own: Ownership,
-    stats: LlcStats,
-    walk: Walk,
-    moves: Vec<(Frame, Frame)>,
-    tele: Telemetry,
-    accesses: u64,
-    name: &'static str,
-}
+pub type BaselineLlc = SchemeFrame<Unpartitioned>;
 
 impl BaselineLlc {
     /// Creates an unpartitioned cache over `array` serving `partitions`
@@ -83,377 +72,140 @@ impl BaselineLlc {
         if partitions == 0 || partitions > u16::MAX as usize {
             return Err(SchemeConfigError::BadPartitionCount { partitions });
         }
-        let frames = array.num_frames();
-        let (rank, name) = match rank {
-            RankPolicy::Lru => (
-                RankState::Lru {
-                    last: vec![0; frames],
-                    clock: 0,
-                },
-                "Baseline-LRU",
-            ),
-            RankPolicy::Rrip(cfg) => (
-                RankState::Rrip {
-                    policy: RripPolicy::new(cfg),
-                },
-                "Baseline-RRIP",
-            ),
+        let mech = match rank {
+            RankPolicy::Lru => Unpartitioned::Lru {
+                last: vec![0; array.num_frames()],
+                clock: 0,
+            },
+            RankPolicy::Rrip(cfg) => Unpartitioned::Rrip {
+                policy: RripPolicy::new(cfg),
+            },
         };
-        Ok(Self {
-            array,
-            rank,
-            meta: TagMeta::new(frames),
-            part_lines: vec![0; partitions],
-            own: Ownership::new(ShareMode::Adopt, partitions),
-            stats: LlcStats::new(partitions),
-            walk: Walk::with_capacity(64),
-            moves: Vec::with_capacity(8),
-            tele: Telemetry::disabled(),
-            accesses: 0,
-            name,
-        })
+        Ok(SchemeFrame::new(array, partitions, mech))
     }
+}
 
-    /// Emits one size sample per partition (baselines have no targets or
-    /// apertures; those fields report 0).
-    #[cold]
-    fn emit_samples(&mut self) {
-        for part in 0..self.part_lines.len() {
-            self.tele.sample(PartitionSample {
-                access: self.accesses,
-                part: PartitionId::from_index(part),
-                actual: self.part_lines[part],
-                target: 0,
-                aperture: 0.0,
-                window: 0,
-                churn: 0,
-                shared: self.own.shared_hits()[part],
-                transfers: self.own.transfers()[part],
-            });
+impl Unpartitioned {
+    /// LRU: stamps `frame` with the next tick of the access clock.
+    fn touch(last: &mut [u64], clock: &mut u64, frame: Frame) {
+        *clock += 1;
+        last[frame as usize] = *clock;
+    }
+}
+
+impl Mechanism for Unpartitioned {
+    type Array = dyn CacheArray;
+
+    fn name(&self) -> &'static str {
+        match self {
+            Self::Lru { .. } => "Baseline-LRU",
+            Self::Rrip { .. } => "Baseline-RRIP",
         }
     }
 
-    /// Read-only access to the underlying array.
-    pub fn array(&self) -> &dyn CacheArray {
-        self.array.as_ref()
-    }
-
-    fn on_hit(&mut self, frame: Frame) {
-        match &mut self.rank {
-            RankState::Lru { last, clock } => {
-                *clock += 1;
-                last[frame as usize] = *clock;
-            }
-            RankState::Rrip { policy } => {
-                self.meta.set_ts(frame as usize, policy.hit_rrpv());
-            }
+    fn on_hit(&mut self, meta: &mut TagMeta, f: Frame, _: usize, _: usize, _: bool) {
+        match self {
+            Self::Lru { last, clock } => Self::touch(last, clock, f),
+            Self::Rrip { policy } => meta.set_ts(f as usize, policy.hit_rrpv()),
         }
     }
 
-    fn select_victim(&mut self) -> usize {
-        if let Some(i) = self.walk.first_empty() {
+    fn note_miss(&mut self, part: usize, addr: LineAddr) {
+        if let Self::Rrip { policy } = self {
+            policy.note_miss(part, addr);
+        }
+    }
+
+    fn select_victim(&mut self, meta: &mut TagMeta, walk: &Walk, _part: usize) -> usize {
+        if let Some(i) = walk.first_empty() {
             return i;
         }
-        match &mut self.rank {
-            RankState::Lru { last, .. } => self
-                .walk
+        match self {
+            Self::Lru { last, .. } => walk
                 .nodes
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, n)| last[n.frame as usize])
                 .map(|(i, _)| i)
                 .expect("walk non-empty"),
-            RankState::Rrip { policy } => {
-                let cands: Vec<u8> = self
-                    .walk
-                    .nodes
-                    .iter()
-                    .map(|n| self.meta.ts(n.frame as usize))
-                    .collect();
-                let (victim, aging) = policy.select_victim(&cands);
+            Self::Rrip { policy } => {
+                let rrpvs = walk.nodes.iter().map(|n| meta.ts(n.frame as usize));
+                let (victim, aging) = policy.select_victim(rrpvs);
                 if aging > 0 {
                     let max = policy.max_rrpv();
-                    for n in &self.walk.nodes {
+                    for n in &walk.nodes {
                         let f = n.frame as usize;
-                        let v = self.meta.ts(f);
-                        self.meta.set_ts(f, v.saturating_add(aging).min(max));
+                        let v = meta.ts(f);
+                        meta.set_ts(f, v.saturating_add(aging).min(max));
                     }
                 }
                 victim
             }
         }
     }
-}
 
-impl Llc for BaselineLlc {
-    fn access(&mut self, req: AccessRequest) -> AccessOutcome {
-        let AccessRequest { part, addr, .. } = req;
-        let part = part.index();
-        self.accesses += 1;
-        if self.tele.sample_due(self.accesses) {
-            self.emit_samples();
+    fn relocate(&mut self, from: Frame, to: Frame) {
+        if let Self::Lru { last, .. } = self {
+            last[to as usize] = last[from as usize];
         }
-        let addr = self.own.effective_addr(part as u16, addr);
-        if let Some(frame) = self.array.lookup(addr) {
-            let owner = self.meta.part(frame as usize);
-            if owner != part as u16 {
-                self.tele.event(TelemetryEvent::SharedHit {
-                    access: self.accesses,
-                    part: PartitionId::from_index(part),
-                    owner: PartitionId::from_raw(owner),
-                });
-                if self.own.on_shared_hit(part as u16) {
-                    // Adopt: the accessor takes the line over.
-                    self.meta.set_part(frame as usize, part as u16);
-                    self.part_lines[owner as usize] -= 1;
-                    self.part_lines[part] += 1;
-                    self.tele.event(TelemetryEvent::OwnershipTransfer {
-                        access: self.accesses,
-                        part: PartitionId::from_index(part),
-                        from: PartitionId::from_raw(owner),
-                    });
-                }
-            }
-            self.on_hit(frame);
-            self.stats.hits[part] += 1;
-            return AccessOutcome::Hit;
-        }
-        self.stats.misses[part] += 1;
-        if let RankState::Rrip { policy, .. } = &mut self.rank {
-            policy.note_miss(part, addr);
-        }
-        self.array.walk(addr, &mut self.walk);
-        let victim = self.select_victim();
-        let evicted = self.walk.nodes[victim].is_occupied();
-        if evicted {
-            self.stats.evictions += 1;
-            let vf = self.walk.nodes[victim].frame as usize;
-            let vowner = self.meta.part(vf);
-            self.part_lines[vowner as usize] -= 1;
-            self.tele.event(TelemetryEvent::Eviction {
-                access: self.accesses,
-                part: PartitionId::from_raw(vowner),
-                forced: false,
-            });
-        }
-        self.moves.clear();
-        let landing = {
-            // Split borrow: install needs &mut array only.
-            let walk = &self.walk;
-            self.array.install(addr, walk, victim, &mut self.moves)
-        };
-        // Relocate per-frame metadata along with the moved lines (both tag
-        // lanes move together; LRU clocks ride in their own lane).
-        for &(from, to) in &self.moves {
-            self.meta.copy(from, to);
-            if let RankState::Lru { last, .. } = &mut self.rank {
-                last[to as usize] = last[from as usize];
+    }
+
+    fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, addr: LineAddr) {
+        match self {
+            Self::Lru { last, clock } => Self::touch(last, clock, landing),
+            Self::Rrip { policy } => {
+                meta.set_ts(landing as usize, policy.insertion_rrpv(part, addr));
             }
         }
-        self.meta.set_part(landing as usize, part as u16);
-        self.part_lines[part] += 1;
-        if self.own.mode() == ShareMode::Replicate {
-            self.own.on_replica_fill(part as u16);
-            self.tele.event(TelemetryEvent::Replica {
-                access: self.accesses,
-                part: PartitionId::from_index(part),
-            });
-        }
-        match &mut self.rank {
-            RankState::Lru { last, clock } => {
-                *clock += 1;
-                last[landing as usize] = *clock;
-            }
-            RankState::Rrip { policy } => {
-                let v = policy.insertion_rrpv(part, addr);
-                self.meta.set_ts(landing as usize, v);
-            }
-        }
-        AccessOutcome::Miss
     }
 
-    fn num_partitions(&self) -> usize {
-        self.part_lines.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.array.num_frames()
-    }
-
-    fn set_targets(&mut self, targets: &[u64]) {
-        // Unpartitioned: targets are advisory no-ops, but validate shape so
-        // misuse is caught uniformly across schemes.
-        assert_eq!(
-            targets.len(),
-            self.part_lines.len(),
-            "one target per partition"
-        );
-    }
-
-    fn partition_size(&self, part: PartitionId) -> u64 {
-        self.part_lines[part.index()]
-    }
-
-    fn stats(&self) -> &LlcStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut LlcStats {
-        &mut self.stats
-    }
-
-    fn set_share_mode(&mut self, mode: ShareMode) -> bool {
-        self.own.set_mode(mode);
-        true
-    }
-
-    fn share_mode(&self) -> ShareMode {
-        self.own.mode()
-    }
-
-    fn observations(&mut self) -> PartitionObservations {
-        let n = self.part_lines.len();
-        let mut obs = PartitionObservations::new(n);
-        obs.actual.copy_from_slice(&self.part_lines);
-        obs.hits.copy_from_slice(&self.stats.hits);
-        obs.misses.copy_from_slice(&self.stats.misses);
-        obs.shared_hits.copy_from_slice(self.own.shared_hits());
-        obs.ownership_transfers
-            .copy_from_slice(self.own.transfers());
-        self.own.reset_counters();
-        obs
-    }
-
-    fn set_telemetry(&mut self, mut telemetry: Telemetry) -> bool {
-        telemetry.bind(self.part_lines.len());
-        self.tele = telemetry;
-        true
-    }
-
-    fn take_telemetry(&mut self) -> Option<Telemetry> {
-        if self.tele.enabled() {
-            Some(std::mem::take(&mut self.tele))
-        } else {
-            None
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.name
-    }
-}
-
-impl vantage_snapshot::Snapshot for BaselineLlc {
-    fn save_state(&self, enc: &mut vantage_snapshot::Encoder) {
-        match &self.rank {
-            RankState::Lru { last, clock } => {
+    fn save(&self, meta: &TagMeta, enc: &mut Encoder) {
+        match self {
+            Self::Lru { last, clock } => {
                 enc.put_u8(0);
                 enc.put_u64_slice(last);
                 enc.put_u64(*clock);
             }
-            RankState::Rrip { policy } => {
+            Self::Rrip { policy } => {
                 enc.put_u8(1);
                 policy.save_state(enc);
-                enc.put_u8_slice(self.meta.ts_lane());
+                enc.put_u8_slice(meta.ts_lane());
             }
         }
-        enc.put_u16_slice(self.meta.parts());
-        enc.put_u64_slice(&self.part_lines);
-        self.stats.save_state(enc);
-        enc.put_u64(self.accesses);
-        self.tele.save_state(enc);
-        self.array.save_state(enc);
-        // Ownership tail: share mode + sharing counters.
-        self.own.save_state(enc);
     }
 
-    fn load_state(
-        &mut self,
-        dec: &mut vantage_snapshot::Decoder<'_>,
-    ) -> vantage_snapshot::Result<()> {
-        let frames = self.meta.len();
-        let partitions = self.part_lines.len();
-        let tag = dec.take_u8()?;
-        enum RankLoad {
-            Lru(Vec<u64>, u64),
-            Rrip(Vec<u8>),
-        }
-        let rank = match (tag, &mut self.rank) {
-            (0, RankState::Lru { .. }) => {
-                let last = dec.take_u64_vec()?;
-                if last.len() != frames {
+    fn load(&mut self, dec: &mut Decoder<'_>) -> vantage_snapshot::Result<Vec<u8>> {
+        match (dec.take_u8()?, self) {
+            (0, Self::Lru { last, clock }) => {
+                let saved = dec.take_u64_vec()?;
+                if saved.len() != last.len() {
                     return Err(dec.mismatch("LRU clock count differs from frame count"));
                 }
-                RankLoad::Lru(last, dec.take_u64()?)
+                *last = saved;
+                *clock = dec.take_u64()?;
+                Ok(vec![0; last.len()])
             }
-            (1, RankState::Rrip { policy, .. }) => {
+            (1, Self::Rrip { policy }) => {
                 policy.load_state(dec)?;
                 let rrpv = dec.take_u8_vec()?;
-                if rrpv.len() != frames {
-                    return Err(dec.mismatch("RRPV count differs from frame count"));
-                }
                 let max = policy.max_rrpv();
                 if rrpv.iter().any(|&v| v > max) {
                     return Err(dec.invalid("RRPV above configured maximum"));
                 }
-                RankLoad::Rrip(rrpv)
+                Ok(rrpv)
             }
-            (0 | 1, _) => return Err(dec.mismatch("replacement policy kind differs from snapshot")),
-            _ => return Err(dec.invalid("unknown replacement-policy tag")),
-        };
-        let owner = dec.take_u16_vec()?;
-        if owner.len() != frames {
-            return Err(dec.mismatch("owner map length differs from frame count"));
+            (0 | 1, _) => Err(dec.mismatch("replacement policy kind differs from snapshot")),
+            _ => Err(dec.invalid("unknown replacement-policy tag")),
         }
-        // Never-filled frames carry the [`TAG_UNMANAGED`] sentinel; every
-        // other owner must name a partition.
-        if owner
-            .iter()
-            .any(|&o| o != TAG_UNMANAGED && o as usize >= partitions)
-        {
-            return Err(dec.invalid("frame owner beyond partition count"));
-        }
-        let part_lines = dec.take_u64_vec()?;
-        if part_lines.len() != partitions {
-            return Err(dec.mismatch("partition-size count differs"));
-        }
-        self.stats.load_state(dec)?;
-        let accesses = dec.take_u64()?;
-        self.tele.load_state(dec)?;
-        self.array.load_state(dec)?;
-        match (rank, &mut self.rank) {
-            (RankLoad::Lru(last, clock), RankState::Lru { last: l, clock: c }) => {
-                *l = last;
-                *c = clock;
-                self.meta.load_lanes(owner, vec![0u8; frames]);
-            }
-            (RankLoad::Rrip(rrpv), RankState::Rrip { .. }) => {
-                self.meta.load_lanes(owner, rrpv);
-            }
-            _ => unreachable!("tag validated against variant above"),
-        }
-        // Input validation: an unoccupied frame carries the sentinel
-        // whatever the payload claims (a forged owner would corrupt the
-        // `TagMeta` count index), and an occupied frame must carry a real
-        // partition ID.
-        for f in 0..frames {
-            if self.array.occupant(f as u32).is_none() {
-                self.meta.set(f, TAG_UNMANAGED, 0);
-            } else if self.meta.part(f) == TAG_UNMANAGED {
-                return Err(dec.invalid("occupied frame without an owner"));
-            }
-        }
-        self.part_lines = part_lines;
-        self.accesses = accesses;
-        self.own.load_state(dec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vantage_cache::LineAddr;
-    use vantage_cache::{RripMode, SetAssocArray, ZArray};
+    use crate::llc::{AccessOutcome, AccessRequest, Llc};
+    use vantage_cache::{PartitionId, RripMode, SetAssocArray, ZArray};
+    use vantage_telemetry::TelemetryEvent;
 
     fn lru_llc(frames: usize, ways: usize) -> BaselineLlc {
         BaselineLlc::try_new(

@@ -3,7 +3,10 @@
 //! This crate defines the [`Llc`] abstraction — a shared last-level cache
 //! that serves accesses on behalf of partitions and enforces per-partition
 //! capacity targets — and implements the schemes the Vantage paper compares
-//! against:
+//! against. They differ only in how they rank lines and pick victims, so
+//! each is a [`Mechanism`] laid over one shared [`SchemeFrame`], which owns
+//! the array, tag lanes, ownership resolution, statistics, telemetry and
+//! the snapshot layout:
 //!
 //! * [`BaselineLlc`] — an unpartitioned cache (LRU or RRIP) over any
 //!   [`CacheArray`](vantage_cache::CacheArray); the normalization baseline.
@@ -27,6 +30,7 @@ pub mod banked;
 pub mod baseline;
 pub mod caps;
 pub mod error;
+pub mod frame;
 pub mod hist;
 pub mod llc;
 pub mod pipeline;
@@ -39,6 +43,7 @@ pub use banked::BankedLlc;
 pub use baseline::{BaselineLlc, RankPolicy};
 pub use caps::{HasInvariants, HasPartitionPolicy, InvariantViolation};
 pub use error::SchemeConfigError;
+pub use frame::{Mechanism, SchemeFrame};
 pub use hist::TsHistogram;
 pub use llc::{
     AccessKind, AccessOutcome, AccessRequest, LifecycleError, Llc, LlcStats, PartitionObservations,

@@ -605,6 +605,11 @@ impl Llc for PipelinedBankedLlc {
         self.inner.stats_mut()
     }
 
+    fn take_stats(&mut self) -> LlcStats {
+        self.barrier();
+        self.inner.take_stats()
+    }
+
     fn set_telemetry(&mut self, telemetry: Telemetry) -> bool {
         self.barrier();
         self.inner.set_telemetry(telemetry)
@@ -844,6 +849,13 @@ mod tests {
         pipe.ingest(&reqs);
         pipe.set_targets(&[300, 212]);
         assert_eq!(pipe.pending(), 0, "set_targets drained");
+        // Each taken interval holds exactly its own requests, queued or not.
+        let s = pipe.take_stats();
+        assert_eq!(s.total_hits() + s.total_misses(), 2000);
+        pipe.ingest(&reqs[..400]);
+        assert!(pipe.pending() > 0);
+        let s = pipe.take_stats();
+        assert_eq!(s.total_hits() + s.total_misses(), 400, "take_stats drained");
     }
 
     #[test]

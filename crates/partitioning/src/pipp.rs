@@ -22,15 +22,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vantage_cache::{
-    CacheArray, Ownership, PartitionId, SetAssocArray, ShareMode, TagMeta, Walk, TAG_UNMANAGED,
-};
-use vantage_telemetry::{PartitionSample, Telemetry, TelemetryEvent};
+use vantage_cache::{Frame, LineAddr, SetAssocArray, TagMeta, Walk};
+use vantage_snapshot::{Decoder, Encoder};
 
 use crate::error::SchemeConfigError;
-use crate::llc::{
-    ways_from_targets, AccessOutcome, AccessRequest, Llc, LlcStats, PartitionObservations,
-};
+use crate::frame::{Mechanism, SchemeFrame};
+use crate::llc::ways_from_targets;
 
 /// Tuning knobs for [`PippLlc`] (defaults are the paper's values).
 #[derive(Clone, Debug)]
@@ -56,6 +53,24 @@ impl Default for PippConfig {
     }
 }
 
+/// The PIPP [`Mechanism`]: per-set priority chains, way allocations and
+/// stream classification. The shared [`TagMeta`] stamp lane holds the
+/// inverse chain map (`meta.ts(frame)` is the frame's chain position), so
+/// it stays meaningful on never-filled frames.
+pub struct Pipp {
+    ways: u32,
+    /// Per-set priority chains: `chain[set*ways + pos]` is the way at
+    /// position `pos` (0 = LRU end).
+    chain: Vec<u8>,
+    alloc: Vec<u32>,
+    streaming: Vec<bool>,
+    /// Interval counters for stream classification.
+    interval_hits: Vec<u64>,
+    interval_misses: Vec<u64>,
+    cfg: PippConfig,
+    rng: SmallRng,
+}
+
 /// A PIPP-managed set-associative LLC.
 ///
 /// # Example
@@ -67,32 +82,7 @@ impl Default for PippConfig {
 /// llc.set_targets(&[1024, 1024, 1024, 1024]);
 /// llc.access(AccessRequest::read(PartitionId::from_index(0), 0x3.into()));
 /// ```
-pub struct PippLlc {
-    array: SetAssocArray,
-    ways: u32,
-    /// Per-set priority chains: `chain[set*ways + pos]` is the way at
-    /// position `pos` (0 = LRU end).
-    chain: Vec<u8>,
-    /// Per-frame tag lanes shared with the Vantage core: the partition lane
-    /// holds each line's inserting partition ([`TAG_UNMANAGED`] for
-    /// never-filled frames), the stamp lane the inverse chain map
-    /// (`meta.ts(frame)` is the frame's chain position).
-    meta: TagMeta,
-    alloc: Vec<u32>,
-    streaming: Vec<bool>,
-    part_lines: Vec<u64>,
-    /// Cross-partition sharing resolution and its per-partition counters.
-    own: Ownership,
-    /// Interval counters for stream classification.
-    interval_hits: Vec<u64>,
-    interval_misses: Vec<u64>,
-    cfg: PippConfig,
-    rng: SmallRng,
-    stats: LlcStats,
-    walk: Walk,
-    tele: Telemetry,
-    accesses: u64,
-}
+pub type PippLlc = SchemeFrame<Pipp>;
 
 impl PippLlc {
     /// Creates a PIPP cache of `frames` lines and `ways` ways (H3-hashed
@@ -116,100 +106,59 @@ impl PippLlc {
         if ways > u8::MAX as usize + 1 {
             return Err(SchemeConfigError::TooManyWays { ways });
         }
-        let array = SetAssocArray::hashed(frames, ways, seed);
-        let sets = frames / ways;
-        let mut chain = Vec::with_capacity(frames);
-        for _ in 0..sets {
-            chain.extend(0..ways as u8);
-        }
-        let mut meta = TagMeta::new(frames);
-        for f in 0..frames {
-            meta.set_ts(f, (f % ways) as u8);
-        }
-        let mut llc = Self {
-            array,
+        let array = Box::new(SetAssocArray::hashed(frames, ways, seed));
+        let mut mech = Pipp {
             ways: ways as u32,
-            chain,
-            meta,
+            chain: (0..frames).map(|f| (f % ways) as u8).collect(),
             alloc: vec![0; partitions],
             streaming: vec![false; partitions],
-            part_lines: vec![0; partitions],
-            own: Ownership::new(ShareMode::Adopt, partitions),
             interval_hits: vec![0; partitions],
             interval_misses: vec![0; partitions],
             cfg,
             rng: SmallRng::seed_from_u64(seed ^ 0x9157),
-            stats: LlcStats::new(partitions),
-            walk: Walk::with_capacity(ways),
-            tele: Telemetry::disabled(),
-            accesses: 0,
         };
-        let even = vec![1u64; partitions];
-        Llc::set_targets(&mut llc, &even);
-        Ok(llc)
-    }
-
-    /// Emits one sample per partition; `target` is the (pseudo-)allocation
-    /// in lines. PIPP has no apertures or setpoints, so those report 0.
-    #[cold]
-    fn emit_samples(&mut self) {
-        let lines_per_way = (self.meta.len() / self.ways as usize) as u64;
-        for part in 0..self.part_lines.len() {
-            self.tele.sample(PartitionSample {
-                access: self.accesses,
-                part: PartitionId::from_index(part),
-                actual: self.part_lines[part],
-                target: u64::from(self.alloc[part]) * lines_per_way,
-                aperture: 0.0,
-                window: 0,
-                churn: 0,
-                shared: self.own.shared_hits()[part],
-                transfers: self.own.transfers()[part],
-            });
+        mech.set_targets(&vec![1; partitions]);
+        let mut llc = SchemeFrame::new(array, partitions, mech);
+        for f in 0..frames {
+            llc.meta.set_ts(f, llc.mech.chain[f]);
         }
+        Ok(llc)
     }
 
     /// Current way allocation (streaming partitions are reported as
     /// allocated, even though they effectively use one way).
     pub fn way_allocation(&self) -> &[u32] {
-        &self.alloc
+        &self.mech.alloc
     }
 
     /// Which partitions are currently classified as streaming.
     pub fn streaming_flags(&self) -> &[bool] {
-        &self.streaming
+        &self.mech.streaming
     }
+}
 
-    #[inline]
-    fn chain_slice(&mut self, set: u32) -> &mut [u8] {
-        let w = self.ways as usize;
-        let base = set as usize * w;
-        &mut self.chain[base..base + w]
-    }
-
-    /// Moves way `way` in `set`'s chain from its current position to `to`,
+impl Pipp {
+    /// Moves `frame`'s way from its current chain position to `to`,
     /// shifting the ways in between.
-    fn reposition(&mut self, set: u32, way: u8, to: usize) {
-        let ways = self.ways;
-        let chain = self.chain_slice(set);
-        let from = chain
-            .iter()
-            .position(|&w| w == way)
-            .expect("way present in chain");
+    fn reposition(&mut self, meta: &mut TagMeta, frame: Frame, to: usize) {
+        let ways = self.ways as usize;
+        let base = frame as usize / ways * ways;
+        let chain = &mut self.chain[base..base + ways];
+        let from = meta.ts(frame as usize) as usize;
+        debug_assert_eq!(usize::from(chain[from]), frame as usize - base);
         if from == to {
             return;
         }
+        let lo = from.min(to);
+        let span = &mut chain[lo..=from.max(to)];
         if from < to {
-            chain[from..=to].rotate_left(1);
+            span.rotate_left(1);
         } else {
-            chain[to..=from].rotate_right(1);
+            span.rotate_right(1);
         }
         // Rebuild the inverse map for the touched span.
-        let (lo, hi) = (from.min(to), from.max(to));
-        let span: Vec<u8> = chain[lo..=hi].to_vec();
-        for (off, &w) in span.iter().enumerate() {
-            let frame = set * ways + u32::from(w);
-            self.meta.set_ts(frame as usize, (lo + off) as u8);
+        for (off, &way) in span.iter().enumerate() {
+            meta.set_ts(base + usize::from(way), (lo + off) as u8);
         }
     }
 
@@ -218,13 +167,8 @@ impl PippLlc {
     fn insert_position(&self, part: usize) -> usize {
         if self.streaming[part] {
             // Streaming apps share the bottom of the stack: one way each.
-            let s: u32 = self
-                .streaming
-                .iter()
-                .zip(&self.alloc)
-                .map(|(&st, _)| u32::from(st))
-                .sum();
-            (s.max(1) - 1) as usize
+            let s = self.streaming.iter().filter(|&&st| st).count();
+            s - 1
         } else {
             (self.alloc[part].max(1) - 1) as usize
         }
@@ -232,7 +176,7 @@ impl PippLlc {
     }
 
     /// Re-runs stream classification from the interval counters and resets
-    /// them. Called on every repartitioning ([`set_targets`](Llc::set_targets)).
+    /// them. Called on every repartitioning.
     fn classify_streams(&mut self) {
         for p in 0..self.streaming.len() {
             let acc = self.interval_hits[p] + self.interval_misses[p];
@@ -246,108 +190,51 @@ impl PippLlc {
     }
 }
 
-impl Llc for PippLlc {
-    fn access(&mut self, req: AccessRequest) -> AccessOutcome {
-        let AccessRequest { part, addr, .. } = req;
-        let part = part.index();
-        let addr = self.own.effective_addr(part as u16, addr);
-        self.accesses += 1;
-        if self.tele.sample_due(self.accesses) {
-            self.emit_samples();
-        }
-        if let Some(frame) = self.array.lookup(addr) {
-            let owner = self.meta.part(frame as usize);
-            if owner != part as u16 {
-                self.tele.event(TelemetryEvent::SharedHit {
-                    access: self.accesses,
-                    part: PartitionId::from_index(part),
-                    owner: PartitionId::from_raw(owner),
-                });
-                if self.own.on_shared_hit(part as u16) {
-                    // Adopt: the accessor takes the line over (the chain
-                    // position is placement state and stays put).
-                    self.meta.set_part(frame as usize, part as u16);
-                    self.part_lines[owner as usize] -= 1;
-                    self.part_lines[part] += 1;
-                    self.tele.event(TelemetryEvent::OwnershipTransfer {
-                        access: self.accesses,
-                        part: PartitionId::from_index(part),
-                        from: PartitionId::from_raw(owner),
-                    });
-                }
-            }
-            self.stats.hits[part] += 1;
-            self.interval_hits[part] += 1;
-            // Single-step probabilistic promotion.
-            let p = if self.streaming[self.meta.part(frame as usize) as usize] {
-                self.cfg.p_stream
-            } else {
-                self.cfg.p_prom
-            };
-            if self.rng.gen_bool(p) {
-                let pos = self.meta.ts(frame as usize) as usize;
-                if pos + 1 < self.ways as usize {
-                    let set = frame / self.ways;
-                    let way = (frame % self.ways) as u8;
-                    self.reposition(set, way, pos + 1);
-                }
-            }
-            return AccessOutcome::Hit;
-        }
+impl Mechanism for Pipp {
+    type Array = SetAssocArray;
+    const STAMPS_EMPTY_FRAMES: bool = true;
 
-        self.stats.misses[part] += 1;
+    fn name(&self) -> &'static str {
+        "PIPP"
+    }
+
+    /// Single-step probabilistic promotion (an adopted line's chain
+    /// position is placement state and stays put until promoted).
+    fn on_hit(&mut self, meta: &mut TagMeta, f: Frame, part: usize, owner: usize, adopted: bool) {
+        self.interval_hits[part] += 1;
+        let p = if self.streaming[if adopted { part } else { owner }] {
+            self.cfg.p_stream
+        } else {
+            self.cfg.p_prom
+        };
+        if self.rng.gen_bool(p) {
+            let pos = meta.ts(f as usize) as usize;
+            if pos + 1 < self.ways as usize {
+                self.reposition(meta, f, pos + 1);
+            }
+        }
+    }
+
+    fn note_miss(&mut self, part: usize, _addr: LineAddr) {
         self.interval_misses[part] += 1;
-        // Victim: the lowest-priority frame, preferring empty frames.
-        let walk = &mut self.walk;
-        self.array.walk(addr, walk);
-        let set = walk.nodes[0].frame / self.ways;
-        let victim_way = {
-            let ways = self.ways as usize;
-            let base = set as usize * ways;
-            let chain = &self.chain[base..base + ways];
-            *chain
-                .iter()
-                .find(|&&w| !walk.nodes[w as usize].is_occupied())
-                .unwrap_or(&chain[0])
-        };
-        let vnode = walk.nodes[victim_way as usize];
-        if vnode.is_occupied() {
-            self.stats.evictions += 1;
-            let vowner = self.meta.part(vnode.frame as usize);
-            self.part_lines[vowner as usize] -= 1;
-            self.tele.event(TelemetryEvent::Eviction {
-                access: self.accesses,
-                part: PartitionId::from_raw(vowner),
-                forced: false,
-            });
-        }
-        let mut moves = Vec::new();
-        let landing = {
-            let walk = &self.walk;
-            self.array
-                .install(addr, walk, victim_way as usize, &mut moves)
-        };
-        debug_assert!(moves.is_empty());
-        self.meta.set_part(landing as usize, part as u16);
-        self.part_lines[part] += 1;
-        if self.own.mode() == ShareMode::Replicate {
-            self.own.on_replica_fill(part as u16);
-            self.tele.event(TelemetryEvent::Replica {
-                access: self.accesses,
-                part: PartitionId::from_index(part),
-            });
-        }
+    }
+
+    /// The lowest-priority frame, preferring empty frames. The walk yields
+    /// the whole set in way order, so a way indexes its node.
+    fn select_victim(&mut self, _meta: &mut TagMeta, walk: &Walk, _part: usize) -> usize {
+        let ways = self.ways as usize;
+        let base = walk.nodes[0].frame as usize / ways * ways;
+        let chain = &self.chain[base..base + ways];
+        let way = chain
+            .iter()
+            .find(|&&w| !walk.nodes[w as usize].is_occupied())
+            .unwrap_or(&chain[0]);
+        usize::from(*way)
+    }
+
+    fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, _addr: LineAddr) {
         let pos = self.insert_position(part);
-        self.reposition(set, victim_way, pos);
-        AccessOutcome::Miss
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.part_lines.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.meta.len()
+        self.reposition(meta, landing, pos);
     }
 
     fn set_targets(&mut self, targets: &[u64]) {
@@ -377,96 +264,36 @@ impl Llc for PippLlc {
         self.alloc = alloc;
     }
 
-    fn partition_size(&self, part: PartitionId) -> u64 {
-        self.part_lines[part.index()]
+    /// The (pseudo-)allocation in lines.
+    fn target(&self, part: usize) -> u64 {
+        let lines_per_way = (self.chain.len() / self.ways as usize) as u64;
+        u64::from(self.alloc[part]) * lines_per_way
     }
 
-    fn stats(&self) -> &LlcStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut LlcStats {
-        &mut self.stats
-    }
-
-    fn set_share_mode(&mut self, mode: ShareMode) -> bool {
-        self.own.set_mode(mode);
-        true
-    }
-
-    fn share_mode(&self) -> ShareMode {
-        self.own.mode()
-    }
-
-    fn observations(&mut self) -> PartitionObservations {
-        let n = self.part_lines.len();
-        let mut obs = PartitionObservations::new(n);
-        obs.actual.copy_from_slice(&self.part_lines);
-        obs.hits.copy_from_slice(&self.stats.hits);
-        obs.misses.copy_from_slice(&self.stats.misses);
-        obs.shared_hits.copy_from_slice(self.own.shared_hits());
-        obs.ownership_transfers
-            .copy_from_slice(self.own.transfers());
-        self.own.reset_counters();
-        obs
-    }
-
-    fn set_telemetry(&mut self, mut telemetry: Telemetry) -> bool {
-        telemetry.bind(self.part_lines.len());
-        self.tele = telemetry;
-        true
-    }
-
-    fn take_telemetry(&mut self) -> Option<Telemetry> {
-        if self.tele.enabled() {
-            Some(std::mem::take(&mut self.tele))
-        } else {
-            None
-        }
-    }
-
-    fn name(&self) -> &str {
-        "PIPP"
-    }
-}
-
-impl vantage_snapshot::Snapshot for PippLlc {
-    fn save_state(&self, enc: &mut vantage_snapshot::Encoder) {
+    fn save(&self, _meta: &TagMeta, enc: &mut Encoder) {
         enc.put_u8_slice(&self.chain);
         enc.put_u32_slice(&self.alloc);
         enc.put_u64(self.streaming.len() as u64);
         for &s in &self.streaming {
             enc.put_bool(s);
         }
-        enc.put_u16_slice(self.meta.parts());
-        enc.put_u64_slice(&self.part_lines);
         enc.put_u64_slice(&self.interval_hits);
         enc.put_u64_slice(&self.interval_misses);
         for s in self.rng.state() {
             enc.put_u64(s);
         }
-        self.stats.save_state(enc);
-        enc.put_u64(self.accesses);
-        self.tele.save_state(enc);
-        self.array.save_state(enc);
-        // Ownership tail: share mode + sharing counters.
-        self.own.save_state(enc);
     }
 
-    fn load_state(
-        &mut self,
-        dec: &mut vantage_snapshot::Decoder<'_>,
-    ) -> vantage_snapshot::Result<()> {
-        let frames = self.meta.len();
-        let partitions = self.part_lines.len();
+    fn load(&mut self, dec: &mut Decoder<'_>) -> vantage_snapshot::Result<Vec<u8>> {
+        let partitions = self.alloc.len();
         let ways = self.ways as usize;
         let chain = dec.take_u8_vec()?;
-        if chain.len() != frames {
+        if chain.len() != self.chain.len() {
             return Err(dec.mismatch("chain length differs from frame count"));
         }
         // Each set's chain must be a permutation of its ways; the inverse
         // map is derived from it rather than trusted from the file.
-        let mut pos_of = vec![0u8; frames];
+        let mut pos_of = vec![0u8; chain.len()];
         for (set, sc) in chain.chunks_exact(ways).enumerate() {
             let mut seen = [false; 256];
             for (pos, &w) in sc.iter().enumerate() {
@@ -489,62 +316,30 @@ impl vantage_snapshot::Snapshot for PippLlc {
         for _ in 0..n {
             streaming.push(dec.take_bool()?);
         }
-        let owner = dec.take_u16_vec()?;
-        let part_lines = dec.take_u64_vec()?;
         let interval_hits = dec.take_u64_vec()?;
         let interval_misses = dec.take_u64_vec()?;
-        if owner.len() != frames
-            || part_lines.len() != partitions
-            || interval_hits.len() != partitions
-            || interval_misses.len() != partitions
-        {
+        if interval_hits.len() != partitions || interval_misses.len() != partitions {
             return Err(dec.mismatch("per-partition metadata lengths differ"));
-        }
-        // Never-filled frames carry the [`TAG_UNMANAGED`] sentinel; every
-        // other owner must name a partition.
-        if owner
-            .iter()
-            .any(|&o| o != TAG_UNMANAGED && o as usize >= partitions)
-        {
-            return Err(dec.invalid("frame owner beyond partition count"));
         }
         let mut rng_state = [0u64; 4];
         for s in &mut rng_state {
             *s = dec.take_u64()?;
         }
-        self.stats.load_state(dec)?;
-        let accesses = dec.take_u64()?;
-        self.tele.load_state(dec)?;
-        self.array.load_state(dec)?;
         self.chain = chain;
-        self.meta.load_lanes(owner, pos_of);
-        // Input validation: an unoccupied frame carries the sentinel
-        // whatever the payload claims (a forged owner would corrupt the
-        // `TagMeta` count index; the chain position in the stamp lane stays
-        // meaningful for empty frames and is left untouched), and an
-        // occupied frame must carry a real partition ID.
-        for f in 0..frames {
-            if self.array.occupant(f as u32).is_none() {
-                self.meta.set_part(f, TAG_UNMANAGED);
-            } else if self.meta.part(f) == TAG_UNMANAGED {
-                return Err(dec.invalid("occupied frame without an owner"));
-            }
-        }
         self.alloc = alloc;
         self.streaming = streaming;
-        self.part_lines = part_lines;
         self.interval_hits = interval_hits;
         self.interval_misses = interval_misses;
         self.rng = SmallRng::from_state(rng_state);
-        self.accesses = accesses;
-        self.own.load_state(dec)
+        Ok(pos_of)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vantage_cache::LineAddr;
+    use crate::llc::{AccessOutcome, AccessRequest, Llc};
+    use vantage_cache::PartitionId;
 
     fn pipp(parts: usize) -> PippLlc {
         PippLlc::try_new(1024, 16, parts, PippConfig::default(), 42).expect("valid PIPP geometry")
@@ -565,7 +360,7 @@ mod tests {
         for set in 0..(1024 / ways) {
             let mut seen = [false; 16];
             for pos in 0..ways {
-                let w = llc.chain[set * ways + pos] as usize;
+                let w = llc.mech.chain[set * ways + pos] as usize;
                 assert!(!seen[w], "way {w} duplicated in set {set}");
                 seen[w] = true;
                 let frame = set * ways + w;
@@ -633,7 +428,7 @@ mod tests {
         assert!(!llc.streaming_flags()[0]);
         assert!(llc.streaming_flags()[1]);
         // The streamer is throttled to one effective way at insertion.
-        assert_eq!(llc.insert_position(1), 0);
+        assert_eq!(llc.mech.insert_position(1), 0);
     }
 
     #[test]
@@ -643,7 +438,7 @@ mod tests {
         let llc =
             PippLlc::try_new(1024, 16, 16, PippConfig::default(), 1).expect("valid PIPP geometry");
         for p in 0..16 {
-            assert_eq!(llc.insert_position(p), 0);
+            assert_eq!(llc.mech.insert_position(p), 0);
         }
     }
 

@@ -12,32 +12,29 @@
 //! owner are evicted only as the new owner misses into each set, which
 //! reproduces the slow target-tracking the paper observes in Fig. 8a.
 
-use vantage_cache::{
-    Ownership, PartitionId, SetAssocArray, ShareMode, TagMeta, TsLru, TAG_UNMANAGED,
-};
-use vantage_telemetry::{PartitionSample, Telemetry, TelemetryEvent};
+use vantage_cache::{Frame, LineAddr, SetAssocArray, TagMeta, TsLru, Walk, TAG_UNMANAGED};
+use vantage_snapshot::{Decoder, Encoder, Snapshot};
 
 use crate::error::SchemeConfigError;
+use crate::frame::{Mechanism, SchemeFrame};
 use crate::hist::TsHistogram;
-use crate::llc::{
-    ways_from_targets, AccessOutcome, AccessRequest, Llc, LlcStats, PartitionObservations,
-};
+use crate::llc::ways_from_targets;
 
 /// A sample of one eviction's empirical priority, for Fig. 8-style heat
 /// maps: (access sequence number, partition, priority in `[0, 1]`).
 pub type PrioritySample = (u64, u16, f32);
 
-/// Optional eviction-priority instrumentation shared by scheme
-/// implementations: per-partition coarse timestamps plus histograms that
-/// turn an evicted line's timestamp into a rank among its partition's lines.
-pub(crate) struct PriorityProbe {
+/// Optional eviction-priority instrumentation: per-partition coarse
+/// timestamps plus histograms that turn an evicted line's timestamp into a
+/// rank among its partition's lines.
+struct PriorityProbe {
     lru: Vec<TsLru>,
     hist: Vec<TsHistogram>,
     samples: Vec<PrioritySample>,
 }
 
 impl PriorityProbe {
-    pub(crate) fn new(partitions: usize) -> Self {
+    fn new(partitions: usize) -> Self {
         Self {
             lru: (0..partitions).map(|_| TsLru::new(64)).collect(),
             hist: (0..partitions).map(|_| TsHistogram::new()).collect(),
@@ -45,29 +42,34 @@ impl PriorityProbe {
         }
     }
 
-    pub(crate) fn on_access(&mut self, part: usize, part_lines: u64) -> u8 {
+    fn on_access(&mut self, part: usize, part_lines: u64) -> u8 {
         self.lru[part].set_period_for_size(part_lines.max(16));
         self.lru[part].on_access();
         self.lru[part].current()
     }
 
-    pub(crate) fn stamp_insert(&mut self, part: usize, ts: u8) {
-        self.hist[part].add(ts);
-    }
-
-    pub(crate) fn stamp_hit(&mut self, part: usize, old: u8, new: u8) {
-        self.hist[part].restamp(old, new);
-    }
-
-    pub(crate) fn record_evict(&mut self, access_no: u64, part: usize, ts: u8) {
+    fn record_evict(&mut self, access_no: u64, part: usize, ts: u8) {
         let rank = self.hist[part].rank(ts, self.lru[part].current());
         self.hist[part].remove(ts);
         self.samples.push((access_no, part as u16, rank as f32));
     }
+}
 
-    pub(crate) fn drain(&mut self) -> Vec<PrioritySample> {
-        std::mem::take(&mut self.samples)
-    }
+/// The way-partitioning [`Mechanism`]: way ownership, exact per-frame LRU
+/// clocks and the optional [`PriorityProbe`], whose coarse timestamps live
+/// in the shared [`TagMeta`] stamp lane.
+pub struct WayPartition {
+    ways: u32,
+    /// Owning partition of each way.
+    way_owner: Vec<u16>,
+    /// Current way counts per partition.
+    alloc: Vec<u32>,
+    /// Exact-LRU clocks per frame.
+    last: Vec<u64>,
+    clock: u64,
+    probe: Option<PriorityProbe>,
+    /// The accessor's probe timestamp for the access in flight.
+    now: u8,
 }
 
 /// A way-partitioned set-associative LLC with per-partition LRU.
@@ -83,28 +85,7 @@ impl PriorityProbe {
 /// assert_eq!(llc.way_allocation(), &[12, 4]);
 /// llc.access(AccessRequest::read(PartitionId::from_index(0), 0x99.into()));
 /// ```
-pub struct WayPartLlc {
-    array: SetAssocArray,
-    ways: u32,
-    /// Owning partition of each way.
-    way_owner: Vec<u16>,
-    /// Current way counts per partition.
-    alloc: Vec<u32>,
-    /// Exact-LRU clocks per frame.
-    last: Vec<u64>,
-    clock: u64,
-    /// Per-frame tag lanes shared with the Vantage core: the partition
-    /// lane holds the inserting partition ([`TAG_UNMANAGED`] for
-    /// never-filled frames), the stamp lane the probe's coarse timestamps.
-    meta: TagMeta,
-    part_lines: Vec<u64>,
-    /// Cross-partition sharing resolution and its per-partition counters.
-    own: Ownership,
-    stats: LlcStats,
-    probe: Option<PriorityProbe>,
-    tele: Telemetry,
-    accesses: u64,
-}
+pub type WayPartLlc = SchemeFrame<WayPartition>;
 
 impl WayPartLlc {
     /// Creates a way-partitioned cache of `frames` lines and `ways` ways
@@ -124,65 +105,36 @@ impl WayPartLlc {
         if partitions == 0 || partitions > ways {
             return Err(SchemeConfigError::PartitionsExceedWays { partitions, ways });
         }
-        let array = SetAssocArray::hashed(frames, ways, seed);
-        let mut llc = Self {
-            array,
+        let mut mech = WayPartition {
             ways: ways as u32,
             way_owner: vec![0; ways],
             alloc: vec![0; partitions],
             last: vec![0; frames],
             clock: 0,
-            meta: TagMeta::new(frames),
-            part_lines: vec![0; partitions],
-            own: Ownership::new(ShareMode::Adopt, partitions),
-            stats: LlcStats::new(partitions),
             probe: None,
-            tele: Telemetry::disabled(),
-            accesses: 0,
+            now: 0,
         };
-        let even = vec![1u64; partitions];
-        llc.set_targets(&even);
-        Ok(llc)
-    }
-
-    /// Emits one sample per partition; `target` is the way allocation in
-    /// lines (ways have no apertures or setpoints, so those report 0).
-    #[cold]
-    fn emit_samples(&mut self) {
-        let lines_per_way = (self.last.len() / self.ways as usize) as u64;
-        for part in 0..self.part_lines.len() {
-            self.tele.sample(PartitionSample {
-                access: self.accesses,
-                part: PartitionId::from_index(part),
-                actual: self.part_lines[part],
-                target: u64::from(self.alloc[part]) * lines_per_way,
-                aperture: 0.0,
-                window: 0,
-                churn: 0,
-                shared: self.own.shared_hits()[part],
-                transfers: self.own.transfers()[part],
-            });
-        }
+        mech.set_targets(&vec![1; partitions]);
+        let array = Box::new(SetAssocArray::hashed(frames, ways, seed));
+        Ok(SchemeFrame::new(array, partitions, mech))
     }
 
     /// Enables Fig. 8-style eviction-priority sampling.
     pub fn enable_priority_probe(&mut self) {
-        if self.probe.is_none() {
-            self.probe = Some(PriorityProbe::new(self.part_lines.len()));
-        }
+        let partitions = self.mech.alloc.len();
+        let probe = &mut self.mech.probe;
+        probe.get_or_insert_with(|| PriorityProbe::new(partitions));
     }
 
     /// Drains accumulated priority samples (empty if the probe is off).
     pub fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
-        self.probe
-            .as_mut()
-            .map(PriorityProbe::drain)
-            .unwrap_or_default()
+        let probe = self.mech.probe.as_mut();
+        probe.map_or_else(Vec::new, |pr| std::mem::take(&mut pr.samples))
     }
 
     /// The current whole-way allocation.
     pub fn way_allocation(&self) -> &[u32] {
-        &self.alloc
+        &self.mech.alloc
     }
 
     /// Reassigns ways directly (bypassing the line-target conversion).
@@ -195,6 +147,12 @@ impl WayPartLlc {
     /// Panics if `alloc` does not sum to the way count or gives any
     /// partition zero ways.
     pub fn set_ways(&mut self, alloc: &[u32]) {
+        self.mech.set_ways(alloc);
+    }
+}
+
+impl WayPartition {
+    fn set_ways(&mut self, alloc: &[u32]) {
         assert_eq!(alloc.len(), self.alloc.len(), "one entry per partition");
         assert_eq!(
             alloc.iter().sum::<u32>(),
@@ -223,136 +181,71 @@ impl WayPartLlc {
         }
         self.alloc.copy_from_slice(alloc);
     }
+
+    fn touch(&mut self, frame: Frame) {
+        self.clock += 1;
+        self.last[frame as usize] = self.clock;
+    }
 }
 
-impl Llc for WayPartLlc {
-    fn access(&mut self, req: AccessRequest) -> AccessOutcome {
-        let AccessRequest { part, addr, .. } = req;
-        let part = part.index();
-        use vantage_cache::CacheArray;
-        let addr = self.own.effective_addr(part as u16, addr);
-        self.accesses += 1;
-        if self.tele.sample_due(self.accesses) {
-            self.emit_samples();
-        }
-        let probe_ts = self
-            .probe
-            .as_mut()
-            .map(|pr| pr.on_access(part, self.part_lines[part]));
+impl Mechanism for WayPartition {
+    type Array = SetAssocArray;
 
-        if let Some(frame) = self.array.lookup(addr) {
-            let f = frame as usize;
-            let owner = self.meta.part(f) as usize;
-            let adopted = owner != part && {
-                self.tele.event(TelemetryEvent::SharedHit {
-                    access: self.accesses,
-                    part: PartitionId::from_index(part),
-                    owner: PartitionId::from_index(owner),
-                });
-                let adopt = self.own.on_shared_hit(part as u16);
-                if adopt {
-                    // Adopt: the accessor takes the leftover line over.
-                    self.meta.set_part(f, part as u16);
-                    self.part_lines[owner] -= 1;
-                    self.part_lines[part] += 1;
-                    self.tele.event(TelemetryEvent::OwnershipTransfer {
-                        access: self.accesses,
-                        part: PartitionId::from_index(part),
-                        from: PartitionId::from_index(owner),
-                    });
-                }
-                adopt
+    fn name(&self) -> &'static str {
+        "WayPart"
+    }
+
+    fn tick(&mut self, part: usize, part_lines: u64) {
+        if let Some(pr) = self.probe.as_mut() {
+            self.now = pr.on_access(part, part_lines);
+        }
+    }
+
+    fn on_hit(&mut self, meta: &mut TagMeta, f: Frame, part: usize, owner: usize, adopted: bool) {
+        self.touch(f);
+        let f = f as usize;
+        if let Some(pr) = self.probe.as_mut() {
+            // The line is re-stamped under its *owner's* clock domain, and
+            // its histogram entry follows the ownership. Owner and accessor
+            // coincide except right after releasing a way, when hitting
+            // another partition's leftover line (or always, for lines
+            // pinned to their first owner).
+            let owner_now = if adopted { part } else { owner };
+            let ts = if owner_now == part {
+                self.now
+            } else {
+                pr.lru[owner_now].current()
             };
-            self.clock += 1;
-            self.last[f] = self.clock;
-            if let (Some(pr), Some(ts)) = (self.probe.as_mut(), probe_ts) {
-                // The line is re-stamped under its *owner's* clock domain;
-                // owner and accessor coincide except right after releasing a
-                // way, when hitting another partition's leftover line (or
-                // always, for pinned lines under `ShareMode::Pin`).
-                let owner_now = if adopted { part } else { owner };
-                let ts = if owner_now == part {
-                    ts
-                } else {
-                    pr.lru[owner_now].current()
-                };
-                if adopted {
-                    // The histogram entry moves between partitions with
-                    // the ownership.
-                    pr.hist[owner].remove(self.meta.ts(f));
-                    pr.hist[part].add(ts);
-                } else {
-                    pr.stamp_hit(owner_now, self.meta.ts(f), ts);
-                }
-                self.meta.set_ts(f, ts);
-            }
-            self.stats.hits[part] += 1;
-            return AccessOutcome::Hit;
+            pr.hist[owner].remove(meta.ts(f));
+            pr.hist[owner_now].add(ts);
+            meta.set_ts(f, ts);
         }
-
-        self.stats.misses[part] += 1;
-        // Victim: LRU among this partition's ways in the indexed set. The
-        // walk yields the whole set in way order; filter to owned ways.
-        let mut walk = vantage_cache::Walk::with_capacity(self.ways as usize);
-        self.array.walk(addr, &mut walk);
-        let mut victim: Option<usize> = None;
-        let mut best = u64::MAX;
-        for (i, node) in walk.nodes.iter().enumerate() {
-            if self.way_owner[i] as usize != part {
-                continue;
-            }
-            if !node.is_occupied() {
-                victim = Some(i);
-                break;
-            }
-            let l = self.last[node.frame as usize];
-            if l < best {
-                best = l;
-                victim = Some(i);
-            }
-        }
-        let victim = victim.expect("every partition owns at least one way");
-        let vnode = walk.nodes[victim];
-        if vnode.is_occupied() {
-            self.stats.evictions += 1;
-            let vowner = self.meta.part(vnode.frame as usize) as usize;
-            self.part_lines[vowner] -= 1;
-            self.tele.event(TelemetryEvent::Eviction {
-                access: self.accesses,
-                part: PartitionId::from_index(vowner),
-                forced: false,
-            });
-            if let Some(pr) = self.probe.as_mut() {
-                pr.record_evict(self.accesses, vowner, self.meta.ts(vnode.frame as usize));
-            }
-        }
-        let mut moves = Vec::new();
-        let landing = self.array.install(addr, &walk, victim, &mut moves);
-        debug_assert!(moves.is_empty(), "set-associative arrays never relocate");
-        self.meta.set_part(landing as usize, part as u16);
-        self.part_lines[part] += 1;
-        if self.own.mode() == ShareMode::Replicate {
-            self.own.on_replica_fill(part as u16);
-            self.tele.event(TelemetryEvent::Replica {
-                access: self.accesses,
-                part: PartitionId::from_index(part),
-            });
-        }
-        self.clock += 1;
-        self.last[landing as usize] = self.clock;
-        if let (Some(pr), Some(ts)) = (self.probe.as_mut(), probe_ts) {
-            pr.stamp_insert(part, ts);
-            self.meta.set_ts(landing as usize, ts);
-        }
-        AccessOutcome::Miss
     }
 
-    fn num_partitions(&self) -> usize {
-        self.part_lines.len()
+    /// LRU among this partition's ways in the indexed set, preferring an
+    /// empty frame (key 0: every resident line's clock is at least 1). The
+    /// walk yields the whole set in way order, so a node's index is its way.
+    fn select_victim(&mut self, _meta: &mut TagMeta, walk: &Walk, part: usize) -> usize {
+        let owned = walk.nodes.iter().enumerate();
+        owned
+            .filter(|&(way, _)| self.way_owner[way] as usize == part)
+            .min_by_key(|(_, n)| u64::from(n.is_occupied()) * self.last[n.frame as usize])
+            .map(|(way, _)| way)
+            .expect("every partition owns at least one way")
     }
 
-    fn capacity(&self) -> usize {
-        self.last.len()
+    fn note_eviction(&mut self, access: u64, owner: usize, stamp: u8) {
+        if let Some(pr) = self.probe.as_mut() {
+            pr.record_evict(access, owner, stamp);
+        }
+    }
+
+    fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, _addr: LineAddr) {
+        self.touch(landing);
+        if let Some(pr) = self.probe.as_mut() {
+            pr.hist[part].add(self.now);
+            meta.set_ts(landing as usize, self.now);
+        }
     }
 
     fn set_targets(&mut self, targets: &[u64]) {
@@ -360,70 +253,18 @@ impl Llc for WayPartLlc {
         self.set_ways(&alloc);
     }
 
-    fn partition_size(&self, part: PartitionId) -> u64 {
-        self.part_lines[part.index()]
+    /// The way allocation in lines.
+    fn target(&self, part: usize) -> u64 {
+        let lines_per_way = (self.last.len() / self.ways as usize) as u64;
+        u64::from(self.alloc[part]) * lines_per_way
     }
 
-    fn stats(&self) -> &LlcStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut LlcStats {
-        &mut self.stats
-    }
-
-    fn set_share_mode(&mut self, mode: ShareMode) -> bool {
-        self.own.set_mode(mode);
-        true
-    }
-
-    fn share_mode(&self) -> ShareMode {
-        self.own.mode()
-    }
-
-    fn observations(&mut self) -> PartitionObservations {
-        let n = self.part_lines.len();
-        let mut obs = PartitionObservations::new(n);
-        obs.actual.copy_from_slice(&self.part_lines);
-        obs.hits.copy_from_slice(&self.stats.hits);
-        obs.misses.copy_from_slice(&self.stats.misses);
-        obs.shared_hits.copy_from_slice(self.own.shared_hits());
-        obs.ownership_transfers
-            .copy_from_slice(self.own.transfers());
-        self.own.reset_counters();
-        obs
-    }
-
-    fn set_telemetry(&mut self, mut telemetry: Telemetry) -> bool {
-        telemetry.bind(self.part_lines.len());
-        self.tele = telemetry;
-        true
-    }
-
-    fn take_telemetry(&mut self) -> Option<Telemetry> {
-        if self.tele.enabled() {
-            Some(std::mem::take(&mut self.tele))
-        } else {
-            None
-        }
-    }
-
-    fn name(&self) -> &str {
-        "WayPart"
-    }
-}
-
-impl vantage_snapshot::Snapshot for WayPartLlc {
-    fn save_state(&self, enc: &mut vantage_snapshot::Encoder) {
+    fn save(&self, meta: &TagMeta, enc: &mut Encoder) {
         enc.put_u16_slice(&self.way_owner);
         enc.put_u32_slice(&self.alloc);
         enc.put_u64_slice(&self.last);
         enc.put_u64(self.clock);
-        enc.put_u16_slice(self.meta.parts());
-        enc.put_u64_slice(&self.part_lines);
-        self.stats.save_state(enc);
-        enc.put_u64(self.accesses);
-        enc.put_u8_slice(self.meta.ts_lane());
+        enc.put_u8_slice(meta.ts_lane());
         match &self.probe {
             None => enc.put_bool(false),
             Some(pr) => {
@@ -441,19 +282,10 @@ impl vantage_snapshot::Snapshot for WayPartLlc {
                 }
             }
         }
-        self.tele.save_state(enc);
-        self.array.save_state(enc);
-        // Ownership tail: share mode + sharing counters.
-        self.own.save_state(enc);
     }
 
-    fn load_state(
-        &mut self,
-        dec: &mut vantage_snapshot::Decoder<'_>,
-    ) -> vantage_snapshot::Result<()> {
-        use vantage_cache::CacheArray;
-        let frames = self.meta.len();
-        let partitions = self.part_lines.len();
+    fn load(&mut self, dec: &mut Decoder<'_>) -> vantage_snapshot::Result<Vec<u8>> {
+        let partitions = self.alloc.len();
         let way_owner = dec.take_u16_vec()?;
         if way_owner.len() != self.way_owner.len() {
             return Err(dec.mismatch("way count differs"));
@@ -469,26 +301,11 @@ impl vantage_snapshot::Snapshot for WayPartLlc {
             return Err(dec.invalid("way allocation does not cover all ways"));
         }
         let last = dec.take_u64_vec()?;
+        if last.len() != self.last.len() {
+            return Err(dec.mismatch("LRU clock count differs from frame count"));
+        }
         let clock = dec.take_u64()?;
-        let owner = dec.take_u16_vec()?;
-        let part_lines = dec.take_u64_vec()?;
-        if last.len() != frames || owner.len() != frames || part_lines.len() != partitions {
-            return Err(dec.mismatch("frame metadata lengths differ"));
-        }
-        // Never-filled frames carry the [`TAG_UNMANAGED`] sentinel; every
-        // other owner must name a partition.
-        if owner
-            .iter()
-            .any(|&o| o != TAG_UNMANAGED && o as usize >= partitions)
-        {
-            return Err(dec.invalid("frame owner beyond partition count"));
-        }
-        self.stats.load_state(dec)?;
-        let accesses = dec.take_u64()?;
         let probe_ts = dec.take_u8_vec()?;
-        if probe_ts.len() != frames {
-            return Err(dec.mismatch("probe timestamp length differs"));
-        }
         let probe = if dec.take_bool()? {
             let mut pr = PriorityProbe::new(partitions);
             for lru in &mut pr.lru {
@@ -511,44 +328,33 @@ impl vantage_snapshot::Snapshot for WayPartLlc {
         } else {
             None
         };
-        self.tele.load_state(dec)?;
-        self.array.load_state(dec)?;
         self.way_owner = way_owner;
         self.alloc = alloc;
         self.last = last;
         self.clock = clock;
-        self.meta.load_lanes(owner, probe_ts);
-        self.part_lines = part_lines;
-        self.accesses = accesses;
         self.probe = probe;
-        // Input validation: an unoccupied frame carries the sentinel
-        // whatever the payload claims (a forged owner would corrupt the
-        // `TagMeta` count index), and an occupied frame must carry a real
-        // partition ID.
-        for f in 0..frames {
-            if self.array.occupant(f as u32).is_none() {
-                self.meta.set(f, TAG_UNMANAGED, 0);
-            } else if self.meta.part(f) == TAG_UNMANAGED {
-                return Err(dec.invalid("occupied frame without an owner"));
-            }
-        }
+        Ok(probe_ts)
+    }
+
+    /// Rebuilds the per-partition histograms from the restored lines: a
+    /// histogram is exactly "the multiset of resident stamps", and resident
+    /// lines are the frames with an owner.
+    fn restored(&mut self, meta: &TagMeta) {
         if let Some(pr) = self.probe.as_mut() {
-            // Rebuild the per-partition histograms from the restored lines:
-            // a histogram is exactly "the multiset of resident stamps".
-            for f in 0..frames {
-                if self.array.occupant(f as u32).is_some() {
-                    pr.hist[self.meta.part(f) as usize].add(self.meta.ts(f));
+            for (&part, &ts) in meta.parts().iter().zip(meta.ts_lane()) {
+                if part != TAG_UNMANAGED {
+                    pr.hist[part as usize].add(ts);
                 }
             }
         }
-        self.own.load_state(dec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vantage_cache::LineAddr;
+    use crate::llc::{AccessRequest, Llc};
+    use vantage_cache::PartitionId;
 
     #[test]
     fn strict_isolation_between_partitions() {

@@ -49,7 +49,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"VNTGSNAP";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Hard ceiling on a single section payload (1 GiB). A hostile length
 /// prefix larger than this is reported as malformed instead of being
@@ -804,7 +804,7 @@ mod tests {
         SnapshotReader::from_bytes(&bytes).unwrap();
         // ...and every other header version, older or newer, is rejected
         // with the version it claimed.
-        for v in (0..=6u32).filter(|&v| v != FORMAT_VERSION) {
+        for v in (0..=7u32).filter(|&v| v != FORMAT_VERSION) {
             let mut other = bytes.clone();
             other[8..12].copy_from_slice(&v.to_le_bytes());
             match SnapshotReader::from_bytes(&other).unwrap_err() {

@@ -9,9 +9,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vantage_repro::cache::{LineAddr, ZArray};
+use vantage_repro::cache::{LineAddr, RripConfig, RripMode, SetAssocArray, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
-use vantage_repro::partitioning::{AccessRequest, Llc, PartitionId};
+use vantage_repro::partitioning::{
+    AccessRequest, BaselineLlc, Llc, PartitionId, PippConfig, PippLlc, RankPolicy, WayPartLlc,
+};
 use vantage_repro::telemetry::{NullSink, Telemetry};
 
 struct CountingAlloc;
@@ -45,46 +47,75 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
+/// `n` accesses spread over four partitions' 1024-line working sets.
+fn drive(llc: &mut dyn Llc, state: &mut u64, n: u64) {
+    for _ in 0..n {
+        let r = xorshift(state);
+        let p = (r % 4) as usize;
+        let base = ((p as u64) + 1) << 40;
+        llc.access(AccessRequest::read(
+            PartitionId::from_index(p),
+            LineAddr(base + (r >> 8) % 1024),
+        ));
+    }
+}
+
 #[test]
 fn nullsink_miss_path_is_allocation_free() {
-    let mut llc = VantageLlc::try_new(
-        Box::new(ZArray::new(8 * 1024, 4, 52, 11)),
+    let mut vantage = VantageLlc::try_new(
+        Box::new(ZArray::new(2048, 4, 52, 11)),
         4,
         VantageConfig::default(),
         11,
     )
     .expect("valid Vantage config");
-    llc.set_targets(&[2048; 4]);
-    assert!(llc.set_telemetry(Telemetry::new(Box::new(NullSink), 0)));
-
-    // Warm to steady state (2x capacity pressure: hits, demotions and
-    // evictions all active) before counting.
-    let mut state = 0x9E3779B97F4A7C15u64;
-    for _ in 0..200_000u64 {
-        let r = xorshift(&mut state);
-        let p = (r % 4) as usize;
-        let base = ((p as u64) + 1) << 40;
-        llc.access(AccessRequest::read(
-            PartitionId::from_index(p),
-            LineAddr(base + (r >> 8) % 1024),
-        ));
+    vantage.set_targets(&[512; 4]);
+    // Every cache holds 2048 lines against the 4096-line stream (2x
+    // capacity pressure), so misses, evictions and relocations stay busy.
+    let sa16 = Box::new(SetAssocArray::hashed(2048, 16, 11));
+    let drrip = RankPolicy::Rrip(RripConfig::paper(RripMode::Drrip, 4, 11));
+    let caches: [(&str, Box<dyn Llc>); 5] = [
+        ("Vantage Z4/52", Box::new(vantage)),
+        (
+            "Baseline-LRU Z4/52",
+            Box::new(
+                BaselineLlc::try_new(Box::new(ZArray::new(2048, 4, 52, 11)), 4, RankPolicy::Lru)
+                    .expect("valid baseline geometry"),
+            ),
+        ),
+        (
+            "Baseline-DRRIP SA16",
+            Box::new(BaselineLlc::try_new(sa16, 4, drrip).expect("valid baseline geometry")),
+        ),
+        (
+            "WayPart SA16",
+            Box::new(WayPartLlc::try_new(2048, 16, 4, 11).expect("valid way-partition geometry")),
+        ),
+        (
+            "PIPP SA16",
+            Box::new(
+                PippLlc::try_new(2048, 16, 4, PippConfig::default(), 11)
+                    .expect("valid PIPP geometry"),
+            ),
+        ),
+    ];
+    for (name, mut llc) in caches {
+        assert!(llc.set_telemetry(Telemetry::new(Box::new(NullSink), 0)));
+        // Warm to steady state (hits, demotions and evictions all active)
+        // before counting.
+        let mut state = 0x9E3779B97F4A7C15u64;
+        drive(llc.as_mut(), &mut state, 200_000);
+        llc.take_stats();
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        drive(llc.as_mut(), &mut state, 100_000);
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "{name}: steady-state access path allocated {} times with a NullSink",
+            after - before
+        );
+        let misses = llc.stats().total_misses();
+        assert!(misses > 0, "{name}: the measured interval never missed");
     }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..100_000u64 {
-        let r = xorshift(&mut state);
-        let p = (r % 4) as usize;
-        let base = ((p as u64) + 1) << 40;
-        llc.access(AccessRequest::read(
-            PartitionId::from_index(p),
-            LineAddr(base + (r >> 8) % 1024),
-        ));
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state access path allocated {} times with a NullSink",
-        after - before
-    );
 }
