@@ -5,7 +5,7 @@
 //!
 //! * [`hash`] — H3 universal hash functions, used to index hashed
 //!   set-associative caches, skew-associative caches and zcaches.
-//! * [`array`] — the [`CacheArray`] abstraction: a container of physical
+//! * [`array`](mod@array) — the [`CacheArray`] abstraction: a container of physical
 //!   *frames* that can look up lines and produce *replacement candidate
 //!   walks*. Implementations:
 //!   [`SetAssocArray`] (optionally hashed), [`SkewArray`],

@@ -88,10 +88,11 @@ impl VantageConfig {
     /// managed-eviction probability `p_ev`, computes the unmanaged fraction
     /// analytically.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the parameters are outside their domains (see
-    /// [`sizing::unmanaged_fraction`]) or would leave no managed space.
+    /// Returns a [`ConfigError`] describing the first out-of-domain
+    /// parameter, or [`ConfigError::NoManagedSpace`] when the requirements
+    /// are infeasible (the rule asking for `u >= 1`).
     ///
     /// # Example
     ///
@@ -99,25 +100,9 @@ impl VantageConfig {
     /// use vantage::VantageConfig;
     ///
     /// // Strong isolation on a Z4/52: ~21% unmanaged (paper §4.3).
-    /// let cfg = VantageConfig::for_guarantees(52, 1e-4, 0.4, 0.1);
+    /// let cfg = VantageConfig::try_for_guarantees(52, 1e-4, 0.4, 0.1).expect("feasible");
     /// assert!(cfg.unmanaged_fraction > 0.19 && cfg.unmanaged_fraction < 0.23);
     /// ```
-    pub fn for_guarantees(r: u32, p_ev: f64, a_max: f64, slack: f64) -> Self {
-        match Self::try_for_guarantees(r, p_ev, a_max, slack) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::for_guarantees`] with typed errors instead of panics: the
-    /// sizing-rule inputs are validated, and infeasible requirements (the
-    /// rule asking for `u >= 1`) surface as
-    /// [`ConfigError::NoManagedSpace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] describing the first out-of-domain
-    /// parameter, or `NoManagedSpace` when the requirements are infeasible.
     pub fn try_for_guarantees(
         r: u32,
         p_ev: f64,
@@ -151,17 +136,6 @@ impl VantageConfig {
     }
 
     /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message if any field is out of range.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// [`Self::validate`] with a typed error instead of a panic.
     ///
     /// # Errors
     ///
@@ -209,45 +183,45 @@ mod tests {
             !c.churn_throttling,
             "the paper's design lets partitions borrow"
         );
-        c.validate();
+        assert_eq!(c.try_validate(), Ok(()));
     }
 
     #[test]
     fn guarantees_constructor_moderate_isolation() {
         // Moderate isolation (P_ev = 1e-2) on Z4/52: ~13%.
-        let cfg = VantageConfig::for_guarantees(52, 1e-2, 0.4, 0.1);
+        let cfg = VantageConfig::try_for_guarantees(52, 1e-2, 0.4, 0.1).expect("feasible");
         assert!(cfg.unmanaged_fraction > 0.11 && cfg.unmanaged_fraction < 0.15);
-        cfg.validate();
+        assert_eq!(cfg.try_validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "no managed space")]
+    #[should_panic(expected = "NoManagedSpace")]
     fn too_few_candidates_cannot_meet_guarantees() {
         // The flip side of "associativity depends on candidates": a plain
         // 4-way skew-associative cache (R = 4) cannot host Vantage with
         // meaningful isolation — the sizing rule demands more than the
         // whole cache be unmanaged. This is why the paper pairs Vantage
         // with zcaches (R = 16/52) rather than raw skew caches.
-        VantageConfig::for_guarantees(4, 1e-2, 0.5, 0.1);
+        VantageConfig::try_for_guarantees(4, 1e-2, 0.5, 0.1).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "A_max")]
+    #[should_panic(expected = "AMax")]
     fn invalid_a_max_rejected() {
         let cfg = VantageConfig {
             a_max: 0.0,
             ..VantageConfig::default()
         };
-        cfg.validate();
+        cfg.try_validate().unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "unmanaged fraction")]
+    #[should_panic(expected = "UnmanagedFraction")]
     fn invalid_u_rejected() {
         let cfg = VantageConfig {
             unmanaged_fraction: 1.0,
             ..VantageConfig::default()
         };
-        cfg.validate();
+        cfg.try_validate().unwrap();
     }
 }

@@ -240,7 +240,7 @@ impl PartitionState {
     /// thresholds table and returns the feedback that was applied to the
     /// setpoint; returns `None` between adjustment points.
     ///
-    /// Split into an inlinable counting fast path and a [cold] adjustment
+    /// Split into an inlinable counting fast path and a `#[cold]` adjustment
     /// path: the fast path (two increments and a compare) runs once per
     /// replacement candidate — the single hottest call site in the
     /// controller — while the feedback fires once per `c = 256` candidates.

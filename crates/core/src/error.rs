@@ -1,12 +1,13 @@
 //! Typed errors for configuration and cache construction.
 //!
-//! Everything user-supplied — controller parameters, partition counts,
-//! target vectors — is validated through `try_*` constructors returning
-//! these types; the original panicking entry points remain as thin wrappers
-//! for callers with trusted inputs (tests, fixed experiment configs). The
-//! `Display` messages deliberately contain the same key phrases the old
-//! asserts used, so `#[should_panic(expected = ...)]` tests and log
-//! scrapers keep working.
+//! Everything user-supplied — controller parameters, partition counts —
+//! is validated through `try_*` constructors returning these types; a
+//! caller with trusted inputs writes `.expect()` at the call site. Target
+//! vectors are checked by [`Llc::set_targets`] itself, which returns
+//! [`TargetsError`].
+//!
+//! [`Llc::set_targets`]: vantage_partitioning::Llc::set_targets
+//! [`TargetsError`]: vantage_partitioning::TargetsError
 
 use std::error::Error;
 use std::fmt;
@@ -69,8 +70,7 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
-/// A [`VantageLlc`](crate::VantageLlc) construction, retargeting or
-/// accounting failure.
+/// A [`VantageLlc`](crate::VantageLlc) construction or accounting failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum VantageError {
     /// An invalid controller configuration.
@@ -81,20 +81,6 @@ pub enum VantageError {
     /// The idealized perfect-aperture controller combined with RRIP
     /// ranking (it is defined for LRU priorities only).
     PerfectApertureNeedsLru,
-    /// A target vector whose length does not match the partition count.
-    TargetsLength {
-        /// Partitions in the cache.
-        expected: usize,
-        /// Targets supplied.
-        got: usize,
-    },
-    /// Targets summing to more lines than the array has.
-    TargetsExceedCapacity {
-        /// Sum of the requested targets.
-        total: u64,
-        /// Array capacity in lines.
-        capacity: u64,
-    },
     /// An internal accounting invariant does not hold (see
     /// [`VantageLlc::invariants`](crate::VantageLlc::invariants)).
     Invariant(String),
@@ -112,15 +98,6 @@ impl fmt::Display for VantageError {
             }
             Self::PerfectApertureNeedsLru => {
                 f.write_str("perfect-aperture mode requires LRU ranking")
-            }
-            Self::TargetsLength { expected, got } => {
-                write!(
-                    f,
-                    "one target per partition: have {expected} partitions, got {got} targets"
-                )
-            }
-            Self::TargetsExceedCapacity { total, capacity } => {
-                write!(f, "targets ({total}) exceed capacity ({capacity})")
             }
             Self::Invariant(what) => write!(f, "invariant violated: {what}"),
         }
@@ -148,8 +125,8 @@ mod tests {
 
     #[test]
     fn display_preserves_assert_phrases() {
-        // These substrings are load-bearing: `#[should_panic(expected)]`
-        // tests and downstream log matching rely on them.
+        // Messages name the offending parameter the way the paper writes
+        // it; log matching relies on these substrings.
         assert!(ConfigError::UnmanagedFraction(1.5)
             .to_string()
             .contains("unmanaged fraction"));
@@ -159,12 +136,6 @@ mod tests {
         }
         .to_string()
         .contains("no managed space"));
-        assert!(VantageError::TargetsExceedCapacity {
-            total: 10,
-            capacity: 5
-        }
-        .to_string()
-        .contains("exceed capacity"));
         assert!(VantageError::PartitionCount(0)
             .to_string()
             .contains("bad partition count"));

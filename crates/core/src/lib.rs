@@ -62,7 +62,6 @@ pub mod fault;
 pub mod llc;
 pub mod model;
 pub mod overhead;
-pub mod resize;
 
 pub use config::{DemotionMode, RankMode, VantageConfig};
 pub use controller::{PartitionState, ThresholdTable};
@@ -71,5 +70,4 @@ pub use error::{ConfigError, VantageError};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use llc::{PrioritySample, ScrubReport, VantageLlc, VantageStats, UNMANAGED};
 pub use overhead::{state_overhead, StateOverhead};
-pub use resize::TargetRamp;
 pub use vantage_telemetry as telemetry;

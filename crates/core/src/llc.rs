@@ -28,7 +28,7 @@ use vantage_cache::{
 };
 use vantage_partitioning::{
     AccessOutcome, AccessRequest, HasInvariants, HasPartitionPolicy, InvariantViolation,
-    LifecycleError, Llc, LlcStats, PartitionObservations, PartitionSpec, TsHistogram,
+    LifecycleError, Llc, LlcStats, PartitionObservations, PartitionSpec, TargetsError, TsHistogram,
 };
 use vantage_telemetry::{PartitionSample, Telemetry, TelemetryEvent};
 
@@ -324,7 +324,7 @@ impl VantageLlc {
             tele: Telemetry::disabled(),
         };
         let even = vec![(frames / partitions) as u64; partitions];
-        llc.try_set_targets(&even).expect("even split always fits");
+        llc.set_targets(&even);
         Ok(llc)
     }
 
@@ -434,6 +434,19 @@ impl VantageLlc {
         self.array.as_ref()
     }
 
+    /// [`Llc::set_targets`] for callers holding a concrete `VantageLlc`
+    /// that treat a refused target vector as a bug. It stays because the
+    /// frozen `benchmark/` uses this call's value as `()`; it goes with
+    /// the benchmark-side follow-up that retires `CmpSim::{run, run_for}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any vector the trait method refuses with a
+    /// [`TargetsError`].
+    pub fn set_targets(&mut self, targets: &[u64]) {
+        Llc::set_targets(self, targets).expect("targets fit the cache");
+    }
+
     /// The `(partition, stamp)` tag of the resident line holding `addr`,
     /// or `None` when it is not resident. The partition is [`UNMANAGED`]
     /// for lines in the unmanaged region. Instrumentation/test hook; the
@@ -441,78 +454,6 @@ impl VantageLlc {
     pub fn tag_of(&self, addr: LineAddr) -> Option<(u16, u8)> {
         let f = self.array.lookup(addr)? as usize;
         Some((self.meta.part(f), self.meta.ts(f)))
-    }
-
-    /// Installs targets with typed errors instead of panics (the
-    /// [`Llc::set_targets`] trait method wraps this; see it for the
-    /// managed-region scaling semantics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VantageError::TargetsLength`] on a length mismatch and
-    /// [`VantageError::TargetsExceedCapacity`] when the targets sum past
-    /// the array's line count. On error the cache is left unchanged.
-    pub fn try_set_targets(&mut self, targets: &[u64]) -> Result<(), VantageError> {
-        if targets.len() != self.parts.len() {
-            return Err(VantageError::TargetsLength {
-                expected: self.parts.len(),
-                got: targets.len(),
-            });
-        }
-        let cap = self.meta.len() as u64;
-        let total: u64 = targets.iter().sum();
-        if total > cap {
-            return Err(VantageError::TargetsExceedCapacity {
-                total,
-                capacity: cap,
-            });
-        }
-        let m = 1.0 - self.cfg.unmanaged_fraction;
-        let mut managed_total = 0u64;
-        for (p, (st, &t)) in self.parts.iter_mut().zip(targets).enumerate() {
-            // Dead slots (destroyed or draining) hold no capacity: whatever
-            // a policy hands them funds the unmanaged region instead, and
-            // the zero target keeps their aperture saturated so draining
-            // slots keep shedding lines.
-            let scaled = if self.slot_state[p] == SlotState::Active {
-                (t as f64 * m).floor() as u64
-            } else {
-                0
-            };
-            st.set_target(
-                scaled,
-                self.cfg.slack,
-                self.cfg.a_max,
-                self.cfg.cands_period,
-                self.cfg.table_entries,
-            );
-            managed_total += scaled;
-        }
-        self.um_target = cap - managed_total;
-        // Seed the unmanaged clock from the region's actual size when it is
-        // populated — the clock keeps tracking `um_size` at every tick (see
-        // `um_stamp`) — and from the target only as a cold-start estimate.
-        let clock_size = if self.um_size > 0 {
-            self.um_size
-        } else {
-            self.um_target
-        };
-        self.um_lru.set_period_for_size(clock_size.max(16));
-        if self.tele.enabled() {
-            for p in 0..self.parts.len() {
-                if self.slot_state[p] != SlotState::Active {
-                    continue;
-                }
-                let st = &self.parts[p];
-                let aperture = st.table.aperture(st.actual) as f32;
-                self.tele.event(TelemetryEvent::ApertureUpdate {
-                    access: self.accesses,
-                    part: PartitionId::from_index(p),
-                    aperture,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Checks every internal accounting invariant, returning the first
@@ -1595,13 +1536,55 @@ impl Llc for VantageLlc {
     /// Installs targets, scaling them onto the managed region: a partition
     /// granted `t` lines of the cache receives `t·(1-u)` managed lines, and
     /// the remainder funds the unmanaged region (§3.3).
-    ///
-    /// This is [`VantageLlc::try_set_targets`] panicking on invalid target
-    /// vectors (trait compatibility).
-    fn set_targets(&mut self, targets: &[u64]) {
-        if let Err(e) = self.try_set_targets(targets) {
-            panic!("{e}");
+    fn set_targets(&mut self, targets: &[u64]) -> Result<(), TargetsError> {
+        let cap = self.meta.len() as u64;
+        TargetsError::check(targets, self.parts.len(), cap)?;
+        let m = 1.0 - self.cfg.unmanaged_fraction;
+        let mut managed_total = 0u64;
+        for (p, (st, &t)) in self.parts.iter_mut().zip(targets).enumerate() {
+            // Dead slots (destroyed or draining) hold no capacity: whatever
+            // a policy hands them funds the unmanaged region instead, and
+            // the zero target keeps their aperture saturated so draining
+            // slots keep shedding lines.
+            let scaled = if self.slot_state[p] == SlotState::Active {
+                (t as f64 * m).floor() as u64
+            } else {
+                0
+            };
+            st.set_target(
+                scaled,
+                self.cfg.slack,
+                self.cfg.a_max,
+                self.cfg.cands_period,
+                self.cfg.table_entries,
+            );
+            managed_total += scaled;
         }
+        self.um_target = cap - managed_total;
+        // Seed the unmanaged clock from the region's actual size when it is
+        // populated — the clock keeps tracking `um_size` at every tick (see
+        // `um_stamp`) — and from the target only as a cold-start estimate.
+        let clock_size = if self.um_size > 0 {
+            self.um_size
+        } else {
+            self.um_target
+        };
+        self.um_lru.set_period_for_size(clock_size.max(16));
+        if self.tele.enabled() {
+            for p in 0..self.parts.len() {
+                if self.slot_state[p] != SlotState::Active {
+                    continue;
+                }
+                let st = &self.parts[p];
+                let aperture = st.table.aperture(st.actual) as f32;
+                self.tele.event(TelemetryEvent::ApertureUpdate {
+                    access: self.accesses,
+                    part: PartitionId::from_index(p),
+                    aperture,
+                });
+            }
+        }
+        Ok(())
     }
 
     fn partition_size(&self, part: PartitionId) -> u64 {

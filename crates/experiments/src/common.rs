@@ -19,7 +19,7 @@ use std::sync::Mutex;
 
 use vantage_cache::ShareMode;
 use vantage_sim::{CmpSim, PolicyKind, SchemeKind, SimResult, SystemConfig};
-use vantage_telemetry::{CsvSink, JsonSink, Telemetry, TelemetrySink};
+use vantage_telemetry::{JsonSink, Telemetry};
 use vantage_workloads::Mix;
 
 /// A malformed command line: carries the message shown above the usage
@@ -59,9 +59,9 @@ pub const USAGE: &str = "options:
                   (default; re-tag to the accessor), replicate (duplicate
                   shared lines per partition), or pin (lines keep their
                   first owner)
-  --telemetry P  record per-partition dynamics traces; P is a base path whose
-                 extension picks the format (.csv, else JSON Lines) and each
-                 simulated cache writes to a tagged sibling of P
+  --telemetry P  record per-partition dynamics traces as JSON Lines; P is a
+                 base path and each simulated cache writes to a tagged
+                 sibling of P
   --checkpoint PATH  (run) periodically auto-checkpoint simulation state to
                      PATH, atomically
   --resume PATH      (run) restore simulation state from PATH before running
@@ -94,11 +94,11 @@ pub struct Options {
     /// Allocation policy driving partition targets on UCP-managed schemes.
     pub policy: PolicyKind,
     /// How the LLC resolves cross-partition sharing (the ownership layer's
-    /// knob; see [`ShareMode`](vantage_cache::ShareMode)).
+    /// knob; see [`ShareMode`]).
     pub share_mode: ShareMode,
-    /// Base path for telemetry traces (`None` = telemetry off). Each
-    /// simulated cache writes to a sibling of this path tagged with the mix
-    /// and scheme; a `.csv` extension selects CSV, anything else JSON Lines.
+    /// Base path for JSON Lines telemetry traces (`None` = telemetry off).
+    /// Each simulated cache writes to a sibling of this path tagged with the
+    /// mix and scheme.
     pub telemetry: Option<PathBuf>,
     /// `run`: auto-checkpoint simulation state here at epoch boundaries.
     pub checkpoint: Option<PathBuf>,
@@ -193,20 +193,6 @@ impl Options {
             }
         }
         Ok(o)
-    }
-
-    /// [`Options::try_parse`], panicking on malformed arguments. Kept for
-    /// API compatibility with callers that treat arguments as trusted
-    /// (tests, scripts); the CLI itself uses `try_parse`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown flags or malformed values.
-    pub fn parse(args: &[String]) -> Self {
-        match Self::try_parse(args) {
-            Ok(o) => o,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Applies the machine-shape flags (`--banks`, `--bank-jobs`,
@@ -344,10 +330,9 @@ pub fn telemetry_trace_path(base: &Path, tag: &str) -> PathBuf {
     base.with_file_name(format!("{stem}_{tag}.{ext}"))
 }
 
-/// Opens a telemetry producer writing to the tagged sibling of `base`
-/// (see [`telemetry_trace_path`]); the extension picks the sink format
-/// (`.csv` = CSV, anything else = JSON Lines). An unopenable path is
-/// recorded in the failure registry and yields `None` (keep-going).
+/// Opens a JSON Lines telemetry producer writing to the tagged sibling of
+/// `base` (see [`telemetry_trace_path`]). An unopenable path is recorded
+/// in the failure registry and yields `None` (keep-going).
 pub fn open_telemetry(base: &Path, tag: &str) -> Option<Telemetry> {
     let path = telemetry_trace_path(base, &slugify(tag));
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -356,28 +341,16 @@ pub fn open_telemetry(base: &Path, tag: &str) -> Option<Telemetry> {
             return None;
         }
     }
-    let csv = path
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-    let sink: Box<dyn TelemetrySink> = if csv {
-        match CsvSink::create(&path) {
-            Ok(s) => Box::new(s),
-            Err(e) => {
-                record_failure(path.display().to_string(), e.to_string());
-                return None;
-            }
+    match JsonSink::create(&path) {
+        Ok(sink) => {
+            println!("  telemetry -> {}", path.display());
+            Some(Telemetry::new(Box::new(sink), 0))
         }
-    } else {
-        match JsonSink::create(&path) {
-            Ok(s) => Box::new(s),
-            Err(e) => {
-                record_failure(path.display().to_string(), e.to_string());
-                return None;
-            }
+        Err(e) => {
+            record_failure(path.display().to_string(), e.to_string());
+            None
         }
-    };
-    println!("  telemetry -> {}", path.display());
-    Some(Telemetry::new(sink, 0))
+    }
 }
 
 /// Installs a per-cache telemetry trace on `sim` when a base path is set.
@@ -719,7 +692,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = Options::parse(&args);
+        let o = Options::try_parse(&args).expect("valid options");
         assert_eq!(o.mixes_per_class, 3);
         assert_eq!(o.instructions, Some(500_000));
         assert_eq!(o.seed, 9);
@@ -729,7 +702,8 @@ mod tests {
 
     #[test]
     fn policy_flag_reaches_the_machine() {
-        let o = Options::parse(&["--policy".to_string(), "qos".to_string()]);
+        let o = Options::try_parse(&["--policy".to_string(), "qos".to_string()])
+            .expect("valid options");
         let sys = o.machine(SystemConfig::small_scale());
         assert_eq!(sys.policy, PolicyKind::Qos);
         let err = Options::try_parse(&["--policy".to_string(), "bogus".to_string()])
@@ -740,7 +714,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown option")]
     fn unknown_option_rejected() {
-        Options::parse(&["--bogus".to_string()]);
+        Options::try_parse(&["--bogus".to_string()]).unwrap();
     }
 
     #[test]

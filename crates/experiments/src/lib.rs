@@ -13,6 +13,7 @@ pub mod fig_throughput;
 pub mod montecarlo;
 pub mod perf;
 pub mod perf_parallel;
+pub mod record;
 pub mod run;
 pub mod security;
 pub mod service;

@@ -25,7 +25,6 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vantage::{RankMode, VantageConfig, VantageLlc};
-use vantage_bench::{append_entry, BenchRecord};
 use vantage_cache::{CacheArray, LineAddr, SetAssocArray, SkewArray, ZArray};
 use vantage_partitioning::{
     AccessRequest, BaselineLlc, Llc, PartitionId, PippConfig, PippLlc, RankPolicy, WayPartLlc,
@@ -33,6 +32,7 @@ use vantage_partitioning::{
 use vantage_telemetry::{NullSink, Telemetry};
 
 use crate::common::{record_failure, Options};
+use crate::record::{append_entry, BenchRecord};
 use crate::{fig_dynamics, fig_model, tables};
 
 /// Result of one access-loop microbenchmark.
@@ -104,7 +104,7 @@ fn drive(llc: &mut dyn Llc, frames: usize, n: u64, rng: &mut SmallRng) {
 /// Times one scheme: warmup, then a timed access loop.
 fn bench_llc(name: &str, llc: &mut dyn Llc, scale: Scale, seed: u64) -> MicrobenchResult {
     let even = vec![(scale.frames / PARTS) as u64; PARTS];
-    llc.set_targets(&even);
+    llc.set_targets(&even).expect("targets fit");
     let mut rng = SmallRng::seed_from_u64(seed);
     drive(llc, scale.frames, scale.warmup, &mut rng);
     let t0 = Instant::now();
@@ -314,7 +314,7 @@ fn nullsink_gate_at(
 
 /// Runs the NullSink overhead gate: telemetry compiled in but disabled (a
 /// `NullSink` producer sampling on the default period) must stay within
-/// [`NULLSINK_MAX_OVERHEAD`] of the uninstrumented `vantage_z4_52` rate.
+/// `NULLSINK_MAX_OVERHEAD` of the uninstrumented `vantage_z4_52` rate.
 /// A breach is recorded in the failure registry (keep-going), so `perf`
 /// still writes its trajectory entry before the process exits nonzero.
 pub fn run_nullsink_gate(opts: &Options) -> Vec<MicrobenchResult> {
@@ -369,7 +369,7 @@ pub fn run_kernels(opts: &Options) -> Vec<KernelResult> {
 
 /// Renders one run entry as a JSON object (hand-rolled: the workspace is
 /// offline and vendors no serde). The shared preamble and trajectory
-/// append mechanics live in [`vantage_bench::record`].
+/// append mechanics live in [`crate::record`].
 fn render_entry(
     opts: &Options,
     micro: &[MicrobenchResult],

@@ -7,7 +7,7 @@
 //! configuration (Vantage on Z4/52 banks):
 //!
 //! * **Scaling** — aggregate accesses/second of the batched engine (see
-//!   [`build_batched`]) versus the serial per-access [`BankedLlc`]
+//!   `build_batched`) versus the serial per-access [`BankedLlc`]
 //!   baseline at 2, 4 and 8 banks, on identical seeded workloads.
 //! * **Determinism** — every run folds its outcome stream, final
 //!   statistics and partition sizes into one FNV-1a digest; the serial and
@@ -15,11 +15,11 @@
 //!   is recorded in the failure registry unconditionally.
 //!
 //! Quick mode doubles as the CI gate: the 4-bank batched engine must reach
-//! at least [`GATE_MIN_SPEEDUP`]x the serial per-access rate (with equal
+//! at least `GATE_MIN_SPEEDUP`x the serial per-access rate (with equal
 //! digests), or the run is recorded as failed. The 8-bank point is held to
-//! the informational [`FLOOR8_MIN_SPEEDUP`] floor the same way — it
+//! the informational `FLOOR8_MIN_SPEEDUP` floor the same way — it
 //! previously had no check at all, and each engine's timed windows opened
-//! cold on the other engine's evictions (see [`WARM_DIV`]), which hid
+//! cold on the other engine's evictions (see `WARM_DIV`), which hid
 //! high-bank-count regressions.
 
 use std::fmt::Write as _;
@@ -36,9 +36,8 @@ use vantage_partitioning::{
     PipelinedBankedLlc, RingStats, Sharded,
 };
 
-use vantage_bench::BenchRecord;
-
 use crate::common::{record_failure, Options};
+use crate::record::{append_entry, BenchRecord};
 
 const PARTS: usize = 4;
 
@@ -166,7 +165,7 @@ pub struct ScalingResult {
     pub accesses: u64,
     /// Total wall time of the timed phase, seconds.
     pub wall_s: f64,
-    /// Best timed slice's rate (see [`SLICES`]).
+    /// Best timed slice's rate (see `SLICES`).
     pub accesses_per_sec: f64,
     /// FNV-1a digest of outcomes + stats + partition sizes.
     pub hash: u64,
@@ -244,7 +243,8 @@ fn build_banked(frames: usize, banks: usize, seed: u64) -> BankedLlc {
         })
         .collect();
     let mut llc = BankedLlc::try_new(bank_llcs, seed ^ 0xBA2C).expect("valid bank set");
-    llc.set_targets(&[(frames / PARTS) as u64; PARTS]);
+    llc.set_targets(&[(frames / PARTS) as u64; PARTS])
+        .expect("targets fit");
     llc
 }
 
@@ -824,7 +824,7 @@ pub fn perf_parallel_to(opts: &Options, path: &Path) {
     let pipe = run_pipe_sweep(opts, PipeScale::from_options(opts));
     check_pipe_gates(opts, &pipe);
     let entry = render_entry(opts, &results, speedup, speedup8, equal, &pipe);
-    match vantage_bench::append_entry(path, &entry) {
+    match append_entry(path, &entry) {
         Ok(()) => println!("  wrote {}", path.display()),
         Err(e) => record_failure(path.display().to_string(), e.to_string()),
     }

@@ -1,9 +1,10 @@
 //! Benchmark trajectory recording.
 //!
-//! Every perf harness in the workspace appends run entries to a JSON
-//! trajectory file at the repo root (`BENCH_hotpath.json`,
-//! `BENCH_parallel.json`, `BENCH_service.json`). [`BenchRecord`] is the one
-//! writer they share: it stamps the common preamble every entry carries
+//! The CI-gated harnesses (`perf`, `perf-parallel`, `service`, `security`)
+//! append run entries to a JSON trajectory file at the repo root
+//! (`BENCH_hotpath.json`, `BENCH_parallel.json`, `BENCH_service.json`,
+//! `BENCH_security.json`). [`BenchRecord`] is the one writer they share:
+//! it stamps the common preamble every entry carries
 //! (timestamp, quick flag, seed), lets the harness render its own sections
 //! into the body (the workspace is offline and vendors no serde, so
 //! entries are hand-rolled JSON), and appends the finished entry
@@ -17,8 +18,8 @@ use std::path::Path;
 
 /// One in-progress trajectory entry: the shared preamble plus whatever
 /// sections the harness renders into [`BenchRecord::body_mut`]. Call
-/// [`BenchRecord::append_to`] (or [`BenchRecord::finish`] for the raw
-/// string) when done; the record closes the entry's braces itself, so
+/// [`BenchRecord::finish`] when done and hand the string to
+/// [`append_entry`]; the record closes the entry's braces itself, so
 /// section writers end on their last section's closing `}`.
 pub struct BenchRecord {
     body: String,
@@ -57,12 +58,6 @@ impl BenchRecord {
     pub fn finish(mut self) -> String {
         self.body.push_str("\n  }");
         self.body
-    }
-
-    /// Closes the entry and appends it to the trajectory at `path`.
-    pub fn append_to(self, path: &Path) -> io::Result<()> {
-        let entry = self.finish();
-        append_entry(path, &entry)
     }
 }
 
@@ -136,7 +131,7 @@ mod tests {
         for ts in [1, 2] {
             let mut rec = BenchRecord::with_timestamp(false, 7, ts);
             let _ = write!(rec.body_mut(), "    \"run\": {ts}");
-            rec.append_to(&path).unwrap();
+            append_entry(&path, &rec.finish()).unwrap();
         }
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.trim_start().starts_with('['));

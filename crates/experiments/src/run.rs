@@ -32,7 +32,7 @@ use vantage_workloads::{mixes, Mix};
 use crate::common::{install_telemetry, record_failure, write_csv, Options};
 use crate::signal;
 
-const CSV_HEADER: &str =
+const RUN_COLUMNS: &str =
     "mix,scheme,policy,steps,throughput,l2_accesses,l2_misses,recoveries,rollbacks";
 
 fn csv_row(mix: &str, label: &str, policy: PolicyKind, steps: u64, r: &SimResult) -> String {
@@ -164,7 +164,7 @@ pub fn run(opts: &Options) {
     match result {
         Some(r) => {
             let row = csv_row(&mix.name, &r.label, opts.policy, sim.steps(), &r);
-            write_csv(&opts.out_dir, "run", CSV_HEADER, &[row]);
+            write_csv(&opts.out_dir, "run", RUN_COLUMNS, &[row]);
         }
         None => {
             // Interrupted or paused: a partial artifact records how far the
@@ -282,5 +282,5 @@ fn fork_sweep(opts: &Options) {
             Err(e) => record_failure(format!("fork {}", policy.label()), e.to_string()),
         }
     }
-    write_csv(&opts.out_dir, "fork_sweep", CSV_HEADER, &rows);
+    write_csv(&opts.out_dir, "fork_sweep", RUN_COLUMNS, &rows);
 }

@@ -45,9 +45,8 @@ use vantage_partitioning::{
 };
 use vantage_workloads::{binary_channel_bits, count_misses, PrimeProbe};
 
-use vantage_bench::{append_entry, BenchRecord};
-
 use crate::common::{open_telemetry, record_failure, write_csv, Options};
+use crate::record::{append_entry, BenchRecord};
 
 /// Nominal LLC access rate used to scale bits/trial into bits/second.
 pub const NOMINAL_ACCESS_RATE: f64 = 1.0e9;
@@ -270,7 +269,7 @@ fn build_vantage(seed: u64, mode: ShareMode, faults: bool) -> VantageLlc {
 }
 
 /// The measured prime+probe geometry: the default probe set, with the
-/// victim's active-trial sweep sized to wrap the whole [`FRAMES`]-line
+/// victim's active-trial sweep sized to wrap the whole `FRAMES`-line
 /// machine — on the unpartitioned reference even MRU probe lines must
 /// be evicted, or the occupancy channel under test never fires.
 pub fn probe_geometry(seed: u64) -> PrimeProbe {

@@ -37,9 +37,8 @@ use vantage_sim::PolicyKind;
 use vantage_ucp::{AllocationPolicy, ClusteredPolicy, EqualShares, PolicyInput, QosGuarantee};
 use vantage_workloads::{ChurnEvent, TenantChurn, TenantChurnConfig};
 
-use vantage_bench::{append_entry, BenchRecord};
-
 use crate::common::{open_telemetry, record_failure, write_csv, Options};
+use crate::record::{append_entry, BenchRecord};
 
 /// Quick-mode floor on the 1024-partition steady-state access rate.
 pub const SCALE_MIN_RATE: f64 = 1.0e6;

@@ -8,7 +8,7 @@
 //! represents 4 KBytes", §4.3).
 //!
 //! [`BankedLlc`] shards *any* [`Llc`] implementation across banks with a
-//! nonlinear address hash and divides targets evenly, aggregating
+//! nonlinear address hash and deals targets evenly, aggregating
 //! statistics on demand. Because Vantage's guarantees are per-controller
 //! and its unmanaged-region math is scale-free, a banked Vantage inherits
 //! the same bounds bank-by-bank.
@@ -17,7 +17,7 @@ use vantage_cache::hash::mix_bucket;
 use vantage_cache::{LineAddr, PartitionId, ShareMode};
 use vantage_telemetry::{SharedSink, Telemetry};
 
-use crate::error::SchemeConfigError;
+use crate::error::{SchemeConfigError, TargetsError};
 use crate::llc::{AccessOutcome, AccessRequest, Llc, LlcStats};
 use crate::sharded::Sharded;
 
@@ -120,6 +120,25 @@ impl BankedLlc {
     }
 }
 
+/// Splits `targets` across `n` banks: every bank gets `t / n` lines of each
+/// target, and the remainders are dealt round-robin from a running offset
+/// (partition `i`'s extra lines go to banks `o_i, o_i + 1, ...` with
+/// `o_i = (r_0 + ... + r_{i-1}) mod n`). Each bank's share sums to
+/// `⌊Σt/n⌋` or `⌈Σt/n⌉`, so no bank overfills while the whole fits, and
+/// targets divisible by `n` split exactly evenly.
+fn bank_shares(targets: &[u64], n: usize) -> Vec<Vec<u64>> {
+    let mut shares = vec![Vec::with_capacity(targets.len()); n];
+    let mut offset = 0;
+    for &t in targets {
+        let rem = (t % n as u64) as usize;
+        for (b, share) in shares.iter_mut().enumerate() {
+            share.push(t / n as u64 + u64::from((b + n - offset) % n < rem));
+        }
+        offset = (offset + rem) % n;
+    }
+    shares
+}
+
 impl Llc for BankedLlc {
     fn access(&mut self, req: AccessRequest) -> AccessOutcome {
         let bank = self.bank_of(req.addr);
@@ -164,17 +183,20 @@ impl Llc for BankedLlc {
         self.banks.iter().map(|b| b.capacity()).sum()
     }
 
-    /// Splits each target evenly across banks (largest-remainder exact).
-    fn set_targets(&mut self, targets: &[u64]) {
-        assert_eq!(targets.len(), self.partitions, "one target per partition");
-        let n = self.banks.len() as u64;
-        for (b, bank) in self.banks.iter_mut().enumerate() {
-            let share: Vec<u64> = targets
-                .iter()
-                .map(|&t| t / n + u64::from((b as u64) < t % n))
-                .collect();
-            bank.set_targets(&share);
+    /// Deals each target across the banks — `t / n` lines each, the
+    /// remainders round-robin so no bank overfills while the whole fits —
+    /// checking every bank's share before any bank moves.
+    fn set_targets(&mut self, targets: &[u64]) -> Result<(), TargetsError> {
+        TargetsError::check(targets, self.partitions, self.capacity() as u64)?;
+        let shares = bank_shares(targets, self.banks.len());
+        // Only banks of unequal size can fail here; refuse before any moves.
+        for (bank, share) in self.banks.iter().zip(&shares) {
+            TargetsError::check(share, self.partitions, bank.capacity() as u64)?;
         }
+        for (bank, share) in self.banks.iter_mut().zip(&shares) {
+            bank.set_targets(share)?;
+        }
+        Ok(())
     }
 
     fn partition_size(&self, part: PartitionId) -> u64 {
@@ -182,9 +204,10 @@ impl Llc for BankedLlc {
     }
 
     /// Creates the partition in every bank, splitting the requested target
-    /// evenly (largest-remainder, mirroring [`Llc::set_targets`]). Banks
-    /// move in lockstep — construction enforces equal populations and every
-    /// lifecycle call fans out — so all banks hand back the same slot.
+    /// evenly (the remainder to the lowest banks; each bank grants only
+    /// what its spare capacity allows). Banks move in lockstep —
+    /// construction enforces equal populations and every lifecycle call
+    /// fans out — so all banks hand back the same slot.
     fn create_partition(
         &mut self,
         spec: crate::llc::PartitionSpec,
@@ -472,9 +495,9 @@ mod tests {
             })
             .collect();
         let mut llc = BankedLlc::try_new(banks, 1).expect("valid bank set");
-        // 2600 is not divisible by 4: largest remainder must still hand out
+        // Neither target divides by 4: the remainders must still hand out
         // whole-line shares summing to the total.
-        llc.set_targets(&[2600, 1496]);
+        llc.set_targets(&[2601, 1495]).expect("targets fit");
         assert_eq!(llc.capacity(), 4096);
         // Every bank received a valid (way-rounded) allocation; run traffic
         // to confirm the shards behave.
@@ -488,6 +511,36 @@ mod tests {
             llc.partition_size(PartitionId::from_index(0))
                 > llc.partition_size(PartitionId::from_index(1))
         );
+    }
+
+    #[test]
+    fn bank_shares_conserve_targets_and_never_overfill() {
+        let cases: [(&[u64], usize); 5] = [
+            // Sums to exactly 4 x 1024, yet dealing every remainder from
+            // bank 0 would give bank 0 1025 lines.
+            (&[1027, 1023, 1023, 1023], 4),
+            (&[2601, 1495], 4),
+            (&[1, 1, 1, 1, 1, 1, 1], 8),
+            (&[8191, 1], 8),
+            (&[0, 0, 5], 3),
+        ];
+        for (targets, n) in cases {
+            let shares = bank_shares(targets, n);
+            let total: u64 = targets.iter().sum();
+            for share in &shares {
+                let sum: u64 = share.iter().sum();
+                assert!(
+                    sum <= total.div_ceil(n as u64),
+                    "{targets:?}/{n}: {shares:?}"
+                );
+            }
+            for (p, &t) in targets.iter().enumerate() {
+                let dealt: u64 = shares.iter().map(|s| s[p]).sum();
+                assert_eq!(dealt, t, "{targets:?}/{n}: {shares:?}");
+            }
+        }
+        // Divisible targets split exactly evenly.
+        assert_eq!(bank_shares(&[4096; 8], 8), vec![vec![512; 8]; 8]);
     }
 
     #[test]

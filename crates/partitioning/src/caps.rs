@@ -1,5 +1,5 @@
-//! Capability traits: what a scheme *can do* beyond the base [`Llc`]
-//! contract, advertised instead of downcast.
+//! Capability traits: what a scheme *can do* beyond the base
+//! [`Llc`](crate::Llc) contract, advertised instead of downcast.
 //!
 //! The simulation layer used to reach into concrete scheme types (e.g.
 //! `as_vantage()` downcasts) to flip per-partition replacement policies or

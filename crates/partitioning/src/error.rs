@@ -1,10 +1,9 @@
-//! Configuration errors shared by the partitioning schemes.
+//! Configuration and retargeting errors shared by the partitioning schemes.
 
 use std::fmt;
 
 /// A structurally invalid scheme configuration, reported by the `try_new`
-/// constructors. The panicking `new` wrappers format these messages
-/// verbatim, so legacy `#[should_panic]` expectations keep matching.
+/// constructors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchemeConfigError {
     /// The partition count is outside `1..=u16::MAX`.
@@ -54,6 +53,67 @@ impl fmt::Display for SchemeConfigError {
 }
 
 impl std::error::Error for SchemeConfigError {}
+
+/// A target vector [`Llc::set_targets`](crate::Llc::set_targets) refused;
+/// the cache is left exactly as it was.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TargetsError {
+    /// Not one target per partition.
+    Length {
+        /// Partitions in the cache.
+        expected: usize,
+        /// Targets supplied.
+        got: usize,
+    },
+    /// Targets summing to more lines than the cache holds.
+    ExceedCapacity {
+        /// Sum of the requested targets (saturating at `u64::MAX`).
+        total: u64,
+        /// Capacity in lines.
+        capacity: u64,
+    },
+}
+
+impl TargetsError {
+    /// Checks `targets` against a cache of `partitions` partitions and
+    /// `capacity` lines: the one validation every scheme runs before
+    /// touching its state.
+    ///
+    /// # Errors
+    ///
+    /// [`TargetsError::Length`] unless there is one target per partition,
+    /// [`TargetsError::ExceedCapacity`] when they sum past `capacity`.
+    pub fn check(targets: &[u64], partitions: usize, capacity: u64) -> Result<(), Self> {
+        if targets.len() != partitions {
+            return Err(Self::Length {
+                expected: partitions,
+                got: targets.len(),
+            });
+        }
+        // Saturating, so a hostile vector cannot wrap back under capacity.
+        let total = targets.iter().fold(0u64, |s, &t| s.saturating_add(t));
+        if total > capacity {
+            return Err(Self::ExceedCapacity { total, capacity });
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for TargetsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Length { expected, got } => write!(
+                f,
+                "one target per partition: have {expected} partitions, got {got} targets"
+            ),
+            Self::ExceedCapacity { total, capacity } => {
+                write!(f, "targets ({total}) exceed capacity ({capacity})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TargetsError {}
 
 #[cfg(test)]
 mod tests {

@@ -16,6 +16,7 @@ use vantage_cache::{
 use vantage_snapshot::{Decoder, Encoder, Snapshot};
 use vantage_telemetry::{PartitionSample, Telemetry, TelemetryEvent};
 
+use crate::error::TargetsError;
 use crate::llc::{AccessOutcome, AccessRequest, Llc, LlcStats, PartitionObservations};
 
 /// Where one array-level scheme differs from the others: how it ranks
@@ -57,8 +58,8 @@ pub trait Mechanism: Send {
     /// Ranks and stamps the line `part` just filled into `landing`.
     fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, addr: LineAddr);
 
-    /// Maps line-granularity targets (one per partition, already checked)
-    /// onto the mechanism.
+    /// Maps line-granularity targets (already checked: one per partition,
+    /// summing to at most the capacity) onto the mechanism.
     fn set_targets(&mut self, _targets: &[u64]) {}
 
     /// The target, in lines, a telemetry sample reports for `part`.
@@ -234,13 +235,10 @@ impl<M: Mechanism> Llc for SchemeFrame<M> {
         self.meta.len()
     }
 
-    fn set_targets(&mut self, targets: &[u64]) {
-        assert_eq!(
-            targets.len(),
-            self.part_lines.len(),
-            "one target per partition"
-        );
+    fn set_targets(&mut self, targets: &[u64]) -> Result<(), TargetsError> {
+        TargetsError::check(targets, self.part_lines.len(), self.meta.len() as u64)?;
         self.mech.set_targets(targets);
+        Ok(())
     }
 
     fn partition_size(&self, part: PartitionId) -> u64 {

@@ -68,13 +68,6 @@ impl TsHistogram {
         self.total = self.total.saturating_sub(1);
     }
 
-    /// Moves a line from stamp `old` to stamp `new` (e.g. on a hit).
-    #[inline]
-    pub fn restamp(&mut self, old: u8, new: u8) {
-        self.remove(old);
-        self.add(new);
-    }
-
     /// Number of lines recorded.
     pub fn total(&self) -> u64 {
         self.total
@@ -178,16 +171,6 @@ mod tests {
         }
         assert!(h.rank(250, 2) > h.rank(255, 2));
         assert!(h.rank(255, 2) > h.rank(1, 2));
-    }
-
-    #[test]
-    fn restamp_preserves_total() {
-        let mut h = TsHistogram::new();
-        h.add(4);
-        h.restamp(4, 9);
-        assert_eq!(h.total(), 1);
-        assert_eq!(h.count(4), 0);
-        assert_eq!(h.count(9), 1);
     }
 
     #[test]

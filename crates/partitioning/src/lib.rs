@@ -42,7 +42,7 @@ pub mod way_part;
 pub use banked::BankedLlc;
 pub use baseline::{BaselineLlc, RankPolicy};
 pub use caps::{HasInvariants, HasPartitionPolicy, InvariantViolation};
-pub use error::SchemeConfigError;
+pub use error::{SchemeConfigError, TargetsError};
 pub use frame::{Mechanism, SchemeFrame};
 pub use hist::TsHistogram;
 pub use llc::{

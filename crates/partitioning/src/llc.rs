@@ -3,6 +3,8 @@
 use vantage_cache::{LineAddr, PartitionId, ShareMode};
 use vantage_telemetry::Telemetry;
 
+use crate::error::TargetsError;
+
 /// The kind of memory operation an [`AccessRequest`] models.
 ///
 /// Today every scheme treats reads and writes identically (the paper's
@@ -343,11 +345,12 @@ pub trait Llc: Send + vantage_snapshot::Snapshot {
 
     /// Installs new capacity targets (in lines; see trait docs).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Implementations may panic if `targets.len() != num_partitions()` or
-    /// if the sum of targets exceeds the capacity.
-    fn set_targets(&mut self, targets: &[u64]);
+    /// [`TargetsError::Length`] unless `targets.len() == num_partitions()`
+    /// and [`TargetsError::ExceedCapacity`] when the targets sum past
+    /// [`capacity`](Llc::capacity). On error the cache is unchanged.
+    fn set_targets(&mut self, targets: &[u64]) -> Result<(), TargetsError>;
 
     /// The number of lines partition `part` currently holds.
     fn partition_size(&self, part: PartitionId) -> u64;
@@ -421,12 +424,11 @@ pub trait Llc: Send + vantage_snapshot::Snapshot {
         obs
     }
 
-    /// Installs the cross-partition sharing mode (see
-    /// [`ShareMode`](vantage_cache::ShareMode)). Must be called on a cold
-    /// cache — before any access — because lines already placed under the
-    /// old mode keep their placement. Returns `false` (leaving the scheme
-    /// in its default [`ShareMode::Adopt`] behavior) if the scheme does not
-    /// implement the ownership layer.
+    /// Installs the cross-partition sharing mode (see [`ShareMode`]). Must
+    /// be called on a cold cache — before any access — because lines
+    /// already placed under the old mode keep their placement. Returns
+    /// `false` (leaving the scheme in its default [`ShareMode::Adopt`]
+    /// behavior) if the scheme does not implement the ownership layer.
     fn set_share_mode(&mut self, _mode: ShareMode) -> bool {
         false
     }

@@ -6,7 +6,7 @@
 //! through the host's caches once per driver batch. This engine decouples
 //! *production* (sharding requests by bank hash) from *consumption* (serving
 //! a bank's requests): requests accumulate in per-bank rings of recycled
-//! [`WorkBatch`] buffers, and a drain serves each bank's entire queued run
+//! `WorkBatch` buffers, and a drain serves each bank's entire queued run
 //! contiguously before touching the next bank. At memory-bound scales the
 //! bank-major schedule keeps one bank's metadata hot for hundreds of
 //! thousands of consecutive accesses instead of a few thousand, which is
@@ -25,7 +25,8 @@
 //! reference without buffering outcome streams.
 //!
 //! Barriers: the engine is *windowed*, not transactional. Requests handed to
-//! [`PipelinedBankedLlc::ingest`] may sit queued until [`barrier`] — every
+//! [`PipelinedBankedLlc::ingest`] may sit queued until
+//! [`barrier`](PipelinedBankedLlc::barrier) — every
 //! observation or reconfiguration point (target updates, partition
 //! lifecycle, stats, telemetry arming, checkpoints) must quiesce first, and
 //! the [`Llc`] implementation does so automatically. Checkpoints only cut at
@@ -51,7 +52,7 @@ use vantage_cache::{LineAddr, PartitionId};
 use vantage_telemetry::Telemetry;
 
 use crate::banked::BankedLlc;
-use crate::error::SchemeConfigError;
+use crate::error::{SchemeConfigError, TargetsError};
 use crate::llc::{AccessOutcome, AccessRequest, Llc, LlcStats};
 use crate::sharded::Sharded;
 use crate::spsc;
@@ -555,9 +556,9 @@ impl Llc for PipelinedBankedLlc {
 
     /// Quiesces, then retargets: repartitioning is an epoch barrier, so
     /// every queued access lands under the old targets first.
-    fn set_targets(&mut self, targets: &[u64]) {
+    fn set_targets(&mut self, targets: &[u64]) -> Result<(), TargetsError> {
         self.barrier();
-        self.inner.set_targets(targets);
+        self.inner.set_targets(targets)
     }
 
     /// The size visible at the last barrier; queued accesses have not
@@ -847,7 +848,7 @@ mod tests {
         let s = pipe.stats_mut();
         assert_eq!(s.total_hits() + s.total_misses(), 1000, "stats_mut drained");
         pipe.ingest(&reqs);
-        pipe.set_targets(&[300, 212]);
+        pipe.set_targets(&[300, 212]).expect("targets fit");
         assert_eq!(pipe.pending(), 0, "set_targets drained");
         // Each taken interval holds exactly its own requests, queued or not.
         let s = pipe.take_stats();

@@ -79,7 +79,7 @@ pub struct Pipp {
 /// use vantage_partitioning::{AccessRequest, Llc, PartitionId, PippConfig, PippLlc};
 ///
 /// let mut llc = PippLlc::try_new(4096, 16, 4, PippConfig::default(), 7).expect("valid PIPP geometry");
-/// llc.set_targets(&[1024, 1024, 1024, 1024]);
+/// llc.set_targets(&[1024, 1024, 1024, 1024]).expect("targets fit");
 /// llc.access(AccessRequest::read(PartitionId::from_index(0), 0x3.into()));
 /// ```
 pub type PippLlc = SchemeFrame<Pipp>;
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn chain_invariants_hold_under_traffic() {
         let mut llc = pipp(4);
-        llc.set_targets(&[256, 256, 256, 256]);
+        llc.set_targets(&[256, 256, 256, 256]).expect("targets fit");
         for i in 0..50_000u64 {
             llc.access(AccessRequest::read(
                 PartitionId::from_index((i % 4) as usize),
@@ -372,8 +372,8 @@ mod tests {
     #[test]
     fn larger_allocations_retain_more() {
         let mut llc = pipp(2);
-        llc.set_targets(&[960, 64]); // 15 vs 1 way
-                                     // Equal access pressure from both partitions.
+        // 15 vs 1 way, under equal access pressure from both partitions.
+        llc.set_targets(&[960, 64]).expect("targets fit");
         for i in 0..400_000u64 {
             llc.access(AccessRequest::read(
                 PartitionId::from_index(0),
@@ -398,7 +398,7 @@ mod tests {
         // PIPP only approximates targets: a high-churn small partition can
         // exceed its share, unlike way-partitioning.
         let mut llc = pipp(2);
-        llc.set_targets(&[512, 512]);
+        llc.set_targets(&[512, 512]).expect("targets fit");
         for i in 0..100_000u64 {
             // Partition 1 misses constantly (streams), partition 0 is idle.
             llc.access(AccessRequest::read(PartitionId::from_index(1), LineAddr(i)));
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn stream_detection_classifies_thrashers() {
         let mut llc = pipp(2);
-        llc.set_targets(&[512, 512]);
+        llc.set_targets(&[512, 512]).expect("targets fit");
         // Partition 0: cache-resident loop. Partition 1: pure stream.
         for i in 0..50_000u64 {
             llc.access(AccessRequest::read(
@@ -424,7 +424,7 @@ mod tests {
                 LineAddr(1_000_000 + i),
             ));
         }
-        llc.set_targets(&[512, 512]); // triggers classification
+        llc.set_targets(&[512, 512]).expect("targets fit"); // triggers classification
         assert!(!llc.streaming_flags()[0]);
         assert!(llc.streaming_flags()[1]);
         // The streamer is throttled to one effective way at insertion.

@@ -56,7 +56,7 @@ impl PriorityProbe {
 }
 
 /// The way-partitioning [`Mechanism`]: way ownership, exact per-frame LRU
-/// clocks and the optional [`PriorityProbe`], whose coarse timestamps live
+/// clocks and the optional `PriorityProbe`, whose coarse timestamps live
 /// in the shared [`TagMeta`] stamp lane.
 pub struct WayPartition {
     ways: u32,
@@ -81,7 +81,7 @@ pub struct WayPartition {
 ///
 /// // 4096 lines, 16 ways, 2 partitions.
 /// let mut llc = WayPartLlc::try_new(4096, 16, 2, 1).expect("valid way-partition geometry");
-/// llc.set_targets(&[3072, 1024]); // 12 + 4 ways
+/// llc.set_targets(&[3072, 1024]).expect("targets fit"); // 12 + 4 ways
 /// assert_eq!(llc.way_allocation(), &[12, 4]);
 /// llc.access(AccessRequest::read(PartitionId::from_index(0), 0x99.into()));
 /// ```
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn strict_isolation_between_partitions() {
         let mut llc = WayPartLlc::try_new(1024, 16, 2, 1).expect("valid way-partition geometry");
-        llc.set_targets(&[512, 512]);
+        llc.set_targets(&[512, 512]).expect("targets fit");
         // Partition 0 touches a small working set; partition 1 streams.
         for i in 0..64u64 {
             llc.access(AccessRequest::read(PartitionId::from_index(0), LineAddr(i)));
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn partition_cannot_exceed_way_share() {
         let mut llc = WayPartLlc::try_new(1024, 16, 2, 2).expect("valid way-partition geometry");
-        llc.set_targets(&[256, 768]); // 4 vs 12 ways
+        llc.set_targets(&[256, 768]).expect("targets fit"); // 4 vs 12 ways
         for i in 0..100_000u64 {
             llc.access(AccessRequest::read(PartitionId::from_index(0), LineAddr(i)));
         }
@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn repartitioning_is_lazy() {
         let mut llc = WayPartLlc::try_new(1024, 16, 2, 3).expect("valid way-partition geometry");
-        llc.set_targets(&[512, 512]);
+        llc.set_targets(&[512, 512]).expect("targets fit");
         for i in 0..100_000u64 {
             llc.access(AccessRequest::read(
                 PartitionId::from_index(0),
@@ -410,7 +410,7 @@ mod tests {
         );
         // Shrink partition 0 to 1 way; its lines drain only as partition 1
         // misses into sets.
-        llc.set_targets(&[64, 960]);
+        llc.set_targets(&[64, 960]).expect("targets fit");
         assert!(
             llc.partition_size(PartitionId::from_index(0)) > 300,
             "resize must not flush instantly"
@@ -434,7 +434,7 @@ mod tests {
         // while the same working set in a 64-line *associative* partition
         // would fit without a single steady-state miss.
         let mut llc = WayPartLlc::try_new(1024, 16, 2, 4).expect("valid way-partition geometry");
-        llc.set_targets(&[64, 960]); // 1 way vs 15 ways
+        llc.set_targets(&[64, 960]).expect("targets fit"); // 1 way vs 15 ways
         assert_eq!(llc.way_allocation()[0], 1);
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(7);
@@ -455,7 +455,7 @@ mod tests {
     fn probe_records_eviction_priorities() {
         let mut llc = WayPartLlc::try_new(256, 4, 2, 5).expect("valid way-partition geometry");
         llc.enable_priority_probe();
-        llc.set_targets(&[128, 128]);
+        llc.set_targets(&[128, 128]).expect("targets fit");
         for i in 0..20_000u64 {
             llc.access(AccessRequest::read(
                 PartitionId::from_index((i % 2) as usize),
@@ -490,7 +490,7 @@ mod tests {
     fn telemetry_samples_report_way_targets() {
         use vantage_telemetry::{RingSink, Telemetry, TelemetryRecord};
         let mut llc = WayPartLlc::try_new(1024, 16, 2, 1).expect("valid way-partition geometry");
-        llc.set_targets(&[768, 256]); // 12 + 4 ways, 64 lines/way
+        llc.set_targets(&[768, 256]).expect("targets fit"); // 12 + 4 ways, 64 lines/way
         let (sink, reader) = RingSink::with_capacity(4096);
         llc.set_telemetry(Telemetry::new(Box::new(sink), 256));
         for i in 0..2000u64 {
@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn sizes_and_stats_stay_consistent() {
         let mut llc = WayPartLlc::try_new(512, 8, 4, 6).expect("valid way-partition geometry");
-        llc.set_targets(&[128, 128, 128, 128]);
+        llc.set_targets(&[128, 128, 128, 128]).expect("targets fit");
         for i in 0..50_000u64 {
             llc.access(AccessRequest::read(
                 PartitionId::from_index((i % 4) as usize),

@@ -153,9 +153,9 @@ impl CmpSim {
     /// Panics if the mix's application count does not match `sys.cores` or
     /// the configuration is invalid.
     pub fn new(sys: SystemConfig, kind: &SchemeKind, mix: &Mix) -> Self {
-        sys.validate();
         assert_eq!(mix.apps.len(), sys.cores, "mix size must match core count");
-        // The builder applies `sys.scrub_period` and banking in one place.
+        // The builder validates `sys` and applies its scrub period and
+        // banking in one place.
         let scheme = Scheme::builder(kind.clone(), sys.clone())
             .try_build()
             .expect("valid scheme config");
@@ -206,10 +206,8 @@ impl CmpSim {
         }
     }
 
-    /// Builds a simulation driven by arbitrary reference sources (e.g.
-    /// recorded traces via
-    /// [`TraceGen`](vantage_workloads::TraceGen)) instead of the synthetic
-    /// application models — one source per core.
+    /// Builds a simulation driven by arbitrary reference sources instead of
+    /// the mix's application models — one source per core.
     ///
     /// # Panics
     ///
@@ -331,7 +329,8 @@ impl CmpSim {
     /// [`SimError::Invariant`] when an epoch-boundary invariant check
     /// fails under `fail_fast_invariants`; without fail-fast, violations
     /// are repaired in place and counted in
-    /// [`SimResult::invariant_recoveries`].
+    /// [`SimResult::invariant_recoveries`]. [`SimError::Targets`] when the
+    /// LLC refuses an epoch's targets.
     pub fn try_run(&mut self) -> Result<SimResult, SimError> {
         let r = self.try_run_for(u64::MAX)?;
         Ok(r.expect("an unbounded run always completes"))
@@ -706,34 +705,30 @@ mod tests {
     }
 
     #[test]
-    fn trace_replay_reproduces_the_live_run() {
-        // Record each core's reference stream, then drive the same machine
-        // from the recorded traces: identical results.
-        use vantage_workloads::{AppGen, TraceGen};
+    fn with_sources_reproduces_the_live_run() {
+        // The same generators `new` builds, handed over as sources: an
+        // identical run.
         let sys = quick_sys();
         let mix = &mixes(4, 1, 13)[22];
         let live = CmpSim::new(sys.clone(), &SchemeKind::vantage_paper(), mix).run();
 
-        let sources: Vec<Box<dyn vantage_workloads::RefStream + Send>> = mix
+        let sources: Vec<Box<dyn RefStream + Send>> = mix
             .apps
             .iter()
             .enumerate()
             .map(|(c, app)| {
-                let mut gen = AppGen::new(
+                Box::new(AppGen::new(
                     app.clone(),
                     (c as u64 + 1) << 44,
-                    sys.seed ^ vantage_cache::hash::mix64(c as u64 + 0xABC),
-                );
-                // Enough records that no core wraps within its quota.
-                Box::new(TraceGen::record(&mut gen, 500_000))
-                    as Box<dyn vantage_workloads::RefStream + Send>
+                    sys.seed ^ mix64(c as u64 + 0xABC),
+                )) as Box<dyn RefStream + Send>
             })
             .collect();
-        let replayed =
-            CmpSim::with_sources(sys, &SchemeKind::vantage_paper(), sources, " (trace)").run();
-        assert_eq!(live.ipc, replayed.ipc);
-        assert_eq!(live.l2_misses, replayed.l2_misses);
-        assert!(replayed.label.ends_with("(trace)"));
+        let sourced =
+            CmpSim::with_sources(sys, &SchemeKind::vantage_paper(), sources, " (sources)").run();
+        assert_eq!(live.ipc, sourced.ipc);
+        assert_eq!(live.l2_misses, sourced.l2_misses);
+        assert!(sourced.label.ends_with("(sources)"));
     }
 
     #[test]

@@ -297,12 +297,9 @@ pub struct SystemConfig {
     /// [`VantageLlc::scrub`](vantage::VantageLlc::scrub)). `None` disables
     /// scrubbing; only meaningful under fault injection.
     pub scrub_period: Option<u64>,
-    /// How the LLC resolves cross-partition sharing (see
-    /// [`ShareMode`](vantage_cache::ShareMode)). [`ShareMode::Adopt`]
-    /// reproduces the historical behavior bit-for-bit; applied to the
-    /// scheme right after construction.
-    ///
-    /// [`ShareMode::Adopt`]: vantage_cache::ShareMode::Adopt
+    /// How the LLC resolves cross-partition sharing (see [`ShareMode`]).
+    /// [`ShareMode::Adopt`] reproduces the historical behavior
+    /// bit-for-bit; applied to the scheme right after construction.
     pub share_mode: ShareMode,
 }
 
@@ -367,17 +364,6 @@ impl SystemConfig {
 
     /// Validates the configuration.
     ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message on inconsistent parameters.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// [`Self::validate`] with a typed error instead of a panic.
-    ///
     /// # Errors
     ///
     /// Returns a [`SysConfigError`] identifying the first inconsistency.
@@ -416,8 +402,8 @@ mod tests {
 
     #[test]
     fn paper_machines_are_consistent() {
-        SystemConfig::small_scale().validate();
-        SystemConfig::large_scale().validate();
+        assert_eq!(SystemConfig::small_scale().try_validate(), Ok(()));
+        assert_eq!(SystemConfig::large_scale().try_validate(), Ok(()));
         let small = SystemConfig::small_scale();
         assert_eq!(small.l2_lines * 64, 2 * 1024 * 1024, "2 MB L2");
         let large = SystemConfig::large_scale();
@@ -430,7 +416,7 @@ mod tests {
         let base = SystemConfig::small_scale();
         assert_eq!(base.try_validate(), Ok(()));
         type Case = (fn(&mut SystemConfig), SysConfigError);
-        let cases: [Case; 7] = [
+        let cases: [Case; 8] = [
             (|s| s.cores = 0, SysConfigError::NoCores),
             (|s| s.l1_lines = 7, SysConfigError::L1Geometry),
             (|s| s.l2_ways = 0, SysConfigError::L2Geometry),
@@ -439,20 +425,16 @@ mod tests {
             (|s| s.banks = 3, SysConfigError::BankGeometry),
             (|s| s.mem_channels = 0, SysConfigError::NoMemChannels),
             (|s| s.instructions = 0, SysConfigError::NoInstructions),
+            (
+                |s| s.repartition_interval = 0,
+                SysConfigError::NoRepartitionInterval,
+            ),
         ];
         for (break_it, want) in cases {
             let mut sys = base.clone();
             break_it(&mut sys);
             assert_eq!(sys.try_validate(), Err(want));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "need a nonzero repartition interval")]
-    fn validate_panics_with_the_legacy_message() {
-        let mut sys = SystemConfig::small_scale();
-        sys.repartition_interval = 0;
-        sys.validate();
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use vantage_cache::replacement::rrip::BasePolicy;
 use vantage_cache::LineAddr;
-use vantage_partitioning::InvariantViolation;
+use vantage_partitioning::{InvariantViolation, TargetsError};
 use vantage_snapshot::{Decoder, Encoder, Snapshot};
 use vantage_ucp::{
     AllocationPolicy, ClusteredPolicy, EqualShares, MissRatioEqualizer, PolicyInput, QosGuarantee,
@@ -34,6 +34,8 @@ pub enum SimError {
     /// with fail-fast checking enabled
     /// ([`SystemConfig::fail_fast_invariants`]).
     Invariant(InvariantViolation),
+    /// The allocation policy produced targets the LLC refused.
+    Targets(TargetsError),
 }
 
 impl std::fmt::Display for SimError {
@@ -42,6 +44,7 @@ impl std::fmt::Display for SimError {
             Self::Invariant(e) => {
                 write!(f, "invariant check at repartitioning failed: {e}")
             }
+            Self::Targets(e) => write!(f, "repartitioning refused: {e}"),
         }
     }
 }
@@ -356,9 +359,18 @@ impl EpochController {
             .as_deref()
             .is_some_and(AllocationPolicy::wants_access_stream);
 
-        match self.trial_reallocate(scheme, &new_active) {
+        let applied = self
+            .trial_reallocate(scheme, &new_active)
+            .and_then(|targets| {
+                // A refused vector leaves the cache untouched, so it rolls back
+                // like any other failed post-swap check.
+                match scheme.llc_mut().set_targets(&targets) {
+                    Ok(()) => Ok(targets),
+                    Err(e) => Err(e.to_string()),
+                }
+            });
+        match applied {
             Ok(targets) => {
-                scheme.llc_mut().set_targets(&targets);
                 self.last_targets = targets;
                 Ok(())
             }
@@ -451,6 +463,7 @@ impl EpochController {
     /// [`SystemConfig::fail_fast_invariants`] is set; with fail-fast off
     /// the violation is scrubbed in place (counted in
     /// [`recoveries`](Self::recoveries)) and the epoch proceeds.
+    /// [`SimError::Targets`] when the LLC refuses the policy's targets.
     pub fn run_epoch(&mut self, scheme: &mut Scheme) -> Result<(), SimError> {
         // The epoch boundary is the pipelined engine's one true barrier:
         // drain queued accesses so the policy observes everything issued
@@ -490,7 +503,10 @@ impl EpochController {
                 departed: &obs.departed,
             };
             let targets = policy.reallocate(&input);
-            scheme.llc_mut().set_targets(&targets);
+            scheme
+                .llc_mut()
+                .set_targets(&targets)
+                .map_err(SimError::Targets)?;
             self.last_targets = targets;
         }
         if let Some(umons) = &mut self.rrip_umons {

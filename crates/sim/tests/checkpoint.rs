@@ -10,7 +10,7 @@ use vantage_sim::{
     SimResult, SystemConfig,
 };
 use vantage_snapshot::{SnapshotError, SnapshotReader};
-use vantage_telemetry::{to_csv_row, RingSink, Telemetry};
+use vantage_telemetry::{to_json_line, RingSink, Telemetry};
 use vantage_workloads::mixes;
 
 fn quick_sys() -> SystemConfig {
@@ -188,7 +188,7 @@ fn telemetry_event_multisets_match_across_resume() {
 
     let rows = |reader: &vantage_telemetry::RingReader| -> Vec<String> {
         assert_eq!(reader.overwritten(), 0, "ring too small for the run");
-        reader.records().iter().map(to_csv_row).collect()
+        reader.records().iter().map(to_json_line).collect()
     };
 
     let mut straight = CmpSim::new(sys.clone(), &kind, mix);

@@ -404,7 +404,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a sequence-length prefix, rejecting values over
-    /// [`MAX_SEQ_LEN`] or provably longer than the remaining payload —
+    /// `MAX_SEQ_LEN` or provably longer than the remaining payload —
     /// the first line of defense against hostile length prefixes when a
     /// composite decoder is about to loop or allocate.
     pub fn take_len(&mut self) -> Result<usize> {

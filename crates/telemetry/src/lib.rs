@@ -15,7 +15,8 @@
 //! * [`TelemetrySink`] — where records go: [`NullSink`] (drops everything;
 //!   the zero-cost stand-in for "instrumentation wired but off"),
 //!   [`RingSink`] (bounded in-memory ring with a shared [`RingReader`]),
-//!   [`CsvSink`] and [`JsonSink`] (line-oriented file/stream backends).
+//!   and [`JsonSink`] (JSON Lines over any file or stream, parsed back by
+//!   [`from_json_line`]).
 //! * [`Telemetry`] — the producer-side handle a cache embeds: it owns the
 //!   sink, decides when samples are due, and meters per-partition churn so
 //!   producers only report raw events.
@@ -28,7 +29,7 @@
 //! body per *event* (events fire on misses, not per candidate), which the
 //! `perf` harness pins to within 2% of the uninstrumented throughput. No
 //! sink may allocate per record on the producer's path; [`RingSink`] uses a
-//! preallocated ring and [`CsvSink`]/[`JsonSink`] buffer through
+//! preallocated ring and [`JsonSink`] buffers through
 //! [`std::io::BufWriter`].
 //!
 //! # Example
@@ -237,9 +238,9 @@ pub struct PartitionSample {
     pub churn: u64,
     /// Cross-partition hits made by this partition at the sampling point
     /// (the ownership layer's counter, which resets when stats are
-    /// drained; 0 for non-sharing workloads). Rendered into the structured
-    /// detail column only when nonzero, so zero-sharing traces are
-    /// byte-identical to pre-ownership-layer ones.
+    /// drained; 0 for non-sharing workloads). Rendered into JSON only when
+    /// nonzero, so zero-sharing traces are byte-identical to
+    /// pre-ownership-layer ones.
     pub shared: u64,
     /// Ownership transfers to this partition at the sampling point
     /// (nonzero only under `ShareMode::Adopt`; same reset and rendering
@@ -282,8 +283,8 @@ pub trait TelemetrySink: Send {
     ///
     /// File sinks cannot propagate errors from the record path (it may sit
     /// on a cache's miss path), so they record the first failure here
-    /// instead of silently dropping it; callers check after [`flush`]
-    /// (Self::flush) to learn whether the trace on disk is complete.
+    /// instead of silently dropping it; callers check after
+    /// [`flush`](Self::flush) to learn whether the trace on disk is complete.
     /// In-memory sinks never error.
     fn io_error(&self) -> Option<String> {
         None
@@ -293,8 +294,8 @@ pub trait TelemetrySink: Send {
     ///
     /// Default is a no-op: in-memory sinks keep records untagged so traces
     /// from a sharded run compare record-for-record with a serial run.
-    /// File sinks append the tag as an extra field their parsers tolerate
-    /// ([`CsvSink`] in the `detail` column, [`JsonSink`] as a `"bank"` key).
+    /// [`JsonSink`] appends the tag as a `"bank"` key, which
+    /// [`from_json_line`] tolerates.
     fn set_bank(&mut self, _bank: Option<u16>) {}
 }
 
@@ -496,182 +497,6 @@ impl RingReader {
     }
 }
 
-/// The CSV header written by [`CsvSink`] (one fixed schema covering events
-/// and samples; unused columns are empty).
-pub const CSV_HEADER: &str = "record,access,part,actual,target,aperture,window,churn,detail";
-
-fn part_str(part: PartitionId) -> String {
-    // `PartitionId`'s Display spells the sentinel "unmanaged" already.
-    part.to_string()
-}
-
-fn parse_part(s: &str) -> Option<PartitionId> {
-    if s == "unmanaged" {
-        Some(UNMANAGED_PART)
-    } else {
-        s.parse::<u16>().ok().map(PartitionId::from_raw)
-    }
-}
-
-/// Renders one record as a CSV row under [`CSV_HEADER`] (no newline).
-pub fn to_csv_row(rec: &TelemetryRecord) -> String {
-    let mut s = String::with_capacity(64);
-    match rec {
-        TelemetryRecord::Sample(p) => {
-            let _ = write!(
-                s,
-                "sample,{},{},{},{},{:.6},{},{},",
-                p.access,
-                part_str(p.part),
-                p.actual,
-                p.target,
-                p.aperture,
-                p.window,
-                p.churn
-            );
-            // Sharing counters ride in the structured detail column, and
-            // only when nonzero: zero-sharing traces stay byte-identical
-            // to pre-ownership-layer output (golden-digest contract).
-            if p.shared != 0 || p.transfers != 0 {
-                let _ = write!(s, "shared={};transfers={}", p.shared, p.transfers);
-            }
-        }
-        TelemetryRecord::Event(ev) => {
-            let (kind, part, detail): (&str, Option<PartitionId>, String) = match *ev {
-                TelemetryEvent::Demotion { part, .. } => ("demotion", Some(part), String::new()),
-                TelemetryEvent::Promotion { part, .. } => ("promotion", Some(part), String::new()),
-                TelemetryEvent::Eviction { part, forced, .. } => {
-                    ("eviction", Some(part), format!("forced={forced}"))
-                }
-                TelemetryEvent::SetpointAdjust {
-                    part,
-                    direction,
-                    window,
-                    ..
-                } => (
-                    "setpoint",
-                    Some(part),
-                    format!("direction={direction};window={window}"),
-                ),
-                TelemetryEvent::ApertureUpdate { part, aperture, .. } => {
-                    ("aperture", Some(part), format!("aperture={aperture:.6}"))
-                }
-                TelemetryEvent::Scrub { repairs, .. } => {
-                    ("scrub", None, format!("repairs={repairs}"))
-                }
-                TelemetryEvent::PartitionCreated { part, target, .. } => {
-                    ("created", Some(part), format!("target={target}"))
-                }
-                TelemetryEvent::PartitionDestroyed { part, .. } => {
-                    ("destroyed", Some(part), String::new())
-                }
-                TelemetryEvent::SharedHit { part, owner, .. } => (
-                    "shared_hit",
-                    Some(part),
-                    format!("owner={}", part_str(owner)),
-                ),
-                TelemetryEvent::OwnershipTransfer { part, from, .. } => {
-                    ("transfer", Some(part), format!("from={}", part_str(from)))
-                }
-                TelemetryEvent::Replica { part, .. } => ("replica", Some(part), String::new()),
-            };
-            let _ = write!(
-                s,
-                "{kind},{},{},,,,,,{detail}",
-                ev.access(),
-                part.map(part_str).unwrap_or_default()
-            );
-        }
-    }
-    s
-}
-
-/// Parses one CSV row produced by [`to_csv_row`]; `None` for the header or
-/// malformed rows.
-pub fn from_csv_row(row: &str) -> Option<TelemetryRecord> {
-    let cols: Vec<&str> = row.trim_end().split(',').collect();
-    if cols.len() != 9 {
-        return None;
-    }
-    let access: u64 = cols[1].parse().ok()?;
-    let detail: std::collections::HashMap<&str, &str> = cols[8]
-        .split(';')
-        .filter_map(|kv| kv.split_once('='))
-        .collect();
-    match cols[0] {
-        "sample" => Some(TelemetryRecord::Sample(PartitionSample {
-            access,
-            part: parse_part(cols[2])?,
-            actual: cols[3].parse().ok()?,
-            target: cols[4].parse().ok()?,
-            aperture: cols[5].parse().ok()?,
-            window: cols[6].parse().ok()?,
-            churn: cols[7].parse().ok()?,
-            // Absent in zero-sharing rows and in pre-ownership traces.
-            shared: detail
-                .get("shared")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            transfers: detail
-                .get("transfers")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-        })),
-        "demotion" => Some(TelemetryRecord::Event(TelemetryEvent::Demotion {
-            access,
-            part: parse_part(cols[2])?,
-        })),
-        "promotion" => Some(TelemetryRecord::Event(TelemetryEvent::Promotion {
-            access,
-            part: parse_part(cols[2])?,
-        })),
-        "eviction" => Some(TelemetryRecord::Event(TelemetryEvent::Eviction {
-            access,
-            part: parse_part(cols[2])?,
-            forced: detail.get("forced")?.parse().ok()?,
-        })),
-        "setpoint" => Some(TelemetryRecord::Event(TelemetryEvent::SetpointAdjust {
-            access,
-            part: parse_part(cols[2])?,
-            direction: detail.get("direction")?.parse().ok()?,
-            window: detail.get("window")?.parse().ok()?,
-        })),
-        "aperture" => Some(TelemetryRecord::Event(TelemetryEvent::ApertureUpdate {
-            access,
-            part: parse_part(cols[2])?,
-            aperture: detail.get("aperture")?.parse().ok()?,
-        })),
-        "scrub" => Some(TelemetryRecord::Event(TelemetryEvent::Scrub {
-            access,
-            repairs: detail.get("repairs")?.parse().ok()?,
-        })),
-        "created" => Some(TelemetryRecord::Event(TelemetryEvent::PartitionCreated {
-            access,
-            part: parse_part(cols[2])?,
-            target: detail.get("target")?.parse().ok()?,
-        })),
-        "destroyed" => Some(TelemetryRecord::Event(TelemetryEvent::PartitionDestroyed {
-            access,
-            part: parse_part(cols[2])?,
-        })),
-        "shared_hit" => Some(TelemetryRecord::Event(TelemetryEvent::SharedHit {
-            access,
-            part: parse_part(cols[2])?,
-            owner: parse_part(detail.get("owner")?)?,
-        })),
-        "transfer" => Some(TelemetryRecord::Event(TelemetryEvent::OwnershipTransfer {
-            access,
-            part: parse_part(cols[2])?,
-            from: parse_part(detail.get("from")?)?,
-        })),
-        "replica" => Some(TelemetryRecord::Event(TelemetryEvent::Replica {
-            access,
-            part: parse_part(cols[2])?,
-        })),
-        _ => None,
-    }
-}
-
 /// Renders one record as a JSON object on a single line (JSON Lines; the
 /// workspace is offline and vendors no serde, so the schema is flat
 /// key-value with string and number values only).
@@ -690,9 +515,8 @@ pub fn to_json_line(rec: &TelemetryRecord) -> String {
                 p.window,
                 p.churn
             );
-            // Same rule as the CSV renderer: sharing keys only when
-            // nonzero, so zero-sharing traces are byte-identical to
-            // pre-ownership-layer output.
+            // Sharing keys only when nonzero, so zero-sharing traces are
+            // byte-identical to pre-ownership-layer output.
             if p.shared != 0 || p.transfers != 0 {
                 let _ = write!(s, ",\"shared\":{},\"transfers\":{}", p.shared, p.transfers);
             }
@@ -899,98 +723,6 @@ pub fn from_json_line(line: &str) -> Option<TelemetryRecord> {
             part: part(&fields)?,
         })),
         _ => None,
-    }
-}
-
-/// A line-oriented CSV sink over any writer. The first row is
-/// [`CSV_HEADER`].
-pub struct CsvSink<W: Write + Send> {
-    w: W,
-    wrote_header: bool,
-    bank: Option<u16>,
-    err: Option<std::io::Error>,
-}
-
-impl CsvSink<BufWriter<File>> {
-    /// Creates (truncating) a CSV trace file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(Self::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> CsvSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> Self {
-        Self {
-            w,
-            wrote_header: false,
-            bank: None,
-            err: None,
-        }
-    }
-
-    /// Remembers the first I/O failure (later ones are usually cascades).
-    fn note(&mut self, r: std::io::Result<()>) {
-        if let (Err(e), None) = (r, &self.err) {
-            self.err = Some(e);
-        }
-    }
-
-    fn write_row(&mut self, rec: &TelemetryRecord) {
-        // Telemetry is observability, not ground truth: I/O errors drop the
-        // record rather than unwinding into the cache's miss path — but the
-        // first one is kept so `io_error` can report the trace incomplete.
-        if !self.wrote_header {
-            self.wrote_header = true;
-            let r = writeln!(self.w, "{CSV_HEADER}");
-            self.note(r);
-        }
-        let mut row = to_csv_row(rec);
-        if let Some(b) = self.bank {
-            // The detail column is last and `k=v;k=v`-structured; an extra
-            // key round-trips through `from_csv_row` untouched.
-            if !row.ends_with(',') {
-                row.push(';');
-            }
-            let _ = write!(row, "bank={b}");
-        }
-        let r = writeln!(self.w, "{row}");
-        self.note(r);
-    }
-}
-
-impl<W: Write + Send> TelemetrySink for CsvSink<W> {
-    fn record_event(&mut self, ev: &TelemetryEvent) {
-        self.write_row(&TelemetryRecord::Event(*ev));
-    }
-    fn record_sample(&mut self, s: &PartitionSample) {
-        self.write_row(&TelemetryRecord::Sample(*s));
-    }
-    fn flush(&mut self) {
-        let r = self.w.flush();
-        self.note(r);
-    }
-    fn io_error(&self) -> Option<String> {
-        self.err.as_ref().map(|e| e.to_string())
-    }
-    fn set_bank(&mut self, bank: Option<u16>) {
-        self.bank = bank;
-    }
-}
-
-impl<W: Write + Send> Drop for CsvSink<W> {
-    fn drop(&mut self) {
-        // `BufWriter`'s own drop flushes but swallows the error; flush
-        // explicitly and say so when the trace lost data.
-        let r = self.w.flush();
-        self.note(r);
-        if let Some(e) = &self.err {
-            eprintln!("telemetry: CSV trace lost data: {e}");
-        }
     }
 }
 
@@ -1388,18 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_every_record_kind() {
-        for rec in representative_records() {
-            let row = to_csv_row(&rec);
-            assert_eq!(row.split(',').count(), 9, "schema width: {row}");
-            let back = from_csv_row(&row).unwrap_or_else(|| panic!("parse {row}"));
-            assert_eq!(back, rec, "round trip of {row}");
-        }
-        assert_eq!(from_csv_row(CSV_HEADER), None, "header is not a record");
-        assert_eq!(from_csv_row("garbage"), None);
-    }
-
-    #[test]
     fn json_round_trips_every_record_kind() {
         for rec in representative_records() {
             let line = to_json_line(&rec);
@@ -1409,23 +1129,6 @@ mod tests {
         }
         assert_eq!(from_json_line("not json"), None);
         assert_eq!(from_json_line("{\"record\":\"bogus\",\"access\":1}"), None);
-    }
-
-    #[test]
-    fn csv_sink_writes_header_then_rows() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.record_event(&TelemetryEvent::Demotion {
-            access: 1,
-            part: PartitionId::from_index(0),
-        });
-        sink.record_sample(&sample(2, PartitionId::from_index(1)));
-        sink.flush();
-        let text = String::from_utf8(sink.w.clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], CSV_HEADER);
-        assert!(from_csv_row(lines[1]).is_some());
-        assert!(from_csv_row(lines[2]).is_some());
     }
 
     /// A writer that fails every operation (for the error-surfacing tests).
@@ -1448,7 +1151,7 @@ mod tests {
 
     #[test]
     fn file_sinks_surface_io_errors_instead_of_swallowing_them() {
-        let mut sink = CsvSink::new(BrokenPipe);
+        let mut sink = JsonSink::new(BrokenPipe);
         assert_eq!(sink.io_error(), None);
         sink.record_event(&TelemetryEvent::Demotion {
             access: 1,
@@ -1465,7 +1168,7 @@ mod tests {
             .contains("pipe closed"));
 
         // The producer handle forwards the sink's sticky error.
-        let mut tele = Telemetry::new(Box::new(CsvSink::new(BrokenPipe)), 0);
+        let mut tele = Telemetry::new(Box::new(JsonSink::new(BrokenPipe)), 0);
         tele.event(TelemetryEvent::Scrub {
             access: 1,
             repairs: 0,
@@ -1599,49 +1302,6 @@ mod tests {
         });
         bank0.record_sample(&sample(3, PartitionId::from_index(0)));
         assert_eq!(reader.len(), 3, "all clones reach the shared backend");
-    }
-
-    #[test]
-    fn csv_bank_tags_round_trip_and_are_ignored_by_parser() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.set_bank(Some(3));
-        sink.record_event(&TelemetryEvent::Demotion {
-            access: 1,
-            part: PartitionId::from_index(2),
-        });
-        sink.record_event(&TelemetryEvent::Eviction {
-            access: 2,
-            part: PartitionId::from_index(0),
-            forced: true,
-        });
-        sink.record_sample(&sample(3, PartitionId::from_index(1)));
-        sink.set_bank(None);
-        sink.record_event(&TelemetryEvent::Promotion {
-            access: 4,
-            part: PartitionId::from_index(0),
-        });
-        sink.flush();
-        let text = String::from_utf8(sink.w.clone()).unwrap();
-        let lines: Vec<&str> = text.lines().skip(1).collect();
-        assert!(lines[0].ends_with("bank=3"), "{}", lines[0]);
-        assert!(lines[1].contains("forced=true;bank=3"), "{}", lines[1]);
-        assert!(lines[2].ends_with("bank=3"), "{}", lines[2]);
-        assert!(!lines[3].contains("bank="), "tag cleared: {}", lines[3]);
-        // The tag is transparent to the parser: records decode unchanged.
-        assert_eq!(
-            from_csv_row(lines[0]),
-            Some(TelemetryRecord::Event(TelemetryEvent::Demotion {
-                access: 1,
-                part: PartitionId::from_index(2)
-            }))
-        );
-        assert_eq!(
-            from_csv_row(lines[2]),
-            Some(TelemetryRecord::Sample(sample(
-                3,
-                PartitionId::from_index(1)
-            )))
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! * [`UcpPolicy`] — the paper's UCP/Lookahead allocator (stream-driven).
 //! * [`MissRatioEqualizer`] — UCP monitors feeding
-//!   [`equalize_miss_ratios`] ("communist" allocation; Hsu et al.).
+//!   [`equalize_miss_ratios`](crate::equalize_miss_ratios) ("communist" allocation; Hsu et al.).
 //! * [`EqualShares`] — a static equal split, the natural baseline.
 //! * [`QosGuarantee`] — per-partition minimums plus weighted shares of the
 //!   spare capacity (LFOC/Memshare-style multi-tenant allocation).

@@ -13,7 +13,7 @@
 //! * [`RripUmon`] — the RRIP-ordered UMON variant of §6.2, which
 //!   additionally duels SRRIP vs BRRIP per partition (half of the sampled
 //!   sets run each) for Vantage-DRRIP.
-//! * [`lookahead`] — the Lookahead allocation algorithm, greedily granting
+//! * [`lookahead`](fn@lookahead) — the Lookahead allocation algorithm, greedily granting
 //!   blocks to the partition with the highest marginal utility per block.
 //! * [`UcpPolicy`] — the periodic controller: observes accesses, and every
 //!   repartitioning interval turns miss curves into line-granularity

@@ -239,6 +239,24 @@ impl AppGen {
     }
 }
 
+/// Anything that can feed a simulated core with memory references.
+///
+/// Every stream is a [`vantage_snapshot::Snapshot`] (enforced by the
+/// supertrait so `Box<dyn RefStream>` checkpoints without downcasts):
+/// generator state — RNG streams, cursors, phase machines — must
+/// round-trip so a resumed simulation sees the identical reference
+/// sequence it would have seen uninterrupted.
+pub trait RefStream: vantage_snapshot::Snapshot {
+    /// Produces the next reference.
+    fn next_ref(&mut self) -> MemRef;
+}
+
+impl RefStream for AppGen {
+    fn next_ref(&mut self) -> MemRef {
+        AppGen::next_ref(self)
+    }
+}
+
 impl vantage_snapshot::Snapshot for AppGen {
     /// The spec, base and APKI-derived mean gap are construction-time
     /// configuration; run state is the RNG stream, the per-region cursors

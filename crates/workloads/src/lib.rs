@@ -17,7 +17,7 @@
 //! * **Thrashing/streaming (s)** — no reuse at realistic sizes: sequential
 //!   streams.
 //!
-//! [`catalog`] provides 29 named models mirroring Table 3's split
+//! [`catalog`](fn@catalog) provides 29 named models mirroring Table 3's split
 //! (14 n / 6 f / 5 t / 4 s); [`mixes`] builds the 35-class × k-mix
 //! multiprogrammed workloads for any core count, following §5's
 //! construction. Everything is seeded and deterministic.
@@ -27,11 +27,9 @@ pub mod catalog;
 pub mod mix;
 pub mod service;
 pub mod sharing;
-pub mod trace;
 
-pub use app::{AppGen, AppSpec, Category, MemRef, RegionKind};
+pub use app::{AppGen, AppSpec, Category, MemRef, RefStream, RegionKind};
 pub use catalog::{catalog, spec_by_name};
 pub use mix::{class_names, mixes, Mix};
 pub use service::{ChurnConfigError, ChurnEvent, TenantChurn, TenantChurnConfig};
 pub use sharing::{binary_channel_bits, count_misses, PrimeProbe, SharedHotSet};
-pub use trace::{RefStream, TraceGen, TraceReader, TraceWriter};

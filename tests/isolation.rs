@@ -78,7 +78,8 @@ fn pipp_only_approximates_what_vantage_enforces() {
     let ws = 2_000u64;
     let mut pipp =
         PippLlc::try_new(LINES, 16, 2, PippConfig::default(), 3).expect("valid PIPP geometry");
-    pipp.set_targets(&[(LINES / 2) as u64, (LINES / 2) as u64]);
+    pipp.set_targets(&[(LINES / 2) as u64, (LINES / 2) as u64])
+        .expect("targets fit");
     let pipp_misses = victim_misses(&mut pipp, ws);
 
     let mut vantage = VantageLlc::try_new(

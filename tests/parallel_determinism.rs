@@ -59,7 +59,8 @@ fn build_banked(seed: u64) -> BankedLlc {
         })
         .collect();
     let mut llc = BankedLlc::try_new(banks, seed ^ 0xBA2C).expect("valid bank set");
-    llc.set_targets(&[(FRAMES / PARTS) as u64; PARTS]);
+    llc.set_targets(&[(FRAMES / PARTS) as u64; PARTS])
+        .expect("targets fit");
     llc
 }
 

@@ -9,7 +9,7 @@
 //! end with telemetry attached.
 
 use vantage_repro::sim::{CmpSim, PolicyKind, SchemeKind, SimResult, SystemConfig};
-use vantage_repro::telemetry::{RingSink, Telemetry};
+use vantage_repro::telemetry::{RingSink, Telemetry, TelemetryEvent, TelemetryRecord};
 use vantage_repro::workloads::mixes;
 
 /// The machine the goldens were captured on: small-scale, shortened run.
@@ -219,16 +219,70 @@ fn invariant_checking_recovers_instead_of_panicking() {
     assert_eq!(r.invariant_recoveries, 0);
 }
 
+/// The flat row encoding the goldens below were captured over (the
+/// telemetry crate's former CSV row, kept here so the digests stay pinned
+/// now that the crate writes JSON Lines only).
+fn golden_row(rec: &TelemetryRecord) -> String {
+    use TelemetryEvent as E;
+    match rec {
+        TelemetryRecord::Sample(p) => {
+            let mut s = format!(
+                "sample,{},{},{},{},{:.6},{},{},",
+                p.access, p.part, p.actual, p.target, p.aperture, p.window, p.churn
+            );
+            if p.shared != 0 || p.transfers != 0 {
+                s += &format!("shared={};transfers={}", p.shared, p.transfers);
+            }
+            s
+        }
+        TelemetryRecord::Event(ev) => {
+            let (kind, part, detail) = match *ev {
+                E::Demotion { part, .. } => ("demotion", Some(part), String::new()),
+                E::Promotion { part, .. } => ("promotion", Some(part), String::new()),
+                E::Eviction { part, forced, .. } => {
+                    ("eviction", Some(part), format!("forced={forced}"))
+                }
+                E::SetpointAdjust {
+                    part,
+                    direction,
+                    window,
+                    ..
+                } => (
+                    "setpoint",
+                    Some(part),
+                    format!("direction={direction};window={window}"),
+                ),
+                E::ApertureUpdate { part, aperture, .. } => {
+                    ("aperture", Some(part), format!("aperture={aperture:.6}"))
+                }
+                E::Scrub { repairs, .. } => ("scrub", None, format!("repairs={repairs}")),
+                E::PartitionCreated { part, target, .. } => {
+                    ("created", Some(part), format!("target={target}"))
+                }
+                E::PartitionDestroyed { part, .. } => ("destroyed", Some(part), String::new()),
+                E::SharedHit { part, owner, .. } => {
+                    ("shared_hit", Some(part), format!("owner={owner}"))
+                }
+                E::OwnershipTransfer { part, from, .. } => {
+                    ("transfer", Some(part), format!("from={from}"))
+                }
+                E::Replica { part, .. } => ("replica", Some(part), String::new()),
+            };
+            let part = part.map(|p| p.to_string()).unwrap_or_default();
+            format!("{kind},{},{part},,,,,,{detail}", ev.access())
+        }
+    }
+}
+
 /// Order-independent multiset digest of a telemetry capture: each record's
-/// CSV rendering is FNV-1a hashed and the per-record hashes are summed
+/// [`golden_row`] is FNV-1a hashed and the per-record hashes are summed
 /// (wrapping), so any added, dropped or altered record changes the digest
 /// while buffering-order differences do not.
-fn telemetry_multiset(records: &[vantage_repro::telemetry::TelemetryRecord]) -> (usize, u64) {
-    use vantage_repro::telemetry::to_csv_row;
+fn telemetry_multiset(records: &[TelemetryRecord]) -> (usize, u64) {
     let mut sum = 0u64;
     for rec in records {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in to_csv_row(rec).bytes() {
+        for b in golden_row(rec).bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0100_0000_01b3);
         }

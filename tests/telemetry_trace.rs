@@ -8,8 +8,7 @@ use vantage_repro::cache::{LineAddr, SetAssocArray, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{AccessRequest, BaselineLlc, Llc, PartitionId, RankPolicy};
 use vantage_repro::telemetry::{
-    from_csv_row, from_json_line, CsvSink, JsonSink, RingSink, Telemetry, TelemetryRecord,
-    CSV_HEADER, UNMANAGED_PART,
+    from_json_line, JsonSink, RingSink, Telemetry, TelemetryRecord, UNMANAGED_PART,
 };
 
 /// Uniform random traffic over two partitions with 6000-line working sets
@@ -116,21 +115,12 @@ fn sizes_and_apertures_converge_after_a_target_flip() {
     assert!(apertures > 0, "no aperture updates");
 }
 
-/// A JSON Lines trace written by a Vantage cache must parse line-by-line
-/// back into records, with both samples and events present.
-#[test]
-fn json_trace_round_trips_through_a_file() {
+/// Drives 60K accesses through `llc` with a JSON Lines sink on `file`
+/// and parses the trace back line by line, returning (samples, events).
+fn file_trace_round_trip(llc: &mut dyn Llc, file: &str) -> (usize, usize) {
     let dir = std::env::temp_dir().join(format!("vantage-telemetry-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.json");
-
-    let mut llc = VantageLlc::try_new(
-        Box::new(ZArray::new(4 * 1024, 4, 52, 9)),
-        2,
-        VantageConfig::default(),
-        9,
-    )
-    .expect("valid Vantage config");
+    let path = dir.join(file);
     let sink = JsonSink::create(&path).unwrap();
     assert!(llc.set_telemetry(Telemetry::new(Box::new(sink), 512)));
     let mut rng = SmallRng::seed_from_u64(5);
@@ -145,8 +135,7 @@ fn json_trace_round_trips_through_a_file() {
     llc.take_telemetry(); // drop flushes the file
 
     let body = std::fs::read_to_string(&path).unwrap();
-    let mut samples = 0;
-    let mut events = 0;
+    let (mut samples, mut events) = (0, 0);
     for line in body.lines().filter(|l| !l.trim().is_empty()) {
         match from_json_line(line) {
             Some(TelemetryRecord::Sample(_)) => samples += 1,
@@ -154,51 +143,37 @@ fn json_trace_round_trips_through_a_file() {
             None => panic!("unparseable JSON line: {line}"),
         }
     }
-    assert!(samples > 10, "too few samples: {samples}");
-    assert!(events > 0, "no events in trace");
     let _ = std::fs::remove_file(&path);
+    (samples, events)
 }
 
-/// A CSV trace from a *baseline* (non-Vantage) cache must carry the header
-/// and parse row-by-row — the observation API is scheme-agnostic.
+/// A JSON Lines trace written by a Vantage cache must parse line-by-line
+/// back into records, with both samples and events present.
 #[test]
-fn baseline_csv_trace_parses_row_by_row() {
-    let dir = std::env::temp_dir().join(format!("vantage-telemetry-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("baseline.csv");
+fn json_trace_round_trips_through_a_file() {
+    let mut llc = VantageLlc::try_new(
+        Box::new(ZArray::new(4 * 1024, 4, 52, 9)),
+        2,
+        VantageConfig::default(),
+        9,
+    )
+    .expect("valid Vantage config");
+    let (samples, events) = file_trace_round_trip(&mut llc, "trace.json");
+    assert!(samples > 10, "too few samples: {samples}");
+    assert!(events > 0, "no events in trace");
+}
 
+/// The same file round trip from a *baseline* (non-Vantage) cache — the
+/// observation API is scheme-agnostic.
+#[test]
+fn baseline_trace_round_trips_through_a_file() {
     let mut llc = BaselineLlc::try_new(
         Box::new(SetAssocArray::hashed(4 * 1024, 16, 1)),
         2,
         RankPolicy::Lru,
     )
     .expect("valid baseline geometry");
-    let sink = CsvSink::create(&path).unwrap();
-    assert!(llc.set_telemetry(Telemetry::new(Box::new(sink), 512)));
-    let mut rng = SmallRng::seed_from_u64(5);
-    for _ in 0..60_000u64 {
-        let p = (rng.gen::<u32>() % 2) as usize;
-        let base = ((p as u64) + 1) << 40;
-        llc.access(AccessRequest::read(
-            PartitionId::from_index(p),
-            LineAddr(base + rng.gen_range(0..3000u64)),
-        ));
-    }
-    llc.take_telemetry();
-
-    let body = std::fs::read_to_string(&path).unwrap();
-    let mut lines = body.lines().filter(|l| !l.trim().is_empty());
-    assert_eq!(lines.next(), Some(CSV_HEADER), "missing CSV header");
-    let mut samples = 0;
-    let mut evictions = 0;
-    for row in lines {
-        match from_csv_row(row) {
-            Some(TelemetryRecord::Sample(_)) => samples += 1,
-            Some(TelemetryRecord::Event(_)) => evictions += 1,
-            None => panic!("unparseable CSV row: {row}"),
-        }
-    }
+    let (samples, evictions) = file_trace_round_trip(&mut llc, "baseline.json");
     assert!(samples > 10, "too few samples: {samples}");
     assert!(evictions > 0, "baseline emitted no eviction events");
-    let _ = std::fs::remove_file(&path);
 }
