@@ -37,12 +37,11 @@ pub struct TagMeta {
     /// Lines per (partition, stamp) pair: `counts[row(part) + ts]`.
     ///
     /// Every lane write maintains this index, which exists for one
-    /// reason: [`Self::clamp_stale`] consults it to skip its whole-lane
-    /// sweep when no line carries the aliasing stamp — the common case
-    /// by far, and the difference between O(1) and O(frames) per
-    /// coarse-clock tick. At service-mode populations (thousands of
-    /// small partitions) clocks tick every few accesses, so unskipped
-    /// sweeps would dominate the entire simulation.
+    /// reason: [`Self::clamp_stale`] reads it to know how many lines it
+    /// must find. A zero count returns at once; a nonzero one lets the
+    /// chunked search stop at the last match instead of reading the rest
+    /// of the array. Both shortcuts are only correct because the count is
+    /// exact, which is why there is no mutable slice access to the lanes.
     ///
     /// Rows are allocated lazily up to the largest partition ID ever
     /// written (the sentinel maps to row 0), so the index costs
@@ -203,33 +202,79 @@ impl TagMeta {
     /// (each subsequent advance re-pins them), so truly stale lines stay
     /// the oldest instead of the youngest.
     ///
-    /// The count index makes the usual case O(1): when no resident line
-    /// carries `(part, aliasing_ts)` — a line has to sit untouched for a
-    /// full 256 ticks to qualify — the sweep is skipped outright. Only
-    /// genuinely aliasing populations pay the branchless whole-lane pass,
-    /// which matters at service-mode populations where small partitions
-    /// tick their clocks every few accesses.
+    /// The count index says how many lines carry `(part, aliasing_ts)`.
+    /// Zero returns at once. Otherwise the lanes are searched in
+    /// 64-frame chunks: a read-only "any match" reduction over both lanes
+    /// rejects a chunk, only matching chunks are rewritten, and the search
+    /// stops once it has found as many lines as the index holds. The cost
+    /// is O(frames up to the last match) instead of O(frames) per tick,
+    /// which matters once a line has aliased: it is re-pinned on every
+    /// later tick of its owner, and small service-mode partitions tick
+    /// every access or two. Debug builds recount the whole lane against
+    /// the index first; release builds never read past the last match.
     ///
     /// Returns how many frames were pinned, so callers maintaining stamp
     /// histograms can move the affected entries without a rescan.
     pub fn clamp_stale(&mut self, part: u16, aliasing_ts: u8) -> usize {
         let idx = self.count_idx(part, aliasing_ts);
-        if self.counts[idx] == 0 {
+        let want = self.counts[idx] as usize;
+        if want == 0 {
             return 0;
         }
-        let pinned = aliasing_ts.wrapping_add(1);
-        let mut count = 0usize;
-        for (p, t) in self.parts.iter().zip(self.ts.iter_mut()) {
-            let hit = (*p == part) & (*t == aliasing_ts);
-            count += usize::from(hit);
-            *t = if hit { pinned } else { *t };
+        debug_assert_eq!(
+            self.parts
+                .iter()
+                .zip(&self.ts)
+                .filter(|&(&p, &t)| (p == part) & (t == aliasing_ts))
+                .count(),
+            want,
+            "count index exact"
+        );
+        let mut found = 0;
+        let mut parts = self.parts.chunks_exact(CLAMP_CHUNK);
+        let mut ts = self.ts.chunks_exact_mut(CLAMP_CHUNK);
+        for (p, t) in (&mut parts).zip(&mut ts) {
+            found += pin_chunk(p, t, part, aliasing_ts);
+            if found == want {
+                break;
+            }
         }
-        debug_assert_eq!(count as u32, self.counts[idx], "count index exact");
-        self.counts[idx] = 0;
-        let to = self.count_idx(part, pinned);
-        self.counts[to] += count as u32;
-        count
+        if found < want {
+            found += pin_chunk(parts.remainder(), ts.into_remainder(), part, aliasing_ts);
+        }
+        self.counts[idx] -= found as u32;
+        let to = self.count_idx(part, aliasing_ts.wrapping_add(1));
+        self.counts[to] += found as u32;
+        found
     }
+}
+
+/// Frames per chunk of the [`TagMeta::clamp_stale`] search.
+const CLAMP_CHUNK: usize = 64;
+
+/// Re-stamps the `(part, stamp)` frames of one chunk to `stamp + 1` and
+/// returns how many there were. A read-only, non-short-circuit "any
+/// match" reduction over both lanes rejects the chunk first, so chunks
+/// without a match are never written.
+#[inline(always)]
+fn pin_chunk(parts: &[u16], ts: &mut [u8], part: u16, stamp: u8) -> usize {
+    let hit = |p: u16, t: u8| u8::from(p == part) & u8::from(t == stamp);
+    if parts
+        .iter()
+        .zip(ts.iter())
+        .fold(0, |any, (&p, &t)| any | hit(p, t))
+        == 0
+    {
+        return 0;
+    }
+    let pinned = stamp.wrapping_add(1);
+    let mut n = 0;
+    for (&p, t) in parts.iter().zip(ts.iter_mut()) {
+        let h = hit(p, *t);
+        n += usize::from(h);
+        *t = if h != 0 { pinned } else { *t };
+    }
+    n
 }
 
 #[cfg(test)]
@@ -309,6 +354,115 @@ mod tests {
         assert_eq!(m.clamp_stale(5, 10), 0, "pinned away: skip is exact");
         m.load_lanes(vec![7; 8], vec![200; 8]);
         assert_eq!(m.clamp_stale(7, 200), 8, "load_lanes rebuilds the index");
+    }
+
+    /// The obviously-correct clamp: visit every frame.
+    fn naive_clamp(parts: &[u16], ts: &mut [u8], part: u16, stamp: u8) -> usize {
+        let mut n = 0;
+        for (p, t) in parts.iter().zip(ts.iter_mut()) {
+            if *p == part && *t == stamp {
+                *t = stamp.wrapping_add(1);
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// Recounts every (partition, stamp) pair from the lanes.
+    fn assert_index_exact(m: &TagMeta, ctx: &str) {
+        let mut counts = vec![0u32; m.counts.len()];
+        for (p, t) in m.parts.iter().zip(&m.ts) {
+            counts[p.wrapping_add(1) as usize * STAMP_DOMAIN + *t as usize] += 1;
+        }
+        assert!(counts == m.counts, "count index drifted: {ctx}");
+    }
+
+    #[test]
+    fn clamp_search_matches_a_full_sweep() {
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // A small alphabet keeps matches frequent; the stamps straddle the
+        // 255 -> 0 wrap.
+        const PARTS: [u16; 5] = [0, 1, 2, 3, TAG_UNMANAGED];
+        const STAMPS: [u8; 4] = [254, 255, 0, 1];
+        for len in [0usize, 1, 63, 64, 65, 200, 65_537] {
+            let mut m = TagMeta::new(len);
+            let mut parts = vec![TAG_UNMANAGED; len];
+            let mut ts = vec![0u8; len];
+            let clamp = |m: &mut TagMeta, parts: &[u16], ts: &mut [u8], part: u16, stamp: u8| {
+                let ctx = format!("len {len}, clamp ({part}, {stamp})");
+                let want = naive_clamp(parts, ts, part, stamp);
+                assert_eq!(m.clamp_stale(part, stamp), want, "{ctx}");
+                assert!(m.ts == ts, "lanes differ: {ctx}");
+                assert_index_exact(m, &ctx);
+                // Follow-up clamps read the index the first one left.
+                let stamp = stamp.wrapping_add(1);
+                let want = naive_clamp(parts, ts, part, stamp);
+                assert_eq!(m.clamp_stale(part, stamp), want, "follow-up: {ctx}");
+                assert!(m.ts == ts, "lanes differ after follow-up: {ctx}");
+            };
+            for _ in 0..1_500 {
+                let r = next();
+                let f = (r >> 32) as usize % len.max(1);
+                let part = PARTS[(r >> 8) as usize % PARTS.len()];
+                let stamp = STAMPS[(r >> 16) as usize % STAMPS.len()];
+                match r % 8 {
+                    _ if len == 0 => clamp(&mut m, &parts, &mut ts, part, stamp),
+                    0 | 1 => {
+                        m.set(f, part, stamp);
+                        (parts[f], ts[f]) = (part, stamp);
+                    }
+                    2 => {
+                        m.set_part(f, part);
+                        parts[f] = part;
+                    }
+                    3 => {
+                        m.set_ts(f, stamp);
+                        ts[f] = stamp;
+                    }
+                    4 => {
+                        let to = (r >> 40) as usize % len;
+                        m.copy(f as Frame, to as Frame);
+                        (parts[to], ts[to]) = (parts[f], ts[f]);
+                    }
+                    5 if parts[f] != TAG_UNMANAGED => {
+                        // A partition-ID bit flip, as fault injection writes
+                        // it: usually an out-of-range owner.
+                        let flipped = parts[f] ^ (1 << ((r >> 24) % 10));
+                        m.set_part(f, flipped);
+                        parts[f] = flipped;
+                    }
+                    _ => clamp(&mut m, &parts, &mut ts, part, stamp),
+                }
+            }
+            if len == 0 {
+                continue;
+            }
+            // A match in the last (partial) chunk, alone and then behind
+            // an earlier match.
+            let last = len - 1;
+            m.set(last, 9, 255);
+            (parts[last], ts[last]) = (9, 255);
+            clamp(&mut m, &parts, &mut ts, 9, 255);
+            m.set(0, 9, 7);
+            m.set(last, 9, 7);
+            (parts[0], ts[0], parts[last], ts[last]) = (9, 7, 9, 7);
+            clamp(&mut m, &parts, &mut ts, 9, 7);
+            // Wholesale loads rebuild the index the search relies on.
+            for t in ts.iter_mut().step_by(3) {
+                *t = 255;
+            }
+            m.load_lanes(parts.clone(), ts.clone());
+            assert_index_exact(&m, &format!("len {len}, after load_lanes"));
+            for part in PARTS {
+                clamp(&mut m, &parts, &mut ts, part, 255);
+            }
+        }
     }
 
     #[test]

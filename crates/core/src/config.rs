@@ -147,7 +147,7 @@ impl VantageConfig {
         if !(self.a_max > 0.0 && self.a_max <= 1.0) {
             return Err(ConfigError::AMax(self.a_max));
         }
-        if self.slack <= 0.0 {
+        if self.slack.is_nan() || self.slack <= 0.0 {
             return Err(ConfigError::Slack(self.slack));
         }
         if !(1..=64).contains(&self.table_entries) {
@@ -213,6 +213,17 @@ mod tests {
             ..VantageConfig::default()
         };
         cfg.try_validate().unwrap();
+    }
+
+    #[test]
+    fn nan_slack_rejected() {
+        // Partition controllers build their thresholds tables from a
+        // validated config without re-checking it.
+        let cfg = VantageConfig {
+            slack: f64::NAN,
+            ..VantageConfig::default()
+        };
+        assert!(matches!(cfg.try_validate(), Err(ConfigError::Slack(_))));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use vantage_cache::TsLru;
 
+use crate::config::VantageConfig;
 use crate::error::ConfigError;
 
 /// The demotion thresholds lookup table (Fig. 3c).
@@ -36,10 +37,13 @@ pub struct ThresholdTable {
     target: u64,
     /// Width of each size range in lines (at least 1).
     width: u64,
-    /// Demotion count thresholds, one per range.
-    dems: Vec<u32>,
     a_max: f64,
     slack: f64,
+    /// Candidates per feedback period (`c`).
+    c: u32,
+    /// Number of ranges; each entry's threshold depends only on `c`,
+    /// `A_max` and this, so it is computed when read rather than stored.
+    entries: usize,
 }
 
 impl ThresholdTable {
@@ -68,21 +72,26 @@ impl ThresholdTable {
         if entries == 0 {
             return Err(ConfigError::TableEntries(entries));
         }
+        Ok(Self::build(target, slack, a_max, c, entries))
+    }
+
+    /// Builds the table from parameters already checked — by
+    /// [`Self::try_new`] or [`VantageConfig::try_validate`], whose domain
+    /// is a subset of `try_new`'s.
+    fn build(target: u64, slack: f64, a_max: f64, c: u32, entries: usize) -> Self {
         // Fig. 3c geometry: the slack span is split into `entries - 1`
         // ranges, with the last entry covering everything beyond
         // `(1 + slack)·T` at the saturated `A_max` threshold.
         let span = (slack * target as f64).round() as u64;
         let width = (span / (entries as u64 - 1).max(1)).max(1);
-        let dems = (0..entries)
-            .map(|i| (f64::from(c) * a_max * (i + 1) as f64 / entries as f64).round() as u32)
-            .collect();
-        Ok(Self {
+        Self {
             target,
             width,
-            dems,
             a_max,
             slack,
-        })
+            c,
+            entries,
+        }
     }
 
     /// The demotion count threshold (per `c` candidates) for a partition of
@@ -91,8 +100,11 @@ impl ThresholdTable {
         if actual <= self.target {
             return None;
         }
-        let idx = (((actual - self.target - 1) / self.width) as usize).min(self.dems.len() - 1);
-        Some(self.dems[idx])
+        let idx = (((actual - self.target - 1) / self.width) as usize).min(self.entries - 1);
+        Some(
+            (f64::from(self.c) * self.a_max * (idx + 1) as f64 / self.entries as f64).round()
+                as u32,
+        )
     }
 
     /// The continuous aperture of Eq. 7 at `actual` lines — what the
@@ -155,8 +167,9 @@ pub struct PartitionState {
 }
 
 impl PartitionState {
-    /// Creates the state for a partition with the given `target`.
-    pub fn new(target: u64, slack: f64, a_max: f64, c: u32, entries: usize, max_rrpv: u8) -> Self {
+    /// Creates the state for a partition with the given `target`, under a
+    /// configuration [`VantageConfig::try_validate`] accepted.
+    pub fn new(target: u64, cfg: &VantageConfig, max_rrpv: u8) -> Self {
         Self {
             target,
             actual: 0,
@@ -166,16 +179,24 @@ impl PartitionState {
             setpoint_rrpv: max_rrpv, // initially demote only "distant" lines
             cands_seen: 0,
             cands_demoted: 0,
-            table: ThresholdTable::try_new(target, slack, a_max, c, entries)
-                .expect("valid controller parameters"),
+            table: Self::table(target, cfg),
         }
     }
 
     /// Installs a new target, rebuilding the thresholds table.
-    pub fn set_target(&mut self, target: u64, slack: f64, a_max: f64, c: u32, entries: usize) {
+    pub fn set_target(&mut self, target: u64, cfg: &VantageConfig) {
         self.target = target;
-        self.table = ThresholdTable::try_new(target, slack, a_max, c, entries)
-            .expect("valid controller parameters");
+        self.table = Self::table(target, cfg);
+    }
+
+    fn table(target: u64, cfg: &VantageConfig) -> ThresholdTable {
+        ThresholdTable::build(
+            target,
+            cfg.slack,
+            cfg.a_max,
+            cfg.cands_period,
+            cfg.table_entries,
+        )
     }
 
     /// The keep window in timestamp units: `CurrentTS - SetpointTS`
@@ -302,7 +323,7 @@ mod tests {
     use super::*;
 
     fn state(target: u64) -> PartitionState {
-        PartitionState::new(target, 0.1, 0.5, 256, 8, 7)
+        PartitionState::new(target, &VantageConfig::default(), 7)
     }
 
     #[test]

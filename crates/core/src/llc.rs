@@ -274,16 +274,7 @@ impl VantageLlc {
         let hist_track =
             matches!(cfg.rank, RankMode::Lru) && cfg.demotion_mode == DemotionMode::PerfectAperture;
         let parts = (0..partitions)
-            .map(|_| {
-                PartitionState::new(
-                    0,
-                    cfg.slack,
-                    cfg.a_max,
-                    cfg.cands_period,
-                    cfg.table_entries,
-                    max_rrpv,
-                )
-            })
+            .map(|_| PartitionState::new(0, &cfg, max_rrpv))
             .collect();
         let mut llc = Self {
             array,
@@ -742,16 +733,8 @@ impl VantageLlc {
     /// zeroed and [`SlotState::Free`]; the caller overwrites each slot's
     /// state from the payload.
     fn resize_slot_tables(&mut self, n: usize) {
-        self.parts.resize_with(n, || {
-            PartitionState::new(
-                0,
-                self.cfg.slack,
-                self.cfg.a_max,
-                self.cfg.cands_period,
-                self.cfg.table_entries,
-                self.max_rrpv,
-            )
-        });
+        self.parts
+            .resize_with(n, || PartitionState::new(0, &self.cfg, self.max_rrpv));
         self.slot_state.resize(n, SlotState::Free);
         self.hists.resize_with(n, TsHistogram::new);
         self.stats.resize(n);
@@ -1551,13 +1534,7 @@ impl Llc for VantageLlc {
             } else {
                 0
             };
-            st.set_target(
-                scaled,
-                self.cfg.slack,
-                self.cfg.a_max,
-                self.cfg.cands_period,
-                self.cfg.table_entries,
-            );
+            st.set_target(scaled, &self.cfg);
             managed_total += scaled;
         }
         self.um_target = cap - managed_total;
@@ -1659,14 +1636,7 @@ impl Llc for VantageLlc {
                     self.slot_state[p] == SlotState::Draining || actual == 0,
                     "free slot still holds lines"
                 );
-                self.parts[p] = PartitionState::new(
-                    0,
-                    self.cfg.slack,
-                    self.cfg.a_max,
-                    self.cfg.cands_period,
-                    self.cfg.table_entries,
-                    self.max_rrpv,
-                );
+                self.parts[p] = PartitionState::new(0, &self.cfg, self.max_rrpv);
                 self.parts[p].actual = actual;
                 self.stats.hits[p] = 0;
                 self.stats.misses[p] = 0;
@@ -1682,14 +1652,8 @@ impl Llc for VantageLlc {
                 if p >= UNMANAGED as usize {
                     return Err(LifecycleError::Exhausted);
                 }
-                self.parts.push(PartitionState::new(
-                    0,
-                    self.cfg.slack,
-                    self.cfg.a_max,
-                    self.cfg.cands_period,
-                    self.cfg.table_entries,
-                    self.max_rrpv,
-                ));
+                self.parts
+                    .push(PartitionState::new(0, &self.cfg, self.max_rrpv));
                 self.slot_state.push(SlotState::Free);
                 self.hists.push(TsHistogram::new());
                 self.stats.resize(p + 1);
@@ -1709,13 +1673,7 @@ impl Llc for VantageLlc {
         let floor = (self.cfg.unmanaged_fraction * cap as f64).floor() as u64;
         let grant = want.min(self.um_target.saturating_sub(floor));
         self.um_target -= grant;
-        self.parts[p].set_target(
-            grant,
-            self.cfg.slack,
-            self.cfg.a_max,
-            self.cfg.cands_period,
-            self.cfg.table_entries,
-        );
+        self.parts[p].set_target(grant, &self.cfg);
         self.slot_state[p] = SlotState::Active;
         let id = PartitionId::from_index(p);
         self.pending_arrived.push(id);
@@ -1746,13 +1704,7 @@ impl Llc for VantageLlc {
             return Err(LifecycleError::NotLive(part));
         }
         self.um_target += self.parts[p].target;
-        self.parts[p].set_target(
-            0,
-            self.cfg.slack,
-            self.cfg.a_max,
-            self.cfg.cands_period,
-            self.cfg.table_entries,
-        );
+        self.parts[p].set_target(0, &self.cfg);
         self.slot_state[p] = if self.parts[p].actual == 0 {
             SlotState::Free
         } else {
@@ -1951,13 +1903,7 @@ impl vantage_snapshot::Snapshot for VantageLlc {
             let cands_seen = dec.take_u32()?;
             let cands_demoted = dec.take_u32()?;
             let st = &mut self.parts[p];
-            st.set_target(
-                target,
-                self.cfg.slack,
-                self.cfg.a_max,
-                self.cfg.cands_period,
-                self.cfg.table_entries,
-            );
+            st.set_target(target, &self.cfg);
             st.actual = actual;
             st.setpoint = setpoint;
             st.setpoint_rrpv = setpoint_rrpv;
