@@ -216,6 +216,14 @@ impl Ownership {
         self.replicas.fill(0);
     }
 
+    /// Resets partition `part`'s counters to zero (a recycled slot, whose
+    /// new tenant must not inherit the old one's sharing record).
+    pub fn reset_partition(&mut self, part: usize) {
+        self.shared_hits[part] = 0;
+        self.transfers[part] = 0;
+        self.replicas[part] = 0;
+    }
+
     /// Serializes the layer (mode byte plus the three counter lanes).
     pub fn save_state(&self, enc: &mut vantage_snapshot::Encoder) {
         enc.put_u8(self.mode.as_u8());

@@ -206,47 +206,32 @@ impl PartitionState {
         self.lru.current().wrapping_sub(self.setpoint)
     }
 
-    /// Whether a managed line of this partition stamped `ts` should be
-    /// demoted under setpoint-based demotions (LRU ranking).
-    ///
-    /// Evaluated without short-circuiting (`&`, not `&&`): at equilibrium
-    /// `actual` hovers right at `target`, so a branch on that comparison
-    /// alone is data-dependent noise, while the combined demote outcome
-    /// (a few per walk) predicts well.
+    /// Whether a line of this partition stamped `ts` falls outside the
+    /// keep window (Fig. 3b) — the setpoint-demotion test under LRU
+    /// ranking. A stale line is demoted only while the partition is over
+    /// its target; the candidate scan checks that live, per candidate.
     #[inline]
-    pub fn should_demote_ts(&self, ts: u8) -> bool {
-        (self.actual > self.target) & (self.lru.age(ts) > self.keep_window())
-    }
-
-    /// Whether a managed line with re-reference value `rrpv` should be
-    /// demoted under setpoint-based demotions (RRIP ranking); evaluated
-    /// without short-circuiting for the same reason as
-    /// [`Self::should_demote_ts`].
-    #[inline]
-    pub fn should_demote_rrpv(&self, rrpv: u8) -> bool {
-        (self.actual > self.target) & (rrpv >= self.setpoint_rrpv)
+    pub fn is_stale(&self, ts: u8) -> bool {
+        self.lru.age(ts) > self.keep_window()
     }
 
     /// Records one access (hit or insertion): advances the setpoint in
     /// lockstep when the current timestamp advances, keeping the window
     /// constant, and re-derives the timestamp period from the actual size.
-    /// Returns the timestamp to stamp the line with.
+    /// Returns the timestamp to stamp the line with and whether the coarse
+    /// clock ticked on this access.
+    ///
+    /// The tick is the moment resident lines stamped a full 256 ticks ago
+    /// start aliasing into age 0; callers must pin those stamps (see
+    /// `TagMeta::clamp_stale`) before any line is stamped with the new
+    /// current value, or stale lines re-enter the keep window and dodge
+    /// demotion indefinitely.
     ///
     /// The period is only re-derived at timestamp advances (once per
     /// `period` accesses) rather than on every access: the `size/16` rule
     /// then lags a size change by at most one tick, which is within the
     /// coarse-timestamp scheme's own resolution, and the access hot path
     /// sheds a division.
-    pub fn on_access(&mut self) -> u8 {
-        self.on_access_advanced().0
-    }
-
-    /// Like [`Self::on_access`], but also reports whether the coarse
-    /// clock ticked on this access. The tick is the moment resident lines
-    /// stamped a full 256 ticks ago start aliasing into age 0; callers
-    /// must pin those stamps (see `TagMeta::clamp_stale`) before any line
-    /// is stamped with the new current value, or stale lines re-enter the
-    /// keep window and dodge demotion indefinitely.
     pub fn on_access_advanced(&mut self) -> (u8, bool) {
         let advanced = self.lru.on_access();
         if advanced {
@@ -363,15 +348,20 @@ mod tests {
     }
 
     #[test]
-    fn demote_only_when_over_target() {
+    fn stale_means_outside_the_keep_window() {
+        // The over-target half of the demotion test is the scan's (see
+        // `llc::tests::demote_only_when_over_target`).
         let mut s = state(100);
-        s.actual = 100;
-        // At target: never demote, regardless of age.
-        assert!(!s.should_demote_ts(s.lru.current().wrapping_sub(200)));
-        s.actual = 101;
-        // Over target: demote lines older than the keep window (128).
-        assert!(s.should_demote_ts(s.lru.current().wrapping_sub(200)));
-        assert!(!s.should_demote_ts(s.lru.current()));
+        // Lines older than the keep window (128) are stale.
+        assert_eq!(s.keep_window(), 128);
+        let cur = s.lru.current();
+        assert!(s.is_stale(cur.wrapping_sub(200)));
+        assert!(s.is_stale(cur.wrapping_sub(129)));
+        assert!(!s.is_stale(cur.wrapping_sub(128)));
+        assert!(!s.is_stale(cur));
+        // The window moves with the clock: a tick ages every stamp by one.
+        while !s.on_access_advanced().1 {}
+        assert!(s.is_stale(cur.wrapping_sub(128)));
     }
 
     #[test]
@@ -382,7 +372,7 @@ mod tests {
         // 16-line period for a 64-line partition is 4 accesses... drive
         // enough accesses to advance the timestamp several times.
         for _ in 0..64 {
-            s.on_access();
+            s.on_access_advanced();
         }
         assert_eq!(
             s.keep_window(),

@@ -4,17 +4,20 @@
 //! Lines from all partitions share the array; capacity is enforced purely at
 //! replacement time. Each tag carries a partition ID (with one extra ID for
 //! the unmanaged region) and an 8-bit timestamp (or RRPV). On each miss the
-//! controller:
+//! controller makes one pass over the replacement candidates, whatever the
+//! demotion rule:
 //!
-//! 1. checks every replacement candidate for *demotion* — a managed line
-//!    over its partition's target whose stamp falls outside the partition's
-//!    keep window is re-tagged into the unmanaged region (setpoint-based
-//!    demotions, §4.2);
-//! 2. evicts the unmanaged candidate with the oldest timestamp, falling back
-//!    to a just-demoted candidate, and only if neither exists forcing an
-//!    eviction from the managed region (counted, since its probability is
-//!    the paper's isolation metric, Fig. 9b);
-//! 3. inserts the incoming line into its partition.
+//! 1. gathers the candidates' tags once, up to the first empty frame;
+//! 2. in walk order, meters every managed candidate and *demotes* those
+//!    its rule picks — under the practical controller, a line over its
+//!    partition's target whose stamp falls outside the partition's keep
+//!    window (setpoint-based demotions, §4.2) — re-tagging them into the
+//!    unmanaged region, while tracking the oldest unmanaged candidate;
+//! 3. evicts that unmanaged candidate, falling back to a just-demoted one,
+//!    and only if neither exists forcing an eviction from the managed
+//!    region, chosen from the same gathered tags (counted, since its
+//!    probability is the paper's isolation metric, Fig. 9b);
+//! 4. inserts the incoming line into its partition.
 //!
 //! Per-partition setpoints are steered by negative feedback every
 //! `c = 256` candidates using the demotion thresholds lookup table
@@ -87,22 +90,6 @@ impl VantageStats {
     pub fn reset(&mut self) {
         *self = Self::default();
     }
-}
-
-/// The demotion rule for one miss walk, resolved once per walk so the
-/// candidate loop dispatches on a single enum instead of re-matching
-/// `DemotionMode` × `RankMode` for every one of the (up to 52) candidates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DemoteRule {
-    /// Practical controller, LRU ranks: demote outside the keep window.
-    SetpointLru,
-    /// Practical controller, RRIP ranks: demote at/above the setpoint RRPV.
-    SetpointRrip,
-    /// Idealized controller: demote by exact rank against the aperture.
-    PerfectAperture,
-    /// Fig. 2b strawman: at most one demotion per walk, picked after the
-    /// scan.
-    ExactlyOne,
 }
 
 /// Lifecycle state of one partition slot (service mode).
@@ -184,10 +171,11 @@ pub struct VantageLlc {
     vstats: VantageStats,
     walk: Walk,
     moves: Vec<(Frame, Frame)>,
-    /// Candidate-scan scratch lanes (SetpointLru fast path): the walk's
-    /// tag metadata gathered once into contiguous lanes, plus the
-    /// branchless stale mask evaluated over them. Persistent so the miss
-    /// path never allocates.
+    /// Candidate-scan scratch lanes: every miss gathers the walk's tags
+    /// once into `scan_part`/`scan_ts`, which the demotion pass and the
+    /// forced-victim pick both read; Setpoint + LRU adds its stale mask,
+    /// evaluated branchlessly over them before any controller state
+    /// moves. Persistent so the miss path never allocates.
     scan_part: Vec<u16>,
     scan_ts: Vec<u8>,
     scan_stale: Vec<u8>,
@@ -773,19 +761,58 @@ impl VantageLlc {
         self.um_lru.period()
     }
 
-    /// Stamps one line into the unmanaged region's timestamp domain and
-    /// returns the timestamp to tag it with.
+    /// Tags frame `f` into the unmanaged region, which grows by one line:
+    /// a demotion or a throttled fill. Under RRIP ranking the line takes
+    /// `rrpv`; under LRU ranking it takes the region's clock, counted in
+    /// the tracked histogram.
     ///
-    /// The period follows the region's *actual* size (the `size/16` rule
-    /// applied to `um_size`, matching how partitions derive theirs from
-    /// `ActualSize`), re-derived only when the timestamp advances — the
-    /// per-demotion path carries no division and the clock tracks what
-    /// the region really holds rather than its target.
-    fn um_stamp(&mut self) -> u8 {
-        if self.um_lru.on_access() {
-            self.um_lru.set_period_for_size(self.um_size.max(16));
-        }
-        self.um_lru.current()
+    /// The clock's period follows the region's *actual* size (the
+    /// `size/16` rule applied to `um_size`, matching how partitions derive
+    /// theirs from `ActualSize`), re-derived only when the timestamp
+    /// advances — the per-demotion path carries no division and the clock
+    /// tracks what the region really holds rather than its target.
+    #[inline]
+    fn stamp_unmanaged(&mut self, f: usize, rrpv: u8) {
+        self.um_size += 1;
+        let ts = if self.is_lru() {
+            if self.um_lru.on_access() {
+                self.um_lru.set_period_for_size(self.um_size.max(16));
+            }
+            let t = self.um_lru.current();
+            if self.hist_track {
+                self.um_hist.add(t);
+            }
+            t
+        } else {
+            rrpv
+        };
+        self.meta.set(f, UNMANAGED, ts);
+    }
+
+    /// Tags frame `f` as partition `owner`'s line after an access by
+    /// `part` — a hit or a fill; `owner` differs from `part` only for a
+    /// shared hit pinned to its owner. The caller has already retired
+    /// `f`'s old histogram entry. Under RRIP ranking the line takes
+    /// `rrpv`. Under LRU ranking the accessor's coarse clock ticks (see
+    /// [`Self::clamp_aliasing`]) and the line takes the owner's current
+    /// stamp, so a pinned hit refreshes recency without advancing the
+    /// owner's clock.
+    #[inline]
+    fn stamp_managed(&mut self, f: usize, part: usize, owner: usize, rrpv: u8) {
+        let ts = if self.is_lru() {
+            let (t, advanced) = self.parts[part].on_access_advanced();
+            if advanced {
+                self.clamp_aliasing(part, t, f);
+            }
+            let ts = self.parts[owner].lru.current();
+            if self.hist_track {
+                self.hists[owner].add(ts);
+            }
+            ts
+        } else {
+            rrpv
+        };
+        self.meta.set(f, owner as u16, ts);
     }
 
     /// Pins partition `part`'s aliasing stamps right after its coarse
@@ -797,14 +824,12 @@ impl VantageLlc {
     /// stamps to `t + 1` (age 255 under the new clock), so genuinely
     /// stale lines stay the oldest; each later tick re-pins them.
     ///
-    /// `except` names a frame whose histogram entry the caller already
-    /// retired (the hit frame being restamped, or the landing frame still
-    /// carrying its evicted victim's tag): its lane may be pinned like
-    /// any other, but the tracked histograms must not be compensated for
-    /// it.
-    fn clamp_aliasing(&mut self, part: usize, t: u8, except: Option<usize>) {
-        let excluded =
-            except.is_some_and(|f| self.meta.part(f) == part as u16 && self.meta.ts(f) == t);
+    /// `except` is the frame about to be stamped, whose histogram entry
+    /// the caller already retired (a hit frame, or the landing frame still
+    /// carrying its evicted victim's tag): its lane may be pinned like any
+    /// other, but the tracked histograms must not be compensated for it.
+    fn clamp_aliasing(&mut self, part: usize, t: u8, except: usize) {
+        let excluded = self.meta.part(except) == part as u16 && self.meta.ts(except) == t;
         let pinned = self.meta.clamp_stale(part as u16, t);
         if self.hist_track {
             let h = &mut self.hists[part];
@@ -840,8 +865,7 @@ impl VantageLlc {
     fn hit(&mut self, part: usize, frame: Frame) {
         let f = frame as usize;
         let (tag_part, tag_ts) = (self.meta.part(f), self.meta.ts(f));
-        let lru = self.is_lru();
-        let track = self.hist_track;
+        let mut owner = part;
         if tag_part == UNMANAGED {
             // Promotion: the line rejoins the accessing partition. The
             // saturating decrement tolerates a corrupted unmanaged-size
@@ -852,7 +876,7 @@ impl VantageLlc {
                 part: PartitionId::from_index(part),
             });
             self.um_size = self.um_size.saturating_sub(1);
-            if track {
+            if self.hist_track {
                 self.um_hist.remove(tag_ts);
             }
             self.parts[part].actual += 1;
@@ -876,91 +900,50 @@ impl VantageLlc {
                     part: PartitionId::from_index(part),
                     owner: PartitionId::from_index(q),
                 });
-                if !self.own.on_shared_hit(part as u16) {
+                if self.own.on_shared_hit(part as u16) {
+                    // Adopt: the shared line migrates to its latest user.
+                    self.tele.event(TelemetryEvent::OwnershipTransfer {
+                        access: self.accesses,
+                        part: PartitionId::from_index(part),
+                        from: PartitionId::from_index(q),
+                    });
+                    self.parts[q].actual = self.parts[q].actual.saturating_sub(1);
+                    self.parts[part].actual += 1;
+                } else {
                     // Pin: refresh the line's recency under the *owner's*
                     // clock without advancing it (the owner did not access);
                     // the accessor's coarse clock still ticks for this
                     // access. Ownership, size registers and the owner's
                     // demotion exposure are all untouched.
-                    let ts = if lru {
-                        let (t, advanced) = self.parts[part].on_access_advanced();
-                        if advanced {
-                            // The pinned frame keeps the owner's tag, so no
-                            // frame needs shielding from the clamp.
-                            self.clamp_aliasing(part, t, None);
-                        }
-                        let owner_ts = self.parts[q].lru.current();
-                        if track {
-                            self.hists[q].remove(tag_ts);
-                            self.hists[q].add(owner_ts);
-                        }
-                        owner_ts
-                    } else {
-                        0 // RRIP hit promotion, under the owner's ID
-                    };
-                    self.meta.set(f, q as u16, ts);
-                    return;
+                    owner = q;
                 }
-                self.tele.event(TelemetryEvent::OwnershipTransfer {
-                    access: self.accesses,
-                    part: PartitionId::from_index(part),
-                    from: PartitionId::from_index(q),
-                });
-                if track {
-                    self.hists[q].remove(tag_ts);
-                }
-                // Adopt: the shared line migrates to its latest user.
-                self.parts[q].actual = self.parts[q].actual.saturating_sub(1);
-                self.parts[part].actual += 1;
-            } else if track {
+            }
+            if self.hist_track {
                 self.hists[q].remove(tag_ts);
             }
         }
-        let ts = if lru {
-            let (t, advanced) = self.parts[part].on_access_advanced();
-            if advanced {
-                self.clamp_aliasing(part, t, Some(f));
-            }
-            if track {
-                self.hists[part].add(t);
-            }
-            t
-        } else {
-            0 // RRIP hit promotion: near-immediate re-reference
-        };
-        self.meta.set(f, part as u16, ts);
+        // Under RRIP a hit promotes to near-immediate re-reference.
+        self.stamp_managed(f, part, owner, 0);
     }
 
-    /// Demotes the line in frame `f` (bookkeeping shared by the
-    /// per-candidate and exactly-one paths).
-    fn demote_candidate(&mut self, f: usize, lru: bool) {
-        let (tag_part, tag_ts) = (self.meta.part(f), self.meta.ts(f));
-        let q = tag_part as usize;
+    /// Demotes frame `f`, partition `q`'s line stamped `ts`, into the
+    /// unmanaged region.
+    fn demote_candidate(&mut self, f: usize, q: usize, ts: u8) {
         self.vstats.demotions += 1;
         self.tele.event(TelemetryEvent::Demotion {
             access: self.accesses,
-            part: PartitionId::from_raw(tag_part),
+            part: PartitionId::from_index(q),
         });
         if self.probe {
-            let pr = self.hists[q].rank(tag_ts, self.parts[q].lru.current());
+            let pr = self.hists[q].rank(ts, self.parts[q].lru.current());
             self.samples.push((self.accesses, q as u16, pr as f32));
         }
         if self.hist_track {
-            self.hists[q].remove(tag_ts);
+            self.hists[q].remove(ts);
         }
         self.parts[q].actual = self.parts[q].actual.saturating_sub(1);
         self.lost[q] += 1;
-        self.um_size += 1;
-        let um_ts = if lru {
-            let t = self.um_stamp();
-            if self.hist_track {
-                self.um_hist.add(t);
-            }
-            t
-        } else {
-            tag_ts
-        };
-        self.meta.set(f, UNMANAGED, um_ts);
+        self.stamp_unmanaged(f, ts);
     }
 
     /// Emits the telemetry for one setpoint adjustment: the adjusted keep
@@ -1028,6 +1011,76 @@ impl VantageLlc {
         self.sample_um_lost = self.um_lost;
     }
 
+    /// The walk-order resolution loop of [`Self::miss`], one skeleton for
+    /// every demotion rule. Over the gathered lanes it tracks the oldest
+    /// unmanaged candidate, routes corrupted partition IDs to eviction,
+    /// meters each managed candidate, and demotes it or (RRIP) ages it.
+    /// The rule supplies only `demote(llc, i, q, ts, over)`: whether
+    /// candidate `i`, partition `q`'s line stamped `ts`, is demoted, given
+    /// whether `q` is `over` its target — checked live, so one walk never
+    /// demotes a partition below its target — or `None` to leave the
+    /// candidate unmetered. Each rule's call compiles to its own loop with
+    /// the predicate inlined.
+    ///
+    /// Returns the walk indices of the oldest unmanaged candidate and of
+    /// the first demoted one.
+    #[inline(always)]
+    fn resolve(
+        &mut self,
+        walk: &Walk,
+        mut demote: impl FnMut(&Self, usize, usize, u8, bool) -> Option<bool>,
+    ) -> (Option<usize>, Option<usize>) {
+        let lru = self.is_lru();
+        let (cands_period, max_rrpv) = (self.cfg.cands_period, self.max_rrpv);
+        let mut best_um: Option<(usize, u8)> = None; // (walk idx, age/rrpv)
+        let mut first_demoted: Option<usize> = None;
+        for i in 0..self.scan_part.len() {
+            let (tag_part, tag_ts) = (self.scan_part[i], self.scan_ts[i]);
+            if tag_part == UNMANAGED {
+                let age = if lru { self.um_lru.age(tag_ts) } else { tag_ts };
+                if best_um.is_none_or(|(_, a)| age > a) {
+                    best_um = Some((i, age));
+                }
+                continue;
+            }
+            let q = tag_part as usize;
+            let Some(st) = self.parts.get(q) else {
+                // Corrupted partition ID: treat the line as the oldest
+                // possible unmanaged candidate so it is evicted (and the
+                // corruption flushed) at the first opportunity.
+                self.vstats.corrupted_pid_fallbacks += 1;
+                best_um = Some((i, u8::MAX));
+                continue;
+            };
+            let over = st.actual > st.target;
+            let Some(demoted) = demote(self, i, q, tag_ts, over) else {
+                continue;
+            };
+            if let Some(fb) = self.parts[q].note_candidate(demoted, cands_period, max_rrpv) {
+                self.vstats.setpoint_adjustments += 1;
+                if self.tele.enabled() {
+                    self.note_adjustment(q, fb);
+                }
+            }
+            let f = walk.nodes[i].frame as usize;
+            if demoted {
+                first_demoted.get_or_insert(i);
+                self.demote_candidate(f, q, tag_ts);
+            } else if !lru && over && tag_ts < max_rrpv {
+                // RRIP aging: candidates of over-target partitions drift
+                // towards "distant" so demotion pressure can build
+                // (under-target partitions are never aged, §6.2).
+                self.meta.set_ts(f, tag_ts + 1);
+                self.scan_ts[i] = tag_ts + 1;
+            }
+        }
+        (best_um.map(|(i, _)| i), first_demoted)
+    }
+
+    // Out of line: with one scan loop per rule inlined, the miss path is
+    // large, and inlining it into the access path costs hits a few
+    // percent.
+    #[inline(never)]
     fn miss(&mut self, part: usize, addr: LineAddr) {
         if let Some(rr) = &mut self.rrip {
             rr.note_miss(part, addr);
@@ -1041,186 +1094,95 @@ impl VantageLlc {
         let lru = self.is_lru();
 
         // --- Demotion pass over all candidates (§4.3, "Misses"). ---
-        // Per-candidate invariants are hoisted out of the loop: the
-        // `DemotionMode` × `RankMode` dispatch collapses to a [`DemoteRule`],
-        // the feedback constants become locals, and (SetpointLru) the stale
-        // test runs over the whole walk before any controller state moves.
-        let rule = match (self.cfg.demotion_mode, self.cfg.rank) {
-            (DemotionMode::Setpoint, RankMode::Lru) => DemoteRule::SetpointLru,
-            (DemotionMode::Setpoint, RankMode::Rrip { .. }) => DemoteRule::SetpointRrip,
-            (DemotionMode::PerfectAperture, _) => DemoteRule::PerfectAperture,
-            (DemotionMode::ExactlyOne, _) => DemoteRule::ExactlyOne,
-        };
-        let cands_period = self.cfg.cands_period;
-        let max_rrpv = self.max_rrpv;
-        let mut empty: Option<usize> = None;
-        let mut best_um: Option<(usize, u8)> = None; // (walk idx, age/rrpv)
-        let mut first_demoted: Option<usize> = None;
+        // One gather: the walk's tags are read once into contiguous lanes
+        // — independent loads, issued back to back rather than interleaved
+        // with controller updates — cut at the first empty frame, where
+        // the scan ends. Candidate frames are deduplicated, so no demotion
+        // can change another candidate's tag: each lane entry is the tag
+        // its candidate is resolved with, and RRIP aging writes through to
+        // it so the forced-victim pick below reads current tags.
+        let n = walk.nodes.len();
+        self.scan_part.clear();
+        self.scan_part.resize(n, 0);
+        self.scan_ts.clear();
+        self.scan_ts.resize(n, 0);
+        let lanes = self.scan_part.iter_mut().zip(self.scan_ts.iter_mut());
+        for (node, (p, t)) in walk.nodes.iter().zip(lanes) {
+            let f = node.frame as usize;
+            (*p, *t) = (self.meta.part(f), self.meta.ts(f));
+        }
+        let occ = walk
+            .nodes
+            .iter()
+            .position(|nd| !nd.is_occupied())
+            .unwrap_or(n);
+        self.scan_part.truncate(occ);
+        self.scan_ts.truncate(occ);
+        let empty = (occ < n).then_some(occ);
+        // One resolution loop ([`Self::resolve`]); each rule supplies only
+        // its demote predicate. All but the first read state that loop
+        // mutates — RRIP's setpoint, the aperture and histogram ranks, the
+        // running oldest pick — so they run inside it, in walk order.
         let mut best_managed: Option<(usize, u8)> = None; // exactly-one pick
-        if rule == DemoteRule::SetpointLru {
-            // Fast path for the practical controller: the walk's tags are
-            // gathered once into contiguous scratch lanes, the stale test
-            // (the only per-candidate predicate that depends solely on the
-            // keep windows as they stand when the walk starts) is evaluated
-            // branchlessly over whole lanes, and a serial resolution pass
-            // then applies the walk-order-dependent state updates.
-            // Bit-identical to the
-            // generic loop below: candidate frames are deduplicated, so no
-            // mid-walk demotion can change another candidate's tag, and
-            // everything order-sensitive — the live `actual > target`
-            // check, the candidate meters, unmanaged ages against the
-            // advancing unmanaged clock — stays in walk order.
-            //
-            // The old per-candidate loop interleaved two dependent random
-            // loads (partition lane, stamp lane) with controller updates;
-            // splitting the gather lets those loads issue back to back
-            // (full memory-level parallelism) and the mask pass
-            // autovectorize.
-            let n = walk.nodes.len();
-            let occ = walk
-                .nodes
-                .iter()
-                .position(|nd| !nd.is_occupied())
-                .unwrap_or(n);
-            if occ < n {
-                empty = Some(occ); // the scan stops at the first empty frame
-            }
-            self.scan_part.clear();
-            self.scan_ts.clear();
-            for node in &walk.nodes[..occ] {
-                let f = node.frame as usize;
-                self.scan_part.push(self.meta.part(f));
-                self.scan_ts.push(self.meta.ts(f));
-            }
-            self.scan_stale.clear();
-            self.scan_stale.resize(occ, 0);
-            // One keep-window lookup per candidate. Reading the live
-            // controller state here is safe: no setpoint or clock moves
-            // until the resolution loop below, so a mid-walk setpoint
-            // adjustment takes effect from the next walk. `get` tolerates
+        let (best_um, mut first_demoted) = match (self.cfg.demotion_mode, self.cfg.rank) {
+            // Practical controller, LRU ranks: demote outside the keep
+            // window. The window test is the one order-independent
+            // predicate: it reads windows as they stand at walk start (no
+            // setpoint or clock moves before the loop, so a mid-walk
+            // adjustment takes effect from the next walk), so it runs
+            // branchlessly over whole lanes first. `get` tolerates
             // UNMANAGED and corrupted IDs (their mask bit stays 0). A
             // draining slot's lines all count as stale: a destroyed
             // partition's coarse clock never advances again (only its own
             // accesses tick it), so without this its freshest lines would
             // read age 0 forever and the drain would stall short of empty.
-            for i in 0..occ {
-                let q = self.scan_part[i] as usize;
-                if let Some(st) = self.parts.get(q) {
-                    self.scan_stale[i] =
-                        u8::from(st.lru.current().wrapping_sub(self.scan_ts[i]) > st.keep_window())
-                            | u8::from(self.slot_state[q] == SlotState::Draining);
-                }
+            (DemotionMode::Setpoint, RankMode::Lru) => {
+                self.scan_stale.clear();
+                self.scan_stale
+                    .extend(self.scan_part.iter().zip(&self.scan_ts).map(|(&q, &ts)| {
+                        self.parts.get(q as usize).map_or(0, |st| {
+                            u8::from(st.is_stale(ts))
+                                | u8::from(self.slot_state[q as usize] == SlotState::Draining)
+                        })
+                    }));
+                // Non-short-circuit `&`: at equilibrium `actual` hovers at
+                // `target`, so branching on it alone is noise, while the
+                // combined outcome (a few demotions per walk) predicts well.
+                self.resolve(&walk, |llc, i, _, _, over| {
+                    Some(over & (llc.scan_stale[i] != 0))
+                })
             }
-            for i in 0..occ {
-                let (tag_part, tag_ts) = (self.scan_part[i], self.scan_ts[i]);
-                if tag_part == UNMANAGED {
-                    let age = self.um_lru.age(tag_ts);
-                    if best_um.is_none_or(|(_, a)| age > a) {
-                        best_um = Some((i, age));
-                    }
-                    continue;
+            // Practical controller, RRIP ranks: demote at or above the
+            // setpoint RRPV.
+            (DemotionMode::Setpoint, RankMode::Rrip { .. }) => self
+                .resolve(&walk, |llc, _, q, ts, over| {
+                    Some(over & (ts >= llc.parts[q].setpoint_rrpv))
+                }),
+            // Idealized controller: demote by exact rank against the
+            // aperture.
+            (DemotionMode::PerfectAperture, _) => self.resolve(&walk, |llc, _, q, ts, over| {
+                let st = &llc.parts[q];
+                Some(
+                    over && {
+                        let aperture = st.table.aperture(st.actual);
+                        aperture > 0.0 && llc.hists[q].rank(ts, st.lru.current()) > 1.0 - aperture
+                    },
+                )
+            }),
+            // Fig. 2b strawman: remember the oldest over-target candidate
+            // and demote exactly that one after the scan (unmetered).
+            (DemotionMode::ExactlyOne, _) => self.resolve(&walk, |llc, i, q, ts, over| {
+                let age = llc.parts[q].lru.age(ts);
+                if over && best_managed.is_none_or(|(_, a)| age > a) {
+                    best_managed = Some((i, age));
                 }
-                let q = tag_part as usize;
-                if q >= self.parts.len() {
-                    // Corrupted partition ID: treat the line as the oldest
-                    // possible unmanaged candidate so it is evicted (and
-                    // the corruption flushed) at the first opportunity.
-                    self.vstats.corrupted_pid_fallbacks += 1;
-                    best_um = Some((i, u8::MAX));
-                    continue;
-                }
-                // The over-target check stays live so one walk never
-                // demotes a partition below its target; combined with the
-                // precomputed stale mask without short-circuiting, as in
-                // `should_demote_ts`.
-                let st = &self.parts[q];
-                let demote = (st.actual > st.target) & (self.scan_stale[i] != 0);
-                if let Some(fb) = self.parts[q].note_candidate(demote, cands_period, max_rrpv) {
-                    self.vstats.setpoint_adjustments += 1;
-                    if self.tele.enabled() {
-                        self.note_adjustment(q, fb);
-                    }
-                }
-                if demote {
-                    first_demoted.get_or_insert(i);
-                    self.demote_candidate(walk.nodes[i].frame as usize, lru);
-                }
-            }
-        }
-        if rule != DemoteRule::SetpointLru {
-            for (i, node) in walk.nodes.iter().enumerate() {
-                if !node.is_occupied() {
-                    empty = Some(i);
-                    break; // walks end at the first empty frame
-                }
-                let f = node.frame as usize;
-                let (tag_part, tag_ts) = (self.meta.part(f), self.meta.ts(f));
-                if tag_part == UNMANAGED {
-                    let age = if lru { self.um_lru.age(tag_ts) } else { tag_ts };
-                    if best_um.is_none_or(|(_, a)| age > a) {
-                        best_um = Some((i, age));
-                    }
-                    continue;
-                }
-                let q = tag_part as usize;
-                if q >= self.parts.len() {
-                    // Corrupted partition ID: treat the line as the oldest
-                    // possible unmanaged candidate so it is evicted (and the
-                    // corruption flushed) at the first opportunity.
-                    self.vstats.corrupted_pid_fallbacks += 1;
-                    best_um = Some((i, u8::MAX));
-                    continue;
-                }
-                let demote = match rule {
-                    DemoteRule::SetpointLru => unreachable!("handled by the lane fast path"),
-                    DemoteRule::SetpointRrip => self.parts[q].should_demote_rrpv(tag_ts),
-                    DemoteRule::PerfectAperture => {
-                        let st = &self.parts[q];
-                        st.actual > st.target && {
-                            let aperture = st.table.aperture(st.actual);
-                            aperture > 0.0
-                                && self.hists[q].rank(tag_ts, st.lru.current()) > 1.0 - aperture
-                        }
-                    }
-                    DemoteRule::ExactlyOne => {
-                        // Fig. 2b policy: remember the oldest over-target
-                        // candidate and demote exactly that one after the
-                        // scan.
-                        let st = &self.parts[q];
-                        if st.actual > st.target {
-                            let age = if lru { st.lru.age(tag_ts) } else { tag_ts };
-                            if best_managed.is_none_or(|(_, a)| age > a) {
-                                best_managed = Some((i, age));
-                            }
-                        }
-                        continue;
-                    }
-                };
-                if let Some(fb) = self.parts[q].note_candidate(demote, cands_period, max_rrpv) {
-                    self.vstats.setpoint_adjustments += 1;
-                    if self.tele.enabled() {
-                        self.note_adjustment(q, fb);
-                    }
-                }
-                if demote {
-                    first_demoted.get_or_insert(i);
-                    self.demote_candidate(f, lru);
-                } else if !lru {
-                    // RRIP aging: candidates of over-target partitions drift
-                    // towards "distant" so demotion pressure can build
-                    // (under-target partitions are never aged, §6.2).
-                    let st = &self.parts[q];
-                    if st.actual > st.target && tag_ts < max_rrpv {
-                        self.meta.set_ts(f, tag_ts + 1);
-                    }
-                }
-            }
-        }
-        if rule == DemoteRule::ExactlyOne && empty.is_none() {
-            if let Some((i, _)) = best_managed {
-                first_demoted = Some(i);
-                self.demote_candidate(walk.nodes[i].frame as usize, lru);
-            }
+                None
+            }),
+        };
+        if let (Some((i, _)), None) = (best_managed, empty) {
+            first_demoted = Some(i);
+            let q = self.scan_part[i] as usize;
+            self.demote_candidate(walk.nodes[i].frame as usize, q, self.scan_ts[i]);
         }
 
         // --- Victim selection. ---
@@ -1228,7 +1190,7 @@ impl VantageLlc {
         let victim = if let Some(e) = empty {
             self.vstats.empty_fills += 1;
             e
-        } else if let Some((i, _)) = best_um {
+        } else if let Some(i) = best_um {
             self.vstats.unmanaged_evictions += 1;
             i
         } else if let Some(i) = first_demoted {
@@ -1236,29 +1198,22 @@ impl VantageLlc {
             i
         } else {
             // Forced eviction from the managed region. The paper leaves the
-            // choice arbitrary; we pick the oldest candidate, preferring
-            // partitions that are over their targets so transients do not
-            // bleed quiet, under-target partitions.
+            // choice arbitrary; we pick the oldest candidate (the last one
+            // on ties), preferring partitions that are over their targets so
+            // transients do not bleed quiet, under-target partitions. No
+            // candidate was demoted, so the lanes hold every current tag.
             self.vstats.forced_managed_evictions += 1;
             forced = true;
             let mut best = 0usize;
-            let mut best_key = (false, 0u16);
-            for (i, node) in walk.nodes.iter().enumerate() {
-                let f = node.frame as usize;
-                let (tag_part, tag_ts) = (self.meta.part(f), self.meta.ts(f));
-                let q = tag_part as usize;
-                // A corrupted-PID line (tolerated above) is always the best
-                // forced victim: no healthy partition loses a line.
-                let key = if q >= self.parts.len() {
-                    (true, u16::MAX)
-                } else {
-                    let age = if lru {
-                        u16::from(self.parts[q].lru.age(tag_ts))
-                    } else {
-                        u16::from(tag_ts)
-                    };
-                    (self.parts[q].actual > self.parts[q].target, age)
-                };
+            let mut best_key = 0u32;
+            for (i, (&q, &ts)) in self.scan_part.iter().zip(&self.scan_ts).enumerate() {
+                // Over-target flag above age; a corrupted-PID line
+                // (tolerated above) is always the best forced victim: no
+                // healthy partition loses a line.
+                let key = self.parts.get(q as usize).map_or(u32::MAX, |st| {
+                    let age = if lru { st.lru.age(ts) } else { ts };
+                    (u32::from(st.actual > st.target) << 8) | u32::from(age)
+                });
                 if key >= best_key {
                     best_key = key;
                     best = i;
@@ -1299,11 +1254,15 @@ impl VantageLlc {
 
         // --- Install the incoming line. ---
         self.moves.clear();
-        let landing = self.array.install(addr, &walk, victim, &mut self.moves);
+        let landing = self.array.install(addr, &walk, victim, &mut self.moves) as usize;
         self.walk = walk;
         for &(from, to) in &self.moves {
             self.meta.copy(from, to);
         }
+        let rrpv = self
+            .rrip
+            .as_mut()
+            .map_or(0, |rr| rr.insertion_rrpv(part, addr));
         // Churn throttling (§3.4 option 2): a partition whose aperture is
         // pinned at A_max cannot shed lines fast enough; divert its fills
         // to the unmanaged region instead of growing it further.
@@ -1312,20 +1271,7 @@ impl VantageLlc {
             && st.table.aperture(st.actual.saturating_add(1)) >= self.cfg.a_max
         {
             self.vstats.throttled_insertions += 1;
-            self.um_size += 1;
-            let ts = if lru {
-                let t = self.um_stamp();
-                if self.hist_track {
-                    self.um_hist.add(t);
-                }
-                t
-            } else {
-                self.rrip
-                    .as_mut()
-                    .expect("RRIP mode has a policy")
-                    .insertion_rrpv(part, addr)
-            };
-            self.meta.set(landing as usize, UNMANAGED, ts);
+            self.stamp_unmanaged(landing, rrpv);
             return;
         }
         self.parts[part].actual += 1;
@@ -1339,24 +1285,7 @@ impl VantageLlc {
                 part: PartitionId::from_index(part),
             });
         }
-        let ts = if lru {
-            let (t, advanced) = self.parts[part].on_access_advanced();
-            if advanced {
-                // The landing frame still carries the evicted line's tag
-                // until the stamp below; its histogram entry is gone.
-                self.clamp_aliasing(part, t, Some(landing as usize));
-            }
-            if self.hist_track {
-                self.hists[part].add(t);
-            }
-            t
-        } else {
-            self.rrip
-                .as_mut()
-                .expect("RRIP mode has a policy")
-                .insertion_rrpv(part, addr)
-        };
-        self.meta.set(landing as usize, part as u16, ts);
+        self.stamp_managed(landing, part, part, rrpv);
     }
 }
 
@@ -1540,7 +1469,7 @@ impl Llc for VantageLlc {
         self.um_target = cap - managed_total;
         // Seed the unmanaged clock from the region's actual size when it is
         // populated — the clock keeps tracking `um_size` at every tick (see
-        // `um_stamp`) — and from the target only as a cold-start estimate.
+        // `stamp_unmanaged`) — and from the target only as a cold-start estimate.
         let clock_size = if self.um_size > 0 {
             self.um_size
         } else {
@@ -1640,6 +1569,7 @@ impl Llc for VantageLlc {
                 self.parts[p].actual = actual;
                 self.stats.hits[p] = 0;
                 self.stats.misses[p] = 0;
+                self.own.reset_partition(p);
                 self.lost[p] = 0;
                 self.filled[p] = 0;
                 self.sample_lost[p] = 0;
@@ -2226,6 +2156,60 @@ mod tests {
     }
 
     #[test]
+    fn demote_only_when_over_target() {
+        let mut llc = default_llc(1024, 2);
+        llc.set_targets(&[512, 512]);
+        let (p0, p1) = (PartitionId::from_index(0), PartitionId::from_index(1));
+        // Partition 0 parks 300 lines under its target, then hits one of
+        // them until its clock has run far past the keep window.
+        let parked: Vec<LineAddr> = (0..300).map(|i| LineAddr((1 << 40) + i)).collect();
+        for &a in &parked {
+            llc.access(AccessRequest::read(p0, a));
+        }
+        for _ in 0..20_000 {
+            llc.access(AccessRequest::read(p0, parked[0]));
+        }
+        let stale = |llc: &VantageLlc, a: LineAddr| {
+            llc.tag_of(a)
+                .is_some_and(|(q, ts)| q == 0 && llc.parts[0].is_stale(ts))
+        };
+        assert!(parked[1..].iter().all(|&a| stale(&llc, a)));
+        // At or below target: stale lines stay put while partition 1
+        // streams.
+        for i in 0..50_000u64 {
+            llc.access(AccessRequest::read(p1, LineAddr((2 << 40) + i)));
+        }
+        assert!(parked[1..].iter().all(|&a| stale(&llc, a)));
+        assert_eq!(llc.partition_size(p0), 300);
+        // Over target: the same stale lines are demoted.
+        llc.set_targets(&[128, 896]);
+        for i in 50_000..100_000u64 {
+            llc.access(AccessRequest::read(p1, LineAddr((2 << 40) + i)));
+        }
+        assert!(llc.partition_size(p0) < 200, "{}", llc.partition_size(p0));
+        llc.invariants().expect("invariants hold");
+    }
+
+    #[test]
+    fn recycled_slot_starts_with_zeroed_sharing_counters() {
+        let mut llc = default_llc(1024, 2);
+        assert!(llc.set_share_mode(ShareMode::Pin));
+        let (p0, p1) = (PartitionId::from_index(0), PartitionId::from_index(1));
+        let line = LineAddr(0x1234);
+        llc.access(AccessRequest::read(p0, line));
+        assert!(llc.access(AccessRequest::read(p1, line)).is_hit());
+        assert_eq!(llc.own.shared_hits()[1], 1);
+        llc.destroy_partition(p1).expect("live slot destroys");
+        let recycled = llc
+            .create_partition(PartitionSpec::with_target(256))
+            .expect("slot available");
+        assert_eq!(recycled, p1);
+        let obs = llc.observations();
+        assert_eq!(obs.shared_hits[1], 0, "new tenant inherited shared hits");
+        assert_eq!(obs.hits[1], 0);
+    }
+
+    #[test]
     fn forced_managed_evictions_are_rare() {
         let cfg = VantageConfig {
             unmanaged_fraction: 0.15,
@@ -2560,9 +2544,10 @@ mod tests {
         );
         // Once the region holds far more than its target, stamping through
         // one full period must re-derive the period from the actual size.
-        llc.um_size = 4 * target;
         for _ in 0..=llc.unmanaged_ts_period() {
-            llc.um_stamp();
+            // Each stamp grows the region back to 4 × target.
+            llc.um_size = 4 * target - 1;
+            llc.stamp_unmanaged(0, 0);
         }
         assert_eq!(
             u64::from(llc.unmanaged_ts_period()),
