@@ -44,6 +44,32 @@ use crate::fault::{Fault, FaultPlan};
 /// never-filled frames — see [`TagMeta`]).
 pub const UNMANAGED: u16 = TAG_UNMANAGED;
 
+/// Array footprint, in bytes (see [`batch_footprint`]), from which
+/// [`Llc::access_batch`] runs its two-stage prefetch pipeline; smaller
+/// caches serve a batch as a plain [`Llc::access`] loop. Fixed per cache at
+/// construction, never re-checked per call.
+///
+/// Placed between the two Z4/52 geometries the benchmark drives, measured
+/// one thread on a Xeon with a 2 MiB L2 per core. A 32K-frame cache
+/// (~0.6 MiB) is already L2-resident, so the pipeline's hashing, ~16
+/// prefetches and ~5 extra array calls per request are pure overhead: the
+/// plain loop serves an all-hit stream at 34.6M instead of 17.6M acc/s
+/// and a half-miss stream at 2.45M instead of 2.22M. Eight 64K-frame
+/// caches (~1.2 MiB each) served in alternation behind a banked engine
+/// lose ~10% without the pipeline (1.94M → 1.75M acc/s), so 64K frames
+/// and every larger cache keep it. A lone 64K-frame cache would gain
+/// without it; a per-cache rule cannot tell the two apart (DESIGN.md §8).
+const PREFETCH_MIN_FOOTPRINT: usize = 1 << 20;
+
+/// The bytes a request can touch across an array of `frames` frames and
+/// `ways` ways: the line store (8 B per frame), a zcache's position memo
+/// (2 B per way per frame) and both tag lanes (3 B per frame). Arrays
+/// without a position memo are overestimated, which errs toward the
+/// pipeline.
+fn batch_footprint(frames: usize, ways: usize) -> usize {
+    frames * (8 + 2 * ways + 3)
+}
+
 /// One demotion's empirical priority sample:
 /// `(access sequence number, partition, priority in [0, 1])`.
 pub type PrioritySample = (u64, u16, f32);
@@ -179,6 +205,13 @@ pub struct VantageLlc {
     scan_part: Vec<u16>,
     scan_ts: Vec<u8>,
     scan_stale: Vec<u8>,
+    /// Whether [`Llc::access_batch`] runs the prefetch pipeline, decided in
+    /// [`Self::try_new`] from the array's footprint (see
+    /// [`PREFETCH_MIN_FOOTPRINT`]).
+    prefetch_batches: bool,
+    /// The pipeline's walk-expansion scratch, sized at construction so a
+    /// batch never allocates (empty when `prefetch_batches` is false).
+    expand: Vec<Frame>,
     probe: bool,
     samples: Vec<PrioritySample>,
     /// Cumulative lines lost per partition (demotion or eviction) — the
@@ -259,6 +292,8 @@ impl VantageLlc {
             }
         };
         let frames = array.num_frames();
+        let ways = array.ways();
+        let prefetch_batches = batch_footprint(frames, ways) >= PREFETCH_MIN_FOOTPRINT;
         let hist_track =
             matches!(cfg.rank, RankMode::Lru) && cfg.demotion_mode == DemotionMode::PerfectAperture;
         let parts = (0..partitions)
@@ -288,6 +323,9 @@ impl VantageLlc {
             scan_part: Vec::with_capacity(64),
             scan_ts: Vec::with_capacity(64),
             scan_stale: Vec::with_capacity(64),
+            prefetch_batches,
+            // One expansion adds at most `ways - 1` children per probe frame.
+            expand: Vec::with_capacity(if prefetch_batches { ways * ways } else { 0 }),
             probe: false,
             samples: Vec::new(),
             lost: vec![0; partitions],
@@ -1337,12 +1375,18 @@ impl Llc for VantageLlc {
         self.access_probed(req, &[])
     }
 
-    /// The serial loop with a two-stage software-prefetch pipeline. At
-    /// working sets beyond the host LLC, each access is otherwise a chain
-    /// of dependent random loads: `ways` line probes on every request, and
-    /// on a miss the replacement walk's BFS over the candidate frames
-    /// (each level's positions are read from the previous level's rows).
-    /// The pipeline mirrors that dependence structure across requests:
+    /// The serial loop, with a two-stage software-prefetch pipeline for
+    /// caches whose footprint reaches 1 MiB (`PREFETCH_MIN_FOOTPRINT`:
+    /// 55 192 frames and up for Z4), decided once, at construction. Smaller
+    /// caches sit in the host's own cache, where the pipeline's extra
+    /// hashing and prefetches only cost, so they serve the batch as a plain
+    /// [`Llc::access`] loop.
+    ///
+    /// On larger arrays each access is otherwise a chain of dependent
+    /// random loads: `ways` line probes on every request, and on a miss
+    /// the replacement walk's BFS over the candidate frames (each level's
+    /// positions are read from the previous level's rows). The pipeline
+    /// mirrors that dependence structure across requests:
     ///
     /// * at `i + D1`, warm request `i + D1`'s depth-0 probe rows
     ///   ([`CacheArray::prefetch`]);
@@ -1362,7 +1406,8 @@ impl Llc for VantageLlc {
     /// ([`CacheArray::lookup_prefetched`]), sparing the rehash.
     /// Replacement decisions are untouched — prefetches are hints and the
     /// serve path is exactly [`Llc::access`] — so outcomes and statistics
-    /// are identical to the one-at-a-time path.
+    /// are identical to the one-at-a-time path. Neither path allocates
+    /// beyond growing `out`.
     fn access_batch(&mut self, reqs: &[AccessRequest], out: &mut Vec<AccessOutcome>) {
         /// Prefetch distances (in requests ahead of the serving position)
         /// of the two stages: far enough apart that stage 2's reads were
@@ -1376,23 +1421,25 @@ impl Llc for VantageLlc {
         const RING: usize = D1 + 1;
 
         /// In-flight prefetch state for one request: its depth-0 probe
-        /// frames and the walk candidates expanded from them.
-        #[derive(Clone)]
+        /// frames. (The walk candidates stage 2 expands from them are
+        /// consumed on the spot, in the shared `expand` scratch.)
+        #[derive(Clone, Copy)]
         struct Slot {
             l0: [Frame; MAX_PROBE_WAYS],
             n: usize,
-            l1: Vec<Frame>,
         }
 
         out.reserve(reqs.len());
-        let mut ring: Vec<Slot> = vec![
-            Slot {
-                l0: [vantage_cache::INVALID_FRAME; MAX_PROBE_WAYS],
-                n: 0,
-                l1: Vec::with_capacity(16),
-            };
-            RING
-        ];
+        if !self.prefetch_batches {
+            out.extend(reqs.iter().map(|&req| self.access_probed(req, &[])));
+            return;
+        }
+        // On the stack and fresh per call, so no slot can carry a previous
+        // batch's probe frames into this one.
+        let mut ring = [Slot {
+            l0: [vantage_cache::INVALID_FRAME; MAX_PROBE_WAYS],
+            n: 0,
+        }; RING];
         for (i, &req) in reqs.iter().enumerate() {
             if let Some(ahead) = reqs.get(i + D1) {
                 let slot = &mut ring[(i + D1) % RING];
@@ -1402,7 +1449,6 @@ impl Llc for VantageLlc {
                     .own
                     .effective_addr(ahead.part.index() as u16, ahead.addr);
                 slot.n = self.array.prefetch(a, &mut slot.l0);
-                slot.l1.clear();
                 for &f in &slot.l0[..slot.n] {
                     // The hit path reads both tag lanes; warm them
                     // alongside the array's own probe state.
@@ -1410,7 +1456,7 @@ impl Llc for VantageLlc {
                 }
             }
             if let Some(ahead) = reqs.get(i + D2) {
-                let slot = &mut ring[(i + D2) % RING];
+                let slot = &ring[(i + D2) % RING];
                 // Only a miss walks; its probe rows are warm by now, so
                 // predict the outcome and skip the (much wider) expansion
                 // for hits. A mispredict — the line moving between now and
@@ -1422,18 +1468,17 @@ impl Llc for VantageLlc {
                     .iter()
                     .any(|&f| self.array.occupant(f) == Some(a));
                 if !hit {
-                    self.array.prefetch_expand(&slot.l0[..slot.n], &mut slot.l1);
-                    for &f in &slot.l1 {
+                    self.expand.clear();
+                    self.array
+                        .prefetch_expand(&slot.l0[..slot.n], &mut self.expand);
+                    for &f in &self.expand {
                         // The replacement process ranks every candidate.
                         self.meta.prefetch(f as usize);
                     }
                 }
             }
-            let (l0, n) = {
-                let slot = &ring[i % RING];
-                (slot.l0, slot.n)
-            };
-            out.push(self.access_probed(req, &l0[..n]));
+            let slot = &ring[i % RING];
+            out.push(self.access_probed(req, &slot.l0[..slot.n]));
         }
     }
 
@@ -2708,5 +2753,32 @@ mod tests {
             }
         }
         llc.invariants().expect("invariants hold");
+    }
+
+    /// `access_batch`'s path is fixed at construction by the array
+    /// footprint: the plain loop below [`PREFETCH_MIN_FOOTPRINT`], the
+    /// prefetch pipeline from it on.
+    #[test]
+    fn batch_path_is_chosen_by_footprint_at_construction() {
+        let pipelined = |array: ZArray| {
+            VantageLlc::try_new(Box::new(array), 4, VantageConfig::default(), 1)
+                .expect("valid Vantage config")
+                .prefetch_batches
+        };
+        // A frame costs an odd number of bytes (11 + 2 per way), so no
+        // geometry lands exactly on the power-of-two constant. Z15 over
+        // 25575 frames lands one byte short of it.
+        assert_eq!(batch_footprint(25_575, 15), PREFETCH_MIN_FOOTPRINT - 1);
+        assert!(!pipelined(ZArray::new(25_575, 15, 52, 1)));
+        // Z4 at 19 B per frame: the largest plain cache and the smallest
+        // pipelined one (the size the batch-equivalence proptests use).
+        assert!(batch_footprint(55_188, 4) < PREFETCH_MIN_FOOTPRINT);
+        assert!(batch_footprint(55_192, 4) >= PREFETCH_MIN_FOOTPRINT);
+        assert!(!pipelined(ZArray::new(55_188, 4, 52, 1)));
+        assert!(pipelined(ZArray::new(55_192, 4, 52, 1)));
+        // The benchmark's single caches take the plain loop; its banked
+        // engine's 64K-frame banks keep the pipeline.
+        assert!(!pipelined(ZArray::new(32 * 1024, 4, 52, 1)));
+        assert!(pipelined(ZArray::new(64 * 1024, 4, 52, 1)));
     }
 }

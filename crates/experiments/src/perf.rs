@@ -87,28 +87,63 @@ impl Scale {
 
 const PARTS: usize = 4;
 
-/// Drives `n` uniform random accesses over `PARTS` partitions, each with a
-/// private working set of `frames / 2` lines (2x total capacity pressure).
+/// Requests per `access_batch` call in the batched rung.
+const BATCH: usize = 4096;
+
+/// The next request of the microbenchmark stream: a uniform random line of
+/// one of `PARTS` partitions, each with a private working set of
+/// `frames / 2` lines (2x total capacity pressure).
+fn next_req(frames: usize, rng: &mut SmallRng) -> AccessRequest {
+    let p = (rng.gen::<u32>() as usize) % PARTS;
+    let base = (p as u64 + 1) << 40;
+    AccessRequest::read(
+        PartitionId::from_index(p),
+        LineAddr(base + rng.gen_range(0..(frames / 2) as u64)),
+    )
+}
+
+/// Serves `n` requests of the stream one `access` at a time.
 fn drive(llc: &mut dyn Llc, frames: usize, n: u64, rng: &mut SmallRng) {
-    let ws = (frames / 2) as u64;
     for _ in 0..n {
-        let p = (rng.gen::<u32>() as usize) % PARTS;
-        let base = (p as u64 + 1) << 40;
-        llc.access(AccessRequest::read(
-            PartitionId::from_index(p),
-            LineAddr(base + rng.gen_range(0..ws)),
-        ));
+        llc.access(next_req(frames, rng));
     }
 }
 
-/// Times one scheme: warmup, then a timed access loop.
-fn bench_llc(name: &str, llc: &mut dyn Llc, scale: Scale, seed: u64) -> MicrobenchResult {
+/// Serves `n` requests of the same stream through `access_batch` in
+/// [`BATCH`]-request calls.
+fn drive_batched(llc: &mut dyn Llc, frames: usize, n: u64, rng: &mut SmallRng) {
+    let mut reqs = Vec::with_capacity(BATCH);
+    let mut out = Vec::with_capacity(BATCH);
+    let mut left = n;
+    while left > 0 {
+        let k = left.min(BATCH as u64);
+        reqs.clear();
+        reqs.extend((0..k).map(|_| next_req(frames, rng)));
+        out.clear();
+        llc.access_batch(&reqs, &mut out);
+        left -= k;
+    }
+}
+
+/// How a microbenchmark's timed phase hands the stream to the cache.
+type Serve = fn(&mut dyn Llc, usize, u64, &mut SmallRng);
+
+/// Times one scheme: warmup, then a timed loop served by `serve` (the
+/// warmup is always one `access` at a time, so every rung times the same
+/// state).
+fn bench_llc(
+    name: &str,
+    llc: &mut dyn Llc,
+    scale: Scale,
+    seed: u64,
+    serve: Serve,
+) -> MicrobenchResult {
     let even = vec![(scale.frames / PARTS) as u64; PARTS];
     llc.set_targets(&even).expect("targets fit");
     let mut rng = SmallRng::seed_from_u64(seed);
     drive(llc, scale.frames, scale.warmup, &mut rng);
     let t0 = Instant::now();
-    drive(llc, scale.frames, scale.timed, &mut rng);
+    serve(llc, scale.frames, scale.timed, &mut rng);
     let wall_s = t0.elapsed().as_secs_f64();
     MicrobenchResult {
         name: name.to_string(),
@@ -129,8 +164,8 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
     let seed = opts.seed;
     let f = scale.frames;
     let mut out = Vec::new();
-    let mut go = |name: &str, llc: &mut dyn Llc| {
-        let r = bench_llc(name, llc, scale, seed ^ 0xBE7C4);
+    let mut go = |name: &str, llc: &mut dyn Llc, serve: Serve| {
+        let r = bench_llc(name, llc, scale, seed ^ 0xBE7C4, serve);
         eprintln!(
             "  {:<24} {:>10.0} acc/s ({} accesses in {:.3}s)",
             r.name, r.accesses_per_sec, r.accesses, r.wall_s
@@ -146,6 +181,18 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
             VantageConfig::default(),
             seed,
         ),
+        drive,
+    );
+    // The same stream through the batched entry point, timed right after
+    // it: the ratio of the two prices `access_batch` per request.
+    go(
+        "vantage_z4_52_batch",
+        &mut vantage_on(
+            Box::new(ZArray::new(f, 4, 52, seed)),
+            VantageConfig::default(),
+            seed,
+        ),
+        drive_batched,
     );
     go(
         "vantage_z4_16",
@@ -154,6 +201,7 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
             VantageConfig::default(),
             seed,
         ),
+        drive,
     );
     go(
         "vantage_skew4",
@@ -162,6 +210,7 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
             VantageConfig::default(),
             seed,
         ),
+        drive,
     );
     go(
         "vantage_sa16",
@@ -170,6 +219,7 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
             VantageConfig::default(),
             seed,
         ),
+        drive,
     );
     go(
         "vantage_rrip_z4_52",
@@ -181,6 +231,7 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
             },
             seed,
         ),
+        drive,
     );
     go(
         "baseline_lru_sa16",
@@ -190,6 +241,7 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
             RankPolicy::Lru,
         )
         .expect("valid baseline geometry"),
+        drive,
     );
     go(
         "baseline_lru_z4_52",
@@ -199,15 +251,18 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
             RankPolicy::Lru,
         )
         .expect("valid baseline geometry"),
+        drive,
     );
     go(
         "waypart_sa16",
         &mut WayPartLlc::try_new(f, 16, PARTS, seed).expect("valid way-partition geometry"),
+        drive,
     );
     go(
         "pipp_sa16",
         &mut PippLlc::try_new(f, 16, PARTS, PippConfig::default(), seed)
             .expect("valid PIPP geometry"),
+        drive,
     );
     out
 }
@@ -299,7 +354,7 @@ fn nullsink_gate_at(
             if slot == 1 {
                 llc.set_telemetry(Telemetry::new(Box::new(NullSink), 0));
             }
-            let r = bench_llc(name, &mut llc, scale, seed ^ 0xBE7C4);
+            let r = bench_llc(name, &mut llc, scale, seed ^ 0xBE7C4, drive);
             if best[slot]
                 .as_ref()
                 .is_none_or(|b| r.accesses_per_sec > b.accesses_per_sec)
@@ -456,10 +511,30 @@ mod tests {
             VantageConfig::default(),
             5,
         );
-        let r = bench_llc("vantage_z4_52", &mut llc, scale, 7);
+        let r = bench_llc("vantage_z4_52", &mut llc, scale, 7, drive);
         assert_eq!(r.accesses, 4_000);
         assert!(r.accesses_per_sec > 0.0);
         assert!(r.wall_s > 0.0);
+    }
+
+    #[test]
+    fn batched_rung_serves_the_gate_rungs_stream() {
+        // 5000 timed requests: one full batch plus a partial one.
+        let scale = Scale {
+            frames: 1024,
+            warmup: 2_000,
+            timed: 5_000,
+        };
+        let run = |serve: Serve| {
+            let mut llc = vantage_on(
+                Box::new(ZArray::new(scale.frames, 4, 52, 5)),
+                VantageConfig::default(),
+                5,
+            );
+            bench_llc("x", &mut llc, scale, 7, serve);
+            format!("{:?}", llc.stats())
+        };
+        assert_eq!(run(drive), run(drive_batched));
     }
 
     #[test]

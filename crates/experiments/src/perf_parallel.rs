@@ -185,7 +185,12 @@ impl Scale {
     fn from_options(o: &Options) -> Self {
         // Quick mode shrinks the access counts, not the cache: shrinking
         // the arrays would lift the whole sweep into the host's caches and
-        // measure a regime the sharded engine does not target.
+        // measure a regime the sharded engine does not target. Its 4-bank
+        // gate point has 32K-frame banks, each small enough for the host's
+        // L2 on its own, so `VantageLlc::access_batch` serves them as a
+        // plain loop; full mode's 64K-frame 4-bank banks keep the prefetch
+        // pipeline. Either way the gain over the serial engine comes from
+        // bank-major service.
         if o.quick {
             Self {
                 frames: 128 * 1024,

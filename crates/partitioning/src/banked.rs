@@ -147,9 +147,11 @@ impl Llc for BankedLlc {
 
     /// Groups the batch by bank (stable, preserving per-bank request order)
     /// and serves each bank's group through its own `access_batch`, so
-    /// per-bank batch specializations (e.g. Vantage's prefetching loop) see
-    /// long runs instead of interleaved singletons. Outcomes land in request
-    /// order.
+    /// per-bank batch specializations see long runs instead of interleaved
+    /// singletons — e.g. Vantage's prefetch pipeline, which a bank runs only
+    /// when its own footprint is too large for the host's cache (64K Z4
+    /// frames and up; smaller banks serve the run as a plain loop). Outcomes
+    /// land in request order.
     fn access_batch(&mut self, reqs: &[AccessRequest], out: &mut Vec<AccessOutcome>) {
         let n = self.banks.len();
         if n == 1 {

@@ -4,10 +4,11 @@
 //! allocator without affecting the rest of the suite. With a `NullSink`
 //! installed, the steady-state access path (hits, misses, demotions,
 //! evictions, periodic samples) must perform zero heap allocations — the
-//! zero-cost claim behind shipping telemetry enabled-but-null.
+//! zero-cost claim behind shipping telemetry enabled-but-null. The same
+//! holds for Vantage's batched entry point on either of its paths.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vantage_repro::cache::{LineAddr, RripConfig, RripMode, SetAssocArray, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
@@ -18,11 +19,23 @@ use vantage_repro::telemetry::{NullSink, Telemetry};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread: the tests in this binary run
+    /// concurrently, so each counts only its own.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -31,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -106,9 +119,9 @@ fn nullsink_miss_path_is_allocation_free() {
         let mut state = 0x9E3779B97F4A7C15u64;
         drive(llc.as_mut(), &mut state, 200_000);
         llc.take_stats();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         drive(llc.as_mut(), &mut state, 100_000);
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = allocations();
         assert_eq!(
             after - before,
             0,
@@ -117,5 +130,61 @@ fn nullsink_miss_path_is_allocation_free() {
         );
         let misses = llc.stats().total_misses();
         assert!(misses > 0, "{name}: the measured interval never missed");
+    }
+}
+
+/// `VantageLlc::access_batch` allocates nothing beyond the outcome vector
+/// the caller already sized, on both of its paths: a 32K-frame Z4/52 cache
+/// (under the prefetch footprint constant: the plain `access` loop) and a
+/// 64K-frame one (over it: the prefetch pipeline).
+#[test]
+fn vantage_access_batch_is_allocation_free_on_both_paths() {
+    const CHUNK: usize = 4096;
+    for frames in [32 * 1024, 64 * 1024] {
+        let mut llc = VantageLlc::try_new(
+            Box::new(ZArray::new(frames, 4, 52, 11)),
+            4,
+            VantageConfig::default(),
+            11,
+        )
+        .expect("valid Vantage config");
+        // Working sets of twice the capacity, so the measured batches mix
+        // hits, walks, demotions and evictions.
+        let ws = (frames / 2) as u64;
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let mut reqs = Vec::with_capacity(CHUNK);
+        let mut out = Vec::with_capacity(CHUNK);
+        let mut batch = |llc: &mut VantageLlc| {
+            reqs.clear();
+            out.clear();
+            for _ in 0..CHUNK {
+                let r = xorshift(&mut state);
+                let p = (r % 4) as usize;
+                reqs.push(AccessRequest::read(
+                    PartitionId::from_index(p),
+                    LineAddr((((p as u64) + 1) << 40) + (r >> 8) % ws),
+                ));
+            }
+            let before = allocations();
+            llc.access_batch(&reqs, &mut out);
+            allocations() - before
+        };
+        for _ in 0..(4 * frames / CHUNK) {
+            batch(&mut llc);
+        }
+        llc.take_stats();
+        let allocated = batch(&mut llc);
+        assert_eq!(
+            allocated, 0,
+            "{frames}-frame Vantage: one {CHUNK}-request access_batch allocated {allocated} times"
+        );
+        assert!(
+            llc.stats().total_misses() > 0,
+            "{frames} frames: the batch never missed"
+        );
+        assert!(
+            llc.stats().total_hits() > 0,
+            "{frames} frames: the batch never hit"
+        );
     }
 }
