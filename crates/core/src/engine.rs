@@ -6,67 +6,31 @@
 //! * **Serial** — one [`Llc::access`] call per request; the timing-faithful
 //!   style the cycle-level simulator needs (each outcome feeds back into
 //!   core timing before the next request exists).
-//! * **Batched** — [`Llc::access_batch`] over fixed driver chunks; banked
-//!   caches regroup each chunk by bank and amortize tag walks with
-//!   prefetch pipelining.
-//! * **Pipelined** — [`PipelinedBankedLlc`]: requests stream into per-bank
+//! * **Batched** — [`Llc::access_batch`] over fixed driver chunks.
+//! * **Pipelined** — a [`BankedLlc`] window: requests stream into per-bank
 //!   ring buffers and are consumed in long bank-major runs, with the only
-//!   true barrier at the epoch boundary. It is also the one engine with a
-//!   worker pool (`bank_jobs > 1`), so a banked machine asking for workers
-//!   is built on it whichever kind was named.
+//!   true barrier at the epoch boundary.
 //!
-//! [`EngineKind`] names the style (config files, `--engine` flags);
-//! [`Engine`] borrows a cache and drives windows of requests through the
-//! chosen style behind one `drive`/`barrier` surface, so harnesses and
-//! simulators select an engine at runtime without forking their loops. All
-//! three engines produce bit-identical outcomes, statistics and partition
-//! sizes on the same trace — the engine choice is a throughput/fidelity
-//! trade, never a simulation-results change.
+//! A banked machine is one [`BankedLlc`] whichever way it is driven, and all
+//! three give bit-identical outcomes, statistics and partition sizes, so
+//! nothing in the workspace selects an engine any more. [`EngineKind`] and
+//! [`Engine`] are kept only because the frozen `benchmark/` package names
+//! them; both go away with the benchmark-side follow-up.
 
-use std::fmt;
+use vantage_partitioning::{AccessOutcome, AccessRequest, BankedLlc, Llc};
 
-use vantage_partitioning::{AccessOutcome, AccessRequest, Llc, PipelinedBankedLlc};
-
-/// Names an execution engine; the unit of selection for config knobs and
-/// `--engine` command-line flags.
+/// Names an execution engine. Selects nothing: kept only for the frozen
+/// `benchmark/` package, and goes away with its follow-up.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// One `access` call per request (timing-faithful; the simulator's
-    /// event loop interleaves core timing between requests).
+    /// One `access` call per request.
     Serial,
-    /// `access_batch` over fixed driver chunks (the established
-    /// throughput path for banked caches).
+    /// `access_batch` over fixed driver chunks.
     #[default]
     Batched,
-    /// Ring-buffered producer/consumer with bank-major drains
-    /// ([`PipelinedBankedLlc`]); barriers only at epoch boundaries.
+    /// Windows through a [`BankedLlc`]'s rings; barriers only at epoch
+    /// boundaries.
     Pipelined,
-}
-
-impl EngineKind {
-    /// Every engine, in documentation order.
-    pub const ALL: [EngineKind; 3] = [Self::Serial, Self::Batched, Self::Pipelined];
-
-    /// The flag/config spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Serial => "serial",
-            Self::Batched => "batched",
-            Self::Pipelined => "pipelined",
-        }
-    }
-
-    /// Parses a flag/config spelling (case-sensitive, as listed by
-    /// [`EngineKind::ALL`]).
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == s)
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// A borrowed cache plus the chosen way of driving requests through it.
@@ -109,8 +73,8 @@ pub enum Engine<'a> {
         /// Requests per `access_batch` call (0 = whole window).
         chunk: usize,
     },
-    /// Ring-buffered drive over the pipelined banked engine.
-    Pipelined(&'a mut PipelinedBankedLlc),
+    /// Window drive through a banked cache's rings.
+    Pipelined(&'a mut BankedLlc),
 }
 
 impl Engine<'_> {
@@ -169,7 +133,7 @@ impl Engine<'_> {
 mod tests {
     use super::*;
     use vantage_cache::{LineAddr, PartitionId, ZArray};
-    use vantage_partitioning::{BankedLlc, BaselineLlc, RankPolicy};
+    use vantage_partitioning::{BaselineLlc, RankPolicy};
 
     fn banks(n: usize) -> Vec<Box<dyn Llc>> {
         (0..n as u64)
@@ -194,39 +158,32 @@ mod tests {
     }
 
     #[test]
-    fn kinds_parse_and_display_round_trip() {
-        for k in EngineKind::ALL {
-            assert_eq!(EngineKind::parse(k.name()), Some(k));
-            assert_eq!(format!("{k}"), k.name());
-        }
-        assert_eq!(EngineKind::parse("warp-drive"), None);
-        assert_eq!(EngineKind::default(), EngineKind::Batched);
-    }
-
-    #[test]
     fn all_engines_agree_on_outcomes_and_stats() {
         let trace = reqs(10_000);
         let mut outs = Vec::new();
         let mut all_stats = Vec::new();
-        for kind in EngineKind::ALL {
+        for kind in [
+            EngineKind::Serial,
+            EngineKind::Batched,
+            EngineKind::Pipelined,
+        ] {
             let mut serial_llc;
             let mut batched_llc;
             let mut pipe_llc;
             let mut eng = match kind {
                 EngineKind::Serial => {
-                    serial_llc = BankedLlc::try_new(banks(4), 7).expect("valid bank set");
+                    serial_llc = BankedLlc::try_new(banks(4), 7, 1).expect("valid bank set");
                     Engine::Serial(&mut serial_llc)
                 }
                 EngineKind::Batched => {
-                    batched_llc = BankedLlc::try_new(banks(4), 7).expect("valid bank set");
+                    batched_llc = BankedLlc::try_new(banks(4), 7, 1).expect("valid bank set");
                     Engine::Batched {
                         llc: &mut batched_llc,
                         chunk: 777,
                     }
                 }
                 EngineKind::Pipelined => {
-                    pipe_llc = vantage_partitioning::PipelinedBankedLlc::try_new(banks(4), 7, 2)
-                        .expect("valid bank set");
+                    pipe_llc = BankedLlc::try_new(banks(4), 7, 2).expect("valid bank set");
                     Engine::Pipelined(&mut pipe_llc)
                 }
             };
@@ -249,7 +206,7 @@ mod tests {
     #[test]
     fn batched_chunk_zero_serves_whole_window() {
         let trace = reqs(500);
-        let mut llc = BankedLlc::try_new(banks(2), 3).expect("valid bank set");
+        let mut llc = BankedLlc::try_new(banks(2), 3, 1).expect("valid bank set");
         let mut eng = Engine::Batched {
             llc: &mut llc,
             chunk: 0,

@@ -42,16 +42,15 @@ pub const USAGE: &str = "options:
   --out DIR    output directory for CSV artifacts (default results/)
   --seed N     master seed (default 42)
   --jobs N     worker threads for mix-level parallelism
-  --banks N    shard each simulated LLC across N address-interleaved banks
+  --banks N    shard each simulated LLC across N address-interleaved banks,
+               each with its own controller; windows of requests reach them
+               through per-bank rings drained bank-major
   --bank-jobs M  worker threads serving banked windows (<= 1 stays on the
                  calling thread). Workers start only for callers that hand
                  over batches of >= 256 requests (perf-parallel, library
                  access_batch callers such as the security leak kernel); the
                  figure/run simulations issue one access at a time and never
-                 start one
-  --engine E   execution engine for banked machines: serial, batched
-               (default), or pipelined (per-bank ring buffers, bank-major
-               drains, epoch barriers)
+                 start one. Results are identical at any M
   --quick      drastically reduced scale for smoke runs
   --policy P   allocation policy driving partition targets on UCP-managed
                schemes: ucp (default), equal, missratio, qos, clustered
@@ -88,9 +87,6 @@ pub struct Options {
     pub banks: usize,
     /// Worker threads serving banked batches (default 1 = serial).
     pub bank_jobs: usize,
-    /// Execution engine for banked machines (see
-    /// [`SystemConfig::engine`]).
-    pub engine: vantage::EngineKind,
     /// Allocation policy driving partition targets on UCP-managed schemes.
     pub policy: PolicyKind,
     /// How the LLC resolves cross-partition sharing (the ownership layer's
@@ -121,7 +117,6 @@ impl Default for Options {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             banks: 1,
             bank_jobs: 1,
-            engine: vantage::EngineKind::default(),
             policy: PolicyKind::default(),
             share_mode: ShareMode::default(),
             telemetry: None,
@@ -159,14 +154,6 @@ impl Options {
                 "--jobs" => o.jobs = num::<usize>(a, take()?)?.max(1),
                 "--banks" => o.banks = num::<usize>(a, take()?)?.max(1),
                 "--bank-jobs" => o.bank_jobs = num::<usize>(a, take()?)?.max(1),
-                "--engine" => {
-                    let v = take()?;
-                    o.engine = vantage::EngineKind::parse(&v).ok_or_else(|| {
-                        UsageError(format!(
-                            "--engine expects serial, batched or pipelined, got '{v}'"
-                        ))
-                    })?;
-                }
                 "--quick" => o.quick = true,
                 "--policy" => {
                     let v = take()?;
@@ -196,13 +183,12 @@ impl Options {
     }
 
     /// Applies the machine-shape flags (`--banks`, `--bank-jobs`,
-    /// `--engine`) to a base machine and returns it; every experiment
-    /// builds its [`SystemConfig`] through this so bank sharding and
-    /// engine selection reach all commands uniformly.
+    /// `--policy`, `--share-mode`) to a base machine and returns it; every
+    /// experiment builds its [`SystemConfig`] through this so they reach
+    /// all commands uniformly.
     pub fn machine(&self, mut sys: SystemConfig) -> SystemConfig {
         sys.banks = self.banks;
         sys.bank_jobs = self.bank_jobs;
-        sys.engine = self.engine;
         sys.policy = self.policy;
         sys.share_mode = self.share_mode;
         sys

@@ -6,9 +6,10 @@
 //! harness measures both halves of that claim on the acceptance-gate
 //! configuration (Vantage on Z4/52 banks):
 //!
-//! * **Scaling** — aggregate accesses/second of the batched engine (see
-//!   `build_batched`) versus the serial per-access [`BankedLlc`]
-//!   baseline at 2, 4 and 8 banks, on identical seeded workloads.
+//! * **Scaling** — aggregate accesses/second of a [`BankedLlc`] served in
+//!   `BATCH`-request `access_batch` windows (one call per bank per
+//!   window) versus the same machine served one access at a time, at 2, 4
+//!   and 8 banks, on identical seeded workloads.
 //! * **Determinism** — every run folds its outcome stream, final
 //!   statistics and partition sizes into one FNV-1a digest; the serial and
 //!   batched digests must be bit-identical at every bank count. A mismatch
@@ -32,8 +33,7 @@ use vantage::{VantageConfig, VantageLlc};
 use vantage_cache::hash::mix64;
 use vantage_cache::{LineAddr, ZArray};
 use vantage_partitioning::{
-    pipeline::DIGEST_SEED, AccessOutcome, AccessRequest, BankedLlc, Llc, PartitionId,
-    PipelinedBankedLlc, RingStats, Sharded,
+    banked::DIGEST_SEED, AccessOutcome, AccessRequest, BankedLlc, Llc, PartitionId, RingStats,
 };
 
 use crate::common::{record_failure, Options};
@@ -230,9 +230,10 @@ fn state_hash(outcomes: &[AccessOutcome], llc: &mut dyn Llc) -> u64 {
 }
 
 /// Builds the gate configuration: `banks` Vantage-Z4/52 banks behind an
-/// address-interleaved [`BankedLlc`], with even capacity targets. Fully
-/// deterministic in `seed`, so two calls build indistinguishable caches.
-fn build_banked(frames: usize, banks: usize, seed: u64) -> BankedLlc {
+/// address-interleaved [`BankedLlc`] with `jobs` workers, with even
+/// capacity targets. Fully deterministic in `seed`, so two calls build
+/// indistinguishable caches.
+fn build_banked(frames: usize, banks: usize, seed: u64, jobs: usize) -> BankedLlc {
     let bank_llcs = (0..banks)
         .map(|b| {
             let array = ZArray::new(frames / banks, 4, 52, seed ^ mix64(b as u64 + 0xBA));
@@ -247,23 +248,10 @@ fn build_banked(frames: usize, banks: usize, seed: u64) -> BankedLlc {
             ) as Box<dyn Llc>
         })
         .collect();
-    let mut llc = BankedLlc::try_new(bank_llcs, seed ^ 0xBA2C).expect("valid bank set");
+    let mut llc = BankedLlc::try_new(bank_llcs, seed ^ 0xBA2C, jobs).expect("valid bank set");
     llc.set_targets(&[(frames / PARTS) as u64; PARTS])
         .expect("targets fit");
     llc
-}
-
-/// The batched side of the sweep, built by the rule `Scheme::try_build`
-/// applies to a `Batched` machine: the grouped [`BankedLlc`] path at
-/// `jobs <= 1` (what every recorded `banked*_batched_j1` row measured), the
-/// pipelined engine and its worker pool above that.
-fn build_batched(frames: usize, banks: usize, seed: u64, jobs: usize) -> Box<dyn Llc> {
-    let banked = build_banked(frames, banks, seed);
-    if jobs > 1 {
-        Box::new(PipelinedBankedLlc::from_banked(banked, jobs))
-    } else {
-        Box::new(banked)
-    }
 }
 
 /// The shared workload: uniform random lines over `PARTS` partitions, each
@@ -435,9 +423,11 @@ fn run_sweep(opts: &Options, scale: Scale) -> (Vec<ScalingResult>, f64, f64) {
             // Fresh builds each round: construction is deterministic, so
             // every round replays the identical simulation (equal digests)
             // and only the timing differs.
-            let mut serial = build_banked(scale.frames, banks, seed);
-            let mut batched = build_batched(scale.frames, banks, seed, jobs);
-            let (ms, mb, ratio) = run_pair(&mut serial, batched.as_mut(), &reqs, warmup);
+            // Ring slots as large as a driver batch hand each bank its
+            // whole share of a window in one `access_batch` call.
+            let mut serial = build_banked(scale.frames, banks, seed, 1);
+            let mut batched = build_banked(scale.frames, banks, seed, jobs).with_batch_size(BATCH);
+            let (ms, mb, ratio) = run_pair(&mut serial, &mut batched, &reqs, warmup);
             if rounds > 1 {
                 eprintln!(
                     "  banked{banks} round {}/{rounds}: {:>10.0} serial, {:>10.0} batched \
@@ -475,7 +465,7 @@ fn serial_bank_digests(
     reqs: &[AccessRequest],
     outs: &[AccessOutcome],
 ) -> Vec<u64> {
-    let mut d = vec![DIGEST_SEED; Sharded::num_banks(llc)];
+    let mut d = vec![DIGEST_SEED; llc.num_banks()];
     for (r, o) in reqs.iter().zip(outs) {
         let b = llc.bank_of(r.addr);
         d[b] = fnv(d[b], o.is_hit() as u64);
@@ -509,7 +499,7 @@ fn pipe_state_hash(bank_digests: &[u64], llc: &mut dyn Llc) -> u64 {
 /// window's clock covers the whole pipeline, not just production).
 fn run_pipe_pair(
     serial: &mut BankedLlc,
-    pipe: &mut PipelinedBankedLlc,
+    pipe: &mut BankedLlc,
     reqs: &[AccessRequest],
     warmup: usize,
 ) -> (RunMeasurement, RunMeasurement, f64) {
@@ -592,10 +582,9 @@ fn run_pipe_sweep(opts: &Options, scale: PipeScale) -> PipeOutcome {
     let mut best_ratio = -1.0f64;
     let mut kept: Option<(RunMeasurement, RunMeasurement, RingStats)> = None;
     for round in 0..PIPE_ROUNDS {
-        let mut serial = build_banked(scale.frames, PIPE_BANKS, seed);
+        let mut serial = build_banked(scale.frames, PIPE_BANKS, seed, 1);
         let mut pipe =
-            PipelinedBankedLlc::from_banked(build_banked(scale.frames, PIPE_BANKS, seed), jobs)
-                .with_batch_size(PIPE_BATCH);
+            build_banked(scale.frames, PIPE_BANKS, seed, jobs).with_batch_size(PIPE_BATCH);
         let (ms, mp, ratio) = run_pipe_pair(&mut serial, &mut pipe, &reqs, warmup);
         eprintln!(
             "  pipelined{PIPE_BANKS} round {}/{PIPE_ROUNDS}: {:>10.0} serial, {:>10.0} pipelined \
@@ -644,9 +633,7 @@ fn run_pipe_sweep(opts: &Options, scale: PipeScale) -> PipeOutcome {
     // reference.
     let mut jobs_hashes_equal = true;
     for j in PIPE_JOBS_SWEEP {
-        let mut pipe =
-            PipelinedBankedLlc::from_banked(build_banked(scale.frames, PIPE_BANKS, seed), j)
-                .with_batch_size(PIPE_BATCH);
+        let mut pipe = build_banked(scale.frames, PIPE_BANKS, seed, j).with_batch_size(PIPE_BATCH);
         for chunk in reqs[..warmup].chunks(BATCH) {
             pipe.run_window(chunk);
         }
@@ -850,9 +837,9 @@ mod tests {
         let reqs = trace(scale.frames, scale.warmup + scale.timed, seed);
         let warmup = scale.warmup as usize;
         for jobs in [1, 2] {
-            let mut serial = build_banked(scale.frames, 4, seed);
-            let mut batched = build_batched(scale.frames, 4, seed, jobs);
-            let (ms, mb, _ratio) = run_pair(&mut serial, batched.as_mut(), &reqs, warmup);
+            let mut serial = build_banked(scale.frames, 4, seed, 1);
+            let mut batched = build_banked(scale.frames, 4, seed, jobs).with_batch_size(BATCH);
+            let (ms, mb, _ratio) = run_pair(&mut serial, &mut batched, &reqs, warmup);
             assert_eq!(ms.hash, mb.hash, "jobs={jobs} diverged from serial");
         }
     }
@@ -868,9 +855,8 @@ mod tests {
         let reqs = trace(scale.frames, scale.warmup + scale.timed, seed);
         let warmup = scale.warmup as usize;
         for jobs in [1, 2] {
-            let mut serial = build_banked(scale.frames, 4, seed);
-            let mut pipe =
-                PipelinedBankedLlc::from_banked(build_banked(scale.frames, 4, seed), jobs);
+            let mut serial = build_banked(scale.frames, 4, seed, 1);
+            let mut pipe = build_banked(scale.frames, 4, seed, jobs);
             let (ms, mp, _ratio) = run_pipe_pair(&mut serial, &mut pipe, &reqs, warmup);
             assert_eq!(ms.hash, mp.hash, "jobs={jobs} diverged from serial");
         }

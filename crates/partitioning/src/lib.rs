@@ -20,11 +20,10 @@
 //! Vantage itself implements this same [`Llc`] trait (in the `vantage`
 //! crate), so simulators and experiments treat all schemes uniformly.
 //!
-//! Any of them can be sharded across address-interleaved banks:
-//! [`BankedLlc`] is the sharded cache itself (per-access and grouped-batch
-//! service, one thread), and [`PipelinedBankedLlc`] is the queueing front
-//! over it — per-bank rings drained bank-major, plus the workspace's only
-//! worker pool (over [`spsc`] channels) when built with more than one job.
+//! Any of them can be sharded across address-interleaved banks by
+//! [`BankedLlc`]: per-access service inline, windows through per-bank rings
+//! drained bank-major, and the workspace's only worker pool (over [`spsc`]
+//! channels) when built with more than one job.
 
 pub mod banked;
 pub mod baseline;
@@ -33,13 +32,11 @@ pub mod error;
 pub mod frame;
 pub mod hist;
 pub mod llc;
-pub mod pipeline;
 pub mod pipp;
-pub mod sharded;
 pub mod spsc;
 pub mod way_part;
 
-pub use banked::BankedLlc;
+pub use banked::{BankedLlc, RingStats};
 pub use baseline::{BaselineLlc, RankPolicy};
 pub use caps::{HasInvariants, HasPartitionPolicy, InvariantViolation};
 pub use error::{SchemeConfigError, TargetsError};
@@ -49,8 +46,6 @@ pub use llc::{
     AccessKind, AccessOutcome, AccessRequest, LifecycleError, Llc, LlcStats, PartitionObservations,
     PartitionSpec,
 };
-pub use pipeline::{PipelinedBankedLlc, RingStats};
 pub use pipp::{PippConfig, PippLlc};
-pub use sharded::Sharded;
 pub use vantage_cache::PartitionId;
 pub use way_part::WayPartLlc;

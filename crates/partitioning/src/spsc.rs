@@ -1,9 +1,9 @@
 //! Bounded single-producer/single-consumer channels.
 //!
-//! The pipelined engine ([`PipelinedBankedLlc`](crate::PipelinedBankedLlc)),
-//! when built with more than one job, streams per-bank request batches from
-//! the producing thread to one worker per bank group. Each worker gets its
-//! own channel, so the queues are strictly SPSC; the bound applies
+//! The banked LLC ([`BankedLlc`](crate::BankedLlc)), when built with more
+//! than one job, streams per-bank request batches from the producing thread
+//! to one worker per bank group. Each worker gets its own channel, so the
+//! queues are strictly SPSC; the bound applies
 //! backpressure when a worker falls behind, keeping the number of in-flight
 //! batches (and therefore memory) constant.
 //!

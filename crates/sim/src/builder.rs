@@ -62,10 +62,11 @@ impl LlcBuilder {
         self
     }
 
-    /// Selects the execution engine for banked machines (see
-    /// [`SystemConfig::engine`]); ignored when `banks <= 1`.
-    pub fn engine(mut self, engine: vantage::EngineKind) -> Self {
-        self.sys.engine = engine;
+    /// Ignores `engine`: a banked machine is one
+    /// [`BankedLlc`](vantage_partitioning::BankedLlc) however it is driven.
+    /// Kept only because the frozen `benchmark/` package calls it; it goes
+    /// away with the benchmark-side follow-up.
+    pub fn engine(self, _engine: vantage::EngineKind) -> Self {
         self
     }
 
@@ -95,14 +96,13 @@ impl LlcBuilder {
     ///
     /// # Errors
     ///
-    /// Everything [`Scheme::try_build`] reports, plus
-    /// [`BuildError::System`] for an inconsistent machine,
+    /// Everything [`Scheme::try_build`] reports (including
+    /// [`BuildError::System`] for an inconsistent machine), plus
     /// [`BuildError::FaultPlanUnsupported`] when a fault plan was requested
     /// for a scheme that cannot host one, and
     /// [`BuildError::TelemetryRejected`] when the scheme refuses the
     /// telemetry handle.
     pub fn try_build(mut self) -> Result<Scheme, BuildError> {
-        self.sys.try_validate()?;
         let mut scheme = Scheme::try_build(&self.kind, &self.sys)?;
         if let Some(v) = scheme.vantage_mut() {
             v.set_scrub_period(self.sys.scrub_period);
@@ -114,7 +114,7 @@ impl LlcBuilder {
         if let Some(t) = self.telemetry.take() {
             // Unbanked schemes store a disabled handle inertly; reject it
             // here so every scheme treats it the same way.
-            if !t.enabled() || !scheme.set_telemetry(t) {
+            if !t.enabled() || !scheme.llc_mut().set_telemetry(t) {
                 return Err(BuildError::TelemetryRejected);
             }
         }
@@ -148,7 +148,7 @@ mod tests {
             ));
         }
         assert!(!reader.is_empty(), "telemetry fan-out reached the sink");
-        assert!(s.take_telemetry().is_some());
+        assert!(s.llc_mut().take_telemetry().is_some());
     }
 
     #[test]
@@ -184,9 +184,10 @@ mod tests {
 
     #[test]
     fn builder_selects_the_pipelined_engine() {
+        // Every banked machine is the ring-buffered one; `engine` is ignored.
         let mut s = Scheme::builder(SchemeKind::vantage_paper(), SystemConfig::small_scale())
             .banks(4)
-            .engine(vantage::EngineKind::Pipelined)
+            .engine(vantage::EngineKind::Serial)
             .try_build()
             .expect("valid scheme config");
         assert!(matches!(s, Scheme::Pipelined { .. }));

@@ -282,12 +282,12 @@ impl CmpSim {
     ///
     /// Returns `false` when the scheme does not support telemetry.
     pub fn set_telemetry(&mut self, telemetry: vantage_telemetry::Telemetry) -> bool {
-        self.scheme.set_telemetry(telemetry)
+        self.scheme.llc_mut().set_telemetry(telemetry)
     }
 
     /// Detaches the LLC's telemetry producer, flushing its sink.
     pub fn take_telemetry(&mut self) -> Option<vantage_telemetry::Telemetry> {
-        self.scheme.take_telemetry()
+        self.scheme.llc_mut().take_telemetry()
     }
 
     fn take_trace_sample(&mut self, cycle: u64) {

@@ -1,6 +1,6 @@
 //! System and scheme configuration.
 
-use vantage::{EngineKind, VantageConfig};
+use vantage::VantageConfig;
 use vantage_cache::ShareMode;
 
 /// Cache array families available to schemes that are array-agnostic.
@@ -244,28 +244,16 @@ pub struct SystemConfig {
     /// slices behind a steering hash (Table 2's "8 MB NUCA, 4 banks"),
     /// each running its own controller.
     pub banks: usize,
-    /// Worker threads serving banked windows. `<= 1` serves banks on the
-    /// calling thread; larger values (meaningful only with `banks > 1`)
-    /// build the
-    /// [`PipelinedBankedLlc`](vantage_partitioning::PipelinedBankedLlc)
-    /// whatever [`engine`](Self::engine) says, and its scoped worker pool
-    /// runs for every window of at least
-    /// [`PARALLEL_THRESHOLD`](vantage_partitioning::PipelinedBankedLlc::PARALLEL_THRESHOLD)
+    /// Worker threads serving windows on a banked machine. `<= 1` serves
+    /// banks on the calling thread; larger values (meaningful only with
+    /// `banks > 1`) start the
+    /// [`BankedLlc`](vantage_partitioning::BankedLlc)'s scoped worker pool
+    /// for every window of at least
+    /// [`PARALLEL_THRESHOLD`](vantage_partitioning::BankedLlc::PARALLEL_THRESHOLD)
     /// requests handed over through `access_batch`/`run_window`. A driver
     /// that issues one `access` at a time (`CmpSim`) never starts a worker.
     /// Results are bit-identical either way.
     pub bank_jobs: usize,
-    /// Execution engine for banked machines (`banks > 1`):
-    /// [`EngineKind::Batched`] (the default) serves driver batches through
-    /// the grouped [`BankedLlc`](vantage_partitioning::BankedLlc) path,
-    /// while [`EngineKind::Pipelined`] — or any engine at `bank_jobs > 1` —
-    /// routes accesses through the ring-buffered
-    /// [`PipelinedBankedLlc`](vantage_partitioning::PipelinedBankedLlc)
-    /// with bank-major drains and epoch barriers. [`EngineKind::Serial`]
-    /// builds the same cache as `Batched`; the distinction matters to
-    /// drivers (one `access` per request), not to construction. Results
-    /// are bit-identical across engines; unbanked machines ignore this.
-    pub engine: EngineKind,
     /// L2 hit latency in cycles (L1-to-bank + bank).
     pub l2_latency: u64,
     /// Memory zero-load latency in cycles.
@@ -318,7 +306,6 @@ impl SystemConfig {
             l2_ways: 16,
             banks: 1,
             bank_jobs: 1,
-            engine: EngineKind::default(),
             l2_latency: 12,
             mem_latency: 200,
             mem_channels: 1,
@@ -345,7 +332,6 @@ impl SystemConfig {
             l2_ways: 64,
             banks: 1,
             bank_jobs: 1,
-            engine: EngineKind::default(),
             l2_latency: 12,
             mem_latency: 200,
             mem_channels: 4,

@@ -465,11 +465,11 @@ impl EpochController {
     /// [`recoveries`](Self::recoveries)) and the epoch proceeds.
     /// [`SimError::Targets`] when the LLC refuses the policy's targets.
     pub fn run_epoch(&mut self, scheme: &mut Scheme) -> Result<(), SimError> {
-        // The epoch boundary is the pipelined engine's one true barrier:
-        // drain queued accesses so the policy observes everything issued
-        // this epoch and the repartition applies to a quiesced cache.
-        // (Checkpoints cut here too, which is what keeps them engine-
-        // independent.) A no-op for the other engines.
+        // The epoch boundary is a banked machine's one true barrier: drain
+        // queued accesses so the policy observes everything issued this
+        // epoch and the repartition applies to a quiesced cache.
+        // (Checkpoints cut here too, which is what keeps them independent
+        // of the service schedule.) A no-op on unbanked schemes.
         scheme.epoch_barrier();
         if self.check_invariants {
             if let Some(inv) = scheme.has_invariants() {

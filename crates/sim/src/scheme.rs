@@ -3,17 +3,15 @@
 use std::error::Error;
 use std::fmt;
 
-use vantage::{EngineKind, RankMode, VantageError, VantageLlc};
+use vantage::{RankMode, VantageError, VantageLlc};
 use vantage_cache::hash::mix64;
 use vantage_cache::{
     CacheArray, RandomArray, RripConfig, RripMode, SetAssocArray, SkewArray, ZArray,
 };
 use vantage_partitioning::{
-    BankedLlc, BaselineLlc, HasInvariants, HasPartitionPolicy, LifecycleError, Llc, PartitionId,
-    PartitionSpec, PipelinedBankedLlc, PippConfig, PippLlc, RankPolicy, SchemeConfigError, Sharded,
-    WayPartLlc,
+    BankedLlc, BaselineLlc, HasInvariants, HasPartitionPolicy, Llc, PippConfig, PippLlc,
+    RankPolicy, SchemeConfigError, WayPartLlc,
 };
-use vantage_telemetry::Telemetry;
 
 use crate::config::{ArrayKind, BaselineRank, SchemeKind, SysConfigError, SystemConfig};
 
@@ -113,23 +111,13 @@ pub enum Scheme {
     /// Vantage.
     Vantage(VantageLlc),
     /// Any of the above sharded across address-interleaved banks
-    /// (`SystemConfig::banks > 1`), served on the calling thread
-    /// (`EngineKind::{Serial, Batched}` at `bank_jobs <= 1`).
-    Banked {
-        /// The sharded cache.
-        llc: BankedLlc,
-        /// Whether UCP drives the wrapped scheme (false for baselines).
-        ucp: bool,
-    },
-    /// A banked machine fed through per-bank ring buffers with bank-major
-    /// drains, and the one variant that owns a worker pool: built when
-    /// `SystemConfig::engine == EngineKind::Pipelined` or
-    /// `SystemConfig::bank_jobs > 1`. Queued work flushes at epoch barriers
-    /// ([`Scheme::epoch_barrier`]). Results are bit-identical to
-    /// [`Scheme::Banked`].
+    /// (`SystemConfig::banks > 1`), with `SystemConfig::bank_jobs` workers.
+    /// Queued work flushes at epoch barriers ([`Scheme::epoch_barrier`]).
+    /// The name is historical — the frozen `benchmark/` package matches on
+    /// it — and covers every banked machine.
     Pipelined {
-        /// The ring-buffered sharded cache and its worker pool.
-        llc: PipelinedBankedLlc,
+        /// The sharded cache, its rings and its worker pool.
+        llc: BankedLlc,
         /// Whether UCP drives the wrapped scheme (false for baselines).
         ucp: bool,
     },
@@ -152,14 +140,17 @@ impl Scheme {
     /// # Errors
     ///
     /// Returns a [`BuildError`] when the scheme cannot be instantiated:
-    /// controller configuration errors for Vantage, geometry errors for the
-    /// way-granularity schemes, a Vantage-DRRIP request over a non-RRIP
-    /// ranking mode, or a Vantage-DRRIP request on a banked machine.
+    /// [`BuildError::System`] for a machine
+    /// [`SystemConfig::try_validate`] rejects, controller configuration
+    /// errors for Vantage, geometry errors for the way-granularity schemes,
+    /// a Vantage-DRRIP request over a non-RRIP ranking mode, or a
+    /// Vantage-DRRIP request on a banked machine.
     pub fn try_build(kind: &SchemeKind, sys: &SystemConfig) -> Result<Self, BuildError> {
+        sys.try_validate()?;
         let mut scheme = Self::try_build_unmoded(kind, sys)?;
         // The ownership layer's mode is orthogonal to construction: every
         // scheme starts in the bit-identical Adopt default and is switched
-        // while still cold. Banked engines fan the call out to every shard.
+        // while still cold. A banked machine fans the call out to every shard.
         if sys.share_mode != vantage_cache::ShareMode::Adopt
             && !scheme.llc_mut().set_share_mode(sys.share_mode)
         {
@@ -182,15 +173,9 @@ impl Scheme {
                     Self::try_build(kind, &shard).map(Scheme::into_llc)
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            let banked = BankedLlc::try_new(banks, sys.seed ^ 0xBA2C)?;
+            let llc = BankedLlc::try_new(banks, sys.seed ^ 0xBA2C, sys.bank_jobs)?;
             let ucp = !matches!(kind, SchemeKind::Baseline { .. });
-            // The one type that owns queues is also the one that owns a
-            // worker pool, so asking for either builds it.
-            if sys.engine == EngineKind::Pipelined || sys.bank_jobs > 1 {
-                let llc = PipelinedBankedLlc::from_banked(banked, sys.bank_jobs);
-                return Ok(Scheme::Pipelined { llc, ucp });
-            }
-            return Ok(Scheme::Banked { llc: banked, ucp });
+            return Ok(Scheme::Pipelined { llc, ucp });
         }
         let seed = sys.seed ^ 0xCAC4E;
         Ok(match kind {
@@ -241,7 +226,6 @@ impl Scheme {
             Scheme::WayPart(l) => Box::new(l),
             Scheme::Pipp(l) => Box::new(l),
             Scheme::Vantage(l) => Box::new(l),
-            Scheme::Banked { llc, .. } => Box::new(llc),
             Scheme::Pipelined { llc, .. } => Box::new(llc),
         }
     }
@@ -253,7 +237,6 @@ impl Scheme {
             Scheme::WayPart(l) => l,
             Scheme::Pipp(l) => l,
             Scheme::Vantage(l) => l,
-            Scheme::Banked { llc, .. } => llc,
             Scheme::Pipelined { llc, .. } => llc,
         }
     }
@@ -265,61 +248,33 @@ impl Scheme {
             Scheme::WayPart(l) => l,
             Scheme::Pipp(l) => l,
             Scheme::Vantage(l) => l,
-            Scheme::Banked { llc, .. } => llc,
             Scheme::Pipelined { llc, .. } => llc,
         }
     }
 
-    /// Quiesces engines that queue work between barriers: the pipelined
-    /// engine's rings drain (bank-major) so every access issued so far is
-    /// reflected in stats, sizes and snapshots. A no-op on every other
-    /// scheme. Drive loops call this before epoch repartitioning and
-    /// before checkpoints — the two points whose results must not depend
-    /// on the engine.
+    /// Quiesces a banked machine's rings (drained bank-major) so every
+    /// access issued so far is reflected in stats, sizes and snapshots. A
+    /// no-op on unbanked schemes. Drive loops call this before epoch
+    /// repartitioning and before checkpoints — the two points whose results
+    /// must not depend on the service schedule.
     pub fn epoch_barrier(&mut self) {
         if let Scheme::Pipelined { llc, .. } = self {
             llc.barrier();
         }
     }
 
-    /// Creates a partition at runtime (service mode); forwards to the
-    /// scheme's [`Llc::create_partition`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever the scheme reports — [`LifecycleError::Unsupported`] on
-    /// schemes without runtime lifecycle, [`LifecycleError::Exhausted`]
-    /// when the slot space is full.
-    pub fn create_partition(&mut self, spec: PartitionSpec) -> Result<PartitionId, LifecycleError> {
-        self.llc_mut().create_partition(spec)
-    }
-
-    /// Destroys a live partition (service mode); the slot drains through
-    /// the scheme's ordinary demotion machinery. Forwards to
-    /// [`Llc::destroy_partition`].
-    ///
-    /// # Errors
-    ///
-    /// [`LifecycleError::OutOfRange`] / [`LifecycleError::NotLive`] for
-    /// bad handles, [`LifecycleError::Unsupported`] on schemes without
-    /// runtime lifecycle.
-    pub fn destroy_partition(&mut self, part: PartitionId) -> Result<(), LifecycleError> {
-        self.llc_mut().destroy_partition(part)
-    }
-
     /// Whether UCP should drive this scheme (baselines are unmanaged).
     pub fn uses_ucp(&self) -> bool {
         match self {
             Scheme::Baseline(_) => false,
-            Scheme::Banked { ucp, .. } | Scheme::Pipelined { ucp, .. } => *ucp,
+            Scheme::Pipelined { ucp, .. } => *ucp,
             _ => true,
         }
     }
 
     /// The bank-level view of a sharded scheme (`None` when unbanked).
-    pub fn as_sharded(&self) -> Option<&dyn Sharded> {
+    pub fn as_sharded(&self) -> Option<&BankedLlc> {
         match self {
-            Scheme::Banked { llc, .. } => Some(llc),
             Scheme::Pipelined { llc, .. } => Some(llc),
             _ => None,
         }
@@ -379,19 +334,6 @@ impl Scheme {
             Scheme::Vantage(l) => Some(l),
             _ => None,
         }
-    }
-
-    /// Installs a telemetry producer on the underlying cache.
-    ///
-    /// Returns `false` when the scheme does not support telemetry (see
-    /// [`Llc::set_telemetry`]).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) -> bool {
-        self.llc_mut().set_telemetry(telemetry)
-    }
-
-    /// Detaches the telemetry producer, flushing its sink.
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.llc_mut().take_telemetry()
     }
 
     /// Enables eviction/demotion priority probes where supported
@@ -502,7 +444,7 @@ mod tests {
         let kind = SchemeKind::vantage_paper();
         let mut serial = Scheme::try_build(&kind, &serial_sys).expect("valid scheme config");
         let mut par = Scheme::try_build(&kind, &par_sys).expect("valid scheme config");
-        assert!(matches!(serial, Scheme::Banked { .. }));
+        assert!(matches!(serial, Scheme::Pipelined { .. }));
         assert!(matches!(par, Scheme::Pipelined { .. }));
         let req = |i: u64| {
             AccessRequest::read(
@@ -518,7 +460,7 @@ mod tests {
         }
         // One window above the pool threshold, so the workers really run.
         let window: Vec<AccessRequest> = (20_000..21_000).map(req).collect();
-        assert!(window.len() >= PipelinedBankedLlc::PARALLEL_THRESHOLD);
+        assert!(window.len() >= BankedLlc::PARALLEL_THRESHOLD);
         let (mut out_s, mut out_p) = (Vec::new(), Vec::new());
         serial.llc_mut().access_batch(&window, &mut out_s);
         par.llc_mut().access_batch(&window, &mut out_p);
@@ -533,15 +475,15 @@ mod tests {
 
     #[test]
     fn pipelined_engine_builds_and_matches_banked() {
-        let mut serial_sys = SystemConfig::small_scale();
-        serial_sys.banks = 4;
-        let mut pipe_sys = serial_sys.clone();
-        pipe_sys.engine = EngineKind::Pipelined;
+        // Ring-buffered windows replay the same machine served one access
+        // at a time.
+        let mut sys = SystemConfig::small_scale();
+        sys.banks = 4;
         let kind = SchemeKind::vantage_paper();
         for jobs in [1usize, 2] {
-            pipe_sys.bank_jobs = jobs;
-            let mut serial = Scheme::try_build(&kind, &serial_sys).expect("valid scheme config");
-            let mut pipe = Scheme::try_build(&kind, &pipe_sys).expect("valid scheme config");
+            let mut serial = Scheme::try_build(&kind, &sys).expect("valid scheme config");
+            sys.bank_jobs = jobs;
+            let mut pipe = Scheme::try_build(&kind, &sys).expect("valid scheme config");
             assert!(matches!(pipe, Scheme::Pipelined { .. }));
             assert!(pipe.uses_ucp());
             assert_eq!(pipe.as_sharded().expect("sharded").num_banks(), 4);
@@ -553,10 +495,9 @@ mod tests {
                     )
                 })
                 .collect();
-            let mut out_s = Vec::new();
+            let out_s: Vec<_> = reqs.iter().map(|&r| serial.llc_mut().access(r)).collect();
             let mut out_p = Vec::new();
             for chunk in reqs.chunks(4096) {
-                serial.llc_mut().access_batch(chunk, &mut out_s);
                 pipe.llc_mut().access_batch(chunk, &mut out_p);
             }
             pipe.epoch_barrier();
@@ -642,23 +583,50 @@ mod tests {
             Scheme::try_build(&kind, &sys),
             Err(BuildError::Vantage(_))
         ));
+
+        // Geometry the machine check rejects must never reach an array
+        // constructor (each of these used to panic in `ZArray::new`).
+        type Break = fn(&mut SystemConfig);
+        let broken: [Break; 3] = [
+            |s| s.banks = 3,
+            |s| {
+                s.banks = 2;
+                s.l2_lines = 32_770;
+            },
+            |s| s.l2_lines = 0,
+        ];
+        for break_it in broken {
+            let mut bad = SystemConfig::small_scale();
+            break_it(&mut bad);
+            let got = std::panic::catch_unwind(|| {
+                Scheme::try_build(&SchemeKind::vantage_paper(), &bad).err()
+            });
+            assert!(
+                matches!(got, Ok(Some(BuildError::System(_)))),
+                "banks={} l2_lines={}: {got:?}",
+                bad.banks,
+                bad.l2_lines
+            );
+        }
     }
 
     #[test]
     fn telemetry_forwards_to_the_underlying_llc() {
-        use vantage_telemetry::RingSink;
+        use vantage_telemetry::{RingSink, Telemetry};
         let sys = SystemConfig::small_scale();
         let mut s =
             Scheme::try_build(&SchemeKind::vantage_paper(), &sys).expect("valid scheme config");
         let (sink, reader) = RingSink::with_capacity(1 << 16);
-        assert!(s.set_telemetry(Telemetry::new(Box::new(sink), 256)));
+        assert!(s
+            .llc_mut()
+            .set_telemetry(Telemetry::new(Box::new(sink), 256)));
         for i in 0..4096u64 {
             s.llc_mut().access(AccessRequest::read(
                 PartitionId::from_index((i % 4) as usize),
                 vantage_cache::LineAddr(i % 900),
             ));
         }
-        assert!(s.take_telemetry().is_some());
+        assert!(s.llc_mut().take_telemetry().is_some());
         assert!(!reader.is_empty(), "no telemetry records forwarded");
     }
 }

@@ -8,8 +8,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use vantage_repro::cache::{LineAddr, SetAssocArray, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{
-    AccessRequest, BankedLlc, BaselineLlc, Llc, PartitionId, PartitionSpec, PipelinedBankedLlc,
-    PippConfig, PippLlc, RankPolicy, WayPartLlc,
+    AccessRequest, BankedLlc, BaselineLlc, Llc, PartitionId, PartitionSpec, PippConfig, PippLlc,
+    RankPolicy, WayPartLlc,
 };
 
 const FRAMES: usize = 2048;
@@ -27,7 +27,7 @@ fn vantage_banks(parts: usize) -> BankedLlc {
     let banks = (0..2)
         .map(|b| Box::new(vantage(FRAMES / 2, parts, b)) as Box<dyn Llc>)
         .collect();
-    BankedLlc::try_new(banks, 7).expect("valid bank set")
+    BankedLlc::try_new(banks, 7, 1).expect("valid bank set")
 }
 
 /// Requests from the first `PARTS` partitions, over twice the capacity.
@@ -57,8 +57,8 @@ const LLCS: [(&str, Build); 6] = [
         Box::new(pipp.expect("valid PIPP"))
     }),
     ("banked", |parts| Box::new(vantage_banks(parts))),
-    ("pipelined+queued", |parts| {
-        let mut llc = PipelinedBankedLlc::from_banked(vantage_banks(parts), 1);
+    ("banked+queued", |parts| {
+        let mut llc = vantage_banks(parts);
         llc.ingest(&stream(500, 3));
         Box::new(llc)
     }),

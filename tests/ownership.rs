@@ -9,15 +9,14 @@
 //!   owner, so the `OwnershipTransfer` telemetry lane and observation
 //!   counters must stay silent.
 //! * The measured leak harness (the `security` subcommand kernel) is a
-//!   pure function of the machine and seed: every execution engine —
-//!   serial banked, batched, worker-pool, pipelined — must produce the
-//!   same per-trial miss sequence, hence the same leak-rate digest, for
-//!   every share mode.
+//!   pure function of the machine and seed: a banked machine with and
+//!   without a worker pool must produce the same per-trial miss sequence,
+//!   hence the same leak-rate digest, for every share mode.
 
 use proptest::prelude::*;
 use vantage_experiments::security::{measure_channel, probe_geometry};
 use vantage_repro::cache::{ShareMode, ZArray};
-use vantage_repro::core::{EngineKind, VantageConfig, VantageLlc};
+use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{Llc, PartitionId};
 use vantage_repro::sim::{Scheme, SchemeKind, SystemConfig};
 use vantage_repro::telemetry::{RingSink, Telemetry, TelemetryEvent, TelemetryRecord};
@@ -137,26 +136,20 @@ fn adopt_does_emit_ownership_transfers() {
     assert!(obs.ownership_transfers.iter().sum::<u64>() > 0);
 }
 
-/// Every execution engine produces the identical leak-rate digest per
-/// share mode: the measured channel is a property of the machine, not of
-/// how batches are scheduled onto banks.
+/// Every worker count produces the identical leak-rate digest per share
+/// mode: the measured channel is a property of the machine, not of how
+/// batches are scheduled onto banks.
 #[test]
 fn engines_agree_on_leak_digest_per_mode() {
     for &mode in &ShareMode::ALL {
         let mut results: Vec<(String, u64, f64)> = Vec::new();
-        for (label, engine, jobs) in [
-            ("serial", EngineKind::Serial, 1),
-            ("batched", EngineKind::Batched, 1),
-            ("parallel", EngineKind::Batched, 2),
-            ("pipelined", EngineKind::Pipelined, 2),
-        ] {
+        for (label, jobs) in [("inline", 1), ("parallel", 2)] {
             let mut sys = SystemConfig::small_scale();
             sys.l2_lines = 4096;
             sys.share_mode = mode;
             let mut scheme = Scheme::builder(SchemeKind::vantage_paper(), sys)
                 .banks(4)
                 .bank_jobs(jobs)
-                .engine(engine)
                 .try_build()
                 .expect("valid banked scheme");
             let m = measure_channel(scheme.llc_mut(), &probe_geometry(7), 24, |_, _| 0);

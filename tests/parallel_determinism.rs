@@ -1,19 +1,16 @@
-//! Engine-equivalence tests for the sharded-bank engines: on the same
-//! seeded mixed trace, the grouped [`BankedLlc`] batch path and
-//! [`PipelinedBankedLlc`] at any worker count must be indistinguishable
-//! from the serial per-access [`BankedLlc`] — same outcome stream, same
-//! statistics, same partition sizes, and the same multiset of telemetry
-//! records (per-bank streams interleave differently in the shared ring, so
-//! order is not part of the contract).
+//! Schedule-equivalence tests for the banked LLC: on the same seeded mixed
+//! trace, [`BankedLlc`] windows at any worker count must be
+//! indistinguishable from the same machine served one access at a time —
+//! same outcome stream, same statistics, same partition sizes, and the same
+//! multiset of telemetry records (per-bank streams interleave differently
+//! in the shared ring, so order is not part of the contract).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vantage_partitioning::PartitionId;
 use vantage_repro::cache::{LineAddr, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
-use vantage_repro::partitioning::{
-    AccessOutcome, AccessRequest, BankedLlc, Llc, PipelinedBankedLlc,
-};
+use vantage_repro::partitioning::{AccessOutcome, AccessRequest, BankedLlc, Llc};
 use vantage_repro::sim::{Scheme, SchemeKind, SystemConfig};
 use vantage_repro::telemetry::{RingSink, Telemetry};
 
@@ -41,9 +38,9 @@ fn mixed_trace(n: u64, seed: u64) -> Vec<AccessRequest> {
 }
 
 /// The gate configuration in miniature: `BANKS` Vantage-Z4/52 banks behind
-/// an address-interleaved [`BankedLlc`] with even targets. Deterministic in
-/// `seed`.
-fn build_banked(seed: u64) -> BankedLlc {
+/// an address-interleaved [`BankedLlc`] with `jobs` workers and even
+/// targets. Deterministic in `seed`.
+fn build_banked(seed: u64, jobs: usize) -> BankedLlc {
     let banks = (0..BANKS)
         .map(|b| {
             let array = ZArray::new(FRAMES / BANKS, 4, 52, seed ^ (b as u64 + 1));
@@ -58,7 +55,7 @@ fn build_banked(seed: u64) -> BankedLlc {
             ) as Box<dyn Llc>
         })
         .collect();
-    let mut llc = BankedLlc::try_new(banks, seed ^ 0xBA2C).expect("valid bank set");
+    let mut llc = BankedLlc::try_new(banks, seed ^ 0xBA2C, jobs).expect("valid bank set");
     llc.set_targets(&[(FRAMES / PARTS) as u64; PARTS])
         .expect("targets fit");
     llc
@@ -104,10 +101,9 @@ fn run_serial(mut llc: BankedLlc, reqs: &[AccessRequest]) -> Observed {
 }
 
 /// Drives `llc` through `access_batch` in uneven `chunk`-sized pieces (to
-/// exercise batch boundaries) with telemetry attached. On the pipelined
-/// engine each chunk is sharded into the per-bank rings (or streamed to the
-/// worker pool) and drained bank-major, so this exercises the full
-/// shard/queue/drain path.
+/// exercise batch boundaries) with telemetry attached. Each chunk is
+/// sharded into the per-bank rings (or streamed to the worker pool) and
+/// drained bank-major, so this exercises the full shard/queue/drain path.
 fn run_batched(mut llc: impl Llc, reqs: &[AccessRequest], chunk: usize) -> Observed {
     let (sink, reader) = RingSink::with_capacity(1 << 20);
     assert!(llc.set_telemetry(Telemetry::new(Box::new(sink), 512)));
@@ -121,12 +117,12 @@ fn run_batched(mut llc: impl Llc, reqs: &[AccessRequest], chunk: usize) -> Obser
     })
 }
 
-/// The grouped-batch determinism claim: regrouping each batch by bank
-/// replays the per-access serial reference bit-for-bit.
+/// The batch determinism claim: sharding each batch by bank on the calling
+/// thread replays the per-access serial reference bit-for-bit.
 #[test]
 fn batched_engine_matches_serial() {
     let reqs = mixed_trace(120_000, 0xD15C);
-    let reference = run_serial(build_banked(9), &reqs);
+    let reference = run_serial(build_banked(9, 1), &reqs);
     assert!(
         reference.outcomes.iter().any(|o| o.is_hit())
             && reference.outcomes.iter().any(|o| !o.is_hit()),
@@ -137,7 +133,7 @@ fn batched_engine_matches_serial() {
         "telemetry captured nothing"
     );
 
-    let got = run_batched(build_banked(9), &reqs, 999);
+    let got = run_batched(build_banked(9, 1), &reqs, 999);
     assert_eq!(got.outcomes, reference.outcomes, "outcome stream diverged");
     assert_eq!(got.stats, reference.stats, "stats diverged");
     assert_eq!(got.sizes, reference.sizes, "sizes diverged");
@@ -147,18 +143,17 @@ fn batched_engine_matches_serial() {
     );
 }
 
-/// The pipelined ring engine holds the same contract at every worker
-/// count, including more workers than the host has cores: bank-major
-/// service preserves per-bank FIFO order, so outcomes, stats, sizes and
-/// the telemetry multiset replay the serial reference bit-for-bit.
+/// The same contract holds at every worker count, including more workers
+/// than the host has cores: bank-major service preserves per-bank FIFO
+/// order, so outcomes, stats, sizes and the telemetry multiset replay the
+/// serial reference bit-for-bit.
 #[test]
 fn pipelined_engine_matches_serial_at_every_worker_count() {
     let reqs = mixed_trace(120_000, 0xD15C);
-    let reference = run_serial(build_banked(9), &reqs);
+    let reference = run_serial(build_banked(9, 1), &reqs);
 
     for jobs in [1, 2, 4, 8] {
-        let pipe = PipelinedBankedLlc::from_banked(build_banked(9), jobs);
-        let got = run_batched(pipe, &reqs, 997);
+        let got = run_batched(build_banked(9, jobs), &reqs, 997);
         assert_eq!(
             got.outcomes, reference.outcomes,
             "outcome stream diverged at {jobs} pipelined workers"
@@ -178,10 +173,10 @@ fn pipelined_engine_matches_serial_at_every_worker_count() {
     }
 }
 
-/// The same equivalence holds for engines built through the `Scheme`
-/// builder (the path simulations actually take): a banked machine with a
-/// worker pool — the pipelined engine, whichever `EngineKind` asked for it
-/// — must replay the serial banked machine exactly.
+/// The same equivalence holds for machines built through the `Scheme`
+/// builder (the path simulations actually take): a banked machine served
+/// in windows, with or without a worker pool, must replay the same machine
+/// served one access at a time exactly.
 #[test]
 fn builder_parallel_scheme_matches_builder_serial_scheme() {
     let sys = {
@@ -198,14 +193,14 @@ fn builder_parallel_scheme_matches_builder_serial_scheme() {
     };
     let reqs = mixed_trace(60_000, 0x5EED);
     let mut reference = build(1);
-    assert!(matches!(reference, Scheme::Banked { .. }));
+    assert!(matches!(reference, Scheme::Pipelined { .. }));
     let ref_outcomes: Vec<AccessOutcome> = reqs
         .iter()
         .map(|&r| reference.llc_mut().access(r))
         .collect();
     let ref_stats = format!("{:?}", reference.llc_mut().stats_mut());
 
-    for jobs in [2, 4] {
+    for jobs in [1, 2, 4] {
         let mut scheme = build(jobs);
         assert!(matches!(scheme, Scheme::Pipelined { .. }));
         let mut outcomes = Vec::with_capacity(reqs.len());
@@ -221,32 +216,6 @@ fn builder_parallel_scheme_matches_builder_serial_scheme() {
             format!("{:?}", scheme.llc_mut().stats_mut()),
             ref_stats,
             "stats diverged at {jobs} workers"
-        );
-    }
-
-    // The pipelined engine selected through the same builder surface also
-    // replays the serial machine, with and without worker threads.
-    for jobs in [1, 2] {
-        let mut scheme = Scheme::builder(SchemeKind::vantage_paper(), sys.clone())
-            .banks(BANKS)
-            .bank_jobs(jobs)
-            .engine(vantage_repro::core::EngineKind::Pipelined)
-            .try_build()
-            .expect("valid scheme config");
-        assert!(matches!(scheme, Scheme::Pipelined { .. }));
-        let mut outcomes = Vec::with_capacity(reqs.len());
-        for chunk in reqs.chunks(777) {
-            scheme.llc_mut().access_batch(chunk, &mut outcomes);
-        }
-        scheme.epoch_barrier();
-        assert_eq!(
-            outcomes, ref_outcomes,
-            "outcomes diverged on the pipelined engine at {jobs} workers"
-        );
-        assert_eq!(
-            format!("{:?}", scheme.llc_mut().stats_mut()),
-            ref_stats,
-            "stats diverged on the pipelined engine at {jobs} workers"
         );
     }
 }

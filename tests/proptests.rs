@@ -436,23 +436,15 @@ proptest! {
             SchemeKind::Pipp,
             SchemeKind::vantage_paper(),
         ];
-        // Every kind is also exercised sharded (serial worker-pool, and the
-        // pipelined ring engine with and without worker threads).
-        use vantage_repro::core::EngineKind;
-        let machines = [
-            (1usize, 1usize, EngineKind::Batched),
-            (4, 1, EngineKind::Batched),
-            (4, 2, EngineKind::Batched),
-            (4, 1, EngineKind::Pipelined),
-            (4, 2, EngineKind::Pipelined),
-        ];
+        // Every kind is also exercised sharded, with and without worker
+        // threads.
+        let machines = [(1usize, 1usize), (4, 1), (4, 2)];
         for kind in &kinds {
-            for &(banks, jobs, engine) in &machines {
+            for &(banks, jobs) in &machines {
                 let build = || {
                     Scheme::builder(kind.clone(), sys.clone())
                         .banks(banks)
                         .bank_jobs(jobs)
-                        .engine(engine)
                         .try_build().expect("valid scheme config")
                 };
                 let mut one = build();
@@ -555,12 +547,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The pipelined ring engine is observationally identical to the
-    /// serial banked engine under adversarial window schedules — empty
+    /// Ring-buffered windows are observationally identical to serving the
+    /// same banked cache one access at a time under adversarial window
+    /// schedules — empty
     /// windows, single-request windows, non-divisible window and staging-
     /// batch sizes, tiny ring capacities (forcing inline backpressure
     /// drains), and tenant churn landing *mid-window* while work is still
-    /// queued in the rings. Outcomes are checked per bank via the engine's
+    /// queued in the rings. Outcomes are checked per bank via the cache's
     /// own FNV digests against a reference fold of the serial outcome
     /// stream; statistics, partition sizes and the telemetry record
     /// multiset must match exactly.
@@ -574,15 +567,13 @@ proptest! {
         ops in prop::collection::vec((0usize..4, 0u64..2000, 0u32..4), 150..500),
         churn in prop::collection::vec((0usize..500, 0u64..128), 0..4),
     ) {
-        use vantage_repro::partitioning::{
-            pipeline::DIGEST_SEED, BankedLlc, PartitionSpec, PipelinedBankedLlc, Sharded,
-        };
+        use vantage_repro::partitioning::{banked::DIGEST_SEED, BankedLlc, PartitionSpec};
         use vantage_repro::telemetry::{RingSink, Telemetry};
 
         const BANKS: usize = 4;
         const FRAMES: usize = 2048;
         let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
-        let build = || {
+        let build = |jobs: usize| {
             let banks = (0..BANKS)
                 .map(|b| {
                     Box::new(VantageLlc::try_new(
@@ -593,7 +584,7 @@ proptest! {
                     ).expect("valid Vantage config")) as Box<dyn Llc>
                 })
                 .collect();
-            let mut llc = BankedLlc::try_new(banks, seed ^ 0xBA2C).expect("valid bank set");
+            let mut llc = BankedLlc::try_new(banks, seed ^ 0xBA2C, jobs).expect("valid bank set");
             llc.set_targets(&[(FRAMES / 4) as u64; 4]).expect("targets fit");
             llc
         };
@@ -626,7 +617,7 @@ proptest! {
 
         // Serial reference: per-access service, churn applied between
         // accesses, per-bank digests folded from the outcome stream.
-        let mut serial = build();
+        let mut serial = build(1);
         let (sink_s, reader_s) = RingSink::with_capacity(1 << 18);
         prop_assert!(serial.set_telemetry(Telemetry::new(Box::new(sink_s), 256)));
         let mut ref_digests = [DIGEST_SEED; BANKS];
@@ -665,7 +656,7 @@ proptest! {
         // generated window sizes; churn ops land wherever they fall —
         // including while prior windows are still queued in the rings
         // (the lifecycle barrier must drain them first).
-        let mut pipe = PipelinedBankedLlc::from_banked(build(), jobs)
+        let mut pipe = build(jobs)
             .with_batch_size(batch)
             .with_ring_capacity(ring_cap);
         let (sink_p, reader_p) = RingSink::with_capacity(1 << 18);

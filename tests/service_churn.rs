@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use vantage_repro::cache::{LineAddr, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{
-    AccessOutcome, AccessRequest, BankedLlc, Llc, PartitionId, PartitionSpec, PipelinedBankedLlc,
+    AccessOutcome, AccessRequest, BankedLlc, Llc, PartitionId, PartitionSpec,
 };
 use vantage_repro::snapshot::{Decoder, Encoder, Snapshot, SnapshotError};
 use vantage_repro::ucp::{AllocationPolicy, PolicyInput, QosGuarantee};
@@ -117,7 +117,7 @@ fn drive_with(
     d
 }
 
-fn build_banked(seed: u64, banks: usize) -> BankedLlc {
+fn build_banked(seed: u64, banks: usize, jobs: usize) -> BankedLlc {
     let units = (0..banks)
         .map(|b| {
             let array = ZArray::new(FRAMES / banks, 4, 16, seed ^ (b as u64 + 1));
@@ -133,14 +133,19 @@ fn build_banked(seed: u64, banks: usize) -> BankedLlc {
             Box::new(llc) as Box<dyn Llc>
         })
         .collect();
-    BankedLlc::try_new(units, seed ^ 0xBA2C).expect("valid bank set")
+    BankedLlc::try_new(units, seed ^ 0xBA2C, jobs).expect("valid bank set")
 }
 
 /// Lifecycle calls interleaved with batched traffic must replay the
 /// serial per-access engine bit-for-bit at every worker count.
 #[test]
 fn churn_is_deterministic_across_serial_and_parallel_engines() {
-    let reference = drive(&mut build_banked(7, 4), &mut churn_gen(0xC0DE), 60_000, 0);
+    let reference = drive(
+        &mut build_banked(7, 4, 1),
+        &mut churn_gen(0xC0DE),
+        60_000,
+        0,
+    );
     assert!(
         reference.slots.len() > 8,
         "trace must churn the population (got {} arrivals)",
@@ -149,7 +154,7 @@ fn churn_is_deterministic_across_serial_and_parallel_engines() {
     assert!(reference.outcomes.iter().any(|o| o.is_hit()));
     assert!(reference.outcomes.iter().any(|o| !o.is_hit()));
     for jobs in [1, 2, 4] {
-        let mut par = PipelinedBankedLlc::from_banked(build_banked(7, 4), jobs);
+        let mut par = build_banked(7, 4, jobs);
         let got = drive(&mut par, &mut churn_gen(0xC0DE), 60_000, 997);
         assert_eq!(
             got.slots, reference.slots,
