@@ -136,13 +136,7 @@ impl RingStats {
 ///     .collect();
 /// let mut llc = BankedLlc::try_new(banks, 7, 1).expect("valid bank set");
 /// assert_eq!(llc.capacity(), 4096);
-/// llc.access(AccessRequest::read(PartitionId::from_index(0), 0x123.into()));
-/// let reqs: Vec<AccessRequest> = (0..1000)
-///     .map(|i| AccessRequest::read(PartitionId::from_index(0), LineAddr(i)))
-///     .collect();
-/// llc.run_window(&reqs); // shard into rings, drain bank-major
-/// assert_eq!(llc.pending(), 0, "run_window leaves the cache quiesced");
-/// assert_eq!(llc.bank_digests().len(), 4);
+/// llc.access(AccessRequest::read(PartitionId::from_index(0), LineAddr(0x123)));
 /// ```
 pub struct BankedLlc {
     banks: Vec<Box<dyn Llc>>,
@@ -360,6 +354,30 @@ impl BankedLlc {
     /// consumption (scoped workers owning banks round-robin, fed over
     /// bounded SPSC queues). Outcomes fold into the per-bank digests; use
     /// [`Llc::access_batch`] to get them back.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use vantage_cache::{LineAddr, SetAssocArray};
+    /// use vantage_partitioning::{AccessRequest, BankedLlc, BaselineLlc, Llc, PartitionId, RankPolicy};
+    ///
+    /// let banks: Vec<Box<dyn Llc>> = (0..4)
+    ///     .map(|b| {
+    ///         Box::new(BaselineLlc::try_new(
+    ///             Box::new(SetAssocArray::hashed(1024, 16, b)),
+    ///             2,
+    ///             RankPolicy::Lru,
+    ///         ).expect("valid baseline geometry")) as Box<dyn Llc>
+    ///     })
+    ///     .collect();
+    /// let mut llc = BankedLlc::try_new(banks, 7, 1).expect("valid bank set");
+    /// let reqs: Vec<AccessRequest> = (0..1000)
+    ///     .map(|i| AccessRequest::read(PartitionId::from_index(0), LineAddr(i)))
+    ///     .collect();
+    /// llc.run_window(&reqs); // shard into rings, drain bank-major
+    /// assert_eq!(llc.pending(), 0, "run_window leaves the cache quiesced");
+    /// assert_eq!(llc.bank_digests().len(), 4);
+    /// ```
     pub fn run_window(&mut self, reqs: &[AccessRequest]) {
         self.serve_window(reqs, None);
     }
