@@ -1,12 +1,13 @@
 //! Goldens for the demotion rules other than Setpoint + LRU.
 //!
 //! `policy_equivalence` and `aliasing_clamp` pin the practical controller
-//! with LRU ranks only. These four runs pin the other rules of
-//! `VantageLlc`'s replacement process (§4.3) — Vantage-RRIP, the
-//! idealized perfect-aperture controller (Vantage-Ideal), the Fig. 2b
-//! exactly-one strawman — plus Setpoint + LRU under partition-ID tag
-//! faults and periodic scrubs, which drives the corrupted-ID fallbacks of
-//! the candidate scan. Each run is a Z4/52 cache with 4 partitions at 2×
+//! with LRU ranks only. These runs pin the other rules of `VantageLlc`'s
+//! replacement process (§4.3) — Vantage-RRIP, the idealized
+//! perfect-aperture controller (Vantage-Ideal), the Fig. 2b exactly-one
+//! strawman — plus Setpoint + LRU and Vantage-Ideal with the priority
+//! probe under tag faults and periodic scrubs, which drive the
+//! corrupted-ID fallbacks of the candidate scan and rank lines while
+//! their tags are corrupted. Each run is a Z4/52 cache with 4 partitions at 2×
 //! capacity pressure, cross-partition traffic to a shared hot set, and one
 //! mid-run target flip; the goldens pin outcomes, controller counters,
 //! sizes and the full snapshot (both tag lanes), so any change to which
@@ -212,4 +213,43 @@ fn vantage_lru_under_tag_faults_and_scrubs() {
     );
     assert_eq!(o.sizes, 0x599d_ea2a_3c94_547b, "partition sizes digest");
     assert_eq!(o.state, 0x33db_fd02_44a6_a09a, "snapshot digest");
+}
+
+#[test]
+fn vantage_ideal_probe_under_tag_faults_and_scrubs() {
+    // The one run that reads ranks while tags are corrupted: the idealized
+    // controller and the probe rank every demotion among its partition's
+    // lines while tag flips move lines between partitions, into
+    // out-of-range IDs and across stamps, and scrubs repair them.
+    let cfg = VantageConfig {
+        demotion_mode: DemotionMode::PerfectAperture,
+        churn_throttling: true,
+        ..VantageConfig::default()
+    };
+    let kinds = [
+        FaultKind::TagPart,
+        FaultKind::TagPart,
+        FaultKind::TagPart,
+        FaultKind::TagTs,
+        FaultKind::TagTs,
+        FaultKind::ActualSize,
+        FaultKind::Meters,
+    ];
+    let o = run(cfg, ShareMode::Pin, |llc| {
+        llc.enable_priority_probe();
+        llc.set_fault_plan(Some(FaultPlan::new(0x1DEA, 150, &kinds)));
+        llc.set_scrub_period(Some(7_000));
+    });
+    assert_eq!(o.hits, 85_550, "hits");
+    assert_eq!(o.outcomes, 0xcb47_fa41_ad1e_ab6f, "outcome digest");
+    assert_eq!(
+        o.stats,
+        "VantageStats { demotions: 6794, promotions: 3909, unmanaged_evictions: 21489, \
+         forced_managed_evictions: 8865, empty_fills: 4096, setpoint_adjustments: 5831, \
+         throttled_insertions: 18391, corrupted_pid_fallbacks: 305, scrubs: 18 }",
+        "VantageStats"
+    );
+    assert_eq!(o.sizes, 0xcaa6_7552_5f98_94d7, "partition sizes digest");
+    assert_eq!(o.state, 0x12ad_ab49_17a1_a184, "snapshot digest");
+    assert_eq!(o.samples, 0xda71_6fdc_a514_ba8c, "priority samples digest");
 }
