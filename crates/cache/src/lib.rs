@@ -64,5 +64,5 @@ pub use replacement::lru::TsLru;
 pub use replacement::rrip::{RripConfig, RripMode, RripPolicy};
 pub use set_assoc::SetAssocArray;
 pub use skew::SkewArray;
-pub use tagmeta::{TagMeta, TAG_UNMANAGED};
+pub use tagmeta::{stamp_rank, TagMeta, TAG_UNMANAGED};
 pub use zarray::ZArray;

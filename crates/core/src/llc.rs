@@ -26,12 +26,12 @@
 
 use vantage_cache::replacement::rrip::BasePolicy;
 use vantage_cache::{
-    CacheArray, Frame, LineAddr, Ownership, PartitionId, RripConfig, RripMode, RripPolicy,
-    ShareMode, TagMeta, TsLru, Walk, MAX_PROBE_WAYS, TAG_UNMANAGED,
+    stamp_rank, CacheArray, Frame, LineAddr, Ownership, PartitionId, RripConfig, RripMode,
+    RripPolicy, ShareMode, TagMeta, TsLru, Walk, MAX_PROBE_WAYS, TAG_UNMANAGED,
 };
 use vantage_partitioning::{
     AccessOutcome, AccessRequest, HasInvariants, HasPartitionPolicy, InvariantViolation,
-    LifecycleError, Llc, LlcStats, PartitionObservations, PartitionSpec, TargetsError, TsHistogram,
+    LifecycleError, Llc, LlcStats, PartitionObservations, PartitionSpec, TargetsError,
 };
 use vantage_telemetry::{PartitionSample, Telemetry, TelemetryEvent};
 
@@ -164,7 +164,9 @@ pub enum SlotState {
 pub struct VantageLlc {
     array: Box<dyn CacheArray>,
     /// Per-frame tags as dense SoA lanes (partition IDs + stamps, Fig. 4);
-    /// never-filled frames carry the [`UNMANAGED`] sentinel.
+    /// never-filled frames carry the [`UNMANAGED`] sentinel. Its
+    /// (partition, stamp) line count, sized by the slot table, is where
+    /// the idealized controller and the priority probe read ranks.
     meta: TagMeta,
     /// How cross-partition sharing is resolved (the [`ShareMode`] knob)
     /// plus the per-partition sharing counters it produces.
@@ -183,16 +185,6 @@ pub struct VantageLlc {
     cfg: VantageConfig,
     max_rrpv: u8,
     rrip: Option<RripPolicy>,
-    /// Per-partition timestamp histograms (LRU mode): used for the
-    /// perfect-aperture controller and priority instrumentation.
-    hists: Vec<TsHistogram>,
-    um_hist: TsHistogram,
-    /// Whether the timestamp histograms are maintained on the access path.
-    /// Opt-in: only the idealized perfect-aperture controller and the
-    /// Fig. 8 priority probe read them, so the practical-controller hot
-    /// path skips the per-hit/per-demotion/per-eviction bookkeeping
-    /// entirely (real hardware keeps no such structure).
-    hist_track: bool,
     stats: LlcStats,
     vstats: VantageStats,
     walk: Walk,
@@ -294,14 +286,12 @@ impl VantageLlc {
         let frames = array.num_frames();
         let ways = array.ways();
         let prefetch_batches = batch_footprint(frames, ways) >= PREFETCH_MIN_FOOTPRINT;
-        let hist_track =
-            matches!(cfg.rank, RankMode::Lru) && cfg.demotion_mode == DemotionMode::PerfectAperture;
         let parts = (0..partitions)
             .map(|_| PartitionState::new(0, &cfg, max_rrpv))
             .collect();
         let mut llc = Self {
             array,
-            meta: TagMeta::new(frames),
+            meta: TagMeta::with_partitions(frames, partitions),
             own: Ownership::new(ShareMode::Adopt, partitions),
             parts,
             slot_state: vec![SlotState::Active; partitions],
@@ -313,9 +303,6 @@ impl VantageLlc {
             cfg,
             max_rrpv,
             rrip,
-            hists: (0..partitions).map(|_| TsHistogram::new()).collect(),
-            um_hist: TsHistogram::new(),
-            hist_track,
             stats: LlcStats::new(partitions),
             vstats: VantageStats::default(),
             walk: Walk::with_capacity(64),
@@ -387,10 +374,8 @@ impl VantageLlc {
     }
 
     /// Enables Fig. 8-style demotion-priority sampling (LRU ranking only).
-    ///
-    /// Histogram maintenance is opt-in (the practical controller never
-    /// reads it), so enabling the probe mid-run rebuilds the histograms
-    /// from the tag array before turning tracking on.
+    /// Ranks come from the tag store's count index, which every lane write
+    /// keeps current, so the probe can be enabled at any point of a run.
     ///
     /// # Panics
     ///
@@ -401,35 +386,6 @@ impl VantageLlc {
             "probe requires LRU ranking"
         );
         self.probe = true;
-        if !self.hist_track {
-            self.hist_track = true;
-            self.rebuild_hists();
-        }
-    }
-
-    /// Whether the timestamp histograms are being maintained (idealized
-    /// controller or an enabled priority probe).
-    pub fn histograms_tracked(&self) -> bool {
-        self.hist_track
-    }
-
-    /// Rebuilds the instrumentation histograms from a full tag scan.
-    fn rebuild_hists(&mut self) {
-        for h in &mut self.hists {
-            *h = TsHistogram::new();
-        }
-        self.um_hist = TsHistogram::new();
-        for f in 0..self.meta.len() {
-            if self.array.occupant(f as Frame).is_none() {
-                continue;
-            }
-            let (part, ts) = (self.meta.part(f), self.meta.ts(f));
-            if part == UNMANAGED {
-                self.um_hist.add(ts);
-            } else if (part as usize) < self.hists.len() {
-                self.hists[part as usize].add(ts);
-            }
-        }
     }
 
     /// Drains accumulated demotion-priority samples.
@@ -593,39 +549,26 @@ impl VantageLlc {
     /// [`ChurnBurst`](Fault::ChurnBurst) descriptors, or tag faults when
     /// the array is empty).
     ///
-    /// The per-partition timestamp histograms are simulator instrumentation
-    /// (real hardware keeps no such structure), so tag faults update them
-    /// coherently with the corrupted tag; everything architectural — size
-    /// registers, setpoints, meters — is left for [`Self::scrub`] and the
-    /// access-path fallbacks to repair.
+    /// A tag fault moves its line in the tag store's count index like any
+    /// other tag write (an out-of-range ID lands in the index's shared
+    /// overflow row), so ranks always reflect the corrupted tags;
+    /// everything architectural — size registers, setpoints, meters — is
+    /// left for [`Self::scrub`] and the access-path fallbacks to repair.
     pub fn inject(&mut self, fault: &Fault) -> bool {
         let lru = self.is_lru();
-        let track = self.hist_track;
         let nparts = self.parts.len();
         match *fault {
             Fault::TagPartFlip { frame_sel, bit } => {
                 let Some(f) = self.pick_occupied(frame_sel) else {
                     return false;
                 };
-                let (old_part, old_ts) = (self.meta.part(f), self.meta.ts(f));
-                let new_part = old_part ^ (1 << (bit % 16));
-                if track {
-                    self.hist_remove(old_part, old_ts);
-                    self.hist_add(new_part, old_ts);
-                }
-                self.meta.set_part(f, new_part);
+                self.meta.set_part(f, self.meta.part(f) ^ (1 << (bit % 16)));
             }
             Fault::TagTsFlip { frame_sel, bit } => {
                 let Some(f) = self.pick_occupied(frame_sel) else {
                     return false;
                 };
-                let (old_part, old_ts) = (self.meta.part(f), self.meta.ts(f));
-                let new_ts = old_ts ^ (1 << (bit % 8));
-                if track {
-                    self.hist_remove(old_part, old_ts);
-                    self.hist_add(old_part, new_ts);
-                }
-                self.meta.set_ts(f, new_ts);
+                self.meta.set_ts(f, self.meta.ts(f) ^ (1 << (bit % 8)));
             }
             Fault::ActualSizeCorrupt { part_sel, bit } => {
                 let p = (part_sel % nparts as u64) as usize;
@@ -661,8 +604,7 @@ impl VantageLlc {
     /// * tags with out-of-range partition IDs are re-tagged [`UNMANAGED`]
     ///   (the line stays resident and is evicted or promoted normally);
     /// * every size register (`ActualSize`, unmanaged size) is recomputed
-    ///   from the tag scan, and the instrumentation histograms (when
-    ///   tracked, see [`Self::histograms_tracked`]) are rebuilt;
+    ///   from the tag scan;
     /// * candidate meters outside `demoted <= seen < c` are reset to 0;
     /// * setpoints whose keep window is wedged fully closed (0) or fully
     ///   open (255) are re-centered to the constructor's half-window, and
@@ -706,11 +648,6 @@ impl VantageLlc {
                 st.actual = scanned;
                 report.size_corrections += 1;
             }
-        }
-        if self.hist_track {
-            // Only rebuilt when something reads them (idealized controller
-            // or an enabled probe); the practical controller keeps none.
-            self.rebuild_hists();
         }
         for st in &mut self.parts {
             if st.cands_seen >= self.cfg.cands_period || st.cands_demoted > st.cands_seen {
@@ -762,7 +699,7 @@ impl VantageLlc {
         self.parts
             .resize_with(n, || PartitionState::new(0, &self.cfg, self.max_rrpv));
         self.slot_state.resize(n, SlotState::Free);
-        self.hists.resize_with(n, TsHistogram::new);
+        self.meta.resize_partitions(n);
         self.stats.resize(n);
         self.lost.resize(n, 0);
         self.filled.resize(n, 0);
@@ -801,8 +738,7 @@ impl VantageLlc {
 
     /// Tags frame `f` into the unmanaged region, which grows by one line:
     /// a demotion or a throttled fill. Under RRIP ranking the line takes
-    /// `rrpv`; under LRU ranking it takes the region's clock, counted in
-    /// the tracked histogram.
+    /// `rrpv`; under LRU ranking it takes the region's clock.
     ///
     /// The clock's period follows the region's *actual* size (the
     /// `size/16` rule applied to `um_size`, matching how partitions derive
@@ -816,11 +752,7 @@ impl VantageLlc {
             if self.um_lru.on_access() {
                 self.um_lru.set_period_for_size(self.um_size.max(16));
             }
-            let t = self.um_lru.current();
-            if self.hist_track {
-                self.um_hist.add(t);
-            }
-            t
+            self.um_lru.current()
         } else {
             rrpv
         };
@@ -829,8 +761,7 @@ impl VantageLlc {
 
     /// Tags frame `f` as partition `owner`'s line after an access by
     /// `part` — a hit or a fill; `owner` differs from `part` only for a
-    /// shared hit pinned to its owner. The caller has already retired
-    /// `f`'s old histogram entry. Under RRIP ranking the line takes
+    /// shared hit pinned to its owner. Under RRIP ranking the line takes
     /// `rrpv`. Under LRU ranking the accessor's coarse clock ticks (see
     /// [`Self::clamp_aliasing`]) and the line takes the owner's current
     /// stamp, so a pinned hit refreshes recency without advancing the
@@ -840,13 +771,9 @@ impl VantageLlc {
         let ts = if self.is_lru() {
             let (t, advanced) = self.parts[part].on_access_advanced();
             if advanced {
-                self.clamp_aliasing(part, t, f);
+                self.clamp_aliasing(part, t);
             }
-            let ts = self.parts[owner].lru.current();
-            if self.hist_track {
-                self.hists[owner].add(ts);
-            }
-            ts
+            self.parts[owner].lru.current()
         } else {
             rrpv
         };
@@ -860,40 +787,29 @@ impl VantageLlc {
     /// again — back inside the keep window — and dodges demotion for
     /// another epoch (and every epoch after). Pinning rewrites those
     /// stamps to `t + 1` (age 255 under the new clock), so genuinely
-    /// stale lines stay the oldest; each later tick re-pins them.
+    /// stale lines stay the oldest; each later tick re-pins them. The
+    /// frame about to be stamped may be among them; the stamp that follows
+    /// overwrites its pin.
+    fn clamp_aliasing(&mut self, part: usize, t: u8) {
+        self.meta.clamp_stale(part as u16, t);
+    }
+
+    /// The rank (Fig. 8 priority) of partition `q`'s line stamped `ts`
+    /// among the partition's lines, read from the tag store's count row.
+    /// The total is the row's sum, never the `ActualSize` register, which
+    /// faults corrupt.
     ///
-    /// `except` is the frame about to be stamped, whose histogram entry
-    /// the caller already retired (a hit frame, or the landing frame still
-    /// carrying its evicted victim's tag): its lane may be pinned like any
-    /// other, but the tracked histograms must not be compensated for it.
-    fn clamp_aliasing(&mut self, part: usize, t: u8, except: usize) {
-        let excluded = self.meta.part(except) == part as u16 && self.meta.ts(except) == t;
-        let pinned = self.meta.clamp_stale(part as u16, t);
-        if self.hist_track {
-            let h = &mut self.hists[part];
-            for _ in 0..pinned - usize::from(excluded) {
-                h.remove(t);
-                h.add(t.wrapping_add(1));
-            }
-        }
-    }
-
-    fn hist_remove(&mut self, part: u16, ts: u8) {
-        if part == UNMANAGED {
-            self.um_hist.remove(ts);
-        } else if (part as usize) < self.hists.len() {
-            self.hists[part as usize].remove(ts);
-        }
-        // Out-of-range PIDs own no histogram entry: their line was dropped
-        // from the instrumentation when the PID was corrupted.
-    }
-
-    fn hist_add(&mut self, part: u16, ts: u8) {
-        if part == UNMANAGED {
-            self.um_hist.add(ts);
-        } else if (part as usize) < self.hists.len() {
-            self.hists[part as usize].add(ts);
-        }
+    /// Ranks are only read while a miss resolves, when every tag is whole:
+    /// no frame is half-retired or awaiting its stamp. So the row counts
+    /// exactly the partition's resident lines, corrupted tags included (a
+    /// flip into an out-of-range ID leaves the row).
+    fn rank(&self, q: usize, ts: u8) -> f64 {
+        let row = self.meta.stamp_counts(q as u16);
+        // At most the frame count, so a u32 sum cannot overflow, and it
+        // vectorizes without widening (the idealized controller ranks most
+        // candidates of every walk).
+        let total: u32 = row.iter().sum();
+        stamp_rank(row, u64::from(total), ts, self.parts[q].lru.current())
     }
 
     fn is_lru(&self) -> bool {
@@ -902,7 +818,7 @@ impl VantageLlc {
 
     fn hit(&mut self, part: usize, frame: Frame) {
         let f = frame as usize;
-        let (tag_part, tag_ts) = (self.meta.part(f), self.meta.ts(f));
+        let tag_part = self.meta.part(f);
         let mut owner = part;
         if tag_part == UNMANAGED {
             // Promotion: the line rejoins the accessing partition. The
@@ -914,9 +830,6 @@ impl VantageLlc {
                 part: PartitionId::from_index(part),
             });
             self.um_size = self.um_size.saturating_sub(1);
-            if self.hist_track {
-                self.um_hist.remove(tag_ts);
-            }
             self.parts[part].actual += 1;
         } else if (tag_part as usize) >= self.parts.len() {
             // Corrupted partition ID (fault injection / soft error): adopt
@@ -956,9 +869,6 @@ impl VantageLlc {
                     owner = q;
                 }
             }
-            if self.hist_track {
-                self.hists[q].remove(tag_ts);
-            }
         }
         // Under RRIP a hit promotes to near-immediate re-reference.
         self.stamp_managed(f, part, owner, 0);
@@ -973,11 +883,8 @@ impl VantageLlc {
             part: PartitionId::from_index(q),
         });
         if self.probe {
-            let pr = self.hists[q].rank(ts, self.parts[q].lru.current());
+            let pr = self.rank(q, ts);
             self.samples.push((self.accesses, q as u16, pr as f32));
-        }
-        if self.hist_track {
-            self.hists[q].remove(ts);
         }
         self.parts[q].actual = self.parts[q].actual.saturating_sub(1);
         self.lost[q] += 1;
@@ -1159,7 +1066,7 @@ impl VantageLlc {
         let empty = (occ < n).then_some(occ);
         // One resolution loop ([`Self::resolve`]); each rule supplies only
         // its demote predicate. All but the first read state that loop
-        // mutates — RRIP's setpoint, the aperture and histogram ranks, the
+        // mutates — RRIP's setpoint, the aperture and the ranks, the
         // running oldest pick — so they run inside it, in walk order.
         let mut best_managed: Option<(usize, u8)> = None; // exactly-one pick
         let (best_um, mut first_demoted) = match (self.cfg.demotion_mode, self.cfg.rank) {
@@ -1203,7 +1110,7 @@ impl VantageLlc {
                 Some(
                     over && {
                         let aperture = st.table.aperture(st.actual);
-                        aperture > 0.0 && llc.hists[q].rank(ts, st.lru.current()) > 1.0 - aperture
+                        aperture > 0.0 && llc.rank(q, ts) > 1.0 - aperture
                     },
                 )
             }),
@@ -1265,7 +1172,7 @@ impl VantageLlc {
         if vnode.is_occupied() {
             self.stats.evictions += 1;
             let vf = vnode.frame as usize;
-            let (tag_part, tag_ts) = (self.meta.part(vf), self.meta.ts(vf));
+            let tag_part = self.meta.part(vf);
             self.tele.event(TelemetryEvent::Eviction {
                 access: self.accesses,
                 part: PartitionId::from_raw(tag_part),
@@ -1274,16 +1181,10 @@ impl VantageLlc {
             if tag_part == UNMANAGED {
                 self.um_size = self.um_size.saturating_sub(1);
                 self.um_lost += 1;
-                if self.hist_track {
-                    self.um_hist.remove(tag_ts);
-                }
             } else if (tag_part as usize) < self.parts.len() {
                 let q = tag_part as usize;
                 self.parts[q].actual = self.parts[q].actual.saturating_sub(1);
                 self.lost[q] += 1;
-                if self.hist_track {
-                    self.hists[q].remove(tag_ts);
-                }
             }
             // Out-of-range PIDs: no register ever counted this line under a
             // valid owner, so there is nothing to decrement; the stale
@@ -1630,7 +1531,7 @@ impl Llc for VantageLlc {
                 self.parts
                     .push(PartitionState::new(0, &self.cfg, self.max_rrpv));
                 self.slot_state.push(SlotState::Free);
-                self.hists.push(TsHistogram::new());
+                self.meta.resize_partitions(p + 1);
                 self.stats.resize(p + 1);
                 self.lost.push(0);
                 self.filled.push(0);
@@ -1767,7 +1668,7 @@ impl vantage_snapshot::Snapshot for VantageLlc {
     /// meters: tags, per-partition controller state, the unmanaged clock,
     /// RRIP policy state, statistics, churn meters, the fault schedule and
     /// the telemetry schedule, with the cache array last. Derived
-    /// structures (threshold tables, instrumentation histograms, walk
+    /// structures (threshold tables, the tag store's count index, walk
     /// scratch) are rebuilt on load rather than stored.
     fn save_state(&self, enc: &mut vantage_snapshot::Encoder) {
         enc.put_u64(self.accesses);
@@ -2026,15 +1927,6 @@ impl vantage_snapshot::Snapshot for VantageLlc {
         self.obs_filled = obs_filled;
         self.scrub_period = scrub_period;
         self.fault_plan = fault_plan;
-        // Derived state: the probe forces histogram tracking on (matching
-        // `enable_priority_probe`), and tracked histograms are rebuilt from
-        // the restored tags rather than stored.
-        if self.probe {
-            self.hist_track = true;
-        }
-        if self.hist_track {
-            self.rebuild_hists();
-        }
         Ok(())
     }
 }
@@ -2753,6 +2645,117 @@ mod tests {
             }
         }
         llc.invariants().expect("invariants hold");
+    }
+
+    /// A 4096-frame, 4-partition cache, filled.
+    fn filled_llc() -> VantageLlc {
+        let mut llc = default_llc(4096, 4);
+        let mut rng = SmallRng::seed_from_u64(50);
+        for p in 0..4 {
+            drive(&mut llc, p, 50_000, 6_000, &mut rng);
+        }
+        assert_eq!(llc.array.occupancy(), 4096);
+        llc
+    }
+
+    #[test]
+    fn tag_part_flips_leave_the_count_index_bounded() {
+        let mut llc = filled_llc();
+        let mut rng = SmallRng::seed_from_u64(51);
+        for _ in 0..1000 {
+            let flip = Fault::TagPartFlip {
+                frame_sel: rng.gen(),
+                bit: 15,
+            };
+            assert!(llc.inject(&flip));
+        }
+        // Each flipped partition ID (0x8000 | p) and unmanaged tag (0x7FFF)
+        // would otherwise have grown the index to its row.
+        assert!(
+            llc.meta.index_rows() <= 4 + 2,
+            "{} index rows",
+            llc.meta.index_rows()
+        );
+        drive(&mut llc, 0, 50_000, 2_000, &mut rng);
+        llc.scrub();
+        llc.invariants().expect("scrub repairs the flips");
+    }
+
+    #[test]
+    fn restored_corrupt_ids_leave_the_count_index_bounded() {
+        use vantage_snapshot::{Decoder, Encoder, Snapshot};
+        let mut llc = filled_llc();
+        for f in 0..llc.meta.len() {
+            llc.meta.set_part(f, 0xFFFE);
+        }
+        let mut enc = Encoder::new();
+        llc.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut restored = default_llc(4096, 4);
+        restored
+            .load_state(&mut Decoder::new(&bytes, "corrupt tags"))
+            .expect("out-of-range tags are legal live state");
+        assert_eq!(restored.meta.part(0), 0xFFFE);
+        assert!(
+            restored.meta.index_rows() <= 4 + 2,
+            "{} index rows",
+            restored.meta.index_rows()
+        );
+        restored.scrub();
+        restored
+            .invariants()
+            .expect("scrub retags the restored lines");
+    }
+
+    /// The idealized controller and the probe read ranks from the count
+    /// index's rows, so under faults and scrubs every valid partition's row
+    /// must stay exactly its resident lines' stamps, checked after every
+    /// access.
+    #[test]
+    fn rank_rows_match_a_recount_under_faults() {
+        use crate::fault::FaultKind;
+        const FRAMES: usize = 1024;
+        const PARTS: usize = 4;
+        let cfg = VantageConfig {
+            demotion_mode: DemotionMode::PerfectAperture,
+            churn_throttling: true,
+            ..VantageConfig::default()
+        };
+        let mut llc = VantageLlc::try_new(z52(FRAMES), PARTS, cfg, 17).expect("valid config");
+        llc.enable_priority_probe();
+        let kinds = [
+            FaultKind::TagPart,
+            FaultKind::TagPart,
+            FaultKind::TagTs,
+            FaultKind::ActualSize,
+        ];
+        llc.set_fault_plan(Some(FaultPlan::new(0x5CA1, 40, &kinds)));
+        llc.set_scrub_period(Some(3_000));
+        let mut rng = SmallRng::seed_from_u64(52);
+        for i in 0..20_000usize {
+            drive(&mut llc, i % PARTS, 3_000, 1, &mut rng);
+            let mut recount = [[0u32; 256]; PARTS];
+            for f in 0..FRAMES {
+                let q = llc.meta.part(f) as usize;
+                if q < PARTS && llc.array.occupant(f as Frame).is_some() {
+                    recount[q][llc.meta.ts(f) as usize] += 1;
+                }
+            }
+            for (q, want) in recount.iter().enumerate() {
+                assert_eq!(
+                    llc.meta.stamp_counts(q as u16),
+                    want,
+                    "partition {q} after access {i}"
+                );
+            }
+            assert!(llc.meta.index_rows() <= PARTS + 2, "after access {i}");
+        }
+        let log = llc.fault_plan().expect("attached").log();
+        assert!(log.iter().any(|(_, f)| matches!(
+            f,
+            Fault::TagPartFlip { bit, .. } if bit % 16 >= 2
+        )));
+        assert!(llc.drain_priority_samples().len() > 100);
     }
 
     /// `access_batch`'s path is fixed at construction by the array

@@ -110,7 +110,7 @@ impl<M: Mechanism> SchemeFrame<M> {
     /// constructors validate geometry first.
     pub(crate) fn new(array: Box<M::Array>, partitions: usize, mech: M) -> Self {
         Self {
-            meta: TagMeta::new(array.num_frames()),
+            meta: TagMeta::with_partitions(array.num_frames(), partitions),
             walk: Walk::with_capacity(array.candidates_per_walk()),
             array,
             mech,

@@ -1,15 +1,22 @@
-//! Timestamp histograms for measuring empirical eviction/demotion
-//! priorities.
+//! The timestamp histograms behind way-partitioning's eviction-priority
+//! probe.
 //!
 //! The paper's associativity heat maps (Fig. 8) plot, over time, the
 //! *eviction priority* of each evicted or demoted line: its rank among the
 //! lines of its partition under the replacement policy, normalized to
-//! `[0, 1]` (1.0 = the line the policy most wants gone). Tracking exact
-//! ranks would require a sorted structure; with 8-bit coarse timestamps a
-//! 256-bucket histogram gives the rank to within a timestamp quantum, which
-//! is also exactly the precision the hardware itself has.
+//! `[0, 1]` (1.0 = the line the policy most wants gone). With 8-bit coarse
+//! timestamps a 256-bucket histogram gives the rank to within a timestamp
+//! quantum ([`vantage_cache::stamp_rank`]).
+//!
+//! Way-partitioning's probe keeps its own coarse clocks, allocated when the
+//! probe is enabled, so it needs these histograms. Vantage needs none: its
+//! tags already carry the stamps, and it reads ranks from the tag store's
+//! (partition, stamp) count rows ([`vantage_cache::TagMeta::stamp_counts`]).
 
-/// A histogram of 8-bit timestamps for one partition (or region).
+use vantage_cache::stamp_rank;
+
+/// A histogram of 8-bit timestamps for one partition: way-partitioning's
+/// priority probe.
 ///
 /// # Example
 ///
@@ -79,22 +86,10 @@ impl TsHistogram {
     }
 
     /// The eviction-priority rank of a line stamped `ts` when the domain's
-    /// current timestamp is `current`: the fraction of lines that are
-    /// *younger* (smaller age, where age = `current - ts` mod 256), counting
-    /// ties as half. Returns 0.5 for an empty histogram.
-    ///
-    /// Older lines get ranks near 1.0 — they are what LRU wants to evict.
+    /// current timestamp is `current` ([`stamp_rank`] over this histogram).
+    /// Returns 0.5 for an empty histogram.
     pub fn rank(&self, ts: u8, current: u8) -> f64 {
-        if self.total == 0 {
-            return 0.5;
-        }
-        let age = current.wrapping_sub(ts);
-        let mut younger: u64 = 0;
-        for a in 0..age {
-            younger += u64::from(self.counts[current.wrapping_sub(a) as usize]);
-        }
-        let ties = u64::from(self.counts[ts as usize]);
-        (younger as f64 + ties as f64 / 2.0) / self.total as f64
+        stamp_rank(&self.counts, self.total, ts, current)
     }
 
     /// The count-weighted p-quantile age (0.0 = youngest, 1.0 = oldest),

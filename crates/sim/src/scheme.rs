@@ -97,8 +97,8 @@ impl From<SchemeConfigError> for BuildError {
 /// A live LLC of any scheme, with scheme-specific instrumentation surfaced
 /// without downcasting.
 ///
-/// `Vantage` dwarfs the other variants (controller registers, setpoint
-/// histograms), but exactly one `Scheme` exists per simulated system, so the
+/// `Vantage` dwarfs the other variants (controller registers, scan
+/// scratch), but exactly one `Scheme` exists per simulated system, so the
 /// wasted bytes never multiply and boxing would only add indirection.
 #[allow(clippy::large_enum_variant)]
 pub enum Scheme {
