@@ -217,8 +217,7 @@ pub fn prefetch_slice<T>(s: &[T], i: usize) {
 ///
 /// The trait is object-safe so that last-level caches can be generic over
 /// arrays at run time. It is additionally `Send` so that whole cache object
-/// graphs (e.g. the banks of a sharded LLC) can move across the worker
-/// threads of a parallel simulation engine, and
+/// graphs can move between threads, and
 /// [`Snapshot`](vantage_snapshot::Snapshot) so that checkpoint/restore can
 /// serialize arrays behind trait objects. Arrays save only their resident
 /// lines (plus any replacement RNG); derived structures — occupancy

@@ -172,18 +172,18 @@ mod tests {
             let mut pipe_llc;
             let mut eng = match kind {
                 EngineKind::Serial => {
-                    serial_llc = BankedLlc::try_new(banks(4), 7, 1).expect("valid bank set");
+                    serial_llc = BankedLlc::try_new(banks(4), 7).expect("valid bank set");
                     Engine::Serial(&mut serial_llc)
                 }
                 EngineKind::Batched => {
-                    batched_llc = BankedLlc::try_new(banks(4), 7, 1).expect("valid bank set");
+                    batched_llc = BankedLlc::try_new(banks(4), 7).expect("valid bank set");
                     Engine::Batched {
                         llc: &mut batched_llc,
                         chunk: 777,
                     }
                 }
                 EngineKind::Pipelined => {
-                    pipe_llc = BankedLlc::try_new(banks(4), 7, 2).expect("valid bank set");
+                    pipe_llc = BankedLlc::try_new(banks(4), 7).expect("valid bank set");
                     Engine::Pipelined(&mut pipe_llc)
                 }
             };
@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn batched_chunk_zero_serves_whole_window() {
         let trace = reqs(500);
-        let mut llc = BankedLlc::try_new(banks(2), 3, 1).expect("valid bank set");
+        let mut llc = BankedLlc::try_new(banks(2), 3).expect("valid bank set");
         let mut eng = Engine::Batched {
             llc: &mut llc,
             chunk: 0,

@@ -45,12 +45,6 @@ pub const USAGE: &str = "options:
   --banks N    shard each simulated LLC across N address-interleaved banks,
                each with its own controller; windows of requests reach them
                through per-bank rings drained bank-major
-  --bank-jobs M  worker threads serving banked windows (<= 1 stays on the
-                 calling thread). Workers start only for callers that hand
-                 over batches of >= 256 requests (perf-parallel, library
-                 access_batch callers such as the security leak kernel); the
-                 figure/run simulations issue one access at a time and never
-                 start one. Results are identical at any M
   --quick      drastically reduced scale for smoke runs
   --policy P   allocation policy driving partition targets on UCP-managed
                schemes: ucp (default), equal, missratio, qos, clustered
@@ -85,8 +79,6 @@ pub struct Options {
     pub jobs: usize,
     /// Banks each simulated LLC is sharded across (default 1 = unbanked).
     pub banks: usize,
-    /// Worker threads serving banked batches (default 1 = serial).
-    pub bank_jobs: usize,
     /// Allocation policy driving partition targets on UCP-managed schemes.
     pub policy: PolicyKind,
     /// How the LLC resolves cross-partition sharing (the ownership layer's
@@ -116,7 +108,6 @@ impl Default for Options {
             quick: false,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             banks: 1,
-            bank_jobs: 1,
             policy: PolicyKind::default(),
             share_mode: ShareMode::default(),
             telemetry: None,
@@ -153,7 +144,6 @@ impl Options {
                 "--seed" => o.seed = num(a, take()?)?,
                 "--jobs" => o.jobs = num::<usize>(a, take()?)?.max(1),
                 "--banks" => o.banks = num::<usize>(a, take()?)?.max(1),
-                "--bank-jobs" => o.bank_jobs = num::<usize>(a, take()?)?.max(1),
                 "--quick" => o.quick = true,
                 "--policy" => {
                     let v = take()?;
@@ -182,13 +172,12 @@ impl Options {
         Ok(o)
     }
 
-    /// Applies the machine-shape flags (`--banks`, `--bank-jobs`,
-    /// `--policy`, `--share-mode`) to a base machine and returns it; every
-    /// experiment builds its [`SystemConfig`] through this so they reach
-    /// all commands uniformly.
+    /// Applies the machine-shape flags (`--banks`, `--policy`,
+    /// `--share-mode`) to a base machine and returns it; every experiment
+    /// builds its [`SystemConfig`] through this so they reach all commands
+    /// uniformly.
     pub fn machine(&self, mut sys: SystemConfig) -> SystemConfig {
         sys.banks = self.banks;
-        sys.bank_jobs = self.bank_jobs;
         sys.policy = self.policy;
         sys.share_mode = self.share_mode;
         sys

@@ -67,16 +67,15 @@ const GATE_MIN_SPEEDUP: f64 = 1.4;
 const FLOOR_BANKS: usize = 8;
 
 /// Informational floor on the 8-bank batched-over-serial speedup. Set
-/// below the gate's minimum deliberately: with more banks than worker
-/// threads the batched engine multiplexes, so scaling flattens, but it
-/// must never fall back toward the serial engine's rate by more than
-/// measurement noise (best-of-[`ROUNDS`] paired ratios measure ~1.4-1.5x
-/// on the reference host). Quick mode records a failure-registry entry
-/// when breached.
+/// below the gate's minimum deliberately: scaling flattens at eight banks,
+/// but the batched engine must never fall back toward the serial engine's
+/// rate by more than measurement noise (best-of-[`ROUNDS`] paired ratios
+/// measure ~1.4-1.5x on the reference host). Quick mode records a
+/// failure-registry entry when breached.
 const FLOOR8_MIN_SPEEDUP: f64 = 1.2;
 
 /// Requests handed to `access_batch` per call (the driver's batch, distinct
-/// from the engine's internal per-worker batching).
+/// from the engine's ring-slot batching).
 const BATCH: usize = 65536;
 
 /// The pipelined ring engine's bank count: the 8-bank point, where the
@@ -93,11 +92,6 @@ const PIPE_BANKS: usize = 8;
 /// failure-registry entry on breach, and CI additionally asserts the
 /// recorded entry.
 const PIPE_MIN_SPEEDUP: f64 = 2.5;
-
-/// Worker counts the pipelined determinism verification replays the
-/// measured trace at: the recorded digests must be identical at every
-/// count (and to the serial reference), or the entry records a failure.
-const PIPE_JOBS_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Measurement rounds for the pipelined pair — more than [`ROUNDS`]
 /// because this gate is *hard* where the batched sweep's 8-bank floor was
@@ -155,12 +149,10 @@ const PIPE_BATCH: usize = 16 * 1024;
 /// Result of one scaling-benchmark run.
 #[derive(Clone, Debug)]
 pub struct ScalingResult {
-    /// Run label (e.g. `banked4_serial`, `banked4_batched_j2`).
+    /// Run label (e.g. `banked4_serial`, `banked4_batched`).
     pub name: String,
     /// Bank count.
     pub banks: usize,
-    /// Worker threads (0 = the per-access serial baseline).
-    pub jobs: usize,
     /// Timed accesses (excludes warmup).
     pub accesses: u64,
     /// Total wall time of the timed phase, seconds.
@@ -230,10 +222,9 @@ fn state_hash(outcomes: &[AccessOutcome], llc: &mut dyn Llc) -> u64 {
 }
 
 /// Builds the gate configuration: `banks` Vantage-Z4/52 banks behind an
-/// address-interleaved [`BankedLlc`] with `jobs` workers, with even
-/// capacity targets. Fully deterministic in `seed`, so two calls build
-/// indistinguishable caches.
-fn build_banked(frames: usize, banks: usize, seed: u64, jobs: usize) -> BankedLlc {
+/// address-interleaved [`BankedLlc`], with even capacity targets. Fully
+/// deterministic in `seed`, so two calls build indistinguishable caches.
+fn build_banked(frames: usize, banks: usize, seed: u64) -> BankedLlc {
     let bank_llcs = (0..banks)
         .map(|b| {
             let array = ZArray::new(frames / banks, 4, 52, seed ^ mix64(b as u64 + 0xBA));
@@ -248,7 +239,7 @@ fn build_banked(frames: usize, banks: usize, seed: u64, jobs: usize) -> BankedLl
             ) as Box<dyn Llc>
         })
         .collect();
-    let mut llc = BankedLlc::try_new(bank_llcs, seed ^ 0xBA2C, jobs).expect("valid bank set");
+    let mut llc = BankedLlc::try_new(bank_llcs, seed ^ 0xBA2C).expect("valid bank set");
     llc.set_targets(&[(frames / PARTS) as u64; PARTS])
         .expect("targets fit");
     llc
@@ -391,13 +382,11 @@ fn run_sweep(opts: &Options, scale: Scale) -> (Vec<ScalingResult>, f64, f64) {
     let seed = opts.seed ^ 0xBA12;
     let reqs = trace(scale.frames, scale.warmup + scale.timed, seed ^ 0xD21E);
     let warmup = scale.warmup as usize;
-    let jobs = opts.bank_jobs.max(1);
     let mut out = Vec::new();
-    let mut push = |name: String, banks: usize, jobs: usize, m: RunMeasurement| {
+    let mut push = |name: String, banks: usize, m: RunMeasurement| {
         let r = ScalingResult {
             name,
             banks,
-            jobs,
             accesses: scale.timed,
             wall_s: m.wall_s,
             accesses_per_sec: m.best_rate,
@@ -425,8 +414,8 @@ fn run_sweep(opts: &Options, scale: Scale) -> (Vec<ScalingResult>, f64, f64) {
             // and only the timing differs.
             // Ring slots as large as a driver batch hand each bank its
             // whole share of a window in one `access_batch` call.
-            let mut serial = build_banked(scale.frames, banks, seed, 1);
-            let mut batched = build_banked(scale.frames, banks, seed, jobs).with_batch_size(BATCH);
+            let mut serial = build_banked(scale.frames, banks, seed);
+            let mut batched = build_banked(scale.frames, banks, seed).with_batch_size(BATCH);
             let (ms, mb, ratio) = run_pair(&mut serial, &mut batched, &reqs, warmup);
             if rounds > 1 {
                 eprintln!(
@@ -443,8 +432,8 @@ fn run_sweep(opts: &Options, scale: Scale) -> (Vec<ScalingResult>, f64, f64) {
             }
         }
         let (ms, mb) = kept.expect("at least one round ran");
-        push(format!("banked{banks}_serial"), banks, 0, ms);
-        push(format!("banked{banks}_batched_j{jobs}"), banks, jobs, mb);
+        push(format!("banked{banks}_serial"), banks, ms);
+        push(format!("banked{banks}_batched"), banks, mb);
         if banks == GATE_BANKS {
             gate_speedup = best_ratio;
         }
@@ -559,32 +548,25 @@ fn run_pipe_pair(
 /// verdicts, and ring-occupancy telemetry from the measured run.
 struct PipeOutcome {
     results: Vec<ScalingResult>,
-    /// Worker count of the measured (timed) pipelined run.
-    jobs: usize,
     speedup: f64,
     /// Serial and pipelined digests of the measured pair agree.
     hashes_equal: bool,
-    /// Replays at every [`PIPE_JOBS_SWEEP`] worker count digest equal.
-    jobs_hashes_equal: bool,
     ring: RingStats,
     timed: u64,
 }
 
 /// Runs the pipelined pair at [`PIPE_BANKS`] banks with the same
-/// multi-round paired protocol as the gate sweep, then replays the
-/// identical trace at every [`PIPE_JOBS_SWEEP`] worker count and checks
-/// the digests against the serial reference.
+/// multi-round paired protocol as the gate sweep, checking the digests
+/// against the serial reference.
 fn run_pipe_sweep(opts: &Options, scale: PipeScale) -> PipeOutcome {
     let seed = opts.seed ^ 0x919E;
     let reqs = trace(scale.frames, scale.warmup + scale.timed, seed ^ 0xD21E);
     let warmup = scale.warmup as usize;
-    let jobs = opts.bank_jobs.max(1);
     let mut best_ratio = -1.0f64;
     let mut kept: Option<(RunMeasurement, RunMeasurement, RingStats)> = None;
     for round in 0..PIPE_ROUNDS {
-        let mut serial = build_banked(scale.frames, PIPE_BANKS, seed, 1);
-        let mut pipe =
-            build_banked(scale.frames, PIPE_BANKS, seed, jobs).with_batch_size(PIPE_BATCH);
+        let mut serial = build_banked(scale.frames, PIPE_BANKS, seed);
+        let mut pipe = build_banked(scale.frames, PIPE_BANKS, seed).with_batch_size(PIPE_BATCH);
         let (ms, mp, ratio) = run_pipe_pair(&mut serial, &mut pipe, &reqs, warmup);
         eprintln!(
             "  pipelined{PIPE_BANKS} round {}/{PIPE_ROUNDS}: {:>10.0} serial, {:>10.0} pipelined \
@@ -600,21 +582,18 @@ fn run_pipe_sweep(opts: &Options, scale: PipeScale) -> PipeOutcome {
     }
     let (ms, mp, ring) = kept.expect("at least one round ran");
     let hashes_equal = ms.hash == mp.hash;
-    let serial_hash = ms.hash;
-    let mut results = vec![
+    let results = vec![
         ScalingResult {
             name: format!("pipe{PIPE_BANKS}_serial"),
             banks: PIPE_BANKS,
-            jobs: 0,
             accesses: scale.timed,
             wall_s: ms.wall_s,
             accesses_per_sec: ms.best_rate,
             hash: ms.hash,
         },
         ScalingResult {
-            name: format!("pipe{PIPE_BANKS}_pipelined_j{jobs}"),
+            name: format!("pipe{PIPE_BANKS}_pipelined"),
             banks: PIPE_BANKS,
-            jobs,
             accesses: scale.timed,
             wall_s: mp.wall_s,
             accesses_per_sec: mp.best_rate,
@@ -627,44 +606,10 @@ fn run_pipe_sweep(opts: &Options, scale: PipeScale) -> PipeOutcome {
             r.name, r.accesses_per_sec, r.hash
         );
     }
-    // Determinism across worker counts: replay the identical trace
-    // (untimed, arbitrary window chunking — per-bank order is what must
-    // hold) at each jobs count and digest-compare against the serial
-    // reference.
-    let mut jobs_hashes_equal = true;
-    for j in PIPE_JOBS_SWEEP {
-        let mut pipe = build_banked(scale.frames, PIPE_BANKS, seed, j).with_batch_size(PIPE_BATCH);
-        for chunk in reqs[..warmup].chunks(BATCH) {
-            pipe.run_window(chunk);
-        }
-        pipe.reset_digests();
-        for chunk in reqs[warmup..].chunks(BATCH) {
-            pipe.run_window(chunk);
-        }
-        let digests = pipe.bank_digests().to_vec();
-        let hash = pipe_state_hash(&digests, &mut pipe);
-        let ok = hash == serial_hash;
-        jobs_hashes_equal &= ok;
-        eprintln!(
-            "  pipe{PIPE_BANKS}_j{j} replay hash {hash:#018x} ({})",
-            if ok { "== serial" } else { "MISMATCH" }
-        );
-        results.push(ScalingResult {
-            name: format!("pipe{PIPE_BANKS}_replay_j{j}"),
-            banks: PIPE_BANKS,
-            jobs: j,
-            accesses: scale.timed,
-            wall_s: 0.0,
-            accesses_per_sec: 0.0,
-            hash,
-        });
-    }
     PipeOutcome {
         results,
-        jobs,
         speedup: best_ratio,
         hashes_equal,
-        jobs_hashes_equal,
         ring,
         timed: scale.timed,
     }
@@ -679,12 +624,6 @@ fn check_pipe_gates(opts: &Options, pipe: &PipeOutcome) {
         record_failure(
             "perf-parallel pipelined determinism",
             format!("serial and pipelined digests differ at {PIPE_BANKS} banks"),
-        );
-    }
-    if !pipe.jobs_hashes_equal {
-        record_failure(
-            "perf-parallel pipelined determinism",
-            format!("pipelined digests vary across worker counts {PIPE_JOBS_SWEEP:?}"),
         );
     }
     eprintln!(
@@ -768,9 +707,9 @@ fn render_entry(
         let comma = if i + 1 < all.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "      {{\"name\": \"{}\", \"banks\": {}, \"jobs\": {}, \"accesses\": {}, \
+            "      {{\"name\": \"{}\", \"banks\": {}, \"accesses\": {}, \
              \"wall_s\": {:.6}, \"accesses_per_sec\": {:.1}, \"hash\": \"{:#018x}\"}}{comma}",
-            r.name, r.banks, r.jobs, r.accesses, r.wall_s, r.accesses_per_sec, r.hash
+            r.name, r.banks, r.accesses, r.wall_s, r.accesses_per_sec, r.hash
         );
     }
     let _ = write!(
@@ -779,17 +718,14 @@ fn render_entry(
          \"min_speedup\": {GATE_MIN_SPEEDUP:.1}, \"hashes_equal\": {equal}}},\n    \
          \"floor8\": {{\"banks\": {FLOOR_BANKS}, \"speedup\": {speedup8:.3}, \
          \"min_speedup\": {FLOOR8_MIN_SPEEDUP:.1}}},\n    \
-         \"pipeline\": {{\"banks\": {PIPE_BANKS}, \"jobs\": {}, \"accesses\": {}, \
+         \"pipeline\": {{\"banks\": {PIPE_BANKS}, \"accesses\": {}, \
          \"batch\": {PIPE_BATCH}, \
          \"speedup\": {:.3}, \"min_speedup\": {PIPE_MIN_SPEEDUP:.1}, \
-         \"hashes_equal\": {}, \"jobs_hashes_equal\": {}, \
-         \"jobs_sweep\": [1, 2, 4, 8], \
+         \"hashes_equal\": {}, \
          \"ring_peak_depth\": {}, \"ring_mean_depth\": {:.2}}}",
-        pipe.jobs,
         pipe.timed,
         pipe.speedup,
         pipe.hashes_equal,
-        pipe.jobs_hashes_equal,
         pipe.ring.peak_depth,
         pipe.ring.mean_depth()
     );
@@ -836,12 +772,10 @@ mod tests {
         let seed = 7;
         let reqs = trace(scale.frames, scale.warmup + scale.timed, seed);
         let warmup = scale.warmup as usize;
-        for jobs in [1, 2] {
-            let mut serial = build_banked(scale.frames, 4, seed, 1);
-            let mut batched = build_banked(scale.frames, 4, seed, jobs).with_batch_size(BATCH);
-            let (ms, mb, _ratio) = run_pair(&mut serial, &mut batched, &reqs, warmup);
-            assert_eq!(ms.hash, mb.hash, "jobs={jobs} diverged from serial");
-        }
+        let mut serial = build_banked(scale.frames, 4, seed);
+        let mut batched = build_banked(scale.frames, 4, seed).with_batch_size(BATCH);
+        let (ms, mb, _ratio) = run_pair(&mut serial, &mut batched, &reqs, warmup);
+        assert_eq!(ms.hash, mb.hash, "batched diverged from serial");
     }
 
     #[test]
@@ -854,12 +788,10 @@ mod tests {
         let seed = 7;
         let reqs = trace(scale.frames, scale.warmup + scale.timed, seed);
         let warmup = scale.warmup as usize;
-        for jobs in [1, 2] {
-            let mut serial = build_banked(scale.frames, 4, seed, 1);
-            let mut pipe = build_banked(scale.frames, 4, seed, jobs);
-            let (ms, mp, _ratio) = run_pipe_pair(&mut serial, &mut pipe, &reqs, warmup);
-            assert_eq!(ms.hash, mp.hash, "jobs={jobs} diverged from serial");
-        }
+        let mut serial = build_banked(scale.frames, 4, seed);
+        let mut pipe = build_banked(scale.frames, 4, seed);
+        let (ms, mp, _ratio) = run_pipe_pair(&mut serial, &mut pipe, &reqs, warmup);
+        assert_eq!(ms.hash, mp.hash, "pipelined diverged from serial");
     }
 
     #[test]
@@ -871,7 +803,6 @@ mod tests {
         let results = vec![ScalingResult {
             name: "banked4_serial".into(),
             banks: 4,
-            jobs: 0,
             accesses: 10,
             wall_s: 0.5,
             accesses_per_sec: 20.0,
@@ -879,18 +810,15 @@ mod tests {
         }];
         let pipe = PipeOutcome {
             results: vec![ScalingResult {
-                name: "pipe8_pipelined_j1".into(),
+                name: "pipe8_pipelined".into(),
                 banks: 8,
-                jobs: 1,
                 accesses: 10,
                 wall_s: 0.2,
                 accesses_per_sec: 50.0,
                 hash: 0xABCD,
             }],
-            jobs: 1,
             speedup: 2.61,
             hashes_equal: true,
-            jobs_hashes_equal: true,
             ring: RingStats {
                 peak_depth: 3,
                 depth_sum: 10,
@@ -908,9 +836,8 @@ mod tests {
         assert!(entry.contains("\"pipeline\""));
         assert!(entry.contains("\"speedup\": 2.610"));
         assert!(entry.contains("\"min_speedup\": 2.5"));
-        assert!(entry.contains("\"jobs_hashes_equal\": true"));
         assert!(entry.contains(&format!("\"batch\": {PIPE_BATCH}")));
         assert!(entry.contains("\"ring_peak_depth\": 3"));
-        assert!(entry.contains("pipe8_pipelined_j1"));
+        assert!(entry.contains("pipe8_pipelined"));
     }
 }

@@ -22,12 +22,11 @@
 //! next bank. At memory-bound scales the bank-major schedule keeps one
 //! bank's metadata hot for long runs instead of a few accesses.
 //!
-//! Ordering and determinism: production scans a window in request order,
-//! rings are FIFO, and a bank is only ever served by one consumer — so every
-//! bank sees its requests strictly in request order whatever the schedule.
-//! Outcomes, statistics, partition sizes and per-bank telemetry are
-//! therefore identical whether requests arrive one at a time or in windows
-//! of any size, at any `jobs` count; only the interleaving of telemetry
+//! Ordering and determinism: production scans a window in request order and
+//! rings are FIFO, so every bank sees its requests strictly in request order
+//! whatever the schedule. Outcomes, statistics, partition sizes and
+//! per-bank telemetry are therefore identical whether requests arrive one
+//! at a time or in windows of any size; only the interleaving of telemetry
 //! records across banks differs. Each bank folds the hit bit of every
 //! outcome it serves into a per-bank FNV-1a digest
 //! ([`BankedLlc::bank_digests`]), a cheap equivalence check against a
@@ -40,16 +39,12 @@
 //! barriers: [`vantage_snapshot::Snapshot::save_state`] refuses to
 //! serialize queued work.
 //!
-//! This is also the workspace's one worker pool. With `jobs > 1`, a window
-//! of at least [`BankedLlc::PARALLEL_THRESHOLD`] requests handed over
-//! through `run_window` or `access_batch` streams its batches through
-//! bounded SPSC queues to scoped worker threads (one owner per bank,
-//! round-robin over workers), so consumption overlaps production; smaller
-//! windows, and every window at `jobs <= 1`, buffer in the rings and drain
-//! inline. Both paths stage through the same routine and serve identical
-//! per-bank sequences. Workers are spawned per window with
-//! [`std::thread::scope`]: windows in the thousands amortize the spawn
-//! cost, and no thread outlives the call.
+//! Every window is served on the calling thread. The simulator hands the
+//! LLC one request at a time, and a core cannot issue its next LLC request
+//! until `l2_latency` cycles after the last, so a lookahead window of
+//! mutually independent requests holds at most one request per core — a
+//! median of 1 on the 4-core machine and 2–3 on the 32-core one (DESIGN.md
+//! §19), too few to pay for handing batches to other threads.
 
 use std::collections::VecDeque;
 
@@ -62,7 +57,6 @@ use crate::llc::{
     AccessOutcome, AccessRequest, LifecycleError, Llc, LlcStats, PartitionObservations,
     PartitionSpec,
 };
-use crate::spsc;
 
 /// FNV-1a offset basis: the initial value of every per-bank digest.
 pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -111,7 +105,7 @@ impl RingStats {
 }
 
 /// An address-interleaved multi-bank LLC; see the [module docs](self) for
-/// its service schedule, barriers and worker pool.
+/// its service schedule and barriers.
 ///
 /// Telemetry installed via [`Llc::set_telemetry`] fans out to every bank
 /// through a [`SharedSink`]: each bank's records funnel into the one
@@ -134,7 +128,7 @@ impl RingStats {
 ///         ).expect("valid baseline geometry")) as Box<dyn Llc>
 ///     })
 ///     .collect();
-/// let mut llc = BankedLlc::try_new(banks, 7, 1).expect("valid bank set");
+/// let mut llc = BankedLlc::try_new(banks, 7).expect("valid bank set");
 /// assert_eq!(llc.capacity(), 4096);
 /// llc.access(AccessRequest::read(PartitionId::from_index(0), LineAddr(0x123)));
 /// ```
@@ -148,9 +142,7 @@ pub struct BankedLlc {
     /// installed, used to recover the caller's sink on `take_telemetry`.
     tele: Option<(SharedSink, u64)>,
     name: String,
-    jobs: usize,
-    /// Requests per [`WorkBatch`]: the granularity of ring slots and of the
-    /// SPSC stream in parallel windows.
+    /// Requests per [`WorkBatch`]: the granularity of ring slots.
     batch: usize,
     /// Ring depth (in batches) at which an inline backpressure drain serves
     /// the whole ring for that bank.
@@ -178,27 +170,15 @@ impl BankedLlc {
     /// Default ring depth (batches per bank) before inline backpressure.
     pub const DEFAULT_RING_CAP: usize = 64;
 
-    /// In-flight batches per worker queue in parallel windows.
-    const QUEUE_CAP: usize = 8;
-
-    /// Windows smaller than this are served inline even with `jobs > 1` —
-    /// the scoped-pool setup cost would dominate.
-    pub const PARALLEL_THRESHOLD: usize = 256;
-
-    /// Assembles a banked LLC from per-bank caches; `jobs` is the consumer
-    /// thread count for windows (clamped to the bank count, 0 treated as 1;
-    /// 1 means inline consumption).
+    /// Assembles a banked LLC from per-bank caches, steering addresses with
+    /// a hash keyed by `bank_seed`.
     ///
     /// # Errors
     ///
     /// Returns [`SchemeConfigError::NoBanks`] for an empty bank list and
     /// [`SchemeConfigError::BankPartitionMismatch`] when the banks disagree
     /// on partition count.
-    pub fn try_new(
-        banks: Vec<Box<dyn Llc>>,
-        bank_seed: u64,
-        jobs: usize,
-    ) -> Result<Self, SchemeConfigError> {
+    pub fn try_new(banks: Vec<Box<dyn Llc>>, bank_seed: u64) -> Result<Self, SchemeConfigError> {
         if banks.is_empty() {
             return Err(SchemeConfigError::NoBanks);
         }
@@ -215,7 +195,6 @@ impl BankedLlc {
             agg: LlcStats::new(partitions),
             tele: None,
             name,
-            jobs: jobs.clamp(1, n),
             batch: Self::DEFAULT_BATCH,
             ring_cap: Self::DEFAULT_RING_CAP,
             staging: (0..n).map(|_| WorkBatch::default()).collect(),
@@ -283,11 +262,6 @@ impl BankedLlc {
         self.banks[i].as_mut()
     }
 
-    /// The configured consumer thread count.
-    pub fn bank_jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Requests ingested but not yet served. Zero means the cache is
     /// quiesced (at a barrier).
     pub fn pending(&self) -> usize {
@@ -348,12 +322,9 @@ impl BankedLlc {
         }
     }
 
-    /// Serves one window of requests and quiesces: with `jobs <= 1` the
-    /// window is sharded into the rings and drained bank-major inline; with
-    /// `jobs > 1` production (sharding, on the calling thread) overlaps
-    /// consumption (scoped workers owning banks round-robin, fed over
-    /// bounded SPSC queues). Outcomes fold into the per-bank digests; use
-    /// [`Llc::access_batch`] to get them back.
+    /// Serves one window of requests and quiesces: the window is sharded
+    /// into the rings and drained bank-major. Outcomes fold into the
+    /// per-bank digests; use [`Llc::access_batch`] to get them back.
     ///
     /// # Example
     ///
@@ -370,7 +341,7 @@ impl BankedLlc {
     ///         ).expect("valid baseline geometry")) as Box<dyn Llc>
     ///     })
     ///     .collect();
-    /// let mut llc = BankedLlc::try_new(banks, 7, 1).expect("valid bank set");
+    /// let mut llc = BankedLlc::try_new(banks, 7).expect("valid bank set");
     /// let reqs: Vec<AccessRequest> = (0..1000)
     ///     .map(|i| AccessRequest::read(PartitionId::from_index(0), LineAddr(i)))
     ///     .collect();
@@ -401,7 +372,8 @@ impl BankedLlc {
         if self.staging[b].reqs.is_empty() {
             return;
         }
-        let full = take_open(&mut self.staging, &mut self.spares, b);
+        let spare = self.spares.pop().unwrap_or_default();
+        let full = std::mem::replace(&mut self.staging[b], spare);
         self.rings[b].push_back(full);
         let depth = self.rings[b].len();
         self.ring_stats.peak_depth = self.ring_stats.peak_depth.max(depth);
@@ -414,16 +386,23 @@ impl BankedLlc {
         }
     }
 
-    /// Stages `reqs` (see [`stage`]) and closes every batch that fills onto
-    /// its bank's ring. `out` is the request-order outcome slice of an
-    /// [`Llc::access_batch`] call: with it, batches record scatter indices
-    /// and any backpressure drain scatters into it.
+    /// Routes `reqs` to their banks' open batches in request order and
+    /// closes every batch that fills onto its bank's ring. `out` is the
+    /// request-order outcome slice of an [`Llc::access_batch`] call: with
+    /// it, batches record each request's position and any backpressure
+    /// drain scatters into it.
     fn enqueue(&mut self, reqs: &[AccessRequest], mut out: Option<&mut [AccessOutcome]>) {
-        let (seed, batch, scatter) = (self.bank_seed, self.batch, out.is_some());
         self.pending += reqs.len();
-        let mut next = 0;
-        while let Some(b) = stage(&mut self.staging, seed, batch, reqs, &mut next, scatter) {
-            self.close_staging(b, out.as_deref_mut());
+        for (i, &req) in reqs.iter().enumerate() {
+            let b = self.bank_of(req.addr);
+            let wb = &mut self.staging[b];
+            if out.is_some() {
+                wb.idxs.push(i as u32);
+            }
+            wb.reqs.push(req);
+            if wb.reqs.len() >= self.batch {
+                self.close_staging(b, out.as_deref_mut());
+            }
         }
     }
 
@@ -432,8 +411,11 @@ impl BankedLlc {
     /// scattering them to each batch's recorded request-order positions.
     fn drain_bank(&mut self, b: usize, mut out: Option<&mut [AccessOutcome]>) {
         while let Some(mut wb) = self.rings[b].pop_front() {
-            let bank = self.banks[b].as_mut();
-            serve(bank, &wb.reqs, &mut self.scratch, &mut self.digests[b]);
+            self.scratch.clear();
+            self.banks[b].access_batch(&wb.reqs, &mut self.scratch);
+            for o in &self.scratch {
+                self.digests[b] = fnv(self.digests[b], o.is_hit() as u64);
+            }
             let scattered = if out.is_some() { wb.reqs.len() } else { 0 };
             debug_assert_eq!(wb.idxs.len(), scattered, "batch staged for the other drain");
             if let Some(out) = out.as_deref_mut() {
@@ -463,76 +445,8 @@ impl BankedLlc {
     /// into `out` (one slot per request, in request order) when given.
     fn serve_window(&mut self, reqs: &[AccessRequest], mut out: Option<&mut [AccessOutcome]>) {
         self.barrier();
-        if self.jobs > 1 && reqs.len() >= Self::PARALLEL_THRESHOLD {
-            self.run_parallel(reqs, out);
-        } else {
-            self.enqueue(reqs, out.as_deref_mut());
-            self.flush(out);
-        }
-    }
-
-    /// The overlapped producer/consumer window: shard on this thread,
-    /// stream bounded batches to `jobs` workers (worker `j` owns every bank
-    /// `b` with `b % jobs == j`), fold digests bank-FIFO in the workers.
-    /// With `out`, outcomes also scatter back to request order.
-    fn run_parallel(&mut self, reqs: &[AccessRequest], mut out: Option<&mut [AccessOutcome]>) {
-        debug_assert_eq!(self.pending, 0, "parallel window entered un-quiesced");
-        let Self {
-            banks,
-            staging,
-            spares,
-            digests,
-            jobs,
-            batch,
-            bank_seed,
-            ..
-        } = self;
-        let (jobs, batch, seed, scatter) = (*jobs, *batch, *bank_seed, out.is_some());
-
-        // Round-robin banks over workers, each bank travelling with its
-        // digest: bank `b` is slot `b / jobs` of worker `b % jobs`. Disjoint
-        // &mut borrows, checked by iter_mut.
-        let mut worker_banks: Vec<Vec<OwnedBank<'_>>> = (0..jobs).map(|_| Vec::new()).collect();
-        for (b, owned) in banks.iter_mut().zip(digests.iter_mut()).enumerate() {
-            worker_banks[b % jobs].push(owned);
-        }
-
-        std::thread::scope(|s| {
-            let mut senders = Vec::with_capacity(jobs);
-            let mut handles = Vec::with_capacity(jobs);
-            for my_banks in worker_banks {
-                let (tx, rx) = spsc::channel::<(usize, WorkBatch)>(Self::QUEUE_CAP);
-                senders.push(tx);
-                handles.push(s.spawn(move || consumer_loop(my_banks, &rx)));
-            }
-
-            // Produce: a bank's batch ships to its owning worker the moment
-            // it fills, the remainders at the end. Ordered scan + FIFO queue
-            // + single owner per bank preserves per-bank request order
-            // end-to-end. A failed send means the worker died; the join
-            // below reports it.
-            let mut next = 0;
-            while let Some(b) = stage(staging, seed, batch, reqs, &mut next, scatter) {
-                let _ = senders[b % jobs].send((b / jobs, take_open(staging, spares, b)));
-            }
-            for b in 0..staging.len() {
-                if !staging[b].reqs.is_empty() {
-                    let _ = senders[b % jobs].send((b / jobs, take_open(staging, spares, b)));
-                }
-            }
-            drop(senders); // EOF: workers drain and return
-
-            for h in handles {
-                // A worker panic (a bank's scheme panicked mid-access)
-                // propagates rather than silently losing outcomes.
-                let pairs = h.join().expect("bank consumer panicked");
-                if let Some(out) = out.as_deref_mut() {
-                    for (i, o) in pairs {
-                        out[i as usize] = o;
-                    }
-                }
-            }
-        });
+        self.enqueue(reqs, out.as_deref_mut());
+        self.flush(out);
     }
 }
 
@@ -553,77 +467,6 @@ fn bank_shares(targets: &[u64], n: usize) -> Vec<Vec<u64>> {
         offset = (offset + rem) % n;
     }
     shares
-}
-
-/// The one staging routine, shared by `ingest`, the inline `access_batch`
-/// and the parallel producer: routes `reqs[*next..]` to their banks' open
-/// batches in request order — recording each request's position when
-/// `scatter` is set — until some bank's batch holds `batch` requests, and
-/// returns that bank so the caller can hand the batch on (to a ring or a
-/// worker). `None` means the whole window is staged.
-fn stage(
-    open: &mut [WorkBatch],
-    seed: u64,
-    batch: usize,
-    reqs: &[AccessRequest],
-    next: &mut usize,
-    scatter: bool,
-) -> Option<usize> {
-    let nbanks = open.len() as u32;
-    for (i, &req) in reqs.iter().enumerate().skip(*next) {
-        let b = mix_bucket(req.addr.0, seed, nbanks) as usize;
-        let wb = &mut open[b];
-        if scatter {
-            wb.idxs.push(i as u32);
-        }
-        wb.reqs.push(req);
-        if wb.reqs.len() >= batch {
-            *next = i + 1;
-            return Some(b);
-        }
-    }
-    *next = reqs.len();
-    None
-}
-
-/// Swaps bank `b`'s open batch for a recycled empty one and returns it.
-fn take_open(open: &mut [WorkBatch], spares: &mut Vec<WorkBatch>, b: usize) -> WorkBatch {
-    std::mem::replace(&mut open[b], spares.pop().unwrap_or_default())
-}
-
-/// Serves one batch on its bank, leaving the outcomes in `scratch` and
-/// folding their hit bits into the bank's digest.
-fn serve(
-    bank: &mut dyn Llc,
-    reqs: &[AccessRequest],
-    scratch: &mut Vec<AccessOutcome>,
-    digest: &mut u64,
-) {
-    scratch.clear();
-    bank.access_batch(reqs, scratch);
-    for o in scratch.iter() {
-        *digest = fnv(*digest, o.is_hit() as u64);
-    }
-}
-
-/// A consumer-owned bank and its running outcome digest.
-type OwnedBank<'a> = (&'a mut Box<dyn Llc>, &'a mut u64);
-
-/// Serves `(slot, batch)` work for one consumer's banks until its queue
-/// signals EOF. Returns the scatter pairs (empty unless the producer
-/// recorded indices).
-fn consumer_loop(
-    mut my_banks: Vec<OwnedBank<'_>>,
-    rx: &spsc::Receiver<(usize, WorkBatch)>,
-) -> Vec<(u32, AccessOutcome)> {
-    let mut pairs = Vec::new();
-    let mut scratch = Vec::new();
-    while let Some((slot, wb)) = rx.recv() {
-        let (bank, digest) = &mut my_banks[slot];
-        serve(bank.as_mut(), &wb.reqs, &mut scratch, digest);
-        pairs.extend(wb.idxs.iter().copied().zip(scratch.iter().copied()));
-    }
-    pairs
 }
 
 impl Llc for BankedLlc {
@@ -842,8 +685,8 @@ impl Llc for BankedLlc {
 impl vantage_snapshot::Snapshot for BankedLlc {
     /// One length-prefixed blob per bank: a bank's decode errors stay
     /// contained to its own payload, and banks restore in order. The rings
-    /// and the worker pool hold no simulation state once drained, so
-    /// snapshots interchange across job counts and schedules.
+    /// hold no simulation state once drained, so snapshots interchange
+    /// across schedules.
     ///
     /// Checkpoints only cut at barriers: serializing with queued work would
     /// bake the ring contents' *absence* into the snapshot. `save_state`
@@ -931,7 +774,7 @@ mod tests {
     }
 
     fn banked_baseline(n: usize, lines_per_bank: usize) -> BankedLlc {
-        BankedLlc::try_new(banks(n, lines_per_bank), 99, 1).expect("valid bank set")
+        BankedLlc::try_new(banks(n, lines_per_bank), 99).expect("valid bank set")
     }
 
     fn trace(n: u64) -> Vec<AccessRequest> {
@@ -948,7 +791,7 @@ mod tests {
     /// The per-access reference for digest checks: one `access` per
     /// request, its outcome stream folded grouped by bank.
     fn serial_bank_digests(n: usize, reqs: &[AccessRequest]) -> (Vec<u64>, Vec<u64>) {
-        let mut serial = BankedLlc::try_new(banks(n, 512), 7, 1).expect("valid bank set");
+        let mut serial = BankedLlc::try_new(banks(n, 512), 7).expect("valid bank set");
         let mut digests = vec![DIGEST_SEED; n];
         for &r in reqs {
             let b = serial.bank_of(r.addr);
@@ -1028,7 +871,7 @@ mod tests {
                     as Box<dyn Llc>
             })
             .collect();
-        let mut llc = BankedLlc::try_new(banks, 1, 1).expect("valid bank set");
+        let mut llc = BankedLlc::try_new(banks, 1).expect("valid bank set");
         // Neither target divides by 4: the remainders must still hand out
         // whole-line shares summing to the total.
         llc.set_targets(&[2601, 1495]).expect("targets fit");
@@ -1089,7 +932,7 @@ mod tests {
     fn try_new_reports_structured_errors() {
         use crate::SchemeConfigError;
         assert_eq!(
-            BankedLlc::try_new(Vec::new(), 0, 1).err(),
+            BankedLlc::try_new(Vec::new(), 0).err(),
             Some(SchemeConfigError::NoBanks)
         );
         let banks: Vec<Box<dyn Llc>> = vec![
@@ -1097,7 +940,7 @@ mod tests {
             Box::new(WayPartLlc::try_new(256, 4, 3, 1).expect("valid way-partition geometry")),
         ];
         assert_eq!(
-            BankedLlc::try_new(banks, 0, 1).err(),
+            BankedLlc::try_new(banks, 0).err(),
             Some(SchemeConfigError::BankPartitionMismatch)
         );
     }
@@ -1177,19 +1020,17 @@ mod tests {
     #[test]
     fn access_batch_matches_serial_bit_for_bit() {
         let reqs = trace(20_000);
-        let mut serial = BankedLlc::try_new(banks(4, 512), 7, 1).expect("valid bank set");
+        let mut serial = BankedLlc::try_new(banks(4, 512), 7).expect("valid bank set");
         let serial_out: Vec<AccessOutcome> = reqs.iter().map(|&r| serial.access(r)).collect();
-        // Chunks of 777 run the worker pool at jobs > 1; chunks of 100 sit
-        // below PARALLEL_THRESHOLD and stay inline at any job count.
-        for (jobs, chunk) in [(1, 777), (2, 777), (4, 777), (2, 100)] {
-            let mut pipe = BankedLlc::try_new(banks(4, 512), 7, jobs)
+        for chunk in [777, 100] {
+            let mut pipe = BankedLlc::try_new(banks(4, 512), 7)
                 .expect("valid bank set")
                 .with_batch_size(64);
             let mut out = Vec::new();
             for chunk in reqs.chunks(chunk) {
                 pipe.access_batch(chunk, &mut out);
             }
-            assert_eq!(serial_out, out, "outcomes diverge at jobs={jobs}");
+            assert_eq!(serial_out, out, "outcomes diverge in chunks of {chunk}");
             assert_eq!(observed_stats(&mut serial), observed_stats(&mut pipe));
             for p in (0..2).map(PartitionId::from_index) {
                 assert_eq!(serial.partition_size(p), pipe.partition_size(p));
@@ -1200,19 +1041,19 @@ mod tests {
     }
 
     #[test]
-    fn windowed_digests_match_serial_at_any_jobs() {
+    fn windowed_digests_match_serial() {
         let reqs = trace(30_000);
         let (want_digests, want_stats) = serial_bank_digests(4, &reqs);
-        for jobs in [1, 2, 4] {
-            let mut pipe = BankedLlc::try_new(banks(4, 512), 7, jobs)
+        for size in [7001, 300] {
+            let mut pipe = BankedLlc::try_new(banks(4, 512), 7)
                 .expect("valid bank set")
                 .with_batch_size(128);
-            for window in reqs.chunks(7001) {
+            for window in reqs.chunks(size) {
                 pipe.run_window(window);
                 assert_eq!(pipe.pending(), 0, "run_window quiesces");
             }
-            assert_eq!(pipe.bank_digests(), &want_digests[..], "jobs={jobs}");
-            assert_eq!(observed_stats(&mut pipe), want_stats, "jobs={jobs}");
+            assert_eq!(pipe.bank_digests(), &want_digests[..], "windows of {size}");
+            assert_eq!(observed_stats(&mut pipe), want_stats, "windows of {size}");
         }
     }
 
@@ -1222,7 +1063,7 @@ mod tests {
         let (want_digests, want_stats) = serial_bank_digests(4, &reqs);
         // Tiny batches + shallow rings: inline backpressure drains fire
         // constantly, cutting the bank-major runs early.
-        let mut pipe = BankedLlc::try_new(banks(4, 512), 7, 1)
+        let mut pipe = BankedLlc::try_new(banks(4, 512), 7)
             .expect("valid bank set")
             .with_batch_size(16)
             .with_ring_capacity(2);
@@ -1239,7 +1080,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_request_windows() {
-        let mut pipe = BankedLlc::try_new(banks(2, 256), 3, 1).expect("valid bank set");
+        let mut pipe = BankedLlc::try_new(banks(2, 256), 3).expect("valid bank set");
         pipe.run_window(&[]);
         pipe.barrier();
         assert_eq!(pipe.pending(), 0);
@@ -1254,7 +1095,7 @@ mod tests {
 
     #[test]
     fn single_access_observes_queued_work() {
-        let mut pipe = BankedLlc::try_new(banks(2, 256), 3, 1).expect("valid bank set");
+        let mut pipe = BankedLlc::try_new(banks(2, 256), 3).expect("valid bank set");
         let addr = LineAddr(0x77);
         pipe.ingest(&[AccessRequest::read(PartitionId::from_index(0), addr)]);
         assert!(pipe.pending() > 0);
@@ -1267,7 +1108,7 @@ mod tests {
 
     #[test]
     fn lifecycle_and_stats_quiesce_first() {
-        let mut pipe = BankedLlc::try_new(banks(2, 256), 3, 1).expect("valid bank set");
+        let mut pipe = BankedLlc::try_new(banks(2, 256), 3).expect("valid bank set");
         let reqs = trace(1000);
         pipe.ingest(&reqs);
         assert!(pipe.pending() > 0);
@@ -1288,7 +1129,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "barrier() before save_state")]
     fn snapshot_refuses_to_cut_mid_window() {
-        let mut pipe = BankedLlc::try_new(banks(2, 256), 3, 1).expect("valid bank set");
+        let mut pipe = BankedLlc::try_new(banks(2, 256), 3).expect("valid bank set");
         pipe.ingest(&trace(100));
         let mut enc = Encoder::new();
         pipe.save_state(&mut enc);
@@ -1297,13 +1138,13 @@ mod tests {
     #[test]
     fn snapshot_round_trips_at_a_barrier() {
         let reqs = trace(10_000);
-        let mut pipe = BankedLlc::try_new(banks(2, 256), 3, 1).expect("valid bank set");
+        let mut pipe = BankedLlc::try_new(banks(2, 256), 3).expect("valid bank set");
         pipe.run_window(&reqs[..6000]);
         let mut enc = Encoder::new();
         pipe.save_state(&mut enc);
         let bytes = enc.into_bytes();
 
-        let mut restored = BankedLlc::try_new(banks(2, 256), 3, 1).expect("valid bank set");
+        let mut restored = BankedLlc::try_new(banks(2, 256), 3).expect("valid bank set");
         // Queued work in the target must not leak into the restored run.
         restored.ingest(&reqs[..100]);
         let mut dec = Decoder::new(&bytes, "banked llc");
@@ -1319,12 +1160,8 @@ mod tests {
     }
 
     #[test]
-    fn jobs_clamped_and_surface_delegates() {
-        let pipe = BankedLlc::try_new(banks(2, 256), 3, 16).expect("valid bank set");
-        assert_eq!(pipe.bank_jobs(), 2);
-        let pipe = BankedLlc::try_new(banks(2, 256), 3, 0).expect("valid bank set");
-        assert_eq!(pipe.bank_jobs(), 1);
-        let mut pipe = BankedLlc::try_new(banks(4, 256), 9, 2).expect("valid bank set");
+    fn surface_delegates() {
+        let mut pipe = BankedLlc::try_new(banks(4, 256), 9).expect("valid bank set");
         assert_eq!(pipe.capacity(), 1024);
         assert_eq!(pipe.num_partitions(), 2);
         assert!(pipe.name().starts_with("4x"));

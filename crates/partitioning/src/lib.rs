@@ -22,8 +22,7 @@
 //!
 //! Any of them can be sharded across address-interleaved banks by
 //! [`BankedLlc`]: per-access service inline, windows through per-bank rings
-//! drained bank-major, and the workspace's only worker pool (over [`spsc`]
-//! channels) when built with more than one job.
+//! drained bank-major on the calling thread.
 
 pub mod banked;
 pub mod baseline;
@@ -33,7 +32,6 @@ pub mod frame;
 pub mod hist;
 pub mod llc;
 pub mod pipp;
-pub mod spsc;
 pub mod way_part;
 
 pub use banked::{BankedLlc, RingStats};

@@ -24,8 +24,8 @@ pub enum AccessKind {
 ///
 /// This is the unit of the [`Llc`] access API — both the one-at-a-time
 /// [`Llc::access`] and the batched [`Llc::access_batch`] consume it — and it
-/// is plain `Copy` data so request slices can be grouped, queued and shipped
-/// across worker threads by sharded engines.
+/// is plain `Copy` data so request slices can be grouped and queued per bank
+/// by the banked LLC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct AccessRequest {
     /// The partition (a core/thread or a service-mode tenant) the access
@@ -303,9 +303,8 @@ impl std::error::Error for LifecycleError {}
 /// # Threading
 ///
 /// `Llc` requires `Send`: a cache (and everything it owns — arrays, RNGs,
-/// telemetry sinks) can be moved to another thread, which is what lets a
-/// sharded engine farm whole banks out to a worker pool. No `Sync` is
-/// required; a bank is only ever driven by one thread at a time.
+/// telemetry sinks) can be moved to another thread. No `Sync` is required;
+/// a cache is only ever driven by one thread at a time.
 ///
 /// # Checkpoint/restore
 ///
@@ -328,7 +327,7 @@ pub trait Llc: Send + vantage_snapshot::Snapshot {
     /// Semantically identical to calling [`access`](Llc::access) in a loop
     /// (which is the default implementation); schemes override it to amortize
     /// per-access costs across the batch — software-prefetching upcoming
-    /// probes, grouping by bank, or fanning out to worker threads. `out` is
+    /// probes or grouping by bank. `out` is
     /// appended to, not cleared, so callers can accumulate across batches.
     fn access_batch(&mut self, reqs: &[AccessRequest], out: &mut Vec<AccessOutcome>) {
         out.reserve(reqs.len());

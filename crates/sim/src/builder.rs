@@ -10,7 +10,6 @@
 //!
 //! let scheme = Scheme::builder(SchemeKind::vantage_paper(), SystemConfig::small_scale())
 //!     .banks(4)
-//!     .bank_jobs(2)
 //!     .try_build().expect("valid scheme config");
 //! assert_eq!(scheme.as_sharded().unwrap().num_banks(), 4);
 //! ```
@@ -24,7 +23,7 @@ use crate::scheme::{BuildError, Scheme};
 /// A fluent builder for [`Scheme`]s; see the [module docs](self).
 ///
 /// Created by [`Scheme::builder`]. Defaults come from the given
-/// [`SystemConfig`] (`banks`, `bank_jobs`, `scrub_period`); each chained
+/// [`SystemConfig`] (`banks`, `scrub_period`); each chained
 /// call overrides one knob, and [`LlcBuilder::try_build`] validates the
 /// result as a whole.
 pub struct LlcBuilder {
@@ -55,10 +54,10 @@ impl LlcBuilder {
         self
     }
 
-    /// Serves banked windows with `jobs` worker threads (`<= 1` stays on the
-    /// calling thread; see [`SystemConfig::bank_jobs`]).
-    pub fn bank_jobs(mut self, jobs: usize) -> Self {
-        self.sys.bank_jobs = jobs;
+    /// Ignores `jobs`: every banked window is served on the calling thread.
+    /// Kept only because the frozen `benchmark/` package calls it; it goes
+    /// away with the benchmark-side follow-up.
+    pub fn bank_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -133,6 +132,7 @@ mod tests {
     #[test]
     fn builder_stacks_banks_telemetry_and_jobs() {
         let (sink, reader) = RingSink::with_capacity(1 << 16);
+        // `bank_jobs` is accepted and ignored.
         let mut s = Scheme::builder(SchemeKind::vantage_paper(), SystemConfig::small_scale())
             .banks(4)
             .bank_jobs(2)

@@ -244,16 +244,6 @@ pub struct SystemConfig {
     /// slices behind a steering hash (Table 2's "8 MB NUCA, 4 banks"),
     /// each running its own controller.
     pub banks: usize,
-    /// Worker threads serving windows on a banked machine. `<= 1` serves
-    /// banks on the calling thread; larger values (meaningful only with
-    /// `banks > 1`) start the
-    /// [`BankedLlc`](vantage_partitioning::BankedLlc)'s scoped worker pool
-    /// for every window of at least
-    /// [`PARALLEL_THRESHOLD`](vantage_partitioning::BankedLlc::PARALLEL_THRESHOLD)
-    /// requests handed over through `access_batch`/`run_window`. A driver
-    /// that issues one `access` at a time (`CmpSim`) never starts a worker.
-    /// Results are bit-identical either way.
-    pub bank_jobs: usize,
     /// L2 hit latency in cycles (L1-to-bank + bank).
     pub l2_latency: u64,
     /// Memory zero-load latency in cycles.
@@ -305,7 +295,6 @@ impl SystemConfig {
             l2_lines: 32 * 1024,
             l2_ways: 16,
             banks: 1,
-            bank_jobs: 1,
             l2_latency: 12,
             mem_latency: 200,
             mem_channels: 1,
@@ -331,7 +320,6 @@ impl SystemConfig {
             l2_lines: 128 * 1024,
             l2_ways: 64,
             banks: 1,
-            bank_jobs: 1,
             l2_latency: 12,
             mem_latency: 200,
             mem_channels: 4,

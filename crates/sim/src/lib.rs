@@ -14,8 +14,7 @@
 //! * [`Scheme`] — the LLC under test: unpartitioned baseline (LRU or RRIP
 //!   variants), way-partitioning, PIPP, or Vantage over a configurable
 //!   array — optionally sharded across address-interleaved banks
-//!   ([`SystemConfig::banks`]), with batched windows optionally served by
-//!   a worker pool ([`SystemConfig::bank_jobs`]).
+//!   ([`SystemConfig::banks`]).
 //! * [`LlcBuilder`] (via [`Scheme::builder`]) — the fluent front door:
 //!   telemetry, fault plans, scrub periods and banking in one chain.
 //! * [`CmpSim`] — the event-interleaved multicore simulation; returns

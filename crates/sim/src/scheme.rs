@@ -111,12 +111,11 @@ pub enum Scheme {
     /// Vantage.
     Vantage(VantageLlc),
     /// Any of the above sharded across address-interleaved banks
-    /// (`SystemConfig::banks > 1`), with `SystemConfig::bank_jobs` workers.
-    /// Queued work flushes at epoch barriers ([`Scheme::epoch_barrier`]).
-    /// The name is historical — the frozen `benchmark/` package matches on
-    /// it — and covers every banked machine.
+    /// (`SystemConfig::banks > 1`). Queued work flushes at epoch barriers
+    /// ([`Scheme::epoch_barrier`]). The name is historical — the frozen
+    /// `benchmark/` package matches on it — and covers every banked machine.
     Pipelined {
-        /// The sharded cache, its rings and its worker pool.
+        /// The sharded cache and its rings.
         llc: BankedLlc,
         /// Whether UCP drives the wrapped scheme (false for baselines).
         ucp: bool,
@@ -173,7 +172,7 @@ impl Scheme {
                     Self::try_build(kind, &shard).map(Scheme::into_llc)
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            let llc = BankedLlc::try_new(banks, sys.seed ^ 0xBA2C, sys.bank_jobs)?;
+            let llc = BankedLlc::try_new(banks, sys.seed ^ 0xBA2C)?;
             let ucp = !matches!(kind, SchemeKind::Baseline { .. });
             return Ok(Scheme::Pipelined { llc, ucp });
         }
@@ -411,65 +410,24 @@ mod tests {
             SchemeKind::vantage_paper(),
         ];
         for kind in &kinds {
-            for jobs in [1usize, 2] {
-                sys.bank_jobs = jobs;
-                let mut s = Scheme::try_build(kind, &sys).expect("valid scheme config");
-                let sharded = s.as_sharded().expect("banked scheme is sharded");
-                assert_eq!(sharded.num_banks(), 4, "{}", kind.label());
-                assert_eq!(s.llc().capacity(), sys.l2_lines);
-                assert_eq!(s.llc().num_partitions(), 4);
-                assert_eq!(
-                    s.uses_ucp(),
-                    !matches!(kind, SchemeKind::Baseline { .. }),
-                    "{}",
-                    kind.label()
-                );
-                for i in 0..2000u64 {
-                    s.llc_mut().access(AccessRequest::read(
-                        PartitionId::from_index((i % 4) as usize),
-                        vantage_cache::LineAddr(i % 600),
-                    ));
-                }
-                assert!(s.llc_mut().stats_mut().total_hits() > 0, "{}", kind.label());
+            let mut s = Scheme::try_build(kind, &sys).expect("valid scheme config");
+            let sharded = s.as_sharded().expect("banked scheme is sharded");
+            assert_eq!(sharded.num_banks(), 4, "{}", kind.label());
+            assert_eq!(s.llc().capacity(), sys.l2_lines);
+            assert_eq!(s.llc().num_partitions(), 4);
+            assert_eq!(
+                s.uses_ucp(),
+                !matches!(kind, SchemeKind::Baseline { .. }),
+                "{}",
+                kind.label()
+            );
+            for i in 0..2000u64 {
+                s.llc_mut().access(AccessRequest::read(
+                    PartitionId::from_index((i % 4) as usize),
+                    vantage_cache::LineAddr(i % 600),
+                ));
             }
-        }
-    }
-
-    #[test]
-    fn banked_and_parallel_banked_agree_exactly() {
-        let mut serial_sys = SystemConfig::small_scale();
-        serial_sys.banks = 4;
-        let mut par_sys = serial_sys.clone();
-        par_sys.bank_jobs = 2;
-        let kind = SchemeKind::vantage_paper();
-        let mut serial = Scheme::try_build(&kind, &serial_sys).expect("valid scheme config");
-        let mut par = Scheme::try_build(&kind, &par_sys).expect("valid scheme config");
-        assert!(matches!(serial, Scheme::Pipelined { .. }));
-        assert!(matches!(par, Scheme::Pipelined { .. }));
-        let req = |i: u64| {
-            AccessRequest::read(
-                PartitionId::from_index((i % 4) as usize),
-                vantage_cache::LineAddr((i * 131) % 9000),
-            )
-        };
-        for i in 0..20_000u64 {
-            assert_eq!(
-                serial.llc_mut().access(req(i)),
-                par.llc_mut().access(req(i))
-            );
-        }
-        // One window above the pool threshold, so the workers really run.
-        let window: Vec<AccessRequest> = (20_000..21_000).map(req).collect();
-        assert!(window.len() >= BankedLlc::PARALLEL_THRESHOLD);
-        let (mut out_s, mut out_p) = (Vec::new(), Vec::new());
-        serial.llc_mut().access_batch(&window, &mut out_s);
-        par.llc_mut().access_batch(&window, &mut out_p);
-        assert_eq!(out_s, out_p);
-        for p in 0..4 {
-            assert_eq!(
-                serial.llc().partition_size(PartitionId::from_index(p)),
-                par.llc().partition_size(PartitionId::from_index(p))
-            );
+            assert!(s.llc_mut().stats_mut().total_hits() > 0, "{}", kind.label());
         }
     }
 
@@ -480,34 +438,31 @@ mod tests {
         let mut sys = SystemConfig::small_scale();
         sys.banks = 4;
         let kind = SchemeKind::vantage_paper();
-        for jobs in [1usize, 2] {
-            let mut serial = Scheme::try_build(&kind, &sys).expect("valid scheme config");
-            sys.bank_jobs = jobs;
-            let mut pipe = Scheme::try_build(&kind, &sys).expect("valid scheme config");
-            assert!(matches!(pipe, Scheme::Pipelined { .. }));
-            assert!(pipe.uses_ucp());
-            assert_eq!(pipe.as_sharded().expect("sharded").num_banks(), 4);
-            let reqs: Vec<AccessRequest> = (0..30_000u64)
-                .map(|i| {
-                    AccessRequest::read(
-                        PartitionId::from_index((i % 4) as usize),
-                        vantage_cache::LineAddr((i * 131) % 9000),
-                    )
-                })
-                .collect();
-            let out_s: Vec<_> = reqs.iter().map(|&r| serial.llc_mut().access(r)).collect();
-            let mut out_p = Vec::new();
-            for chunk in reqs.chunks(4096) {
-                pipe.llc_mut().access_batch(chunk, &mut out_p);
-            }
-            pipe.epoch_barrier();
-            assert_eq!(out_s, out_p, "jobs={jobs}");
-            for p in 0..4 {
-                assert_eq!(
-                    serial.llc().partition_size(PartitionId::from_index(p)),
-                    pipe.llc().partition_size(PartitionId::from_index(p))
-                );
-            }
+        let mut serial = Scheme::try_build(&kind, &sys).expect("valid scheme config");
+        let mut pipe = Scheme::try_build(&kind, &sys).expect("valid scheme config");
+        assert!(matches!(pipe, Scheme::Pipelined { .. }));
+        assert!(pipe.uses_ucp());
+        assert_eq!(pipe.as_sharded().expect("sharded").num_banks(), 4);
+        let reqs: Vec<AccessRequest> = (0..30_000u64)
+            .map(|i| {
+                AccessRequest::read(
+                    PartitionId::from_index((i % 4) as usize),
+                    vantage_cache::LineAddr((i * 131) % 9000),
+                )
+            })
+            .collect();
+        let out_s: Vec<_> = reqs.iter().map(|&r| serial.llc_mut().access(r)).collect();
+        let mut out_p = Vec::new();
+        for chunk in reqs.chunks(4096) {
+            pipe.llc_mut().access_batch(chunk, &mut out_p);
+        }
+        pipe.epoch_barrier();
+        assert_eq!(out_s, out_p);
+        for p in 0..4 {
+            assert_eq!(
+                serial.llc().partition_size(PartitionId::from_index(p)),
+                pipe.llc().partition_size(PartitionId::from_index(p))
+            );
         }
     }
 

@@ -89,10 +89,9 @@ fn fork(warm: &CmpSim, mut fresh: CmpSim) -> CmpSim {
 fn resume_is_bit_identical_for_every_scheme_at_three_split_points() {
     let base = quick_sys();
     let mut banked = base.clone();
+    // Builds Scheme::Pipelined; CmpSim issues one access at a time, so
+    // every access is an inline barrier.
     banked.banks = 4;
-    // Builds Scheme::Pipelined; CmpSim issues one access at a time, so the
-    // worker pool never starts and every access is an inline barrier.
-    banked.bank_jobs = 2;
     let mix = &mixes(4, 1, 7)[12];
     let cases: Vec<(SchemeKind, SystemConfig)> = vec![
         (SchemeKind::vantage_paper(), base.clone()),

@@ -3,9 +3,9 @@
 //! stream with a mid-run `set_targets` flip (plus a `create_partition` and a
 //! `destroy_partition` on Vantage).
 //!
-//! The stream is served four ways — one `access` per request, `access_batch`
-//! in 777-request chunks with one bank job and with two, and `run_window` —
-//! and every way must land on the same recorded values: the outcome digest,
+//! The stream is served three ways — one `access` per request, `access_batch`
+//! in 777-request chunks, and `run_window` — and every way must land on the
+//! same recorded values: the outcome digest,
 //! `LlcStats`, partition sizes, per-bank outcome digests and a digest of the
 //! snapshot bytes. The values were recorded when the banked machine was
 //! still two types (a grouping `BankedLlc` and a ring-buffered
@@ -56,19 +56,8 @@ fn phase_reqs(phase: u64, live: &[PartitionId]) -> Vec<AccessRequest> {
 #[derive(Clone, Copy, Debug)]
 enum Drive {
     Access,
-    Batch { jobs: usize },
+    Batch,
     Window,
-}
-
-impl Drive {
-    fn jobs(self) -> usize {
-        match self {
-            Drive::Access => 1,
-            Drive::Batch { jobs } => jobs,
-            // The ring engine's own entry point; two jobs start the pool.
-            Drive::Window => 2,
-        }
-    }
 }
 
 struct Run {
@@ -88,14 +77,14 @@ impl Run {
                 let llc = self.scheme.llc_mut();
                 out.extend(reqs.iter().map(|&r| llc.access(r)));
             }
-            Drive::Batch { .. } => {
+            Drive::Batch => {
                 for chunk in reqs.chunks(CHUNK) {
                     self.scheme.llc_mut().access_batch(chunk, &mut out);
                 }
             }
             Drive::Window => {
                 let Scheme::Pipelined { llc, .. } = &mut self.scheme else {
-                    panic!("a banked machine with a worker pool serves windows");
+                    panic!("a banked machine serves windows");
                 };
                 for window in reqs.chunks(WINDOW) {
                     llc.run_window(window);
@@ -125,7 +114,6 @@ struct Observed {
 fn run(kind: SchemeKind, lifecycle: bool, drive: Drive) -> Observed {
     let scheme = Scheme::builder(kind, SystemConfig::small_scale())
         .banks(BANKS)
-        .bank_jobs(drive.jobs())
         .try_build()
         .expect("valid banked machine");
     let mut run = Run {
@@ -190,12 +178,7 @@ fn run(kind: SchemeKind, lifecycle: bool, drive: Drive) -> Observed {
     }
 }
 
-const DRIVES: [Drive; 4] = [
-    Drive::Access,
-    Drive::Batch { jobs: 1 },
-    Drive::Batch { jobs: 2 },
-    Drive::Window,
-];
+const DRIVES: [Drive; 3] = [Drive::Access, Drive::Batch, Drive::Window];
 
 fn check(kind: SchemeKind, lifecycle: bool, want: &Observed) {
     for drive in DRIVES {

@@ -27,7 +27,7 @@ fn vantage_banks(parts: usize) -> BankedLlc {
     let banks = (0..2)
         .map(|b| Box::new(vantage(FRAMES / 2, parts, b)) as Box<dyn Llc>)
         .collect();
-    BankedLlc::try_new(banks, 7, 1).expect("valid bank set")
+    BankedLlc::try_new(banks, 7).expect("valid bank set")
 }
 
 /// Requests from the first `PARTS` partitions, over twice the capacity.

@@ -8,17 +8,11 @@
 //! * `Pin` resolves cross-partition hits in place — lines never change
 //!   owner, so the `OwnershipTransfer` telemetry lane and observation
 //!   counters must stay silent.
-//! * The measured leak harness (the `security` subcommand kernel) is a
-//!   pure function of the machine and seed: a banked machine with and
-//!   without a worker pool must produce the same per-trial miss sequence,
-//!   hence the same leak-rate digest, for every share mode.
 
 use proptest::prelude::*;
-use vantage_experiments::security::{measure_channel, probe_geometry};
 use vantage_repro::cache::{ShareMode, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{Llc, PartitionId};
-use vantage_repro::sim::{Scheme, SchemeKind, SystemConfig};
 use vantage_repro::telemetry::{RingSink, Telemetry, TelemetryEvent, TelemetryRecord};
 use vantage_repro::workloads::SharedHotSet;
 
@@ -134,41 +128,4 @@ fn adopt_does_emit_ownership_transfers() {
     let obs = llc.observations();
     assert!(obs.shared_hits.iter().sum::<u64>() > 0);
     assert!(obs.ownership_transfers.iter().sum::<u64>() > 0);
-}
-
-/// Every worker count produces the identical leak-rate digest per share
-/// mode: the measured channel is a property of the machine, not of how
-/// batches are scheduled onto banks.
-#[test]
-fn engines_agree_on_leak_digest_per_mode() {
-    for &mode in &ShareMode::ALL {
-        let mut results: Vec<(String, u64, f64)> = Vec::new();
-        for (label, jobs) in [("inline", 1), ("parallel", 2)] {
-            let mut sys = SystemConfig::small_scale();
-            sys.l2_lines = 4096;
-            sys.share_mode = mode;
-            let mut scheme = Scheme::builder(SchemeKind::vantage_paper(), sys)
-                .banks(4)
-                .bank_jobs(jobs)
-                .try_build()
-                .expect("valid banked scheme");
-            let m = measure_channel(scheme.llc_mut(), &probe_geometry(7), 24, |_, _| 0);
-            results.push((format!("{label} x{jobs}"), m.digest(), m.bits_per_trial));
-        }
-        let (ref name0, digest0, bits0) = results[0];
-        for (name, digest, bits) in &results[1..] {
-            assert_eq!(
-                *digest,
-                digest0,
-                "{}: {name} diverged from {name0}",
-                mode.label()
-            );
-            assert_eq!(
-                *bits,
-                bits0,
-                "{}: {name} leak rate diverged from {name0}",
-                mode.label()
-            );
-        }
-    }
 }

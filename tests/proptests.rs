@@ -436,15 +436,12 @@ proptest! {
             SchemeKind::Pipp,
             SchemeKind::vantage_paper(),
         ];
-        // Every kind is also exercised sharded, with and without worker
-        // threads.
-        let machines = [(1usize, 1usize), (4, 1), (4, 2)];
+        // Every kind is also exercised sharded.
         for kind in &kinds {
-            for &(banks, jobs) in &machines {
+            for banks in [1usize, 4] {
                 let build = || {
                     Scheme::builder(kind.clone(), sys.clone())
                         .banks(banks)
-                        .bank_jobs(jobs)
                         .try_build().expect("valid scheme config")
                 };
                 let mut one = build();
@@ -456,12 +453,12 @@ proptest! {
                 }
                 prop_assert_eq!(
                     &batched, &serial,
-                    "outcomes diverged for {} on {}x{} banks/jobs", kind.label(), banks, jobs
+                    "outcomes diverged for {} on {} banks", kind.label(), banks
                 );
                 prop_assert_eq!(
                     format!("{:?}", many.llc_mut().stats_mut()),
                     format!("{:?}", one.llc_mut().stats_mut()),
-                    "stats diverged for {} on {}x{} banks/jobs", kind.label(), banks, jobs
+                    "stats diverged for {} on {} banks", kind.label(), banks
                 );
             }
         }
@@ -560,7 +557,6 @@ proptest! {
     #[test]
     fn pipelined_rings_match_serial_under_windows_and_churn(
         seed in 0u64..400,
-        jobs in 1usize..3,
         batch in 1usize..7,
         ring_cap in 1usize..4,
         windows in prop::collection::vec(0usize..50, 4..20),
@@ -573,7 +569,7 @@ proptest! {
         const BANKS: usize = 4;
         const FRAMES: usize = 2048;
         let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
-        let build = |jobs: usize| {
+        let build = || {
             let banks = (0..BANKS)
                 .map(|b| {
                     Box::new(VantageLlc::try_new(
@@ -584,7 +580,7 @@ proptest! {
                     ).expect("valid Vantage config")) as Box<dyn Llc>
                 })
                 .collect();
-            let mut llc = BankedLlc::try_new(banks, seed ^ 0xBA2C, jobs).expect("valid bank set");
+            let mut llc = BankedLlc::try_new(banks, seed ^ 0xBA2C).expect("valid bank set");
             llc.set_targets(&[(FRAMES / 4) as u64; 4]).expect("targets fit");
             llc
         };
@@ -617,7 +613,7 @@ proptest! {
 
         // Serial reference: per-access service, churn applied between
         // accesses, per-bank digests folded from the outcome stream.
-        let mut serial = build(1);
+        let mut serial = build();
         let (sink_s, reader_s) = RingSink::with_capacity(1 << 18);
         prop_assert!(serial.set_telemetry(Telemetry::new(Box::new(sink_s), 256)));
         let mut ref_digests = [DIGEST_SEED; BANKS];
@@ -656,7 +652,7 @@ proptest! {
         // generated window sizes; churn ops land wherever they fall —
         // including while prior windows are still queued in the rings
         // (the lifecycle barrier must drain them first).
-        let mut pipe = build(jobs)
+        let mut pipe = build()
             .with_batch_size(batch)
             .with_ring_capacity(ring_cap);
         let (sink_p, reader_p) = RingSink::with_capacity(1 << 18);

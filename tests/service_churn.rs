@@ -117,7 +117,7 @@ fn drive_with(
     d
 }
 
-fn build_banked(seed: u64, banks: usize, jobs: usize) -> BankedLlc {
+fn build_banked(seed: u64, banks: usize) -> BankedLlc {
     let units = (0..banks)
         .map(|b| {
             let array = ZArray::new(FRAMES / banks, 4, 16, seed ^ (b as u64 + 1));
@@ -133,19 +133,14 @@ fn build_banked(seed: u64, banks: usize, jobs: usize) -> BankedLlc {
             Box::new(llc) as Box<dyn Llc>
         })
         .collect();
-    BankedLlc::try_new(units, seed ^ 0xBA2C, jobs).expect("valid bank set")
+    BankedLlc::try_new(units, seed ^ 0xBA2C).expect("valid bank set")
 }
 
-/// Lifecycle calls interleaved with batched traffic must replay the
-/// serial per-access engine bit-for-bit at every worker count.
+/// Lifecycle calls interleaved with batched traffic must replay the same
+/// banked cache served one access at a time bit-for-bit.
 #[test]
-fn churn_is_deterministic_across_serial_and_parallel_engines() {
-    let reference = drive(
-        &mut build_banked(7, 4, 1),
-        &mut churn_gen(0xC0DE),
-        60_000,
-        0,
-    );
+fn churn_is_deterministic_across_per_access_and_windowed_service() {
+    let reference = drive(&mut build_banked(7, 4), &mut churn_gen(0xC0DE), 60_000, 0);
     assert!(
         reference.slots.len() > 8,
         "trace must churn the population (got {} arrivals)",
@@ -153,30 +148,15 @@ fn churn_is_deterministic_across_serial_and_parallel_engines() {
     );
     assert!(reference.outcomes.iter().any(|o| o.is_hit()));
     assert!(reference.outcomes.iter().any(|o| !o.is_hit()));
-    for jobs in [1, 2, 4] {
-        let mut par = build_banked(7, 4, jobs);
-        let got = drive(&mut par, &mut churn_gen(0xC0DE), 60_000, 997);
-        assert_eq!(
-            got.slots, reference.slots,
-            "slot ids diverged at {jobs} workers"
-        );
-        assert_eq!(
-            got.outcomes, reference.outcomes,
-            "outcomes diverged at {jobs} workers"
-        );
-        assert_eq!(
-            got.stats, reference.stats,
-            "stats diverged at {jobs} workers"
-        );
-        assert_eq!(
-            got.sizes, reference.sizes,
-            "sizes diverged at {jobs} workers"
-        );
-        assert_eq!(
-            got.observations, reference.observations,
-            "observations diverged at {jobs} workers"
-        );
-    }
+    let got = drive(&mut build_banked(7, 4), &mut churn_gen(0xC0DE), 60_000, 997);
+    assert_eq!(got.slots, reference.slots, "slot ids diverged");
+    assert_eq!(got.outcomes, reference.outcomes, "outcomes diverged");
+    assert_eq!(got.stats, reference.stats, "stats diverged");
+    assert_eq!(got.sizes, reference.sizes, "sizes diverged");
+    assert_eq!(
+        got.observations, reference.observations,
+        "observations diverged"
+    );
 }
 
 /// A checkpoint taken mid-churn — slots draining, slots recycled, pending
