@@ -7,8 +7,8 @@
 //!   style the cycle-level simulator needs (each outcome feeds back into
 //!   core timing before the next request exists).
 //! * **Batched** — [`Llc::access_batch`] over fixed driver chunks.
-//! * **Pipelined** — a [`BankedLlc`] window: requests stream into per-bank
-//!   ring buffers and are consumed in long bank-major runs, with the only
+//! * **Pipelined** — a [`BankedLlc`] window: requests are routed to one run
+//!   per bank and each run is served in one call, bank-major, with the only
 //!   true barrier at the epoch boundary.
 //!
 //! A banked machine is one [`BankedLlc`] whichever way it is driven, and all
@@ -28,8 +28,8 @@ pub enum EngineKind {
     /// `access_batch` over fixed driver chunks.
     #[default]
     Batched,
-    /// Windows through a [`BankedLlc`]'s rings; barriers only at epoch
-    /// boundaries.
+    /// Windows through a [`BankedLlc`]'s per-bank runs; barriers only at
+    /// epoch boundaries.
     Pipelined,
 }
 
@@ -73,7 +73,7 @@ pub enum Engine<'a> {
         /// Requests per `access_batch` call (0 = whole window).
         chunk: usize,
     },
-    /// Window drive through a banked cache's rings.
+    /// Window drive through a banked cache's per-bank runs.
     Pipelined(&'a mut BankedLlc),
 }
 

@@ -29,6 +29,7 @@ use vantage_cache::{
     stamp_rank, CacheArray, Frame, LineAddr, Ownership, PartitionId, RripConfig, RripMode,
     RripPolicy, ShareMode, TagMeta, TsLru, Walk, MAX_PROBE_WAYS, TAG_UNMANAGED,
 };
+pub use vantage_partitioning::PrioritySample;
 use vantage_partitioning::{
     AccessOutcome, AccessRequest, HasInvariants, HasPartitionPolicy, InvariantViolation,
     LifecycleError, Llc, LlcStats, PartitionObservations, PartitionSpec, TargetsError,
@@ -69,10 +70,6 @@ const PREFETCH_MIN_FOOTPRINT: usize = 1 << 20;
 fn batch_footprint(frames: usize, ways: usize) -> usize {
     frames * (8 + 2 * ways + 3)
 }
-
-/// One demotion's empirical priority sample:
-/// `(access sequence number, partition, priority in [0, 1])`.
-pub type PrioritySample = (u64, u16, f32);
 
 /// Vantage-specific event counters (beyond hit/miss bookkeeping).
 #[derive(Clone, Debug, Default)]
@@ -371,26 +368,6 @@ impl VantageLlc {
             .iter()
             .filter(|s| **s == SlotState::Active)
             .count()
-    }
-
-    /// Enables Fig. 8-style demotion-priority sampling (LRU ranking only).
-    /// Ranks come from the tag store's count index, which every lane write
-    /// keeps current, so the probe can be enabled at any point of a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics under RRIP ranking, where timestamp ranks are undefined.
-    pub fn enable_priority_probe(&mut self) {
-        assert!(
-            matches!(self.cfg.rank, RankMode::Lru),
-            "probe requires LRU ranking"
-        );
-        self.probe = true;
-    }
-
-    /// Drains accumulated demotion-priority samples.
-    pub fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
-        std::mem::take(&mut self.samples)
     }
 
     /// Sets the base policy (SRRIP/BRRIP) for one partition; only meaningful
@@ -1625,6 +1602,26 @@ impl Llc for VantageLlc {
         } else {
             None
         }
+    }
+
+    /// Enables Fig. 8-style demotion-priority sampling (LRU ranking only).
+    /// Ranks come from the tag store's count index, which every lane write
+    /// keeps current, so the probe can be enabled at any point of a run.
+    ///
+    /// # Panics
+    ///
+    /// Panics under RRIP ranking, where timestamp ranks are undefined.
+    fn enable_priority_probe(&mut self) {
+        assert!(
+            matches!(self.cfg.rank, RankMode::Lru),
+            "probe requires LRU ranking"
+        );
+        self.probe = true;
+    }
+
+    /// Drains accumulated demotion-priority samples.
+    fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
+        std::mem::take(&mut self.samples)
     }
 
     fn name(&self) -> &str {

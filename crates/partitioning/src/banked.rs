@@ -15,29 +15,31 @@
 //!
 //! Service schedule: [`Llc::access`] serves one request inline. A window —
 //! [`Llc::access_batch`], [`BankedLlc::run_window`] or
-//! [`BankedLlc::ingest`] — decouples *production* (routing requests by bank
-//! hash) from *consumption* (serving a bank's requests): requests
-//! accumulate in per-bank rings of recycled batch buffers, and a drain
-//! serves each bank's entire queued run contiguously before touching the
-//! next bank. At memory-bound scales the bank-major schedule keeps one
-//! bank's metadata hot for long runs instead of a few accesses.
+//! [`BankedLlc::ingest`] — first routes every request to its bank's run
+//! (one growing queue per bank), then a drain hands each non-empty run to
+//! its bank's [`Llc::access_batch`] in one call, bank by bank: each bank
+//! serves its whole share of the window before the next bank starts. At
+//! memory-bound scales this bank-major schedule keeps one bank's metadata
+//! hot for long runs instead of a few accesses.
 //!
-//! Ordering and determinism: production scans a window in request order and
-//! rings are FIFO, so every bank sees its requests strictly in request order
-//! whatever the schedule. Outcomes, statistics, partition sizes and
-//! per-bank telemetry are therefore identical whether requests arrive one
-//! at a time or in windows of any size; only the interleaving of telemetry
-//! records across banks differs. Each bank folds the hit bit of every
-//! outcome it serves into a per-bank FNV-1a digest
+//! Ordering and determinism: routing scans a window in request order and
+//! runs only grow at the back, so every bank sees its requests strictly in
+//! request order whatever the schedule. Outcomes, statistics, partition
+//! sizes and per-bank telemetry are therefore identical whether requests
+//! arrive one at a time or in windows of any size; only the interleaving of
+//! telemetry records across banks differs. Each bank folds the hit bit of
+//! every outcome it serves into a per-bank FNV-1a digest
 //! ([`BankedLlc::bank_digests`]), a cheap equivalence check against a
 //! reference without buffering outcome streams.
 //!
-//! Barriers: requests handed to [`BankedLlc::ingest`] may sit queued until
-//! [`BankedLlc::barrier`]. Every observation or reconfiguration point
-//! (target updates, partition lifecycle, stats, telemetry arming) quiesces
-//! first — the [`Llc`] methods do so themselves. Checkpoints only cut at
-//! barriers: [`vantage_snapshot::Snapshot::save_state`] refuses to
-//! serialize queued work.
+//! Barriers: requests handed to [`BankedLlc::ingest`] sit in their runs
+//! until [`BankedLlc::barrier`]; there is no bound, so a caller that ingests
+//! holds every request since its last barrier. Every observation or
+//! reconfiguration point (target updates, partition lifecycle, stats,
+//! telemetry arming, the priority probe) quiesces first — the [`Llc`]
+//! methods do so themselves. Checkpoints only cut at barriers:
+//! [`vantage_snapshot::Snapshot::save_state`] refuses to serialize queued
+//! work.
 //!
 //! Every window is served on the calling thread. The simulator hands the
 //! LLC one request at a time, and a core cannot issue its next LLC request
@@ -46,8 +48,6 @@
 //! median of 1 on the 4-core machine and 2–3 on the 32-core one (DESIGN.md
 //! §19), too few to pay for handing batches to other threads.
 
-use std::collections::VecDeque;
-
 use vantage_cache::hash::mix_bucket;
 use vantage_cache::{LineAddr, PartitionId, ShareMode};
 use vantage_telemetry::{SharedSink, Telemetry};
@@ -55,7 +55,7 @@ use vantage_telemetry::{SharedSink, Telemetry};
 use crate::error::{SchemeConfigError, TargetsError};
 use crate::llc::{
     AccessOutcome, AccessRequest, LifecycleError, Llc, LlcStats, PartitionObservations,
-    PartitionSpec,
+    PartitionSpec, PrioritySample,
 };
 
 /// FNV-1a offset basis: the initial value of every per-bank digest.
@@ -67,34 +67,32 @@ fn fnv(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
-/// One ring slot: a run of same-bank requests plus — on the
+/// One bank's queued run: its requests in request order plus — on the
 /// outcome-returning [`Llc::access_batch`] path — the request-order
-/// positions their outcomes scatter back to. Buffers are recycled through a
-/// spare pool rather than reallocated, so a steady-state window reuses the
-/// same allocations every time.
+/// positions their outcomes scatter back to. The buffers are cleared, not
+/// freed, after each drain, so a steady-state window reuses them.
 #[derive(Default)]
-struct WorkBatch {
+struct Run {
     idxs: Vec<u32>,
     reqs: Vec<AccessRequest>,
 }
 
-/// Ring-occupancy accounting, sampled every time a batch is enqueued on a
-/// bank ring. `peak_depth` is the deepest any ring has been (in batches);
-/// `mean_depth` averages the depth over enqueue events. Deep rings mean
-/// production outruns consumption between barriers; a peak at the
-/// configured ring capacity means inline backpressure drains fired.
+/// Run-length accounting, sampled once per drained run. `peak_depth` is the
+/// longest run any bank has drained (in requests); `mean_depth` averages
+/// run lengths over drains. A bank's run holds its share of everything
+/// queued since the last barrier.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RingStats {
-    /// Deepest observed ring depth, in batches.
+    /// Longest drained run, in requests.
     pub peak_depth: usize,
-    /// Sum of observed depths across enqueue samples.
+    /// Sum of drained run lengths, in requests.
     pub depth_sum: u64,
-    /// Number of enqueue samples.
+    /// Number of drained runs.
     pub samples: u64,
 }
 
 impl RingStats {
-    /// Mean ring depth at enqueue, in batches (0.0 before any sample).
+    /// Mean drained run length, in requests (0.0 before any sample).
     pub fn mean_depth(&self) -> f64 {
         if self.samples == 0 {
             0.0
@@ -142,18 +140,8 @@ pub struct BankedLlc {
     /// installed, used to recover the caller's sink on `take_telemetry`.
     tele: Option<(SharedSink, u64)>,
     name: String,
-    /// Requests per [`WorkBatch`]: the granularity of ring slots.
-    batch: usize,
-    /// Ring depth (in batches) at which an inline backpressure drain serves
-    /// the whole ring for that bank.
-    ring_cap: usize,
-    /// One open (still-filling) batch per bank.
-    staging: Vec<WorkBatch>,
-    /// Closed batches queued per bank, oldest first.
-    rings: Vec<VecDeque<WorkBatch>>,
-    /// Recycled batch buffers: a steady-state window is served out of the
-    /// same allocations as the last one.
-    spares: Vec<WorkBatch>,
+    /// One queued run per bank.
+    runs: Vec<Run>,
     /// Per-bank FNV-1a digests over served outcome hit bits, in per-bank
     /// service order (== per-bank request order).
     digests: Vec<u64>,
@@ -164,12 +152,6 @@ pub struct BankedLlc {
 }
 
 impl BankedLlc {
-    /// Default requests per ring slot.
-    pub const DEFAULT_BATCH: usize = 4096;
-
-    /// Default ring depth (batches per bank) before inline backpressure.
-    pub const DEFAULT_RING_CAP: usize = 64;
-
     /// Assembles a banked LLC from per-bank caches, steering addresses with
     /// a hash keyed by `bank_seed`.
     ///
@@ -195,36 +177,12 @@ impl BankedLlc {
             agg: LlcStats::new(partitions),
             tele: None,
             name,
-            batch: Self::DEFAULT_BATCH,
-            ring_cap: Self::DEFAULT_RING_CAP,
-            staging: (0..n).map(|_| WorkBatch::default()).collect(),
-            rings: (0..n).map(|_| VecDeque::new()).collect(),
-            spares: Vec::new(),
+            runs: (0..n).map(|_| Run::default()).collect(),
             digests: vec![DIGEST_SEED; n],
             ring_stats: RingStats::default(),
             pending: 0,
             scratch: Vec::new(),
         })
-    }
-
-    /// Sets the ring-slot batch size (0 restores the default).
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch = if batch == 0 {
-            Self::DEFAULT_BATCH
-        } else {
-            batch
-        };
-        self
-    }
-
-    /// Sets the per-bank ring capacity in batches (0 restores the default).
-    pub fn with_ring_capacity(mut self, cap: usize) -> Self {
-        self.ring_cap = if cap == 0 {
-            Self::DEFAULT_RING_CAP
-        } else {
-            cap
-        };
-        self
     }
 
     /// Number of banks.
@@ -283,13 +241,13 @@ impl BankedLlc {
         self.digests.fill(DIGEST_SEED);
     }
 
-    /// Ring-occupancy statistics since construction or the last
+    /// Run-length statistics since construction or the last
     /// [`reset_ring_stats`](Self::reset_ring_stats).
     pub fn ring_stats(&self) -> RingStats {
         self.ring_stats
     }
 
-    /// Clears the ring-occupancy statistics.
+    /// Clears the run-length statistics.
     pub fn reset_ring_stats(&mut self) {
         self.ring_stats = RingStats::default();
     }
@@ -302,28 +260,29 @@ impl BankedLlc {
         self
     }
 
-    /// Shards `reqs` into the per-bank rings without serving them (except
-    /// for backpressure drains). Call [`barrier`](Self::barrier) to flush.
+    /// Routes `reqs` onto the per-bank runs without serving them. They stay
+    /// queued — with everything else ingested since the last barrier — until
+    /// [`barrier`](Self::barrier) or any other quiescing call serves them.
     ///
     /// The request-order positions of outcomes are *not* retained: outcomes
     /// are folded into the per-bank digests when drained and otherwise
     /// discarded. Use [`Llc::access_batch`] when outcomes are needed.
     pub fn ingest(&mut self, reqs: &[AccessRequest]) {
-        self.enqueue(reqs, None);
+        self.enqueue(reqs, false);
     }
 
-    /// Quiesces the cache: closes every staging batch and serves every
-    /// ring, bank-major. This is the *only* point where queued work is
-    /// guaranteed served; epoch repartitioning, checkpoints, stats reads
-    /// and lifecycle operations all sit behind it.
+    /// Quiesces the cache: serves every bank's run, bank-major. This is the
+    /// *only* point where queued work is guaranteed served; epoch
+    /// repartitioning, checkpoints, stats reads and lifecycle operations all
+    /// sit behind it.
     pub fn barrier(&mut self) {
         if self.pending != 0 {
             self.flush(None);
         }
     }
 
-    /// Serves one window of requests and quiesces: the window is sharded
-    /// into the rings and drained bank-major. Outcomes fold into the
+    /// Serves one window of requests and quiesces: the window is routed
+    /// onto the per-bank runs and drained bank-major. Outcomes fold into the
     /// per-bank digests; use [`Llc::access_batch`] to get them back.
     ///
     /// # Example
@@ -345,7 +304,7 @@ impl BankedLlc {
     /// let reqs: Vec<AccessRequest> = (0..1000)
     ///     .map(|i| AccessRequest::read(PartitionId::from_index(0), LineAddr(i)))
     ///     .collect();
-    /// llc.run_window(&reqs); // shard into rings, drain bank-major
+    /// llc.run_window(&reqs); // route to per-bank runs, drain bank-major
     /// assert_eq!(llc.pending(), 0, "run_window leaves the cache quiesced");
     /// assert_eq!(llc.bank_digests().len(), 4);
     /// ```
@@ -365,87 +324,58 @@ impl BankedLlc {
         }
     }
 
-    /// Closes bank `b`'s open batch onto its ring, sampling occupancy, and
-    /// fires an inline backpressure drain when the ring is full. A no-op
-    /// while the open batch is empty.
-    fn close_staging(&mut self, b: usize, out: Option<&mut [AccessOutcome]>) {
-        if self.staging[b].reqs.is_empty() {
-            return;
-        }
-        let spare = self.spares.pop().unwrap_or_default();
-        let full = std::mem::replace(&mut self.staging[b], spare);
-        self.rings[b].push_back(full);
-        let depth = self.rings[b].len();
-        self.ring_stats.peak_depth = self.ring_stats.peak_depth.max(depth);
-        self.ring_stats.depth_sum += depth as u64;
-        self.ring_stats.samples += 1;
-        if depth >= self.ring_cap {
-            // Production outran this bank's ring: serve its whole queued
-            // run now. Still one long bank-major run, just cut earlier.
-            self.drain_bank(b, out);
-        }
-    }
-
-    /// Routes `reqs` to their banks' open batches in request order and
-    /// closes every batch that fills onto its bank's ring. `out` is the
-    /// request-order outcome slice of an [`Llc::access_batch`] call: with
-    /// it, batches record each request's position and any backpressure
-    /// drain scatters into it.
-    fn enqueue(&mut self, reqs: &[AccessRequest], mut out: Option<&mut [AccessOutcome]>) {
+    /// Appends `reqs` to their banks' runs in request order; `indexed`
+    /// records each request's position for an [`Llc::access_batch`]
+    /// scatter. A run is either wholly indexed or wholly not: every
+    /// indexed window starts at a barrier and ends with one.
+    fn enqueue(&mut self, reqs: &[AccessRequest], indexed: bool) {
         self.pending += reqs.len();
         for (i, &req) in reqs.iter().enumerate() {
             let b = self.bank_of(req.addr);
-            let wb = &mut self.staging[b];
-            if out.is_some() {
-                wb.idxs.push(i as u32);
+            let run = &mut self.runs[b];
+            if indexed {
+                run.idxs.push(i as u32);
             }
-            wb.reqs.push(req);
-            if wb.reqs.len() >= self.batch {
-                self.close_staging(b, out.as_deref_mut());
-            }
+            run.reqs.push(req);
         }
     }
 
-    /// Drains every queued batch for bank `b` — one contiguous bank-major
-    /// run — folding outcomes into the bank's digest and, with `out`,
-    /// scattering them to each batch's recorded request-order positions.
-    fn drain_bank(&mut self, b: usize, mut out: Option<&mut [AccessOutcome]>) {
-        while let Some(mut wb) = self.rings[b].pop_front() {
+    /// Serves every non-empty run with one `access_batch` call on its bank,
+    /// bank by bank, folding outcomes into the bank's digest and, with
+    /// `out`, scattering them to the run's recorded request-order positions.
+    fn flush(&mut self, mut out: Option<&mut [AccessOutcome]>) {
+        for (b, run) in self.runs.iter_mut().enumerate() {
+            if run.reqs.is_empty() {
+                continue;
+            }
+            let len = run.reqs.len();
+            self.ring_stats.peak_depth = self.ring_stats.peak_depth.max(len);
+            self.ring_stats.depth_sum += len as u64;
+            self.ring_stats.samples += 1;
             self.scratch.clear();
-            self.banks[b].access_batch(&wb.reqs, &mut self.scratch);
+            self.banks[b].access_batch(&run.reqs, &mut self.scratch);
             for o in &self.scratch {
                 self.digests[b] = fnv(self.digests[b], o.is_hit() as u64);
             }
-            let scattered = if out.is_some() { wb.reqs.len() } else { 0 };
-            debug_assert_eq!(wb.idxs.len(), scattered, "batch staged for the other drain");
+            let scattered = if out.is_some() { len } else { 0 };
+            debug_assert_eq!(run.idxs.len(), scattered, "run queued for the other drain");
             if let Some(out) = out.as_deref_mut() {
-                for (&i, &o) in wb.idxs.iter().zip(&self.scratch) {
+                for (&i, &o) in run.idxs.iter().zip(&self.scratch) {
                     out[i as usize] = o;
                 }
             }
-            self.pending -= wb.reqs.len();
-            wb.idxs.clear();
-            wb.reqs.clear();
-            self.spares.push(wb);
-        }
-    }
-
-    /// Closes every open batch and serves every ring, bank-major.
-    fn flush(&mut self, mut out: Option<&mut [AccessOutcome]>) {
-        for b in 0..self.rings.len() {
-            self.close_staging(b, out.as_deref_mut());
-        }
-        for b in 0..self.rings.len() {
-            self.drain_bank(b, out.as_deref_mut());
+            self.pending -= len;
+            run.idxs.clear();
+            run.reqs.clear();
         }
         debug_assert_eq!(self.pending, 0, "flush left queued work behind");
     }
 
     /// [`run_window`](Self::run_window), additionally scattering outcomes
     /// into `out` (one slot per request, in request order) when given.
-    fn serve_window(&mut self, reqs: &[AccessRequest], mut out: Option<&mut [AccessOutcome]>) {
+    fn serve_window(&mut self, reqs: &[AccessRequest], out: Option<&mut [AccessOutcome]>) {
         self.barrier();
-        self.enqueue(reqs, out.as_deref_mut());
+        self.enqueue(reqs, out.is_some());
         self.flush(out);
     }
 }
@@ -473,7 +403,7 @@ impl Llc for BankedLlc {
     /// Serves one request inline, routed once. Quiesces first so the request
     /// observes every previously ingested access in order; with nothing
     /// queued that is one branch, which (with the digest fold) is all a
-    /// per-access driver such as `CmpSim` pays for the rings.
+    /// per-access driver such as `CmpSim` pays for the runs.
     fn access(&mut self, req: AccessRequest) -> AccessOutcome {
         self.barrier();
         let b = self.bank_of(req.addr);
@@ -483,10 +413,9 @@ impl Llc for BankedLlc {
     }
 
     /// Serves the batch as one window with scatter indices and hands
-    /// outcomes back in request order. Each bank's share reaches its own
-    /// `access_batch` in runs of up to the ring-slot batch size, so
-    /// per-bank batch specializations see long runs instead of interleaved
-    /// singletons — e.g. Vantage's prefetch pipeline, which a bank runs only
+    /// outcomes back in request order. Each bank's whole share reaches its
+    /// own `access_batch` in one call, so per-bank batch specializations see
+    /// long runs instead of interleaved singletons — e.g. Vantage's prefetch pipeline, which a bank runs only
     /// when its own footprint is too large for the host's cache (64K Z4
     /// frames and up; smaller banks serve the run as a plain loop).
     fn access_batch(&mut self, reqs: &[AccessRequest], out: &mut Vec<AccessOutcome>) {
@@ -677,6 +606,25 @@ impl Llc for BankedLlc {
         }
     }
 
+    /// Quiesces, then enables the probe in every bank.
+    fn enable_priority_probe(&mut self) {
+        self.barrier();
+        for bank in &mut self.banks {
+            bank.enable_priority_probe();
+        }
+    }
+
+    /// Quiesces, then concatenates every bank's samples in bank order. Each
+    /// bank numbers accesses by its own counter, so a sample's access
+    /// number is per-bank, not machine-wide.
+    fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
+        self.barrier();
+        self.banks
+            .iter_mut()
+            .flat_map(|bank| bank.drain_priority_samples())
+            .collect()
+    }
+
     fn name(&self) -> &str {
         &self.name
     }
@@ -684,12 +632,12 @@ impl Llc for BankedLlc {
 
 impl vantage_snapshot::Snapshot for BankedLlc {
     /// One length-prefixed blob per bank: a bank's decode errors stay
-    /// contained to its own payload, and banks restore in order. The rings
+    /// contained to its own payload, and banks restore in order. The runs
     /// hold no simulation state once drained, so snapshots interchange
     /// across schedules.
     ///
     /// Checkpoints only cut at barriers: serializing with queued work would
-    /// bake the ring contents' *absence* into the snapshot. `save_state`
+    /// bake the runs' *absence* into the snapshot. `save_state`
     /// takes `&self`, so it cannot quiesce for you — callers drain first
     /// (the simulator's checkpoint path barriers at the epoch boundary).
     ///
@@ -716,10 +664,9 @@ impl vantage_snapshot::Snapshot for BankedLlc {
         &mut self,
         dec: &mut vantage_snapshot::Decoder<'_>,
     ) -> vantage_snapshot::Result<()> {
-        for (open, ring) in self.staging.iter_mut().zip(&mut self.rings) {
-            open.idxs.clear();
-            open.reqs.clear();
-            ring.clear();
+        for run in &mut self.runs {
+            run.idxs.clear();
+            run.reqs.clear();
         }
         self.pending = 0;
         self.reset_digests();
@@ -994,7 +941,7 @@ mod tests {
             .collect();
         let singles: Vec<AccessOutcome> = reqs.iter().map(|&r| one.access(r)).collect();
         let mut outs = Vec::new();
-        // Uneven chunking exercises the staging-buffer reuse.
+        // Uneven chunking exercises the run-buffer reuse.
         for chunk in reqs.chunks(777) {
             batched.access_batch(chunk, &mut outs);
         }
@@ -1023,9 +970,7 @@ mod tests {
         let mut serial = BankedLlc::try_new(banks(4, 512), 7).expect("valid bank set");
         let serial_out: Vec<AccessOutcome> = reqs.iter().map(|&r| serial.access(r)).collect();
         for chunk in [777, 100] {
-            let mut pipe = BankedLlc::try_new(banks(4, 512), 7)
-                .expect("valid bank set")
-                .with_batch_size(64);
+            let mut pipe = BankedLlc::try_new(banks(4, 512), 7).expect("valid bank set");
             let mut out = Vec::new();
             for chunk in reqs.chunks(chunk) {
                 pipe.access_batch(chunk, &mut out);
@@ -1045,9 +990,7 @@ mod tests {
         let reqs = trace(30_000);
         let (want_digests, want_stats) = serial_bank_digests(4, &reqs);
         for size in [7001, 300] {
-            let mut pipe = BankedLlc::try_new(banks(4, 512), 7)
-                .expect("valid bank set")
-                .with_batch_size(128);
+            let mut pipe = BankedLlc::try_new(banks(4, 512), 7).expect("valid bank set");
             for window in reqs.chunks(size) {
                 pipe.run_window(window);
                 assert_eq!(pipe.pending(), 0, "run_window quiesces");
@@ -1058,24 +1001,46 @@ mod tests {
     }
 
     #[test]
-    fn ingest_with_backpressure_matches_serial() {
+    fn several_ingests_then_one_barrier_match_serial() {
         let reqs = trace(30_000);
         let (want_digests, want_stats) = serial_bank_digests(4, &reqs);
-        // Tiny batches + shallow rings: inline backpressure drains fire
-        // constantly, cutting the bank-major runs early.
-        let mut pipe = BankedLlc::try_new(banks(4, 512), 7)
-            .expect("valid bank set")
-            .with_batch_size(16)
-            .with_ring_capacity(2);
+        let mut pipe = BankedLlc::try_new(banks(4, 512), 7).expect("valid bank set");
         for chunk in reqs.chunks(1234) {
             pipe.ingest(chunk);
         }
+        assert_eq!(pipe.pending(), reqs.len(), "ingest holds everything");
         pipe.barrier();
+        assert_eq!(pipe.pending(), 0);
         assert_eq!(pipe.bank_digests(), &want_digests[..]);
         assert_eq!(observed_stats(&mut pipe), want_stats);
+        // One barrier drains one run per bank, each holding that bank's
+        // whole share of the ingested stream.
+        let mut share = [0usize; 4];
+        for r in &reqs {
+            share[pipe.bank_of(r.addr)] += 1;
+        }
         let rs = pipe.ring_stats();
-        assert_eq!(rs.peak_depth, 2, "backpressure capped the rings");
-        assert!(rs.samples > 0 && rs.mean_depth() > 0.0);
+        assert_eq!(rs.samples, 4);
+        assert_eq!(rs.peak_depth, *share.iter().max().unwrap());
+        assert_eq!(rs.depth_sum, reqs.len() as u64);
+        assert_eq!(rs.mean_depth(), reqs.len() as f64 / 4.0);
+    }
+
+    #[test]
+    fn ingest_then_access_batch_returns_only_its_own_window() {
+        let reqs = trace(6000);
+        let (queued, window) = reqs.split_at(4000);
+        let mut serial = BankedLlc::try_new(banks(4, 512), 7).expect("valid bank set");
+        let serial_out: Vec<AccessOutcome> = reqs.iter().map(|&r| serial.access(r)).collect();
+        let mut pipe = BankedLlc::try_new(banks(4, 512), 7).expect("valid bank set");
+        pipe.ingest(queued);
+        let mut out = vec![AccessOutcome::Hit; 3];
+        pipe.access_batch(window, &mut out);
+        assert_eq!(&out[..3], &[AccessOutcome::Hit; 3], "earlier outcomes kept");
+        assert_eq!(&out[3..], &serial_out[4000..], "queued work landed first");
+        assert_eq!(pipe.pending(), 0);
+        assert_eq!(pipe.bank_digests(), serial.bank_digests());
+        assert_eq!(observed_stats(&mut pipe), observed_stats(&mut serial));
     }
 
     #[test]

@@ -17,7 +17,9 @@ use vantage_snapshot::{Decoder, Encoder, Snapshot};
 use vantage_telemetry::{PartitionSample, Telemetry, TelemetryEvent};
 
 use crate::error::TargetsError;
-use crate::llc::{AccessOutcome, AccessRequest, Llc, LlcStats, PartitionObservations};
+use crate::llc::{
+    AccessOutcome, AccessRequest, Llc, LlcStats, PartitionObservations, PrioritySample,
+};
 
 /// Where one array-level scheme differs from the others: how it ranks
 /// lines, picks victims and maps targets onto its mechanism. Every hook
@@ -57,6 +59,14 @@ pub trait Mechanism: Send {
 
     /// Ranks and stamps the line `part` just filled into `landing`.
     fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, addr: LineAddr);
+
+    /// Starts priority sampling; see [`Llc::enable_priority_probe`].
+    fn enable_priority_probe(&mut self) {}
+
+    /// Drains priority samples; see [`Llc::drain_priority_samples`].
+    fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
+        Vec::new()
+    }
 
     /// Maps line-granularity targets (already checked: one per partition,
     /// summing to at most the capacity) onto the mechanism.
@@ -282,6 +292,14 @@ impl<M: Mechanism> Llc for SchemeFrame<M> {
 
     fn take_telemetry(&mut self) -> Option<Telemetry> {
         self.tele.enabled().then(|| std::mem::take(&mut self.tele))
+    }
+
+    fn enable_priority_probe(&mut self) {
+        self.mech.enable_priority_probe();
+    }
+
+    fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
+        self.mech.drain_priority_samples()
     }
 
     fn name(&self) -> &str {

@@ -21,7 +21,7 @@
 //! crate), so simulators and experiments treat all schemes uniformly.
 //!
 //! Any of them can be sharded across address-interleaved banks by
-//! [`BankedLlc`]: per-access service inline, windows through per-bank rings
+//! [`BankedLlc`]: per-access service inline, windows as one run per bank
 //! drained bank-major on the calling thread.
 
 pub mod banked;
@@ -42,7 +42,7 @@ pub use frame::{Mechanism, SchemeFrame};
 pub use hist::TsHistogram;
 pub use llc::{
     AccessKind, AccessOutcome, AccessRequest, LifecycleError, Llc, LlcStats, PartitionObservations,
-    PartitionSpec,
+    PartitionSpec, PrioritySample,
 };
 pub use pipp::{PippConfig, PippLlc};
 pub use vantage_cache::PartitionId;

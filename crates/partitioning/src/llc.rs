@@ -286,6 +286,10 @@ impl std::fmt::Display for LifecycleError {
 
 impl std::error::Error for LifecycleError {}
 
+/// One eviction's or demotion's empirical priority, for Fig. 8-style heat
+/// maps: `(access sequence number, partition, priority in [0, 1])`.
+pub type PrioritySample = (u64, u16, f32);
+
 /// A shared last-level cache serving multiple partitions.
 ///
 /// A partition is usually a core/thread, but may be any capacity domain
@@ -448,6 +452,16 @@ pub trait Llc: Send + vantage_snapshot::Snapshot {
     /// caller's or the handle's `Drop`'s job), or `None` if absent.
     fn take_telemetry(&mut self) -> Option<Telemetry> {
         None
+    }
+
+    /// Starts Fig. 8-style eviction/demotion priority sampling where the
+    /// scheme supports it; other schemes ignore the request.
+    fn enable_priority_probe(&mut self) {}
+
+    /// Drains the priority samples taken since the last drain (empty when
+    /// the probe is off or unsupported).
+    fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
+        Vec::new()
     }
 
     /// A short human-readable scheme name (e.g. `"Vantage"`, `"WayPart"`).

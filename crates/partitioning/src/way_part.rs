@@ -18,11 +18,7 @@ use vantage_snapshot::{Decoder, Encoder, Snapshot};
 use crate::error::SchemeConfigError;
 use crate::frame::{Mechanism, SchemeFrame};
 use crate::hist::TsHistogram;
-use crate::llc::ways_from_targets;
-
-/// A sample of one eviction's empirical priority, for Fig. 8-style heat
-/// maps: (access sequence number, partition, priority in `[0, 1]`).
-pub type PrioritySample = (u64, u16, f32);
+use crate::llc::{ways_from_targets, PrioritySample};
 
 /// Optional eviction-priority instrumentation: per-partition coarse
 /// timestamps plus histograms that turn an evicted line's timestamp into a
@@ -117,19 +113,6 @@ impl WayPartLlc {
         mech.set_targets(&vec![1; partitions]);
         let array = Box::new(SetAssocArray::hashed(frames, ways, seed));
         Ok(SchemeFrame::new(array, partitions, mech))
-    }
-
-    /// Enables Fig. 8-style eviction-priority sampling.
-    pub fn enable_priority_probe(&mut self) {
-        let partitions = self.mech.alloc.len();
-        let probe = &mut self.mech.probe;
-        probe.get_or_insert_with(|| PriorityProbe::new(partitions));
-    }
-
-    /// Drains accumulated priority samples (empty if the probe is off).
-    pub fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
-        let probe = self.mech.probe.as_mut();
-        probe.map_or_else(Vec::new, |pr| std::mem::take(&mut pr.samples))
     }
 
     /// The current whole-way allocation.
@@ -238,6 +221,17 @@ impl Mechanism for WayPartition {
         if let Some(pr) = self.probe.as_mut() {
             pr.record_evict(access, owner, stamp);
         }
+    }
+
+    fn enable_priority_probe(&mut self) {
+        let partitions = self.alloc.len();
+        self.probe
+            .get_or_insert_with(|| PriorityProbe::new(partitions));
+    }
+
+    fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
+        let probe = self.probe.as_mut();
+        probe.map_or_else(Vec::new, |pr| std::mem::take(&mut pr.samples))
     }
 
     fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, _addr: LineAddr) {

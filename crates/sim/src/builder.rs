@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn builder_selects_the_pipelined_engine() {
-        // Every banked machine is the ring-buffered one; `engine` is ignored.
+        // Every banked machine is the one windowed type; `engine` is ignored.
         let mut s = Scheme::builder(SchemeKind::vantage_paper(), SystemConfig::small_scale())
             .banks(4)
             .engine(vantage::EngineKind::Serial)

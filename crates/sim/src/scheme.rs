@@ -115,7 +115,7 @@ pub enum Scheme {
     /// ([`Scheme::epoch_barrier`]). The name is historical — the frozen
     /// `benchmark/` package matches on it — and covers every banked machine.
     Pipelined {
-        /// The sharded cache and its rings.
+        /// The sharded cache and its per-bank runs.
         llc: BankedLlc,
         /// Whether UCP drives the wrapped scheme (false for baselines).
         ucp: bool,
@@ -251,7 +251,7 @@ impl Scheme {
         }
     }
 
-    /// Quiesces a banked machine's rings (drained bank-major) so every
+    /// Quiesces a banked machine's runs (drained bank-major) so every
     /// access issued so far is reflected in stats, sizes and snapshots. A
     /// no-op on unbanked schemes. Drive loops call this before epoch
     /// repartitioning and before checkpoints — the two points whose results
@@ -336,22 +336,15 @@ impl Scheme {
     }
 
     /// Enables eviction/demotion priority probes where supported
-    /// (way-partitioning and Vantage-LRU; others ignore the request).
+    /// (way-partitioning and Vantage-LRU, banked or not; others ignore the
+    /// request).
     pub fn enable_priority_probe(&mut self) {
-        match self {
-            Scheme::WayPart(l) => l.enable_priority_probe(),
-            Scheme::Vantage(l) => l.enable_priority_probe(),
-            _ => {}
-        }
+        self.llc_mut().enable_priority_probe();
     }
 
     /// Drains accumulated priority samples (empty when unsupported).
     pub fn drain_priority_samples(&mut self) -> Vec<(u64, u16, f32)> {
-        match self {
-            Scheme::WayPart(l) => l.drain_priority_samples(),
-            Scheme::Vantage(l) => l.drain_priority_samples(),
-            _ => Vec::new(),
-        }
+        self.llc_mut().drain_priority_samples()
     }
 }
 
@@ -432,9 +425,57 @@ mod tests {
     }
 
     #[test]
+    fn banked_priority_probe_samples_every_bank_demotion() {
+        use vantage_telemetry::{RingSink, Telemetry, TelemetryEvent, TelemetryRecord};
+        let mut sys = SystemConfig::small_scale();
+        sys.banks = 4;
+        let mut s = Scheme::try_build(&SchemeKind::vantage_paper(), &sys).expect("valid config");
+        s.enable_priority_probe();
+        // Demotion events count what the banks demote; the sample period
+        // is long enough that no periodic sample is taken.
+        let (sink, reader) = RingSink::with_capacity(1 << 18);
+        assert!(s
+            .llc_mut()
+            .set_telemetry(Telemetry::new(Box::new(sink), 1 << 40)));
+        // Partition p streams over a private set of 8K << p lines: the two
+        // larger sets overrun their quarter of the cache.
+        let reqs: Vec<AccessRequest> = (0..200_000u64)
+            .map(|i| {
+                let p = i % 4;
+                let line = vantage_cache::hash::mix64(i) % (8192 << p);
+                AccessRequest::read(
+                    PartitionId::from_index(p as usize),
+                    vantage_cache::LineAddr(((p + 1) << 40) + line),
+                )
+            })
+            .collect();
+        let mut out = Vec::new();
+        for window in reqs.chunks(4096) {
+            s.llc_mut().access_batch(window, &mut out);
+        }
+        let samples = s.drain_priority_samples();
+        s.llc_mut().take_telemetry();
+        assert_eq!(reader.overwritten(), 0);
+        let demotions = reader
+            .records()
+            .iter()
+            .filter(|r| matches!(r, TelemetryRecord::Event(TelemetryEvent::Demotion { .. })))
+            .count();
+        assert!(demotions > 1000, "the trace must demote: {demotions}");
+        assert_eq!(samples.len(), demotions);
+        assert!(samples
+            .iter()
+            .all(|&(_, part, pr)| part < 4 && (0.0..=1.0).contains(&pr)));
+        assert!(
+            s.drain_priority_samples().is_empty(),
+            "drain empties every bank"
+        );
+    }
+
+    #[test]
     fn pipelined_engine_builds_and_matches_banked() {
-        // Ring-buffered windows replay the same machine served one access
-        // at a time.
+        // Windows served as per-bank runs replay the same machine served
+        // one access at a time.
         let mut sys = SystemConfig::small_scale();
         sys.banks = 4;
         let kind = SchemeKind::vantage_paper();

@@ -544,21 +544,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Ring-buffered windows are observationally identical to serving the
-    /// same banked cache one access at a time under adversarial window
-    /// schedules — empty
-    /// windows, single-request windows, non-divisible window and staging-
-    /// batch sizes, tiny ring capacities (forcing inline backpressure
-    /// drains), and tenant churn landing *mid-window* while work is still
-    /// queued in the rings. Outcomes are checked per bank via the cache's
-    /// own FNV digests against a reference fold of the serial outcome
-    /// stream; statistics, partition sizes and the telemetry record
-    /// multiset must match exactly.
+    /// Windows served as per-bank runs are observationally identical to
+    /// serving the same banked cache one access at a time under adversarial
+    /// window schedules — empty windows, single-request windows,
+    /// non-divisible window sizes, and tenant churn landing *mid-window*
+    /// while ingested work is still queued in the runs. Outcomes are
+    /// checked per bank via the cache's own FNV digests against a reference
+    /// fold of the serial outcome stream; statistics, partition sizes and
+    /// the telemetry record multiset must match exactly.
     #[test]
     fn pipelined_rings_match_serial_under_windows_and_churn(
         seed in 0u64..400,
-        batch in 1usize..7,
-        ring_cap in 1usize..4,
         windows in prop::collection::vec(0usize..50, 4..20),
         ops in prop::collection::vec((0usize..4, 0u64..2000, 0u32..4), 150..500),
         churn in prop::collection::vec((0usize..500, 0u64..128), 0..4),
@@ -648,13 +644,11 @@ proptest! {
             reader_s.records().iter().map(|r| format!("{r:?}")).collect();
         ref_tele.sort_unstable();
 
-        // Pipelined run: the same stream fed through `run_window` in the
+        // Windowed run: the same stream fed through `run_window` in the
         // generated window sizes; churn ops land wherever they fall —
-        // including while prior windows are still queued in the rings
+        // including while ingested requests are still queued in the runs
         // (the lifecycle barrier must drain them first).
-        let mut pipe = build()
-            .with_batch_size(batch)
-            .with_ring_capacity(ring_cap);
+        let mut pipe = build();
         let (sink_p, reader_p) = RingSink::with_capacity(1 << 18);
         prop_assert!(pipe.set_telemetry(Telemetry::new(Box::new(sink_p), 256)));
         {
@@ -668,12 +662,15 @@ proptest! {
                 wi += 1;
                 let mut end = (served + want).min(reqs.len());
                 // A churn op inside this window splits it: requests before
-                // the op are ingested (queued, not necessarily served),
-                // then the lifecycle call fires mid-window.
-                if let Some(&&(at, _)) = churn_it.peek() {
-                    if at < end { end = at.max(served); }
+                // the op are ingested (queued, not served), then the
+                // lifecycle call fires mid-window.
+                match churn_it.peek() {
+                    Some(&&(at, _)) if at < end => {
+                        end = at.max(served);
+                        pipe.ingest(&reqs[served..end]);
+                    }
+                    _ => pipe.run_window(&reqs[served..end]),
                 }
-                pipe.run_window(&reqs[served..end]);
                 served = end;
                 while let Some(&&(at, target)) = churn_it.peek() {
                     if at > served { break; }
