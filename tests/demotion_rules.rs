@@ -1,17 +1,19 @@
-//! Goldens for the demotion rules other than Setpoint + LRU.
+//! Goldens for the demotion rules other than plain Setpoint + LRU.
 //!
 //! `policy_equivalence` and `aliasing_clamp` pin the practical controller
 //! with LRU ranks only. These runs pin the other rules of `VantageLlc`'s
 //! replacement process (§4.3) — Vantage-RRIP, the idealized
 //! perfect-aperture controller (Vantage-Ideal), the Fig. 2b exactly-one
-//! strawman — plus Setpoint + LRU and Vantage-Ideal with the priority
-//! probe under tag faults and periodic scrubs, which drive the
-//! corrupted-ID fallbacks of the candidate scan and rank lines while
-//! their tags are corrupted. Each run is a Z4/52 cache with 4 partitions at 2×
-//! capacity pressure, cross-partition traffic to a shared hot set, and one
-//! mid-run target flip; the goldens pin outcomes, controller counters,
-//! sizes and the full snapshot (both tag lanes), so any change to which
-//! line a miss demotes or evicts, or to how a line is stamped, fails here.
+//! strawman — plus Setpoint + LRU at the smallest feedback period with a
+//! partition destroyed mid-run, and Setpoint + LRU and Vantage-Ideal with
+//! the priority probe under tag faults and periodic scrubs, which drive
+//! the corrupted-ID fallbacks of the candidate scan and rank lines while
+//! their tags are corrupted. Each run is a Z4/52 cache with 4 partitions
+//! at 2× capacity pressure, cross-partition traffic to a shared hot set,
+//! and one mid-run target flip; the goldens pin outcomes, controller
+//! counters, sizes and the full snapshot (both tag lanes), so any change
+//! to which line a miss demotes or evicts, or to how a line is stamped,
+//! fails here.
 
 use vantage_repro::cache::replacement::rrip::BasePolicy;
 use vantage_repro::cache::{LineAddr, ShareMode, ZArray};
@@ -73,6 +75,18 @@ struct Outcome {
 }
 
 fn run(cfg: VantageConfig, share: ShareMode, prep: impl FnOnce(&mut VantageLlc)) -> Outcome {
+    run_destroying(cfg, share, prep, None)
+}
+
+/// [`run`], destroying partition `dead` (if any) just before the target
+/// flip; its requests are dropped from then on, so the slot drains through
+/// demotions and never regrows.
+fn run_destroying(
+    cfg: VantageConfig,
+    share: ShareMode,
+    prep: impl FnOnce(&mut VantageLlc),
+    dead: Option<usize>,
+) -> Outcome {
     let mut llc = VantageLlc::try_new(Box::new(ZArray::new(FRAMES, 4, 52, 11)), PARTS, cfg, 11)
         .expect("valid Vantage config");
     assert!(llc.set_share_mode(share));
@@ -81,9 +95,17 @@ fn run(cfg: VantageConfig, share: ShareMode, prep: impl FnOnce(&mut VantageLlc))
     let (mut outcomes, mut hits) = (FNV_BASIS, 0u64);
     for i in 0..ACCESSES {
         if i == ACCESSES / 2 {
+            if let Some(d) = dead {
+                llc.destroy_partition(PartitionId::from_index(d))
+                    .expect("destroy a live partition");
+            }
             llc.set_targets(&FLIPPED);
         }
-        let hit = llc.access(request(i)).is_hit();
+        let req = request(i);
+        if i >= ACCESSES / 2 && dead == Some(req.part.index()) {
+            continue;
+        }
+        let hit = llc.access(req).is_hit();
         hits += u64::from(hit);
         fnv(&mut outcomes, u64::from(hit));
     }
@@ -162,6 +184,31 @@ fn vantage_ideal_with_the_priority_probe() {
     assert_eq!(o.sizes, 0x98b1_8269_c6d4_8867, "partition sizes digest");
     assert_eq!(o.state, 0x24bf_a4c4_c661_fd58, "snapshot digest");
     assert_eq!(o.samples, 0xdaa7_b790_3681_2d66, "priority samples digest");
+}
+
+#[test]
+fn vantage_lru_adjusts_inside_walks() {
+    // The smallest feedback period, c = 8: a partition meters several
+    // periods inside one 52-candidate walk, so its setpoint moves while
+    // the walk still has candidates to test. Keep windows stand as at walk
+    // start. Partition 3 is destroyed mid-run, so its Draining lines go
+    // through the stale rule.
+    let cfg = VantageConfig {
+        cands_period: 8,
+        ..VantageConfig::default()
+    };
+    let o = run_destroying(cfg, ShareMode::Pin, |_| {}, Some(3));
+    assert_eq!(o.hits, 79_918, "hits");
+    assert_eq!(o.outcomes, 0x8b80_75ba_35de_ec59, "outcome digest");
+    assert_eq!(
+        o.stats,
+        "VantageStats { demotions: 30168, promotions: 7928, unmanaged_evictions: 20841, \
+         forced_managed_evictions: 176, empty_fills: 4096, setpoint_adjustments: 114477, \
+         throttled_insertions: 0, corrupted_pid_fallbacks: 0, scrubs: 0 }",
+        "VantageStats"
+    );
+    assert_eq!(o.sizes, 0x9721_8e5c_bd0f_0231, "partition sizes digest");
+    assert_eq!(o.state, 0x301c_12ae_d3f1_1aeb, "snapshot digest");
 }
 
 #[test]
