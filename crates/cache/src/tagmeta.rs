@@ -86,6 +86,16 @@ pub struct TagMeta {
     counts: Vec<u32>,
     /// The overflow row: the partition count plus one.
     overflow: usize,
+    /// Per count-index row, the frames its last [`Self::clamp_stale`]
+    /// pinned: the re-pin list. A hint, never trusted — each use checks
+    /// the listed frames against the lanes and their number against the
+    /// exact count — so no lane write maintains it and snapshots never
+    /// see it. Rebuilding the index drops every list; growth that only
+    /// appends rows keeps them, since the existing rows keep their lines.
+    repin: Vec<Vec<u32>>,
+    /// Clamps served from the re-pin list and by the chunked search.
+    #[cfg(test)]
+    clamp_paths: (usize, usize),
 }
 
 impl TagMeta {
@@ -111,6 +121,9 @@ impl TagMeta {
             ts: vec![0; frames],
             counts,
             overflow,
+            repin: Vec::new(),
+            #[cfg(test)]
+            clamp_paths: (0, 0),
         }
     }
 
@@ -189,6 +202,7 @@ impl TagMeta {
     /// Rebuilds the count index from the lanes (wholesale lane loads and
     /// partition-count changes that cannot just append rows).
     fn rebuild_counts(&mut self) {
+        self.repin.clear();
         self.counts.clear();
         self.counts.resize((self.overflow + 1) * STAMP_DOMAIN, 0);
         for (&p, &t) in self.parts.iter().zip(self.ts.iter()) {
@@ -302,15 +316,25 @@ impl TagMeta {
     /// the oldest instead of the youngest.
     ///
     /// The count index says how many lines carry `(part, aliasing_ts)`.
-    /// Zero returns at once. Otherwise the lanes are searched in
-    /// 64-frame chunks: a read-only "any match" reduction over both lanes
-    /// rejects a chunk, only matching chunks are rewritten, and the search
-    /// stops once it has found as many lines as the index holds. The cost
-    /// is O(frames up to the last match) instead of O(frames) per tick,
-    /// which matters once a line has aliased: it is re-pinned on every
-    /// later tick of its owner, and small service-mode partitions tick
-    /// every access or two. Debug builds recount the whole lane against
-    /// the index first; release builds never read past the last match.
+    /// Zero returns at once. Otherwise the row's re-pin list — the frames
+    /// its previous clamp pinned — is tried first: an aliased line is
+    /// re-pinned on *every* later tick of its owner, and small
+    /// service-mode partitions tick every access or two, so the lines
+    /// this clamp must find are usually exactly the ones the last one
+    /// pinned, one stamp further on. The listed frames that still carry
+    /// `(part, aliasing_ts)` are kept; if they number exactly the count,
+    /// they are every such line (the index is exact and the list holds no
+    /// frame twice), so they are re-pinned and nothing is searched.
+    ///
+    /// Otherwise — a line aliased for the first time, or a listed one was
+    /// evicted, moved or restamped — the lanes are searched in 64-frame
+    /// chunks: a read-only "any match" reduction over both lanes rejects a
+    /// chunk, only matching chunks are rewritten, and the search stops
+    /// once it has found as many lines as the index holds. The cost is
+    /// O(frames up to the last match) instead of O(frames) per tick. The
+    /// frames it pins become the row's new list. Debug builds recount the
+    /// whole lane against the index first; release builds never read past
+    /// the last match.
     ///
     /// `part` must be [`TAG_UNMANAGED`] or below the partition count: the
     /// overflow row counts several IDs at once, so it cannot say how many
@@ -336,20 +360,47 @@ impl TagMeta {
             want,
             "count index exact"
         );
-        let mut found = 0;
-        let mut parts = self.parts.chunks_exact(CLAMP_CHUNK);
-        let mut ts = self.ts.chunks_exact_mut(CLAMP_CHUNK);
-        for (p, t) in (&mut parts).zip(&mut ts) {
-            found += pin_chunk(p, t, part, aliasing_ts);
-            if found == want {
-                break;
+        let row = self.row(part);
+        if self.repin.len() <= row {
+            self.repin.resize_with(self.overflow + 1, Vec::new);
+        }
+        let list = &mut self.repin[row];
+        let (parts, ts) = (&self.parts, &mut self.ts);
+        list.retain(|&f| (parts[f as usize] == part) & (ts[f as usize] == aliasing_ts));
+        let pinned = aliasing_ts.wrapping_add(1);
+        if list.len() == want {
+            for &f in list.iter() {
+                ts[f as usize] = pinned;
+            }
+            #[cfg(test)]
+            {
+                self.clamp_paths.0 += 1;
+            }
+        } else {
+            list.clear();
+            let mut parts = parts.chunks_exact(CLAMP_CHUNK);
+            let mut chunks = ts.chunks_exact_mut(CLAMP_CHUNK);
+            let mut base = 0;
+            for (p, t) in (&mut parts).zip(&mut chunks) {
+                pin_chunk(p, t, base, part, aliasing_ts, list);
+                if list.len() == want {
+                    break;
+                }
+                base += CLAMP_CHUNK;
+            }
+            if list.len() < want {
+                let (p, t) = (parts.remainder(), chunks.into_remainder());
+                let base = self.parts.len() - p.len();
+                pin_chunk(p, t, base, part, aliasing_ts, list);
+            }
+            #[cfg(test)]
+            {
+                self.clamp_paths.1 += 1;
             }
         }
-        if found < want {
-            found += pin_chunk(parts.remainder(), ts.into_remainder(), part, aliasing_ts);
-        }
+        let found = self.repin[row].len();
         self.counts[idx] -= found as u32;
-        let to = self.count_idx(part, aliasing_ts.wrapping_add(1));
+        let to = self.count_idx(part, pinned);
         self.counts[to] += found as u32;
         found
     }
@@ -358,12 +409,19 @@ impl TagMeta {
 /// Frames per chunk of the [`TagMeta::clamp_stale`] search.
 const CLAMP_CHUNK: usize = 64;
 
-/// Re-stamps the `(part, stamp)` frames of one chunk to `stamp + 1` and
-/// returns how many there were. A read-only, non-short-circuit "any
-/// match" reduction over both lanes rejects the chunk first, so chunks
-/// without a match are never written.
+/// Re-stamps the `(part, stamp)` frames of one chunk, whose first frame
+/// is `base`, to `stamp + 1` and appends them to `pinned`. A read-only,
+/// non-short-circuit "any match" reduction over both lanes rejects the
+/// chunk first, so chunks without a match are never written.
 #[inline(always)]
-fn pin_chunk(parts: &[u16], ts: &mut [u8], part: u16, stamp: u8) -> usize {
+fn pin_chunk(
+    parts: &[u16],
+    ts: &mut [u8],
+    base: usize,
+    part: u16,
+    stamp: u8,
+    pinned: &mut Vec<u32>,
+) {
     let hit = |p: u16, t: u8| u8::from(p == part) & u8::from(t == stamp);
     if parts
         .iter()
@@ -371,16 +429,14 @@ fn pin_chunk(parts: &[u16], ts: &mut [u8], part: u16, stamp: u8) -> usize {
         .fold(0, |any, (&p, &t)| any | hit(p, t))
         == 0
     {
-        return 0;
+        return;
     }
-    let pinned = stamp.wrapping_add(1);
-    let mut n = 0;
-    for (&p, t) in parts.iter().zip(ts.iter_mut()) {
-        let h = hit(p, *t);
-        n += usize::from(h);
-        *t = if h != 0 { pinned } else { *t };
+    for (f, (&p, t)) in parts.iter().zip(ts.iter_mut()).enumerate() {
+        if hit(p, *t) != 0 {
+            *t = stamp.wrapping_add(1);
+            pinned.push((base + f) as u32);
+        }
     }
-    n
 }
 
 #[cfg(test)]
@@ -577,6 +633,82 @@ mod tests {
                 clamp(&mut m, &parts, &mut ts, part, 255);
             }
         }
+    }
+
+    #[test]
+    fn repin_list_matches_a_full_sweep() {
+        let mut seed = 0xc1a4_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // Clamped domains, each with its own clock that every clamp ticks
+        // one stamp on, as a partition's coarse clock does.
+        const CLAMPED: [u16; 4] = [0, 1, 2, TAG_UNMANAGED];
+        let (mut listed, mut searched) = (0, 0);
+        for len in [1usize, 64, 65, 300, 4_097] {
+            let mut m = TagMeta::with_partitions(len, 4);
+            let mut parts = vec![TAG_UNMANAGED; len];
+            let mut ts = vec![0u8; len];
+            let mut clock = [0u8; CLAMPED.len()];
+            for step in 0..4_000 {
+                let r = next();
+                let f = (r >> 32) as usize % len;
+                let d = (r >> 8) as usize % CLAMPED.len();
+                let part = CLAMPED[d];
+                // Near the domain's clock, so new lines alias within a
+                // few ticks and join the ones already re-pinned each tick.
+                let stamp = clock[d].wrapping_add((r >> 16) as u8 % 3);
+                let ctx = format!("len {len}, step {step}, op {}", r % 16);
+                match r % 16 {
+                    0..=2 => {
+                        m.set(f, part, stamp);
+                        (parts[f], ts[f]) = (part, stamp);
+                    }
+                    3 => {
+                        m.set_part(f, part);
+                        parts[f] = part;
+                    }
+                    4 => {
+                        m.set_ts(f, stamp);
+                        ts[f] = stamp;
+                    }
+                    5 => {
+                        let to = (r >> 40) as usize % len;
+                        m.copy(f as Frame, to as Frame);
+                        (parts[to], ts[to]) = (parts[f], ts[f]);
+                    }
+                    6 if parts[f] != TAG_UNMANAGED => {
+                        // A bit flip, often to an ID past the partition count.
+                        let flipped = parts[f] ^ (1 << ((r >> 24) % 4));
+                        m.set_part(f, flipped);
+                        parts[f] = flipped;
+                    }
+                    7 if (r >> 20).is_multiple_of(16) => {
+                        m.resize_partitions(3 + (r >> 24) as usize % 8);
+                    }
+                    8 if (r >> 20).is_multiple_of(32) => {
+                        for t in ts.iter_mut().step_by(7) {
+                            *t = t.wrapping_add(1);
+                        }
+                        m.load_lanes(parts.clone(), ts.clone());
+                    }
+                    _ => {
+                        clock[d] = clock[d].wrapping_add(1);
+                        let want = naive_clamp(&parts, &mut ts, part, clock[d]);
+                        assert_eq!(m.clamp_stale(part, clock[d]), want, "{ctx}");
+                    }
+                }
+                assert!(m.parts == parts && m.ts == ts, "lanes differ: {ctx}");
+                assert_index_exact(&m, &ctx);
+            }
+            listed += m.clamp_paths.0;
+            searched += m.clamp_paths.1;
+        }
+        assert!(listed > 1_000, "re-pin list served only {listed} clamps");
+        assert!(searched > 1_000, "search served only {searched} clamps");
     }
 
     #[test]

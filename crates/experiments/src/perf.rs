@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vantage::{RankMode, VantageConfig, VantageLlc};
+use vantage::{RankMode, VantageConfig, VantageLlc, VantageStats};
 use vantage_cache::{CacheArray, LineAddr, SetAssocArray, SkewArray, ZArray};
 use vantage_partitioning::{
     AccessRequest, BaselineLlc, Llc, PartitionId, PippConfig, PippLlc, RankPolicy, WayPartLlc,
@@ -158,8 +158,11 @@ fn vantage_on(array: Box<dyn CacheArray>, cfg: VantageConfig, seed: u64) -> Vant
     VantageLlc::try_new(array, PARTS, cfg, seed).expect("valid Vantage config")
 }
 
-/// Runs every scheme/array microbenchmark at the given scale.
-pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
+/// Runs every scheme/array microbenchmark at the given scale. Also returns
+/// the gated `vantage_z4_52` stream's Vantage counters over its warmup
+/// and timed phases, so the record shows whether that stream demotes or
+/// only forces evictions (DESIGN.md §8).
+pub fn run_microbenches(opts: &Options) -> (Vec<MicrobenchResult>, VantageStats) {
     let scale = Scale::from_options(opts);
     let seed = opts.seed;
     let f = scale.frames;
@@ -174,15 +177,13 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
     };
 
     // The acceptance-gate configuration: Vantage on a Z4/52 zcache.
-    go(
-        "vantage_z4_52",
-        &mut vantage_on(
-            Box::new(ZArray::new(f, 4, 52, seed)),
-            VantageConfig::default(),
-            seed,
-        ),
-        drive,
+    let mut gate = vantage_on(
+        Box::new(ZArray::new(f, 4, 52, seed)),
+        VantageConfig::default(),
+        seed,
     );
+    go(HOTPATH_GATE_BENCH, &mut gate, drive);
+    let gate_stats = gate.take_vantage_stats();
     // The same stream through the batched entry point, timed right after
     // it: the ratio of the two prices `access_batch` per request.
     go(
@@ -264,7 +265,7 @@ pub fn run_microbenches(opts: &Options) -> Vec<MicrobenchResult> {
             .expect("valid PIPP geometry"),
         drive,
     );
-    out
+    (out, gate_stats)
 }
 
 /// Telemetry-overhead ceiling enforced by the NullSink gate.
@@ -430,6 +431,7 @@ fn render_entry(
     micro: &[MicrobenchResult],
     kernels: &[KernelResult],
     hotpath_rel: f64,
+    gate_stats: &VantageStats,
 ) -> String {
     let mut rec = BenchRecord::new(opts.quick, opts.seed);
     let s = rec.body_mut();
@@ -455,7 +457,11 @@ fn render_entry(
         s,
         "    ],\n    \"hotpath_gate\": {{\"bench\": \"{HOTPATH_GATE_BENCH}\", \
          \"reference\": \"{HOTPATH_REFERENCE}\", \"rel\": {hotpath_rel:.3}, \
-         \"min_rel\": {HOTPATH_MIN_REL:.2}}}"
+         \"min_rel\": {HOTPATH_MIN_REL:.2}, \"demotions\": {}, \
+         \"forced_managed_evictions\": {}, \"managed_eviction_fraction\": {:.4}}}",
+        gate_stats.demotions,
+        gate_stats.forced_managed_evictions,
+        gate_stats.managed_eviction_fraction()
     );
     rec.finish()
 }
@@ -473,13 +479,13 @@ pub fn perf_to(opts: &Options, path: &Path) {
         "perf: hot-path microbenchmarks ({} scale)",
         if opts.quick { "quick" } else { "full" }
     );
-    let mut micro = run_microbenches(opts);
+    let (mut micro, gate_stats) = run_microbenches(opts);
     let hotpath_rel = check_hotpath_gate(opts, &micro);
     println!("perf: telemetry NullSink overhead gate");
     micro.extend(run_nullsink_gate(opts));
     println!("perf: figure kernels (quick scale)");
     let kernels = run_kernels(opts);
-    let entry = render_entry(opts, &micro, &kernels, hotpath_rel);
+    let entry = render_entry(opts, &micro, &kernels, hotpath_rel, &gate_stats);
     match append_entry(path, &entry) {
         Ok(()) => println!("  wrote {}", path.display()),
         Err(e) => record_failure(path.display().to_string(), e.to_string()),
@@ -568,7 +574,13 @@ mod tests {
             name: "k".into(),
             wall_s: 0.25,
         }];
-        let entry = render_entry(&tiny_options(), &micro, &kernels, 0.42);
+        let gate_stats = VantageStats {
+            demotions: 3,
+            unmanaged_evictions: 3,
+            forced_managed_evictions: 1,
+            ..VantageStats::default()
+        };
+        let entry = render_entry(&tiny_options(), &micro, &kernels, 0.42, &gate_stats);
         append_entry(&path, &entry).unwrap();
         append_entry(&path, &entry).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
@@ -578,6 +590,10 @@ mod tests {
         assert_eq!(body.matches("\"accesses_per_sec\"").count(), 2);
         assert_eq!(body.matches("\"hotpath_gate\"").count(), 2);
         assert!(body.contains("\"rel\": 0.420"));
+        assert!(body.contains(
+            "\"demotions\": 3, \"forced_managed_evictions\": 1, \
+             \"managed_eviction_fraction\": 0.2500"
+        ));
         let _ = std::fs::remove_file(&path);
     }
 }
