@@ -24,8 +24,8 @@
 //! stamp) pair, sized by the partition table rather than by the IDs the
 //! lanes happen to hold. It is the one such count in the workspace: the
 //! aliasing clamp ([`TagMeta::clamp_stale`]) reads it to know how many
-//! lines to find, and the Vantage core reads ranks from its rows
-//! ([`TagMeta::stamp_counts`] with [`stamp_rank`]).
+//! lines to find, and the Vantage controller and the priority probes read
+//! ranks from its rows ([`TagMeta::rank`]).
 
 use crate::array::{prefetch_slice, Frame};
 
@@ -44,8 +44,20 @@ const STAMP_DOMAIN: usize = 256;
 ///
 /// Older lines get ranks near 1.0 — they are what LRU wants to evict.
 /// With 8-bit coarse timestamps the rank is exact to within a timestamp
-/// quantum, which is also exactly the precision the hardware has. (The
-/// `TsHistogram` example in `vantage-partitioning` works one through.)
+/// quantum, which is also exactly the precision the hardware has.
+///
+/// ```
+/// use vantage_cache::stamp_rank;
+///
+/// let mut counts = [0u32; 256];
+/// for ts in [10, 11, 12] {
+///     counts[ts] += 1;
+/// }
+/// // With the clock at 12, the line stamped 10 is the oldest of the 3:
+/// // both other lines are strictly younger (2 of 3), and the line itself
+/// // counts as half a tie, so its rank is (2 + 1/2) / 3 = 5/6.
+/// assert_eq!(stamp_rank(&counts, 3, 10, 12), 5.0 / 6.0);
+/// ```
 pub fn stamp_rank(counts: &[u32; STAMP_DOMAIN], total: u64, ts: u8, current: u8) -> f64 {
     if total == 0 {
         return 0.5;
@@ -166,6 +178,20 @@ impl TagMeta {
     #[inline]
     pub fn stamp_counts(&self, part: u16) -> &[u32; STAMP_DOMAIN] {
         self.row_counts(self.row(part))
+    }
+
+    /// The [`stamp_rank`] of a line tagged `(part, ts)` among the lines
+    /// `part`'s count row holds, when `part`'s clock reads `current`. The
+    /// total is the row's sum, so it counts exactly the lines tagged
+    /// `part` whatever any size register says.
+    #[inline]
+    pub fn rank(&self, part: u16, ts: u8, current: u8) -> f64 {
+        let row = self.stamp_counts(part);
+        // At most the frame count, so a u32 sum cannot overflow, and it
+        // vectorizes without widening (the idealized controller ranks most
+        // candidates of every walk).
+        let total: u32 = row.iter().sum();
+        stamp_rank(row, u64::from(total), ts, current)
     }
 
     /// Row `row` of the count index.

@@ -7,6 +7,12 @@
 //! * [`model`] — the paper's analytical models (associativity CDFs,
 //!   managed-region distributions, aperture/stability math and the
 //!   unmanaged-region sizing rule; Eqs. 1-9, Figs. 1, 2 and 5).
+//! * [`overhead`] — the controller's state overhead (Fig. 4's bit counts).
+//!
+//! The scheme itself lives in `vantage-partitioning`, laid over a cache
+//! array by the same frame as the schemes it is compared against, and is
+//! re-exported here under its historical paths:
+//!
 //! * [`controller`] — the per-partition controller state of Fig. 4:
 //!   feedback-based aperture control and setpoint-based demotions, driven by
 //!   the demotion thresholds lookup table (Fig. 3).
@@ -14,6 +20,8 @@
 //!   division, churn-based management, promotion/demotion flows and victim
 //!   selection over any `vantage-cache` array (zcache, skew-associative,
 //!   hashed set-associative, or the idealized random-candidates array).
+//! * [`config`], [`error`] and [`fault`] — its configuration, typed errors
+//!   and deterministic fault injection.
 //!
 //! # How Vantage works, in five sentences
 //!
@@ -54,14 +62,12 @@
 //! assert_eq!(llc.stats().misses[5], 1);
 //! ```
 
-pub mod config;
-pub mod controller;
 pub mod engine;
-pub mod error;
-pub mod fault;
-pub mod llc;
 pub mod model;
 pub mod overhead;
+
+pub use vantage_partitioning::vantage as llc;
+pub use vantage_partitioning::{config, controller, error, fault};
 
 pub use config::{DemotionMode, RankMode, VantageConfig};
 pub use controller::{PartitionState, ThresholdTable};

@@ -83,26 +83,9 @@ pub fn forced_eviction_prob(u: f64, r: u32) -> f64 {
     (1.0 - u).powi(r as i32)
 }
 
-/// The §4.3 unmanaged-region sizing rule:
-///
-/// ```text
-/// u = 1 − P_ev^(1/R) + (1 + slack) / (A_max · R)
-/// ```
-///
-/// combining the eviction-absorption term with the space needed for minimum
-/// stable sizes and feedback outgrowth. This is the quantity plotted in
-/// Fig. 5.
-///
-/// # Panics
-///
-/// Panics if parameters are out of their domains.
-pub fn unmanaged_fraction(r: u32, p_ev: f64, a_max: f64, slack: f64) -> f64 {
-    assert!(r > 0, "candidate count must be non-zero");
-    assert!(p_ev > 0.0 && p_ev <= 1.0, "P_ev must be in (0, 1]");
-    assert!(a_max > 0.0 && a_max <= 1.0, "A_max must be in (0, 1]");
-    assert!(slack >= 0.0, "slack must be non-negative");
-    1.0 - p_ev.powf(1.0 / f64::from(r)) + (1.0 + slack) / (a_max * f64::from(r))
-}
+/// The §4.3 unmanaged-region sizing rule (Fig. 5), which Vantage's
+/// configuration applies.
+pub use vantage_partitioning::config::unmanaged_fraction;
 
 /// Inverts the §4.3 sizing rule: given a *total* unmanaged fraction `u`,
 /// the worst-case probability of a forced managed eviction once the

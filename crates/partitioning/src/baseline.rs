@@ -11,7 +11,7 @@ use vantage_cache::{CacheArray, Frame, LineAddr, RripConfig, RripPolicy, TagMeta
 use vantage_snapshot::{Decoder, Encoder, Snapshot};
 
 use crate::error::SchemeConfigError;
-use crate::frame::{Mechanism, SchemeFrame};
+use crate::frame::{Ctx, Mechanism, SchemeFrame};
 
 /// Replacement ranking used by [`BaselineLlc`].
 #[derive(Clone, Debug)]
@@ -103,10 +103,10 @@ impl Mechanism for Unpartitioned {
         }
     }
 
-    fn on_hit(&mut self, meta: &mut TagMeta, f: Frame, _: usize, _: usize, _: bool) {
+    fn on_hit(&mut self, cx: &mut Ctx<'_>, f: Frame, _: usize, _: usize) {
         match self {
             Self::Lru { last, clock } => Self::touch(last, clock, f),
-            Self::Rrip { policy } => meta.set_ts(f as usize, policy.hit_rrpv()),
+            Self::Rrip { policy } => cx.meta.set_ts(f as usize, policy.hit_rrpv()),
         }
     }
 
@@ -116,11 +116,12 @@ impl Mechanism for Unpartitioned {
         }
     }
 
-    fn select_victim(&mut self, meta: &mut TagMeta, walk: &Walk, _part: usize) -> usize {
+    fn select_victim(&mut self, cx: &mut Ctx<'_>, walk: &Walk, _part: usize) -> (usize, bool) {
         if let Some(i) = walk.first_empty() {
-            return i;
+            return (i, false);
         }
-        match self {
+        let meta = &mut *cx.meta;
+        let victim = match self {
             Self::Lru { last, .. } => walk
                 .nodes
                 .iter()
@@ -141,7 +142,8 @@ impl Mechanism for Unpartitioned {
                 }
                 victim
             }
-        }
+        };
+        (victim, false)
     }
 
     fn relocate(&mut self, from: Frame, to: Frame) {
@@ -150,11 +152,12 @@ impl Mechanism for Unpartitioned {
         }
     }
 
-    fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, addr: LineAddr) {
+    fn on_fill(&mut self, cx: &mut Ctx<'_>, landing: Frame, part: usize, addr: LineAddr) {
         match self {
             Self::Lru { last, clock } => Self::touch(last, clock, landing),
             Self::Rrip { policy } => {
-                meta.set_ts(landing as usize, policy.insertion_rrpv(part, addr));
+                cx.meta
+                    .set_ts(landing as usize, policy.insertion_rrpv(part, addr));
             }
         }
     }
@@ -174,7 +177,11 @@ impl Mechanism for Unpartitioned {
         }
     }
 
-    fn load(&mut self, dec: &mut Decoder<'_>) -> vantage_snapshot::Result<Vec<u8>> {
+    fn load(
+        &mut self,
+        _meta: &TagMeta,
+        dec: &mut Decoder<'_>,
+    ) -> vantage_snapshot::Result<Vec<u8>> {
         match (dec.take_u8()?, self) {
             (0, Self::Lru { last, clock }) => {
                 let saved = dec.take_u64_vec()?;

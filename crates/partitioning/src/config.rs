@@ -1,7 +1,6 @@
 //! Vantage configuration.
 
 use crate::error::ConfigError;
-use crate::model::sizing;
 
 /// How demotion decisions are made on each replacement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +96,7 @@ impl VantageConfig {
     /// # Example
     ///
     /// ```
-    /// use vantage::VantageConfig;
+    /// use vantage_partitioning::VantageConfig;
     ///
     /// // Strong isolation on a Z4/52: ~21% unmanaged (paper §4.3).
     /// let cfg = VantageConfig::try_for_guarantees(52, 1e-4, 0.4, 0.1).expect("feasible");
@@ -121,7 +120,7 @@ impl VantageConfig {
         if slack <= 0.0 {
             return Err(ConfigError::Slack(slack));
         }
-        let u = sizing::unmanaged_fraction(r, p_ev, a_max, slack);
+        let u = unmanaged_fraction(r, p_ev, a_max, slack);
         if u >= 1.0 {
             return Err(ConfigError::NoManagedSpace {
                 unmanaged_fraction: u,
@@ -163,6 +162,27 @@ impl VantageConfig {
         }
         Ok(())
     }
+}
+
+/// The §4.3 unmanaged-region sizing rule:
+///
+/// ```text
+/// u = 1 − P_ev^(1/R) + (1 + slack) / (A_max · R)
+/// ```
+///
+/// combining the eviction-absorption term with the space needed for minimum
+/// stable sizes and feedback outgrowth. This is the quantity plotted in
+/// Fig. 5; [`VantageConfig::try_for_guarantees`] applies it.
+///
+/// # Panics
+///
+/// Panics if parameters are out of their domains.
+pub fn unmanaged_fraction(r: u32, p_ev: f64, a_max: f64, slack: f64) -> f64 {
+    assert!(r > 0, "candidate count must be non-zero");
+    assert!(p_ev > 0.0 && p_ev <= 1.0, "P_ev must be in (0, 1]");
+    assert!(a_max > 0.0 && a_max <= 1.0, "A_max must be in (0, 1]");
+    assert!(slack >= 0.0, "slack must be non-negative");
+    1.0 - p_ev.powf(1.0 / f64::from(r)) + (1.0 + slack) / (a_max * f64::from(r))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use crate::error::ConfigError;
 /// 32/64/96/128 over ranges 1000-1033 / 1034-1066 / 1067-1100 / 1101+:
 ///
 /// ```
-/// use vantage::controller::ThresholdTable;
+/// use vantage_partitioning::controller::ThresholdTable;
 ///
 /// let t = ThresholdTable::try_new(1000, 0.1, 0.5, 256, 4).expect("valid controller parameters");
 /// assert_eq!(t.threshold(1000), None);      // at target: aperture 0
@@ -140,16 +140,17 @@ pub enum Feedback {
 
 /// Per-partition controller registers (Fig. 4).
 ///
-/// Mirrors the hardware state: `TargetSize`, `ActualSize`, `CurrentTS` +
+/// Mirrors the hardware state: `TargetSize`, `CurrentTS` +
 /// `AccessCounter` (inside [`TsLru`]), `SetpointTS`, `CandsSeen`,
 /// `CandsDemoted` and the thresholds table. The RRIP variant reuses the
-/// setpoint register as a setpoint RRPV.
+/// setpoint register as a setpoint RRPV. The `ActualSize` registers are
+/// the cache's per-partition line counts, one dense lane
+/// ([`Llc::partition_size`](crate::Llc::partition_size)), which the
+/// methods that read a size take as an argument.
 #[derive(Clone, Debug)]
 pub struct PartitionState {
     /// Target size in lines (`TargetSize`).
     pub target: u64,
-    /// Current size in lines (`ActualSize`).
-    pub actual: u64,
     /// `CurrentTS` and `AccessCounter`.
     pub lru: TsLru,
     /// `SetpointTS` — lines stamped outside `(setpoint, current]` are
@@ -172,7 +173,6 @@ impl PartitionState {
     pub fn new(target: u64, cfg: &VantageConfig, max_rrpv: u8) -> Self {
         Self {
             target,
-            actual: 0,
             lru: TsLru::for_size(target.max(16)),
             // Start mid-window: keep the newest half of timestamps.
             setpoint: 0u8.wrapping_sub(128),
@@ -217,9 +217,10 @@ impl PartitionState {
         self.lru.age(ts) > self.lru.current().wrapping_sub(setpoint)
     }
 
-    /// Records one access (hit or insertion): advances the setpoint in
-    /// lockstep when the current timestamp advances, keeping the window
-    /// constant, and re-derives the timestamp period from the actual size.
+    /// Records one access (hit or insertion) to a partition of `actual`
+    /// lines: advances the setpoint in lockstep when the current timestamp
+    /// advances, keeping the window constant, and re-derives the timestamp
+    /// period from the actual size.
     /// Returns the timestamp to stamp the line with and whether the coarse
     /// clock ticked on this access.
     ///
@@ -234,11 +235,11 @@ impl PartitionState {
     /// then lags a size change by at most one tick, which is within the
     /// coarse-timestamp scheme's own resolution, and the access hot path
     /// sheds a division.
-    pub fn on_access_advanced(&mut self) -> (u8, bool) {
+    pub fn on_access_advanced(&mut self, actual: u64) -> (u8, bool) {
         let advanced = self.lru.on_access();
         if advanced {
             self.setpoint = self.setpoint.wrapping_add(1);
-            self.lru.set_period_for_size(self.actual.max(16));
+            self.lru.set_period_for_size(actual.max(16));
         }
         (self.lru.current(), advanced)
     }
@@ -258,18 +259,18 @@ impl PartitionState {
         self.cands_seen >= c
     }
 
-    /// The every-`c`-candidates feedback step (see [`Self::meter`]):
-    /// compares the metered demotion count against the thresholds table,
-    /// nudges the setpoint, resets the meters and returns the feedback
-    /// applied.
+    /// The every-`c`-candidates feedback step (see [`Self::meter`]) for a
+    /// partition of `actual` lines: compares the metered demotion count
+    /// against the thresholds table, nudges the setpoint, resets the
+    /// meters and returns the feedback applied.
     #[cold]
-    pub(crate) fn adjust_setpoint(&mut self, max_rrpv: u8) -> Feedback {
+    pub(crate) fn adjust_setpoint(&mut self, max_rrpv: u8, actual: u64) -> Feedback {
         // At or below target the aperture is 0, so the threshold is 0: any
         // demotions counted while transiently over target are "too many".
         // Keeping the comparison symmetric here is what stops the keep
         // window from ratcheting tight on partitions whose equilibrium
         // demotion rate is below the smallest table step.
-        let thr = self.table.threshold(self.actual).unwrap_or(0);
+        let thr = self.table.threshold(actual).unwrap_or(0);
         let fb = if self.cands_demoted > thr {
             Feedback::TooMany
         } else if self.cands_demoted < thr {
@@ -310,10 +311,11 @@ mod tests {
         PartitionState::new(target, &VantageConfig::default(), 7)
     }
 
-    /// Meters one candidate, adjusting at the end of a 256-candidate
-    /// period as the candidate scan does.
-    fn note(s: &mut PartitionState, demoted: bool) -> Option<Feedback> {
-        s.meter(demoted, 256).then(|| s.adjust_setpoint(7))
+    /// Meters one candidate of a partition holding `actual` lines,
+    /// adjusting at the end of a 256-candidate period as the candidate
+    /// scan does.
+    fn note(s: &mut PartitionState, actual: u64, demoted: bool) -> Option<Feedback> {
+        s.meter(demoted, 256).then(|| s.adjust_setpoint(7, actual))
     }
 
     #[test]
@@ -365,19 +367,19 @@ mod tests {
         assert!(!s.is_stale(cur.wrapping_sub(128), s.setpoint));
         assert!(!s.is_stale(cur, s.setpoint));
         // The window moves with the clock: a tick ages every stamp by one.
-        while !s.on_access_advanced().1 {}
+        while !s.on_access_advanced(0).1 {}
         assert!(s.is_stale(cur.wrapping_sub(128), s.setpoint));
     }
 
     #[test]
     fn setpoint_tracks_timestamp_advances() {
         let mut s = state(64);
-        s.actual = 64;
+        let actual = 64;
         let w0 = s.keep_window();
         // 16-line period for a 64-line partition is 4 accesses... drive
         // enough accesses to advance the timestamp several times.
         for _ in 0..64 {
-            s.on_access_advanced();
+            s.on_access_advanced(actual);
         }
         assert_eq!(
             s.keep_window(),
@@ -389,12 +391,12 @@ mod tests {
     #[test]
     fn feedback_widens_on_too_many() {
         let mut s = state(100);
-        s.actual = 150; // far over target: threshold = 128 of 256
+        let actual = 150; // far over target: threshold = 128 of 256
         let w0 = s.keep_window();
         // Demote every candidate: way over any threshold.
         let mut fb = None;
         for _ in 0..256 {
-            fb = note(&mut s, true);
+            fb = note(&mut s, actual, true);
         }
         assert_eq!(fb, Some(Feedback::TooMany));
         assert_eq!(s.keep_window(), w0 + 1, "keep window must widen");
@@ -404,11 +406,11 @@ mod tests {
     #[test]
     fn feedback_tightens_on_too_few() {
         let mut s = state(100);
-        s.actual = 150;
+        let actual = 150;
         let w0 = s.keep_window();
         let mut fb = None;
         for _ in 0..256 {
-            fb = note(&mut s, false);
+            fb = note(&mut s, actual, false);
         }
         assert_eq!(fb, Some(Feedback::TooFew));
         assert_eq!(s.keep_window(), w0 - 1);
@@ -417,11 +419,11 @@ mod tests {
     #[test]
     fn feedback_idle_below_target() {
         let mut s = state(100);
-        s.actual = 50;
+        let actual = 50;
         let w0 = s.keep_window();
         let mut fb = None;
         for _ in 0..256 {
-            fb = note(&mut s, false);
+            fb = note(&mut s, actual, false);
         }
         assert_eq!(fb, Some(Feedback::OnTarget));
         assert_eq!(s.keep_window(), w0);
@@ -430,10 +432,10 @@ mod tests {
     #[test]
     fn rrpv_setpoint_moves_oppositely() {
         let mut s = state(100);
-        s.actual = 150;
+        let actual = 150;
         let r0 = s.setpoint_rrpv;
         for _ in 0..256 {
-            note(&mut s, true);
+            note(&mut s, actual, true);
         }
         assert_eq!(
             s.setpoint_rrpv,
@@ -441,7 +443,7 @@ mod tests {
             "too many demotions raise the RRPV bar"
         );
         for _ in 0..512 {
-            note(&mut s, false);
+            note(&mut s, actual, false);
         }
         assert!(s.setpoint_rrpv < r0 + 1);
     }
@@ -449,15 +451,15 @@ mod tests {
     #[test]
     fn window_saturates() {
         let mut s = state(100);
-        s.actual = 200;
+        let actual = 200;
         // Tighten for a long time: window must stop at 0, not wrap.
         for _ in 0..(300 * 256) {
-            note(&mut s, false);
+            note(&mut s, actual, false);
         }
         assert_eq!(s.keep_window(), 0);
         // Widen for a long time: window stops at 255.
         for _ in 0..(300 * 256) {
-            note(&mut s, true);
+            note(&mut s, actual, true);
         }
         assert_eq!(s.keep_window(), 255);
     }

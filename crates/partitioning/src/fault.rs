@@ -1,23 +1,23 @@
-//! Deterministic fault injection for the Vantage stack.
+//! Deterministic fault injection for the Vantage stack, and the recovery
+//! paths that absorb it.
 //!
 //! Vantage's correctness story rests on a small amount of state: ~6 tag bits
 //! per line and ~256 bits of controller registers per partition (Fig. 4).
 //! This module models what happens when that state is corrupted — by soft
 //! errors in tag arrays, stuck register bits, or adversarial workloads — so
-//! the recovery paths ([`VantageLlc::scrub`](crate::VantageLlc::scrub), the
-//! corrupted-PID fallbacks in the hit/miss paths and the
-//! [`invariants`](crate::VantageLlc::invariants) checker) can be exercised
-//! reproducibly.
+//! the recovery paths ([`VantageLlc::scrub`], the corrupted-PID fallbacks
+//! in the hit/miss paths and the [`VantageLlc::invariants`] checker) can be
+//! exercised reproducibly.
 //!
 //! A [`FaultPlan`] is a seeded schedule: polled with the cache's access
 //! count, it periodically emits a [`Fault`] drawn from the enabled classes.
 //! Faults carry raw random payloads (frame/partition selectors, bit
-//! indices); [`VantageLlc::inject`](crate::VantageLlc::inject) maps them
+//! indices); [`VantageLlc::inject`] maps them
 //! onto live state, so plans are independent of any particular cache
 //! geometry and a given seed always produces the same fault sequence.
 //!
 //! ```
-//! use vantage::fault::{Fault, FaultKind, FaultPlan};
+//! use vantage_partitioning::fault::{Fault, FaultKind, FaultPlan};
 //!
 //! let mut plan = FaultPlan::new(42, 1000, &[FaultKind::TagPart]);
 //! assert_eq!(plan.poll(999), None);
@@ -27,6 +27,12 @@
 //! let mut again = FaultPlan::new(42, 1000, &[FaultKind::TagPart]);
 //! assert_eq!(again.poll(1234), Some(fault));
 //! ```
+
+use vantage_cache::Frame;
+use vantage_telemetry::TelemetryEvent;
+
+use crate::error::VantageError;
+use crate::vantage::{ScrubReport, VantageLlc, UNMANAGED};
 
 /// One concrete fault. Selector fields (`frame_sel`, `part_sel`) are raw
 /// random words that the injection point reduces onto live state (modulo the
@@ -83,8 +89,7 @@ pub enum Fault {
     },
     /// An adversarial churn burst: the workload harness should stream
     /// `accesses` distinct lines through the selected partition. This is a
-    /// workload-level fault —
-    /// [`VantageLlc::inject`](crate::VantageLlc::inject) ignores it (and
+    /// workload-level fault — [`VantageLlc::inject`] ignores it (and
     /// returns `false`); drivers are expected to synthesize the burst.
     ChurnBurst {
         /// Raw partition selector.
@@ -136,8 +141,8 @@ impl FaultKind {
         FaultKind::ChurnBurst,
     ];
 
-    /// The classes that corrupt state [`VantageLlc::inject`](crate::VantageLlc::inject)
-    /// can apply directly (everything except workload-level churn bursts).
+    /// The classes that corrupt state [`VantageLlc::inject`] can apply
+    /// directly (everything except workload-level churn bursts).
     pub const INJECTABLE: [FaultKind; 5] = [
         FaultKind::TagPart,
         FaultKind::TagTs,
@@ -361,6 +366,278 @@ impl vantage_snapshot::Snapshot for FaultPlan {
         self.kinds = kinds;
         self.log = log;
         Ok(())
+    }
+}
+
+impl VantageLlc {
+    /// Checks every internal accounting invariant, returning the first
+    /// violation instead of panicking — usable inside fault-injection
+    /// experiments, where a violation is data rather than a bug, as well
+    /// as in tests (`.expect()` it there). O(frames).
+    ///
+    /// Checked invariants:
+    ///
+    /// * every tag's partition ID is in range (or [`UNMANAGED`]);
+    /// * each partition's `ActualSize` register matches a full scan of the
+    ///   tags, and the unmanaged size register likewise;
+    /// * the sum of all size registers equals the array occupancy (and so
+    ///   never exceeds the line count);
+    /// * candidate meters are mid-period: `cands_demoted <= cands_seen < c`;
+    /// * the unmanaged target leaves the configured unmanaged fraction
+    ///   available: `um_target >= u · capacity` (floor) and the managed
+    ///   targets plus `um_target` exactly tile the capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VantageError::Invariant`] describing the first violation.
+    pub fn invariants(&self) -> Result<(), VantageError> {
+        let viol = |what: String| Err(VantageError::Invariant(what));
+        let v = &self.mech;
+        let mut sizes = vec![0u64; self.sizes.len()];
+        let mut um = 0u64;
+        let mut occupied = 0u64;
+        for f in 0..self.meta.len() {
+            if self.array.occupant(f as Frame).is_none() {
+                continue;
+            }
+            occupied += 1;
+            let part = self.meta.part(f);
+            if part == UNMANAGED {
+                um += 1;
+            } else if let Some(size) = sizes.get_mut(part as usize) {
+                *size += 1;
+            } else {
+                return viol(format!(
+                    "frame {f} tagged with out-of-range partition {part}"
+                ));
+            }
+        }
+        if um != v.um_size {
+            return viol(format!(
+                "unmanaged size accounting drift: register {} vs scan {um}",
+                v.um_size
+            ));
+        }
+        for (p, (&register, &scanned)) in self.sizes.iter().zip(&sizes).enumerate() {
+            if register != scanned {
+                return viol(format!(
+                    "partition {p} size accounting drift: register {register} vs scan {scanned}"
+                ));
+            }
+        }
+        let total: u64 = self.sizes.iter().sum::<u64>() + v.um_size;
+        if total != occupied {
+            return viol(format!(
+                "size registers sum to {total} but {occupied} frames are occupied"
+            ));
+        }
+        for (p, st) in v.parts.iter().enumerate() {
+            if st.cands_seen >= v.cfg.cands_period {
+                return viol(format!(
+                    "partition {p} candidate meter at {} (period {})",
+                    st.cands_seen, v.cfg.cands_period
+                ));
+            }
+            if st.cands_demoted > st.cands_seen {
+                return viol(format!(
+                    "partition {p} demoted meter {} exceeds seen meter {}",
+                    st.cands_demoted, st.cands_seen
+                ));
+            }
+        }
+        let cap = self.meta.len() as u64;
+        let managed_total: u64 = v.parts.iter().map(|st| st.target).sum();
+        if managed_total + v.um_target != cap {
+            return viol(format!(
+                "targets do not tile the cache: {managed_total} managed + {} unmanaged != {cap}",
+                v.um_target
+            ));
+        }
+        let floor = (v.cfg.unmanaged_fraction * cap as f64).floor() as u64;
+        if v.um_target < floor {
+            return viol(format!(
+                "unmanaged target {} below the configured fraction's floor {floor}",
+                v.um_target
+            ));
+        }
+        Ok(())
+    }
+
+    /// Enables (or disables, with `None`) an automatic [`Self::scrub`]
+    /// pass every `period` accesses — the recovery half of a
+    /// fault-tolerance loop. A zero period disables scrubbing.
+    pub fn set_scrub_period(&mut self, period: Option<u64>) {
+        self.mech.scrub_period = period.filter(|&p| p > 0);
+    }
+
+    /// Attaches (or detaches, with `None`) a seeded [`FaultPlan`]: the plan
+    /// is polled on every access and due faults are injected in-line via
+    /// [`Self::inject`]. Pair with [`Self::set_scrub_period`] for a closed
+    /// inject/recover loop. Returns the previously attached plan, whose
+    /// [`log`](FaultPlan::log) records everything it injected.
+    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) -> Option<FaultPlan> {
+        std::mem::replace(&mut self.mech.fault_plan, plan)
+    }
+
+    /// The attached fault plan, if any.
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.mech.fault_plan.as_ref()
+    }
+
+    /// Applies one [`Fault`] to live state, deliberately leaving dependent
+    /// registers stale — that staleness is what the recovery paths exist to
+    /// absorb. Returns `false` for faults that do not apply (workload-level
+    /// [`ChurnBurst`](Fault::ChurnBurst) descriptors, or tag faults when
+    /// the array is empty).
+    ///
+    /// A tag fault moves its line in the tag store's count index like any
+    /// other tag write (an out-of-range ID lands in the index's shared
+    /// overflow row), so ranks always reflect the corrupted tags;
+    /// everything architectural — size registers, setpoints, meters — is
+    /// left for [`Self::scrub`] and the access-path fallbacks to repair.
+    pub fn inject(&mut self, fault: &Fault) -> bool {
+        let lru = self.mech.is_lru();
+        let nparts = self.sizes.len() as u64;
+        match *fault {
+            Fault::TagPartFlip { frame_sel, bit } => {
+                let Some(f) = self.pick_occupied(frame_sel) else {
+                    return false;
+                };
+                self.meta.set_part(f, self.meta.part(f) ^ (1 << (bit % 16)));
+            }
+            Fault::TagTsFlip { frame_sel, bit } => {
+                let Some(f) = self.pick_occupied(frame_sel) else {
+                    return false;
+                };
+                self.meta.set_ts(f, self.meta.ts(f) ^ (1 << (bit % 8)));
+            }
+            Fault::ActualSizeCorrupt { part_sel, bit } => {
+                self.sizes[(part_sel % nparts) as usize] ^= 1u64 << (bit % 20);
+            }
+            Fault::SetpointCorrupt { part_sel, value } => {
+                let st = &mut self.mech.parts[(part_sel % nparts) as usize];
+                st.setpoint = value;
+                if !lru {
+                    // In RRIP mode the setpoint register holds an RRPV; a
+                    // glitch can push it past max_rrpv + 1 ("demote
+                    // nothing"), which scrub clamps back.
+                    st.setpoint_rrpv = value;
+                }
+            }
+            Fault::MeterCorrupt {
+                part_sel,
+                seen,
+                demoted,
+            } => {
+                let st = &mut self.mech.parts[(part_sel % nparts) as usize];
+                st.cands_seen = seen;
+                st.cands_demoted = demoted;
+            }
+            Fault::ChurnBurst { .. } => return false,
+        }
+        true
+    }
+
+    /// One recovery pass over all soft state, O(frames) — the software
+    /// analogue of a periodic tag-array scrubber:
+    ///
+    /// * tags with out-of-range partition IDs are re-tagged [`UNMANAGED`]
+    ///   (the line stays resident and is evicted or promoted normally);
+    /// * every size register (`ActualSize`, unmanaged size) is recomputed
+    ///   from the tag scan;
+    /// * candidate meters outside `demoted <= seen < c` are reset to 0;
+    /// * setpoints whose keep window is wedged fully closed (0) or fully
+    ///   open (255) are re-centered to the constructor's half-window, and
+    ///   RRIP setpoints are clamped to `max_rrpv + 1` — the feedback loop
+    ///   then re-converges in a few adjustment periods instead of having to
+    ///   ratchet one step per period across the whole timestamp space.
+    pub fn scrub(&mut self) -> ScrubReport {
+        let mut report = ScrubReport::default();
+        let mut sizes = vec![0u64; self.sizes.len()];
+        let mut um = 0u64;
+        for f in 0..self.meta.len() {
+            if self.array.occupant(f as Frame).is_none() {
+                // A never-filled frame must carry the sentinel so size
+                // audits cannot confuse it with a partition-0 line;
+                // anything else is a stale tag.
+                if self.meta.part(f) != UNMANAGED || self.meta.ts(f) != 0 {
+                    self.meta.set(f, UNMANAGED, 0);
+                    report.repaired_tags += 1;
+                }
+                continue;
+            }
+            let part = self.meta.part(f);
+            if part != UNMANAGED && (part as usize) >= sizes.len() {
+                self.meta.set_part(f, UNMANAGED);
+                report.repaired_tags += 1;
+            }
+            let part = self.meta.part(f);
+            if part == UNMANAGED {
+                um += 1;
+            } else {
+                sizes[part as usize] += 1;
+            }
+        }
+        let v = &mut self.mech;
+        if um != v.um_size {
+            v.um_size = um;
+            report.size_corrections += 1;
+        }
+        for (register, scanned) in self.sizes.iter_mut().zip(sizes) {
+            if *register != scanned {
+                *register = scanned;
+                report.size_corrections += 1;
+            }
+        }
+        let lru = v.is_lru();
+        for st in &mut v.parts {
+            if st.cands_seen >= v.cfg.cands_period || st.cands_demoted > st.cands_seen {
+                st.cands_seen = 0;
+                st.cands_demoted = 0;
+                report.meters_reset += 1;
+            }
+            let window = st.keep_window();
+            if window == 0 || window == u8::MAX {
+                st.setpoint = st.lru.current().wrapping_sub(128);
+                report.setpoints_recentered += 1;
+            }
+            if !lru && st.setpoint_rrpv > v.max_rrpv + 1 {
+                st.setpoint_rrpv = v.max_rrpv + 1;
+                report.setpoints_recentered += 1;
+            }
+        }
+        v.vstats.scrubs += 1;
+        if self.tele.enabled() {
+            let repairs = report.repaired_tags
+                + report.size_corrections
+                + report.meters_reset
+                + report.setpoints_recentered;
+            self.tele.event(TelemetryEvent::Scrub {
+                access: self.accesses,
+                repairs,
+            });
+        }
+        report
+    }
+
+    /// Maps a raw frame selector to an occupied frame, uniformly: the
+    /// selector is reduced modulo the occupancy and the k-th occupied
+    /// frame (in frame order) is chosen, so every resident line is
+    /// equally likely. (Reducing modulo the frame count and scanning
+    /// forward to the next occupied slot would over-sample frames that
+    /// follow runs of empties.) Counts by scanning rather than trusting
+    /// the size registers, which fault injection may have corrupted.
+    pub(crate) fn pick_occupied(&self, frame_sel: u64) -> Option<usize> {
+        let occupied = (0..self.meta.len())
+            .filter(|&f| self.array.occupant(f as Frame).is_some())
+            .count();
+        if occupied == 0 {
+            return None;
+        }
+        let k = (frame_sel % occupied as u64) as usize;
+        (0..self.meta.len())
+            .filter(|&f| self.array.occupant(f as Frame).is_some())
+            .nth(k)
     }
 }
 

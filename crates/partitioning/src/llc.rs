@@ -528,6 +528,15 @@ pub fn ways_from_targets(targets: &[u64], ways: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DemotionMode, RankMode, VantageConfig};
+    use crate::fault::{Fault, FaultPlan};
+    use crate::frame::{batch_footprint, PREFETCH_MIN_FOOTPRINT};
+    use crate::vantage::{VantageLlc, UNMANAGED};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use vantage_cache::replacement::rrip::BasePolicy;
+    use vantage_cache::{CacheArray, Frame, ZArray};
+    use vantage_telemetry::TelemetryEvent;
 
     #[test]
     fn outcome_helpers() {
@@ -599,5 +608,856 @@ mod tests {
     #[should_panic(expected = "at least one way")]
     fn too_few_ways_panics() {
         ways_from_targets(&[1, 2, 3, 4, 5], 4);
+    }
+
+    // The Vantage LLC (`crate::vantage`), driven through this module's
+    // vocabulary.
+
+    fn z52(frames: usize) -> Box<dyn CacheArray> {
+        Box::new(ZArray::new(frames, 4, 52, 0xA11CE))
+    }
+
+    fn default_llc(frames: usize, partitions: usize) -> VantageLlc {
+        VantageLlc::try_new(z52(frames), partitions, VantageConfig::default(), 7)
+            .expect("valid Vantage config")
+    }
+
+    /// Drives `n` accesses of uniform random lines over `working_set`
+    /// distinct addresses, tagged per partition.
+    fn drive(llc: &mut VantageLlc, part: usize, working_set: u64, n: u64, rng: &mut SmallRng) {
+        let base = (part as u64 + 1) << 40;
+        for _ in 0..n {
+            llc.access(AccessRequest::read(
+                PartitionId::from_index(part),
+                LineAddr(base + rng.gen_range(0..working_set)),
+            ));
+        }
+    }
+
+    #[test]
+    fn attached_fault_plan_injects_and_scrub_recovers() {
+        use crate::fault::{FaultKind, FaultPlan};
+        let mut llc = default_llc(2048, 2);
+        llc.set_fault_plan(Some(FaultPlan::new(0xBAD, 500, &FaultKind::INJECTABLE)));
+        llc.set_scrub_period(Some(2_000));
+        let mut rng = SmallRng::seed_from_u64(9);
+        drive(&mut llc, 0, 10_000, 20_000, &mut rng);
+        drive(&mut llc, 1, 10_000, 20_000, &mut rng);
+        let plan = llc.fault_plan().expect("plan stays attached");
+        assert!(
+            plan.log().len() >= 50,
+            "plan fired {} times",
+            plan.log().len()
+        );
+        // The interleaved scrubs kept the controller coherent despite the
+        // injected corruption.
+        llc.scrub();
+        llc.invariants().expect("scrub repairs injected damage");
+        let detached = llc.set_fault_plan(None);
+        assert!(detached.is_some() && llc.fault_plan().is_none());
+    }
+
+    #[test]
+    fn scrub_restores_sentinel_on_partially_filled_array() {
+        // With only a fraction of the array filled, never-filled frames
+        // must read as (UNMANAGED, 0) — the reset tag — or a stale
+        // partition ID left on an empty frame would be counted into that
+        // partition's recomputed size. Corrupt both occupied and
+        // never-filled frames and check one scrub pass repairs everything.
+        let mut llc = default_llc(1024, 2);
+        llc.set_targets(&[512, 512]);
+        let mut rng = SmallRng::seed_from_u64(11);
+        // A tiny working set leaves most of the array never filled.
+        drive(&mut llc, 0, 48, 2_000, &mut rng);
+        let empties: Vec<usize> = (0..llc.meta.len())
+            .filter(|&f| llc.array.occupant(f as Frame).is_none())
+            .collect();
+        let occupied: Vec<usize> = (0..llc.meta.len())
+            .filter(|&f| llc.array.occupant(f as Frame).is_some())
+            .collect();
+        assert!(empties.len() >= 3, "array unexpectedly full");
+        assert!(!occupied.is_empty(), "array unexpectedly empty");
+        for f in &empties {
+            assert_eq!(
+                (llc.meta.part(*f), llc.meta.ts(*f)),
+                (UNMANAGED, 0),
+                "never-filled frame {f} must carry the reset tag"
+            );
+        }
+        // A never-filled frame claiming a partition-0 line, one with a
+        // stale stamp, and an occupied frame with an out-of-range owner.
+        llc.meta.set(empties[0], 0, 7);
+        llc.meta.set_ts(empties[1], 200);
+        llc.meta.set_part(occupied[0], 999);
+        let report = llc.scrub();
+        assert!(
+            report.repaired_tags >= 3,
+            "expected all 3 corruptions retagged, repaired {}",
+            report.repaired_tags
+        );
+        for f in &empties {
+            assert_eq!(
+                (llc.meta.part(*f), llc.meta.ts(*f)),
+                (UNMANAGED, 0),
+                "scrub must reset never-filled frame {f}"
+            );
+        }
+        assert_eq!(llc.meta.part(occupied[0]), UNMANAGED);
+        // Recomputed sizes count exactly the occupied frames.
+        let total = llc.partition_size(PartitionId::from_index(0))
+            + llc.partition_size(PartitionId::from_index(1))
+            + llc.unmanaged_size();
+        assert_eq!(total as usize, occupied.len());
+        llc.invariants().expect("scrub leaves a coherent cache");
+    }
+
+    #[test]
+    fn sizes_converge_to_asymmetric_targets() {
+        let mut llc = default_llc(4096, 2);
+        llc.set_targets(&[3072, 1024]);
+        let mut rng = SmallRng::seed_from_u64(1);
+        // Both partitions churn heavily (working sets far over capacity).
+        for _ in 0..40 {
+            drive(&mut llc, 0, 100_000, 5_000, &mut rng);
+            drive(&mut llc, 1, 100_000, 5_000, &mut rng);
+        }
+        llc.invariants().expect("invariants hold");
+        let (t0, t1) = (
+            llc.partition_target(PartitionId::from_index(0)) as f64,
+            llc.partition_target(PartitionId::from_index(1)) as f64,
+        );
+        let (s0, s1) = (
+            llc.partition_size(PartitionId::from_index(0)) as f64,
+            llc.partition_size(PartitionId::from_index(1)) as f64,
+        );
+        // Sizes track scaled targets within the feedback slack plus a small
+        // margin for in-flight drift.
+        assert!(s0 >= t0 * 0.92 && s0 <= t0 * 1.2, "s0 = {s0}, t0 = {t0}");
+        assert!(s1 >= t1 * 0.92 && s1 <= t1 * 1.2, "s1 = {s1}, t1 = {t1}");
+    }
+
+    #[test]
+    fn thrasher_cannot_displace_quiet_partition() {
+        let mut llc = default_llc(4096, 2);
+        llc.set_targets(&[2048, 2048]);
+        let mut rng = SmallRng::seed_from_u64(2);
+        // Partition 0 loads a working set that fits comfortably, then goes
+        // quiet while partition 1 streams.
+        drive(&mut llc, 0, 1500, 60_000, &mut rng);
+        let resident_before = llc.partition_size(PartitionId::from_index(0));
+        assert!(resident_before > 1200, "warmup failed ({resident_before})");
+        for i in 0..400_000u64 {
+            llc.access(AccessRequest::read(
+                PartitionId::from_index(1),
+                LineAddr((2u64 << 40) + i),
+            ));
+        }
+        llc.invariants().expect("invariants hold");
+        // The quiet partition keeps (almost) all its lines: only forced
+        // managed evictions could remove them, and those are rare.
+        let resident_after = llc.partition_size(PartitionId::from_index(0));
+        assert!(
+            resident_after as f64 > resident_before as f64 * 0.97,
+            "quiet partition lost {} of {} lines",
+            resident_before - resident_after,
+            resident_before
+        );
+        // And the streamer is bounded near its own target.
+        let t1 = llc.partition_target(PartitionId::from_index(1)) as f64;
+        assert!((llc.partition_size(PartitionId::from_index(1)) as f64) < t1 * 1.2);
+    }
+
+    #[test]
+    fn demote_only_when_over_target() {
+        let mut llc = default_llc(1024, 2);
+        llc.set_targets(&[512, 512]);
+        let (p0, p1) = (PartitionId::from_index(0), PartitionId::from_index(1));
+        // Partition 0 parks 300 lines under its target, then hits one of
+        // them until its clock has run far past the keep window.
+        let parked: Vec<LineAddr> = (0..300).map(|i| LineAddr((1 << 40) + i)).collect();
+        for &a in &parked {
+            llc.access(AccessRequest::read(p0, a));
+        }
+        for _ in 0..20_000 {
+            llc.access(AccessRequest::read(p0, parked[0]));
+        }
+        let stale = |llc: &VantageLlc, a: LineAddr| {
+            llc.tag_of(a).is_some_and(|(q, ts)| {
+                q == 0 && llc.mech.parts[0].is_stale(ts, llc.mech.parts[0].setpoint)
+            })
+        };
+        assert!(parked[1..].iter().all(|&a| stale(&llc, a)));
+        // At or below target: stale lines stay put while partition 1
+        // streams.
+        for i in 0..50_000u64 {
+            llc.access(AccessRequest::read(p1, LineAddr((2 << 40) + i)));
+        }
+        assert!(parked[1..].iter().all(|&a| stale(&llc, a)));
+        assert_eq!(llc.partition_size(p0), 300);
+        // Over target: the same stale lines are demoted.
+        llc.set_targets(&[128, 896]);
+        for i in 50_000..100_000u64 {
+            llc.access(AccessRequest::read(p1, LineAddr((2 << 40) + i)));
+        }
+        assert!(llc.partition_size(p0) < 200, "{}", llc.partition_size(p0));
+        llc.invariants().expect("invariants hold");
+    }
+
+    #[test]
+    fn recycled_slot_starts_with_zeroed_sharing_counters() {
+        let mut llc = default_llc(1024, 2);
+        assert!(llc.set_share_mode(ShareMode::Pin));
+        let (p0, p1) = (PartitionId::from_index(0), PartitionId::from_index(1));
+        let line = LineAddr(0x1234);
+        llc.access(AccessRequest::read(p0, line));
+        assert!(llc.access(AccessRequest::read(p1, line)).is_hit());
+        assert_eq!(llc.own.shared_hits()[1], 1);
+        llc.destroy_partition(p1).expect("live slot destroys");
+        let recycled = llc
+            .create_partition(PartitionSpec::with_target(256))
+            .expect("slot available");
+        assert_eq!(recycled, p1);
+        let obs = llc.observations();
+        assert_eq!(obs.shared_hits[1], 0, "new tenant inherited shared hits");
+        assert_eq!(obs.hits[1], 0);
+    }
+
+    #[test]
+    fn forced_managed_evictions_are_rare() {
+        let cfg = VantageConfig {
+            unmanaged_fraction: 0.15,
+            ..VantageConfig::default()
+        };
+        let mut llc = VantageLlc::try_new(z52(4096), 4, cfg, 3).expect("valid Vantage config");
+        llc.set_targets(&[1024, 1024, 1024, 1024]);
+        let mut rng = SmallRng::seed_from_u64(3);
+        for _ in 0..20 {
+            for p in 0..4 {
+                drive(&mut llc, p, 50_000, 10_000, &mut rng);
+            }
+        }
+        let frac = llc.vantage_stats().managed_eviction_fraction();
+        // Model worst case for u = 0.15, R = 52 is ~2e-4; give slack for
+        // warmup and walk truncation.
+        assert!(frac < 0.01, "managed eviction fraction {frac}");
+        llc.invariants().expect("invariants hold");
+    }
+
+    #[test]
+    fn promotion_rescues_unmanaged_lines() {
+        let mut llc = default_llc(1024, 2);
+        llc.set_targets(&[512, 512]);
+        let mut rng = SmallRng::seed_from_u64(4);
+        // Create churn so partition 0's lines get demoted...
+        drive(&mut llc, 0, 5_000, 30_000, &mut rng);
+        assert!(llc.vantage_stats().demotions > 0);
+        // ...then re-touch a recent window; some hits will be promotions.
+        let before = llc.vantage_stats().promotions;
+        drive(&mut llc, 0, 5_000, 30_000, &mut rng);
+        assert!(
+            llc.vantage_stats().promotions > before,
+            "no promotions happened"
+        );
+        llc.invariants().expect("invariants hold");
+    }
+
+    #[test]
+    fn zero_target_drains_partition() {
+        let mut llc = default_llc(2048, 2);
+        llc.set_targets(&[1024, 1024]);
+        let mut rng = SmallRng::seed_from_u64(5);
+        drive(&mut llc, 0, 50_000, 30_000, &mut rng);
+        drive(&mut llc, 1, 50_000, 30_000, &mut rng);
+        let s0 = llc.partition_size(PartitionId::from_index(0));
+        assert!(s0 > 700);
+        // Delete partition 0: target 0; its lines drain as partition 1
+        // churns.
+        llc.set_targets(&[0, 2048]);
+        drive(&mut llc, 1, 50_000, 120_000, &mut rng);
+        llc.invariants().expect("invariants hold");
+        let drained = llc.partition_size(PartitionId::from_index(0));
+        assert!(
+            drained < s0 / 4,
+            "partition retained {drained} of {s0} lines"
+        );
+    }
+
+    #[test]
+    fn small_partition_respects_minimum_stable_size() {
+        // A 1-line-target partition with high churn grows to its MSS but no
+        // further: MSS ≈ ΣS/(A_max·R·m) of the managed region (Eq. 5 with
+        // all churn in one partition). The partition's size oscillates
+        // around that equilibrium (the setpoint feedback hunts with an
+        // amplitude of a few tens of percent), so a single end-of-run
+        // sample is phase-sensitive; bound the mean over the churn tail
+        // instead, with 2× headroom over the ideal MSS.
+        let mut llc = default_llc(4096, 2);
+        llc.set_targets(&[16, 4080]);
+        let mut rng = SmallRng::seed_from_u64(6);
+        // Partition 1 fills and stays quiet; partition 0 churns hard.
+        drive(&mut llc, 1, 3400, 60_000, &mut rng);
+        let (mut sum, mut samples) = (0u64, 0u64);
+        for i in 0..300_000u64 {
+            llc.access(AccessRequest::read(PartitionId::from_index(0), LineAddr(i)));
+            if i >= 100_000 && i % 1_000 == 0 {
+                sum += llc.partition_size(PartitionId::from_index(0));
+                samples += 1;
+            }
+        }
+        llc.invariants().expect("invariants hold");
+        let mss_bound = (4096.0 / (0.5 * 52.0)) * 2.0; // 1/(A_max·R) + 2× headroom
+        let s0 = sum as f64 / samples as f64;
+        assert!(
+            s0 < mss_bound,
+            "runaway partition: mean {s0} lines > bound {mss_bound}"
+        );
+    }
+
+    #[test]
+    fn downsize_converges_quickly() {
+        let mut llc = default_llc(4096, 2);
+        llc.set_targets(&[3584, 512]);
+        let mut rng = SmallRng::seed_from_u64(7);
+        drive(&mut llc, 0, 100_000, 60_000, &mut rng);
+        drive(&mut llc, 1, 100_000, 20_000, &mut rng);
+        assert!(llc.partition_size(PartitionId::from_index(0)) > 2500);
+        // Swap the allocations; both partitions keep churning.
+        llc.set_targets(&[512, 3584]);
+        for _ in 0..20 {
+            drive(&mut llc, 0, 100_000, 2_000, &mut rng);
+            drive(&mut llc, 1, 100_000, 2_000, &mut rng);
+        }
+        llc.invariants().expect("invariants hold");
+        let t0 = llc.partition_target(PartitionId::from_index(0)) as f64;
+        assert!(
+            (llc.partition_size(PartitionId::from_index(0)) as f64) < t0 * 1.3,
+            "downsized partition stuck at {}",
+            llc.partition_size(PartitionId::from_index(0))
+        );
+    }
+
+    #[test]
+    fn perfect_aperture_mode_matches_setpoint_mode() {
+        let mk = |mode| {
+            let cfg = VantageConfig {
+                demotion_mode: mode,
+                ..VantageConfig::default()
+            };
+            VantageLlc::try_new(z52(2048), 2, cfg, 9).expect("valid Vantage config")
+        };
+        let mut practical = mk(DemotionMode::Setpoint);
+        let mut ideal = mk(DemotionMode::PerfectAperture);
+        for llc in [&mut practical, &mut ideal] {
+            llc.set_targets(&[1536, 512]);
+            let mut rng = SmallRng::seed_from_u64(10);
+            for _ in 0..20 {
+                drive(llc, 0, 50_000, 4_000, &mut rng);
+                drive(llc, 1, 50_000, 4_000, &mut rng);
+            }
+            llc.invariants().expect("invariants hold");
+        }
+        // §6.2: both designs perform essentially identically; sizes must
+        // agree within a few percent of capacity.
+        for p in 0..2 {
+            let a = practical.partition_size(PartitionId::from_index(p)) as f64;
+            let b = ideal.partition_size(PartitionId::from_index(p)) as f64;
+            assert!((a - b).abs() / 2048.0 < 0.06, "partition {p}: {a} vs {b}");
+        }
+        assert_eq!(ideal.name(), "Vantage-Ideal");
+    }
+
+    #[test]
+    fn rrip_mode_runs_and_sizes_track() {
+        let cfg = VantageConfig {
+            rank: RankMode::Rrip { bits: 3 },
+            ..VantageConfig::default()
+        };
+        let mut llc = VantageLlc::try_new(z52(2048), 2, cfg, 11).expect("valid Vantage config");
+        llc.set_targets(&[1536, 512]);
+        llc.set_partition_policy(0, BasePolicy::Srrip);
+        llc.set_partition_policy(1, BasePolicy::Brrip);
+        let mut rng = SmallRng::seed_from_u64(12);
+        for _ in 0..30 {
+            drive(&mut llc, 0, 50_000, 4_000, &mut rng);
+            drive(&mut llc, 1, 50_000, 4_000, &mut rng);
+        }
+        llc.invariants().expect("invariants hold");
+        assert_eq!(llc.name(), "Vantage-RRIP");
+        let (s0, s1) = (
+            llc.partition_size(PartitionId::from_index(0)) as f64,
+            llc.partition_size(PartitionId::from_index(1)) as f64,
+        );
+        let (t0, t1) = (
+            llc.partition_target(PartitionId::from_index(0)) as f64,
+            llc.partition_target(PartitionId::from_index(1)) as f64,
+        );
+        assert!(s0 > t0 * 0.8 && s0 < t0 * 1.3, "s0 = {s0} vs t0 = {t0}");
+        assert!(s1 > t1 * 0.8 && s1 < t1 * 1.3, "s1 = {s1} vs t1 = {t1}");
+    }
+
+    #[test]
+    fn probe_samples_concentrate_near_one_for_low_churn() {
+        let mut llc = default_llc(2048, 2);
+        llc.enable_priority_probe();
+        llc.set_targets(&[1024, 1024]);
+        let mut rng = SmallRng::seed_from_u64(13);
+        for _ in 0..30 {
+            drive(&mut llc, 0, 20_000, 3_000, &mut rng);
+            drive(&mut llc, 1, 20_000, 3_000, &mut rng);
+        }
+        let samples = llc.drain_priority_samples();
+        assert!(samples.len() > 100, "expected many demotion samples");
+        let mean: f64 =
+            samples.iter().map(|(_, _, p)| f64::from(*p)).sum::<f64>() / samples.len() as f64;
+        // Balanced partitions demote from a small aperture: mean priority
+        // must sit well above 0.5 (Fig. 8's dark band near 1.0).
+        assert!(mean > 0.75, "mean demotion priority {mean}");
+    }
+
+    #[test]
+    fn exactly_one_mode_holds_sizes_but_demotes_younger_lines() {
+        // Fig. 2b vs 2c on the real cache: exactly-one demotion maintains
+        // partition sizes, but its demotion priorities are spread far below
+        // the demote-on-average controller's.
+        let run = |mode: DemotionMode| {
+            let cfg = VantageConfig {
+                demotion_mode: mode,
+                ..VantageConfig::default()
+            };
+            let mut llc = VantageLlc::try_new(z52(2048), 2, cfg, 31).expect("valid Vantage config");
+            llc.enable_priority_probe();
+            llc.set_targets(&[1024, 1024]);
+            let mut rng = SmallRng::seed_from_u64(32);
+            for _ in 0..30 {
+                drive(&mut llc, 0, 20_000, 3_000, &mut rng);
+                drive(&mut llc, 1, 20_000, 3_000, &mut rng);
+            }
+            llc.invariants().expect("invariants hold");
+            let samples = llc.drain_priority_samples();
+            // The Eq. 2-vs-Eq. 3 difference is in the low-priority tail:
+            // demote-on-average never reaches below 1 - A, exactly-one does
+            // whenever few of a partition's lines appear among candidates.
+            let tail = samples.iter().filter(|(_, _, p)| *p < 0.8).count() as f64
+                / samples.len().max(1) as f64;
+            (llc.partition_size(PartitionId::from_index(0)), tail)
+        };
+        let (size_avg, tail_avg) = run(DemotionMode::PerfectAperture);
+        let (size_one, tail_one) = run(DemotionMode::ExactlyOne);
+        // Both hold sizes near the (scaled) target...
+        for s in [size_avg, size_one] {
+            assert!(s > 850 && s < 1150, "size {s} off target");
+        }
+        // ...but exactly-one demotes soft-pinned (low-priority) lines that
+        // the aperture-based controller never touches.
+        assert!(
+            tail_one > 2.0 * tail_avg + 0.005,
+            "exactly-one tail {tail_one:.4} vs demote-on-average tail {tail_avg:.4}"
+        );
+    }
+
+    #[test]
+    fn churn_throttling_caps_runaway_partitions() {
+        // Without throttling a tiny-target churner grows to its minimum
+        // stable size; with throttling its fills divert to the unmanaged
+        // region and it stays pinned near the target.
+        let run = |throttle: bool| {
+            let cfg = VantageConfig {
+                churn_throttling: throttle,
+                ..VantageConfig::default()
+            };
+            let mut llc = VantageLlc::try_new(z52(4096), 2, cfg, 21).expect("valid Vantage config");
+            llc.set_targets(&[64, 4032]);
+            let mut rng = SmallRng::seed_from_u64(22);
+            drive(&mut llc, 1, 3_000, 50_000, &mut rng);
+            for i in 0..200_000u64 {
+                llc.access(AccessRequest::read(PartitionId::from_index(0), LineAddr(i)));
+            }
+            llc.invariants().expect("invariants hold");
+            (
+                llc.partition_size(PartitionId::from_index(0)),
+                llc.vantage_stats().throttled_insertions,
+            )
+        };
+        let (unthrottled, t0) = run(false);
+        let (throttled, t1) = run(true);
+        assert_eq!(t0, 0, "throttling off must divert nothing");
+        assert!(t1 > 10_000, "throttling should divert the churner's fills");
+        assert!(
+            throttled < unthrottled / 2,
+            "throttled churner at {throttled} vs {unthrottled} lines"
+        );
+        assert!(throttled < 200, "throttled partition should hug its target");
+    }
+
+    #[test]
+    fn targets_exceeding_capacity_rejected() {
+        let mut llc = default_llc(1024, 2);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            llc.set_targets(&[1024, 1024]);
+        }));
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn pick_occupied_samples_uniformly() {
+        let mut llc = default_llc(1024, 2);
+        llc.set_targets(&[512, 512]);
+        let mut rng = SmallRng::seed_from_u64(40);
+        // Partial fill (~25% occupancy) leaves long runs of empty frames —
+        // exactly the layout where scanning forward from a random frame to
+        // the next occupied slot over-samples frames behind empty runs.
+        for _ in 0..256 {
+            llc.access(AccessRequest::read(
+                PartitionId::from_index(0),
+                LineAddr(rng.gen_range(0..100_000u64)),
+            ));
+        }
+        let occupied: Vec<usize> = (0..1024usize)
+            .filter(|&f| llc.array.occupant(f as Frame).is_some())
+            .collect();
+        let k = occupied.len();
+        assert!(k >= 64, "fill too small ({k})");
+        let n = 100 * k;
+        let mut counts = std::collections::HashMap::new();
+        for _ in 0..n {
+            let f = llc.pick_occupied(rng.gen::<u64>()).expect("array nonempty");
+            assert!(
+                llc.array.occupant(f as Frame).is_some(),
+                "picked empty frame {f}"
+            );
+            *counts.entry(f).or_insert(0u64) += 1;
+        }
+        // Chi-square goodness of fit against the uniform distribution over
+        // occupied frames: the statistic concentrates around its dof
+        // (k - 1); 6 sigma of slack makes the test deterministic-friendly.
+        // The pre-fix next-occupied scan weights each frame by the empty
+        // run preceding it and blows this up by orders of magnitude.
+        let e = n as f64 / k as f64;
+        let chi2: f64 = occupied
+            .iter()
+            .map(|f| {
+                let o = *counts.get(f).unwrap_or(&0) as f64;
+                (o - e) * (o - e) / e
+            })
+            .sum();
+        let dof = (k - 1) as f64;
+        let bound = dof + 6.0 * (2.0 * dof).sqrt();
+        assert!(chi2 < bound, "chi2 {chi2:.1} vs bound {bound:.1}");
+    }
+
+    #[test]
+    fn unmanaged_clock_tracks_actual_size_not_target() {
+        let mut llc = default_llc(4096, 2);
+        llc.set_targets(&[2048, 2048]);
+        // Cold start (empty region): seeded from the target.
+        let target = llc.unmanaged_target();
+        assert_eq!(
+            u64::from(llc.unmanaged_ts_period()),
+            (target.max(16) / 16).max(1)
+        );
+        // Once the region holds far more than its target, stamping through
+        // one full period must re-derive the period from the actual size.
+        for _ in 0..=llc.unmanaged_ts_period() {
+            // Each stamp grows the region back to 4 × target.
+            llc.mech.um_size = 4 * target - 1;
+            llc.mech.stamp_unmanaged(&mut llc.meta, 0, 0);
+        }
+        assert_eq!(
+            u64::from(llc.unmanaged_ts_period()),
+            (llc.mech.um_size.max(16) / 16).max(1),
+            "period still tracking the target, not the actual size"
+        );
+        // And retargeting a populated region seeds from the actual size.
+        llc.mech.um_size = 32;
+        llc.set_targets(&[2048, 2048]);
+        assert_eq!(llc.unmanaged_ts_period(), 2);
+    }
+
+    #[test]
+    fn telemetry_captures_partition_dynamics() {
+        use vantage_telemetry::{RingSink, TelemetryRecord};
+        let mut llc = default_llc(2048, 2);
+        let (sink, reader) = RingSink::with_capacity(1 << 19);
+        assert!(llc.set_telemetry(Telemetry::new(Box::new(sink), 1024)));
+        llc.set_targets(&[1536, 512]);
+        let mut rng = SmallRng::seed_from_u64(77);
+        for _ in 0..10 {
+            drive(&mut llc, 0, 50_000, 4_000, &mut rng);
+            drive(&mut llc, 1, 50_000, 4_000, &mut rng);
+        }
+        llc.scrub();
+        let recs = reader.records();
+        let mut demotions = 0u64;
+        let mut promotions = 0u64;
+        let mut adjustments = 0u64;
+        let mut apertures = 0u64;
+        let mut scrubs = 0u64;
+        let mut um_samples = 0u64;
+        let mut part_samples = 0u64;
+        for r in &recs {
+            match r {
+                TelemetryRecord::Event(TelemetryEvent::Demotion { .. }) => demotions += 1,
+                TelemetryRecord::Event(TelemetryEvent::Promotion { .. }) => promotions += 1,
+                TelemetryRecord::Event(TelemetryEvent::SetpointAdjust { .. }) => adjustments += 1,
+                TelemetryRecord::Event(TelemetryEvent::ApertureUpdate { .. }) => apertures += 1,
+                TelemetryRecord::Event(TelemetryEvent::Scrub { .. }) => scrubs += 1,
+                TelemetryRecord::Sample(s) if s.part.is_unmanaged() => um_samples += 1,
+                TelemetryRecord::Sample(_) => part_samples += 1,
+                _ => {}
+            }
+        }
+        // The ring is sized to hold everything: event counts line up with
+        // the architectural counters (the ring also saw pre-drop records).
+        assert_eq!(reader.overwritten(), 0, "ring sized too small for test");
+        assert!(demotions > 0 && promotions > 0, "dynamics events present");
+        assert!(adjustments > 0, "feedback adjustments present");
+        assert!(apertures >= adjustments, "each adjustment logs an aperture");
+        assert_eq!(scrubs, 1);
+        assert!(um_samples > 10, "unmanaged region sampled");
+        assert_eq!(part_samples, 2 * um_samples, "one sample per partition");
+        // Samples carry real targets (scaled onto the managed region).
+        let t0 = llc.partition_target(PartitionId::from_index(0));
+        assert!(recs.iter().any(
+            |r| matches!(r, TelemetryRecord::Sample(s) if s.part.index() == 0 && s.target == t0)
+        ));
+        // take_telemetry removes the handle and stops the stream.
+        let before = reader.len();
+        assert!(llc.take_telemetry().is_some());
+        drive(&mut llc, 0, 50_000, 2_000, &mut rng);
+        assert_eq!(reader.len(), before, "stream must stop after take");
+    }
+
+    #[test]
+    fn take_vantage_stats_resets_counters() {
+        let mut llc = default_llc(1024, 2);
+        let mut rng = SmallRng::seed_from_u64(99);
+        drive(&mut llc, 0, 10_000, 20_000, &mut rng);
+        let taken = llc.take_vantage_stats();
+        assert!(taken.demotions > 0);
+        assert_eq!(llc.vantage_stats().demotions, 0);
+    }
+
+    #[test]
+    fn unmanaged_region_size_hovers_near_its_target() {
+        let mut llc = default_llc(4096, 4);
+        llc.set_targets(&[1024, 1024, 1024, 1024]);
+        let mut rng = SmallRng::seed_from_u64(14);
+        for _ in 0..25 {
+            for p in 0..4 {
+                drive(&mut llc, p, 50_000, 3_000, &mut rng);
+            }
+        }
+        llc.invariants().expect("invariants hold");
+        let um = llc.unmanaged_size() as f64;
+        let target = llc.unmanaged_target() as f64;
+        assert!(
+            um > target * 0.3 && um < target * 2.5,
+            "unmanaged {um} vs target {target}"
+        );
+    }
+
+    /// Regression for the 8-bit keep-window aliasing bug: a line whose
+    /// partition clock advances 256+ times between touches used to alias
+    /// back to age 0 (`current.wrapping_sub(ts)` wraps), re-entering the
+    /// keep window and dodging demotion for a whole further epoch. The
+    /// clamp pins such stamps to age 255 at every tick instead.
+    #[test]
+    fn aliased_stale_lines_stay_demotable_after_clock_wrap() {
+        use vantage_cache::SetAssocArray;
+        // Modulo indexing: `set = addr % 4`, so traffic is steerable
+        // per set. 4 sets x 16 ways.
+        let array = Box::new(SetAssocArray::modulo(64, 16));
+        let mut llc = VantageLlc::try_new(array, 1, VantageConfig::default(), 5)
+            .expect("valid Vantage config");
+        llc.set_targets(&[32]);
+        // Phase A: park victim lines in set 0, never touched again.
+        let victims: Vec<LineAddr> = (0..8u64).map(|v| LineAddr(v * 4)).collect();
+        for &v in &victims {
+            llc.access(AccessRequest::read(PartitionId::from_index(0), v));
+        }
+        let parked: Vec<u8> = victims.iter().map(|&v| llc.tag_of(v).unwrap().1).collect();
+        // Phase B: stream fresh lines through sets 1-3 only, so set 0 is
+        // never walked while partition 0's coarse clock wraps (300 ticks
+        // observed > the 256 of one full epoch).
+        let mut cur = *parked.last().unwrap();
+        let mut ticks = 0u32;
+        let mut k = 0u64;
+        while ticks < 300 {
+            k += 1;
+            assert!(k < 1_000_000, "clock failed to wrap");
+            let addr = LineAddr(4 * k + 1 + (k % 3));
+            llc.access(AccessRequest::read(PartitionId::from_index(0), addr));
+            // A managed install is stamped with the partition's current
+            // timestamp; watch it to count ticks (throttled fills land
+            // unmanaged and are skipped).
+            if let Some((0, stamp)) = llc.tag_of(addr) {
+                if stamp != cur {
+                    ticks += 1;
+                    cur = stamp;
+                }
+            }
+        }
+        // Every parked line must have been pinned one tick behind the
+        // clock (age 255). Without the clamp they would still carry
+        // their phase-A stamps and read as freshly young.
+        for &v in &victims {
+            let (p, ts) = llc.tag_of(v).expect("set 0 was never walked");
+            assert_eq!(p, 0, "victims stay managed until set 0 is walked");
+            assert_eq!(ts, cur.wrapping_add(1), "stale stamp pinned to age 255");
+        }
+        // Phase C: the first walk of set 0 must demote the stale lines
+        // immediately (plenty of headroom over the shrunken target).
+        llc.set_targets(&[16]);
+        llc.access(AccessRequest::read(
+            PartitionId::from_index(0),
+            LineAddr(4 * 2_000_000),
+        ));
+        for &v in &victims {
+            if let Some((p, _)) = llc.tag_of(v) {
+                assert_eq!(
+                    p, UNMANAGED,
+                    "stale line must be demoted at first candidacy"
+                );
+            }
+        }
+        llc.invariants().expect("invariants hold");
+    }
+
+    /// A 4096-frame, 4-partition cache, filled.
+    fn filled_llc() -> VantageLlc {
+        let mut llc = default_llc(4096, 4);
+        let mut rng = SmallRng::seed_from_u64(50);
+        for p in 0..4 {
+            drive(&mut llc, p, 50_000, 6_000, &mut rng);
+        }
+        assert_eq!(llc.array.occupancy(), 4096);
+        llc
+    }
+
+    #[test]
+    fn tag_part_flips_leave_the_count_index_bounded() {
+        let mut llc = filled_llc();
+        let mut rng = SmallRng::seed_from_u64(51);
+        for _ in 0..1000 {
+            let flip = Fault::TagPartFlip {
+                frame_sel: rng.gen(),
+                bit: 15,
+            };
+            assert!(llc.inject(&flip));
+        }
+        // Each flipped partition ID (0x8000 | p) and unmanaged tag (0x7FFF)
+        // would otherwise have grown the index to its row.
+        assert!(
+            llc.meta.index_rows() <= 4 + 2,
+            "{} index rows",
+            llc.meta.index_rows()
+        );
+        drive(&mut llc, 0, 50_000, 2_000, &mut rng);
+        llc.scrub();
+        llc.invariants().expect("scrub repairs the flips");
+    }
+
+    #[test]
+    fn restored_corrupt_ids_leave_the_count_index_bounded() {
+        use vantage_snapshot::{Decoder, Encoder, Snapshot};
+        let mut llc = filled_llc();
+        for f in 0..llc.meta.len() {
+            llc.meta.set_part(f, 0xFFFE);
+        }
+        let mut enc = Encoder::new();
+        llc.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut restored = default_llc(4096, 4);
+        restored
+            .load_state(&mut Decoder::new(&bytes, "corrupt tags"))
+            .expect("out-of-range tags are legal live state");
+        assert_eq!(restored.meta.part(0), 0xFFFE);
+        assert!(
+            restored.meta.index_rows() <= 4 + 2,
+            "{} index rows",
+            restored.meta.index_rows()
+        );
+        restored.scrub();
+        restored
+            .invariants()
+            .expect("scrub retags the restored lines");
+    }
+
+    /// The idealized controller and the probe read ranks from the count
+    /// index's rows, so under faults and scrubs every valid partition's row
+    /// must stay exactly its resident lines' stamps, checked after every
+    /// access.
+    #[test]
+    fn rank_rows_match_a_recount_under_faults() {
+        use crate::fault::FaultKind;
+        const FRAMES: usize = 1024;
+        const PARTS: usize = 4;
+        let cfg = VantageConfig {
+            demotion_mode: DemotionMode::PerfectAperture,
+            churn_throttling: true,
+            ..VantageConfig::default()
+        };
+        let mut llc = VantageLlc::try_new(z52(FRAMES), PARTS, cfg, 17).expect("valid config");
+        llc.enable_priority_probe();
+        let kinds = [
+            FaultKind::TagPart,
+            FaultKind::TagPart,
+            FaultKind::TagTs,
+            FaultKind::ActualSize,
+        ];
+        llc.set_fault_plan(Some(FaultPlan::new(0x5CA1, 40, &kinds)));
+        llc.set_scrub_period(Some(3_000));
+        let mut rng = SmallRng::seed_from_u64(52);
+        for i in 0..20_000usize {
+            drive(&mut llc, i % PARTS, 3_000, 1, &mut rng);
+            let mut recount = [[0u32; 256]; PARTS];
+            for f in 0..FRAMES {
+                let q = llc.meta.part(f) as usize;
+                if q < PARTS && llc.array.occupant(f as Frame).is_some() {
+                    recount[q][llc.meta.ts(f) as usize] += 1;
+                }
+            }
+            for (q, want) in recount.iter().enumerate() {
+                assert_eq!(
+                    llc.meta.stamp_counts(q as u16),
+                    want,
+                    "partition {q} after access {i}"
+                );
+            }
+            assert!(llc.meta.index_rows() <= PARTS + 2, "after access {i}");
+        }
+        let log = llc.fault_plan().expect("attached").log();
+        assert!(log.iter().any(|(_, f)| matches!(
+            f,
+            Fault::TagPartFlip { bit, .. } if bit % 16 >= 2
+        )));
+        assert!(llc.drain_priority_samples().len() > 100);
+    }
+
+    /// `access_batch`'s path is fixed at construction by the array
+    /// footprint: the plain loop below [`PREFETCH_MIN_FOOTPRINT`], the
+    /// prefetch pipeline from it on.
+    #[test]
+    fn batch_path_is_chosen_by_footprint_at_construction() {
+        let pipelined = |array: ZArray| {
+            VantageLlc::try_new(Box::new(array), 4, VantageConfig::default(), 1)
+                .expect("valid Vantage config")
+                .prefetch_batches
+        };
+        // A frame costs an odd number of bytes (11 + 2 per way), so no
+        // geometry lands exactly on the power-of-two constant. Z15 over
+        // 25575 frames lands one byte short of it.
+        assert_eq!(batch_footprint(25_575, 15), PREFETCH_MIN_FOOTPRINT - 1);
+        assert!(!pipelined(ZArray::new(25_575, 15, 52, 1)));
+        // Z4 at 19 B per frame: the largest plain cache and the smallest
+        // pipelined one (the size the batch-equivalence proptests use).
+        assert!(batch_footprint(55_188, 4) < PREFETCH_MIN_FOOTPRINT);
+        assert!(batch_footprint(55_192, 4) >= PREFETCH_MIN_FOOTPRINT);
+        assert!(!pipelined(ZArray::new(55_188, 4, 52, 1)));
+        assert!(pipelined(ZArray::new(55_192, 4, 52, 1)));
+        // The benchmark's single caches take the plain loop; its banked
+        // engine's 64K-frame banks keep the pipeline.
+        assert!(!pipelined(ZArray::new(32 * 1024, 4, 52, 1)));
+        assert!(pipelined(ZArray::new(64 * 1024, 4, 52, 1)));
     }
 }

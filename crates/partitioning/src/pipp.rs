@@ -24,9 +24,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vantage_cache::{Frame, LineAddr, SetAssocArray, TagMeta, Walk};
 use vantage_snapshot::{Decoder, Encoder};
+use vantage_telemetry::PartitionSample;
 
 use crate::error::SchemeConfigError;
-use crate::frame::{Mechanism, SchemeFrame};
+use crate::frame::{Ctx, Mechanism, SchemeFrame};
 use crate::llc::ways_from_targets;
 
 /// Tuning knobs for [`PippLlc`] (defaults are the paper's values).
@@ -107,17 +108,16 @@ impl PippLlc {
             return Err(SchemeConfigError::TooManyWays { ways });
         }
         let array = Box::new(SetAssocArray::hashed(frames, ways, seed));
-        let mut mech = Pipp {
+        let mech = Pipp {
             ways: ways as u32,
             chain: (0..frames).map(|f| (f % ways) as u8).collect(),
-            alloc: vec![0; partitions],
+            alloc: ways_from_targets(&vec![1; partitions], ways as u32),
             streaming: vec![false; partitions],
             interval_hits: vec![0; partitions],
             interval_misses: vec![0; partitions],
             cfg,
             rng: SmallRng::seed_from_u64(seed ^ 0x9157),
         };
-        mech.set_targets(&vec![1; partitions]);
         let mut llc = SchemeFrame::new(array, partitions, mech);
         for f in 0..frames {
             llc.meta.set_ts(f, llc.mech.chain[f]);
@@ -200,17 +200,17 @@ impl Mechanism for Pipp {
 
     /// Single-step probabilistic promotion (an adopted line's chain
     /// position is placement state and stays put until promoted).
-    fn on_hit(&mut self, meta: &mut TagMeta, f: Frame, part: usize, owner: usize, adopted: bool) {
+    fn on_hit(&mut self, cx: &mut Ctx<'_>, f: Frame, part: usize, owner: usize) {
         self.interval_hits[part] += 1;
-        let p = if self.streaming[if adopted { part } else { owner }] {
+        let p = if self.streaming[owner] {
             self.cfg.p_stream
         } else {
             self.cfg.p_prom
         };
         if self.rng.gen_bool(p) {
-            let pos = meta.ts(f as usize) as usize;
+            let pos = cx.meta.ts(f as usize) as usize;
             if pos + 1 < self.ways as usize {
-                self.reposition(meta, f, pos + 1);
+                self.reposition(cx.meta, f, pos + 1);
             }
         }
     }
@@ -221,7 +221,7 @@ impl Mechanism for Pipp {
 
     /// The lowest-priority frame, preferring empty frames. The walk yields
     /// the whole set in way order, so a way indexes its node.
-    fn select_victim(&mut self, _meta: &mut TagMeta, walk: &Walk, _part: usize) -> usize {
+    fn select_victim(&mut self, _cx: &mut Ctx<'_>, walk: &Walk, _part: usize) -> (usize, bool) {
         let ways = self.ways as usize;
         let base = walk.nodes[0].frame as usize / ways * ways;
         let chain = &self.chain[base..base + ways];
@@ -229,15 +229,15 @@ impl Mechanism for Pipp {
             .iter()
             .find(|&&w| !walk.nodes[w as usize].is_occupied())
             .unwrap_or(&chain[0]);
-        usize::from(*way)
+        (usize::from(*way), false)
     }
 
-    fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, _addr: LineAddr) {
+    fn on_fill(&mut self, cx: &mut Ctx<'_>, landing: Frame, part: usize, _addr: LineAddr) {
         let pos = self.insert_position(part);
-        self.reposition(meta, landing, pos);
+        self.reposition(cx.meta, landing, pos);
     }
 
-    fn set_targets(&mut self, targets: &[u64]) {
+    fn set_targets(&mut self, _cx: &mut Ctx<'_>, targets: &[u64]) {
         let mut alloc = ways_from_targets(targets, self.ways);
         self.classify_streams();
         // Streaming partitions are capped at one way; their surplus goes to
@@ -264,10 +264,13 @@ impl Mechanism for Pipp {
         self.alloc = alloc;
     }
 
-    /// The (pseudo-)allocation in lines.
-    fn target(&self, part: usize) -> u64 {
-        let lines_per_way = (self.chain.len() / self.ways as usize) as u64;
-        u64::from(self.alloc[part]) * lines_per_way
+    /// Reports the (pseudo-)allocation in lines as the target.
+    fn sample(&mut self, s: &mut PartitionSample) -> bool {
+        let Some(&ways) = self.alloc.get(s.part.index()) else {
+            return false;
+        };
+        s.target = u64::from(ways) * (self.chain.len() / self.ways as usize) as u64;
+        true
     }
 
     fn save(&self, _meta: &TagMeta, enc: &mut Encoder) {
@@ -284,7 +287,11 @@ impl Mechanism for Pipp {
         }
     }
 
-    fn load(&mut self, dec: &mut Decoder<'_>) -> vantage_snapshot::Result<Vec<u8>> {
+    fn load(
+        &mut self,
+        _meta: &TagMeta,
+        dec: &mut Decoder<'_>,
+    ) -> vantage_snapshot::Result<Vec<u8>> {
         let partitions = self.alloc.len();
         let ways = self.ways as usize;
         let chain = dec.take_u8_vec()?;

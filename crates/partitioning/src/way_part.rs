@@ -12,20 +12,20 @@
 //! owner are evicted only as the new owner misses into each set, which
 //! reproduces the slow target-tracking the paper observes in Fig. 8a.
 
-use vantage_cache::{Frame, LineAddr, SetAssocArray, TagMeta, TsLru, Walk, TAG_UNMANAGED};
+use vantage_cache::{Frame, LineAddr, SetAssocArray, TagMeta, TsLru, Walk};
 use vantage_snapshot::{Decoder, Encoder, Snapshot};
+use vantage_telemetry::PartitionSample;
 
 use crate::error::SchemeConfigError;
-use crate::frame::{Mechanism, SchemeFrame};
-use crate::hist::TsHistogram;
+use crate::frame::{Ctx, Mechanism, SchemeFrame};
 use crate::llc::{ways_from_targets, PrioritySample};
 
 /// Optional eviction-priority instrumentation: per-partition coarse
-/// timestamps plus histograms that turn an evicted line's timestamp into a
-/// rank among its partition's lines.
+/// timestamps, stamped into the shared [`TagMeta`] stamp lane, whose
+/// (partition, stamp) count rows rank an evicted line among its
+/// partition's lines.
 struct PriorityProbe {
     lru: Vec<TsLru>,
-    hist: Vec<TsHistogram>,
     samples: Vec<PrioritySample>,
 }
 
@@ -33,7 +33,6 @@ impl PriorityProbe {
     fn new(partitions: usize) -> Self {
         Self {
             lru: (0..partitions).map(|_| TsLru::new(64)).collect(),
-            hist: (0..partitions).map(|_| TsHistogram::new()).collect(),
             samples: Vec::new(),
         }
     }
@@ -44,10 +43,9 @@ impl PriorityProbe {
         self.lru[part].current()
     }
 
-    fn record_evict(&mut self, access_no: u64, part: usize, ts: u8) {
-        let rank = self.hist[part].rank(ts, self.lru[part].current());
-        self.hist[part].remove(ts);
-        self.samples.push((access_no, part as u16, rank as f32));
+    fn record_evict(&mut self, meta: &TagMeta, access_no: u64, part: u16, ts: u8) {
+        let rank = meta.rank(part, ts, self.lru[usize::from(part)].current());
+        self.samples.push((access_no, part, rank as f32));
     }
 }
 
@@ -110,7 +108,7 @@ impl WayPartLlc {
             probe: None,
             now: 0,
         };
-        mech.set_targets(&vec![1; partitions]);
+        mech.set_ways(&ways_from_targets(&vec![1; partitions], ways as u32));
         let array = Box::new(SetAssocArray::hashed(frames, ways, seed));
         Ok(SchemeFrame::new(array, partitions, mech))
     }
@@ -178,48 +176,46 @@ impl Mechanism for WayPartition {
         "WayPart"
     }
 
-    fn tick(&mut self, part: usize, part_lines: u64) {
-        if let Some(pr) = self.probe.as_mut() {
-            self.now = pr.on_access(part, part_lines);
+    /// Ticks the accessor's probe clock.
+    fn before_lookup(frame: &mut SchemeFrame<Self>, part: usize) {
+        let mech = &mut frame.mech;
+        if let Some(pr) = mech.probe.as_mut() {
+            mech.now = pr.on_access(part, frame.sizes[part]);
         }
     }
 
-    fn on_hit(&mut self, meta: &mut TagMeta, f: Frame, part: usize, owner: usize, adopted: bool) {
+    fn on_hit(&mut self, cx: &mut Ctx<'_>, f: Frame, part: usize, owner: usize) {
         self.touch(f);
-        let f = f as usize;
-        if let Some(pr) = self.probe.as_mut() {
-            // The line is re-stamped under its *owner's* clock domain, and
-            // its histogram entry follows the ownership. Owner and accessor
-            // coincide except right after releasing a way, when hitting
-            // another partition's leftover line (or always, for lines
-            // pinned to their first owner).
-            let owner_now = if adopted { part } else { owner };
-            let ts = if owner_now == part {
+        if let Some(pr) = self.probe.as_ref() {
+            // The line is re-stamped under its *owner's* clock domain.
+            // Owner and accessor coincide except right after releasing a
+            // way, when hitting another partition's leftover line (or
+            // always, for lines pinned to their first owner).
+            let ts = if owner == part {
                 self.now
             } else {
-                pr.lru[owner_now].current()
+                pr.lru[owner].current()
             };
-            pr.hist[owner].remove(meta.ts(f));
-            pr.hist[owner_now].add(ts);
-            meta.set_ts(f, ts);
+            cx.meta.set_ts(f as usize, ts);
         }
     }
 
     /// LRU among this partition's ways in the indexed set, preferring an
     /// empty frame (key 0: every resident line's clock is at least 1). The
     /// walk yields the whole set in way order, so a node's index is its way.
-    fn select_victim(&mut self, _meta: &mut TagMeta, walk: &Walk, part: usize) -> usize {
+    fn select_victim(&mut self, _cx: &mut Ctx<'_>, walk: &Walk, part: usize) -> (usize, bool) {
         let owned = walk.nodes.iter().enumerate();
-        owned
+        let way = owned
             .filter(|&(way, _)| self.way_owner[way] as usize == part)
             .min_by_key(|(_, n)| u64::from(n.is_occupied()) * self.last[n.frame as usize])
             .map(|(way, _)| way)
-            .expect("every partition owns at least one way")
+            .expect("every partition owns at least one way");
+        (way, false)
     }
 
-    fn note_eviction(&mut self, access: u64, owner: usize, stamp: u8) {
+    fn note_eviction(&mut self, meta: &TagMeta, access: u64, tag: u16, stamp: u8) {
         if let Some(pr) = self.probe.as_mut() {
-            pr.record_evict(access, owner, stamp);
+            pr.record_evict(meta, access, tag, stamp);
         }
     }
 
@@ -234,23 +230,25 @@ impl Mechanism for WayPartition {
         probe.map_or_else(Vec::new, |pr| std::mem::take(&mut pr.samples))
     }
 
-    fn on_fill(&mut self, meta: &mut TagMeta, landing: Frame, part: usize, _addr: LineAddr) {
+    fn on_fill(&mut self, cx: &mut Ctx<'_>, landing: Frame, _part: usize, _addr: LineAddr) {
         self.touch(landing);
-        if let Some(pr) = self.probe.as_mut() {
-            pr.hist[part].add(self.now);
-            meta.set_ts(landing as usize, self.now);
+        if self.probe.is_some() {
+            cx.meta.set_ts(landing as usize, self.now);
         }
     }
 
-    fn set_targets(&mut self, targets: &[u64]) {
+    fn set_targets(&mut self, _cx: &mut Ctx<'_>, targets: &[u64]) {
         let alloc = ways_from_targets(targets, self.ways);
         self.set_ways(&alloc);
     }
 
-    /// The way allocation in lines.
-    fn target(&self, part: usize) -> u64 {
-        let lines_per_way = (self.last.len() / self.ways as usize) as u64;
-        u64::from(self.alloc[part]) * lines_per_way
+    /// Reports the way allocation in lines as the target.
+    fn sample(&mut self, s: &mut PartitionSample) -> bool {
+        let Some(&ways) = self.alloc.get(s.part.index()) else {
+            return false;
+        };
+        s.target = u64::from(ways) * (self.last.len() / self.ways as usize) as u64;
+        true
     }
 
     fn save(&self, meta: &TagMeta, enc: &mut Encoder) {
@@ -266,8 +264,8 @@ impl Mechanism for WayPartition {
                 for lru in &pr.lru {
                     lru.save_state(enc);
                 }
-                // Histograms are rebuilt from resident lines on restore;
-                // only undrained samples need to travel.
+                // Ranks come from the tag store's count rows, rebuilt on
+                // restore; only undrained samples need to travel.
                 enc.put_usize(pr.samples.len());
                 for &(access, part, rank) in &pr.samples {
                     enc.put_u64(access);
@@ -278,7 +276,11 @@ impl Mechanism for WayPartition {
         }
     }
 
-    fn load(&mut self, dec: &mut Decoder<'_>) -> vantage_snapshot::Result<Vec<u8>> {
+    fn load(
+        &mut self,
+        _meta: &TagMeta,
+        dec: &mut Decoder<'_>,
+    ) -> vantage_snapshot::Result<Vec<u8>> {
         let partitions = self.alloc.len();
         let way_owner = dec.take_u16_vec()?;
         if way_owner.len() != self.way_owner.len() {
@@ -328,19 +330,6 @@ impl Mechanism for WayPartition {
         self.clock = clock;
         self.probe = probe;
         Ok(probe_ts)
-    }
-
-    /// Rebuilds the per-partition histograms from the restored lines: a
-    /// histogram is exactly "the multiset of resident stamps", and resident
-    /// lines are the frames with an owner.
-    fn restored(&mut self, meta: &TagMeta) {
-        if let Some(pr) = self.probe.as_mut() {
-            for (&part, &ts) in meta.parts().iter().zip(meta.ts_lane()) {
-                if part != TAG_UNMANAGED {
-                    pr.hist[part as usize].add(ts);
-                }
-            }
-        }
     }
 }
 
@@ -466,6 +455,45 @@ mod tests {
             llc.drain_priority_samples().is_empty(),
             "drain empties the buffer"
         );
+    }
+
+    /// The probe ranks evictions from the tag store's count rows, which
+    /// hold every resident line whenever the probe starts: lines filled
+    /// before it carry stamp 0. Enabled mid-run, it neither underflows nor
+    /// ranks differently after a checkpoint taken there.
+    #[test]
+    fn probe_enabled_mid_run_survives_a_checkpoint() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use vantage_snapshot::{Decoder, Encoder, Snapshot};
+        let build = || WayPartLlc::try_new(4096, 16, 2, 3).expect("valid way-partition geometry");
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut stream = |n: usize| -> Vec<AccessRequest> {
+            (0..n)
+                .map(|_| {
+                    let p = rng.gen_range(0..2usize);
+                    let addr = ((p as u64 + 1) << 40) + rng.gen_range(0..6000u64);
+                    AccessRequest::read(PartitionId::from_index(p), LineAddr(addr))
+                })
+                .collect()
+        };
+        let mut live = build();
+        for req in stream(20_000) {
+            live.access(req);
+        }
+        live.enable_priority_probe();
+        let mut enc = Encoder::new();
+        live.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut restored = build();
+        restored
+            .load_state(&mut Decoder::new(&bytes, "mid-run probe"))
+            .expect("round trip");
+        for req in stream(20_000) {
+            assert_eq!(live.access(req), restored.access(req));
+        }
+        let samples = live.drain_priority_samples();
+        assert!(samples.len() > 1000, "{} samples", samples.len());
+        assert_eq!(samples, restored.drain_priority_samples());
     }
 
     #[test]
