@@ -114,12 +114,12 @@ impl VantageConfig {
         if !(p_ev > 0.0 && p_ev <= 1.0) {
             return Err(ConfigError::EvictionProbability(p_ev));
         }
-        if !(a_max > 0.0 && a_max <= 1.0) {
-            return Err(ConfigError::AMax(a_max));
-        }
-        if slack <= 0.0 {
-            return Err(ConfigError::Slack(slack));
-        }
+        let cfg = Self {
+            a_max,
+            slack,
+            ..Self::default()
+        };
+        cfg.try_validate()?;
         let u = unmanaged_fraction(r, p_ev, a_max, slack);
         if u >= 1.0 {
             return Err(ConfigError::NoManagedSpace {
@@ -128,9 +128,7 @@ impl VantageConfig {
         }
         Ok(Self {
             unmanaged_fraction: u,
-            a_max,
-            slack,
-            ..Self::default()
+            ..cfg
         })
     }
 

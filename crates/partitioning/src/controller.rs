@@ -127,15 +127,17 @@ impl ThresholdTable {
     }
 }
 
-/// What the candidate meter says about the last `c` candidates.
+/// What the candidate meter says about the last `c` candidates. As an
+/// `i8` it is the direction telemetry reports the keep window moved in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(i8)]
 pub enum Feedback {
     /// More demotions than the table threshold: open the keep window.
-    TooMany,
+    TooMany = 1,
     /// Fewer demotions than the threshold: tighten the keep window.
-    TooFew,
+    TooFew = -1,
     /// Exactly on the threshold, or the partition is at/below target.
-    OnTarget,
+    OnTarget = 0,
 }
 
 /// Per-partition controller registers (Fig. 4).
@@ -143,10 +145,8 @@ pub enum Feedback {
 /// Mirrors the hardware state: `TargetSize`, `CurrentTS` +
 /// `AccessCounter` (inside [`TsLru`]), `SetpointTS`, `CandsSeen`,
 /// `CandsDemoted` and the thresholds table. The RRIP variant reuses the
-/// setpoint register as a setpoint RRPV. The `ActualSize` registers are
-/// the cache's per-partition line counts, one dense lane
-/// ([`Llc::partition_size`](crate::Llc::partition_size)), which the
-/// methods that read a size take as an argument.
+/// setpoint register as a setpoint RRPV. `ActualSize` is the cache's size
+/// lane; the methods that read it take it as an argument.
 #[derive(Clone, Debug)]
 pub struct PartitionState {
     /// Target size in lines (`TargetSize`).

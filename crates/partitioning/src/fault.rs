@@ -246,18 +246,8 @@ impl FaultPlan {
     }
 }
 
-/// Numeric tags for [`FaultKind`] in the snapshot encoding.
-fn kind_tag(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::TagPart => 0,
-        FaultKind::TagTs => 1,
-        FaultKind::ActualSize => 2,
-        FaultKind::Setpoint => 3,
-        FaultKind::Meters => 4,
-        FaultKind::ChurnBurst => 5,
-    }
-}
-
+/// The inverse of a kind's snapshot tag, `kind as u8`: its declaration
+/// index, which is its position in [`FaultKind::ALL`].
 fn kind_from_tag(tag: u8) -> Option<FaultKind> {
     FaultKind::ALL.get(tag as usize).copied()
 }
@@ -269,24 +259,28 @@ impl vantage_snapshot::Snapshot for FaultPlan {
         enc.put_u64(self.next_at);
         enc.put_u64(self.kinds.len() as u64);
         for &k in &self.kinds {
-            enc.put_u8(kind_tag(k));
+            enc.put_u8(k as u8);
         }
         enc.put_u64(self.log.len() as u64);
         for &(at, fault) in &self.log {
             enc.put_u64(at);
-            enc.put_u8(kind_tag(fault.kind()));
+            enc.put_u8(fault.kind() as u8);
             match fault {
-                Fault::TagPartFlip { frame_sel, bit } | Fault::TagTsFlip { frame_sel, bit } => {
-                    enc.put_u64(frame_sel);
-                    enc.put_u8(bit);
+                Fault::TagPartFlip {
+                    frame_sel: sel,
+                    bit,
                 }
-                Fault::ActualSizeCorrupt { part_sel, bit } => {
-                    enc.put_u64(part_sel);
-                    enc.put_u8(bit);
+                | Fault::TagTsFlip {
+                    frame_sel: sel,
+                    bit,
                 }
-                Fault::SetpointCorrupt { part_sel, value } => {
-                    enc.put_u64(part_sel);
-                    enc.put_u8(value);
+                | Fault::ActualSizeCorrupt { part_sel: sel, bit }
+                | Fault::SetpointCorrupt {
+                    part_sel: sel,
+                    value: bit,
+                } => {
+                    enc.put_u64(sel);
+                    enc.put_u8(bit);
                 }
                 Fault::MeterCorrupt {
                     part_sel,
@@ -499,18 +493,14 @@ impl VantageLlc {
         let lru = self.mech.is_lru();
         let nparts = self.sizes.len() as u64;
         match *fault {
-            Fault::TagPartFlip { frame_sel, bit } => {
-                let Some(f) = self.pick_occupied(frame_sel) else {
-                    return false;
-                };
-                self.meta.set_part(f, self.meta.part(f) ^ (1 << (bit % 16)));
-            }
-            Fault::TagTsFlip { frame_sel, bit } => {
-                let Some(f) = self.pick_occupied(frame_sel) else {
-                    return false;
-                };
-                self.meta.set_ts(f, self.meta.ts(f) ^ (1 << (bit % 8)));
-            }
+            Fault::TagPartFlip { frame_sel, bit } => match self.pick_occupied(frame_sel) {
+                Some(f) => self.meta.set_part(f, self.meta.part(f) ^ (1 << (bit % 16))),
+                None => return false,
+            },
+            Fault::TagTsFlip { frame_sel, bit } => match self.pick_occupied(frame_sel) {
+                Some(f) => self.meta.set_ts(f, self.meta.ts(f) ^ (1 << (bit % 8))),
+                None => return false,
+            },
             Fault::ActualSizeCorrupt { part_sel, bit } => {
                 self.sizes[(part_sel % nparts) as usize] ^= 1u64 << (bit % 20);
             }
@@ -628,22 +618,24 @@ impl VantageLlc {
     /// follow runs of empties.) Counts by scanning rather than trusting
     /// the size registers, which fault injection may have corrupted.
     pub(crate) fn pick_occupied(&self, frame_sel: u64) -> Option<usize> {
-        let occupied = (0..self.meta.len())
-            .filter(|&f| self.array.occupant(f as Frame).is_some())
-            .count();
-        if occupied == 0 {
-            return None;
-        }
-        let k = (frame_sel % occupied as u64) as usize;
-        (0..self.meta.len())
-            .filter(|&f| self.array.occupant(f as Frame).is_some())
-            .nth(k)
+        let occupied = (0..self.meta.len()).filter(|&f| self.array.occupant(f as Frame).is_some());
+        let k = frame_sel.checked_rem(occupied.clone().count() as u64)?;
+        occupied.clone().nth(k as usize)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_tags_are_positions_in_all() {
+        for (i, &k) in FaultKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i);
+            assert_eq!(kind_from_tag(k as u8), Some(k));
+        }
+        assert_eq!(kind_from_tag(FaultKind::ALL.len() as u8), None);
+    }
 
     #[test]
     fn plan_is_deterministic() {

@@ -41,23 +41,22 @@ use crate::llc::{
 pub(crate) const PREFETCH_MIN_FOOTPRINT: usize = 1 << 20;
 
 /// The bytes a request can touch across an array of `frames` frames and
-/// `ways` ways: the line store (8 B per frame), a zcache's position memo
-/// (2 B per way per frame) and both tag lanes (3 B per frame). Arrays
-/// without a position memo are overestimated, which errs toward the
-/// pipeline.
-pub(crate) fn batch_footprint(frames: usize, ways: usize) -> usize {
-    frames * (8 + 2 * ways + 3)
+/// `ways` ways that yields `candidates` replacement candidates: the line
+/// store (8 B per frame), both tag lanes (3 B per frame) and, for a zcache
+/// — the arrays whose walk reaches past the ways it probes — its position
+/// memo (2 B per way per frame).
+pub(crate) fn batch_footprint(frames: usize, ways: usize, candidates: usize) -> usize {
+    let memo = if candidates > ways { 2 * ways } else { 0 };
+    frames * (8 + memo + 3)
 }
 
-/// The frame state a [`Mechanism`] hook reads and writes besides its own,
-/// borrowed field by field.
+/// The frame state a [`Mechanism`] hook reads and writes besides its own.
 pub struct Ctx<'a> {
     /// The tag store; its stamp lane belongs to the mechanism.
     pub meta: &'a mut TagMeta,
-    /// Lines per partition — Vantage's `ActualSize` registers. The frame
-    /// moves a count for every line that changes partition; a mechanism
-    /// moves one only for lines it moves to or from state the frame does
-    /// not see (Vantage's unmanaged region).
+    /// Lines per partition (Vantage's `ActualSize` registers). A mechanism
+    /// moves a count only for lines entering or leaving state the frame
+    /// does not see (Vantage's unmanaged region).
     pub sizes: &'a mut [u64],
     /// The cache's telemetry handle.
     pub tele: &'a mut Telemetry,
@@ -84,23 +83,17 @@ pub trait Mechanism: Send + Sized {
     /// Runs once per access by `part`, before the lookup.
     fn before_lookup(_frame: &mut SchemeFrame<Self>, _part: usize) {}
 
-    /// A hit by `part` on a line whose owner tag names no partition: the
-    /// line joins `part`, and only the mechanism knows where it was counted
-    /// before. Schemes whose occupied frames always name an owner never
-    /// see one.
-    fn claim(&mut self, _cx: &mut Ctx<'_>, _part: usize, _tag: u16) {}
-
     /// Updates the rank of the line `part` just hit in frame `f`, which
     /// `owner` holds now (`part` unless the line stayed with another
-    /// partition).
+    /// partition). An `owner` naming no partition is the mechanism's to
+    /// place; schemes whose occupied frames always name one never see it.
     fn on_hit(&mut self, cx: &mut Ctx<'_>, f: Frame, part: usize, owner: usize);
 
     /// Notes a miss by `part` on (effective) address `addr`.
     fn note_miss(&mut self, _part: usize, _addr: LineAddr) {}
 
-    /// Picks the index in `walk` of the candidate to replace for `part`,
-    /// and whether the pick was forced out of the partitions the scheme
-    /// protects.
+    /// Picks the index in `walk` of the candidate to replace for `part`, and
+    /// whether the pick was forced out of the partitions it protects.
     fn select_victim(&mut self, cx: &mut Ctx<'_>, walk: &Walk, part: usize) -> (usize, bool);
 
     /// Notes that the line tagged `(tag, stamp)` is being evicted. The
@@ -111,9 +104,9 @@ pub trait Mechanism: Send + Sized {
     /// have already moved).
     fn relocate(&mut self, _from: Frame, _to: Frame) {}
 
-    /// Whether `part`'s fill into `landing` leaves the partitions: the
-    /// mechanism has tagged and counted the line itself, and the frame
-    /// skips [`on_fill`](Self::on_fill).
+    /// Whether `part`'s fill into `landing` bypasses the partitions: the
+    /// mechanism tagged and counted it, and [`on_fill`](Self::on_fill) is
+    /// skipped.
     fn divert_fill(&mut self, _cx: &mut Ctx<'_>, _landing: Frame, _part: usize) -> bool {
         false
     }
@@ -133,10 +126,9 @@ pub trait Mechanism: Send + Sized {
     /// summing to at most the capacity) onto the mechanism.
     fn set_targets(&mut self, _cx: &mut Ctx<'_>, _targets: &[u64]) {}
 
-    /// Completes a periodic telemetry sample: the frame fills the access,
-    /// partition, size and sharing counters, the mechanism what it keeps
-    /// (target, aperture, keep window). It is asked once per partition and
-    /// then once for [`PartitionId::UNMANAGED`]; `false` skips the sample.
+    /// Completes a periodic telemetry sample the frame filled with sizes and
+    /// sharing counters: once per partition, then once for
+    /// [`PartitionId::UNMANAGED`]. `false` skips the sample.
     fn sample(&mut self, s: &mut PartitionSample) -> bool {
         !s.part.is_unmanaged()
     }
@@ -145,12 +137,8 @@ pub trait Mechanism: Send + Sized {
     /// sizes, statistics and sharing counters.
     fn observe(&mut self, _sizes: &[u64], _obs: &mut PartitionObservations) {}
 
-    /// [`Llc::create_partition`]; fixed-population schemes refuse.
-    ///
-    /// # Errors
-    ///
-    /// Any [`LifecycleError`]; the default is
-    /// [`LifecycleError::Unsupported`].
+    /// [`Llc::create_partition`]; the default refuses: the population is
+    /// fixed ([`LifecycleError::Unsupported`]).
     fn create_partition(
         _frame: &mut SchemeFrame<Self>,
         _spec: PartitionSpec,
@@ -158,12 +146,7 @@ pub trait Mechanism: Send + Sized {
         Err(LifecycleError::Unsupported)
     }
 
-    /// [`Llc::destroy_partition`]; fixed-population schemes refuse.
-    ///
-    /// # Errors
-    ///
-    /// Any [`LifecycleError`]; the default is
-    /// [`LifecycleError::Unsupported`].
+    /// [`Llc::destroy_partition`]; the default refuses.
     fn destroy_partition(
         _frame: &mut SchemeFrame<Self>,
         _part: PartitionId,
@@ -192,24 +175,66 @@ pub trait Mechanism: Send + Sized {
         Ok(vec![0; meta.len()])
     }
 
-    /// Serializes the whole cache; the default is the shared layout (see
-    /// [`SchemeFrame`]'s [`Snapshot`] impl).
+    /// Serializes the whole cache. The default is the shared layout:
+    /// mechanism state, then the owner lane, line counts, stats, access
+    /// counter and telemetry schedule, then the array, with the ownership
+    /// tail (share mode + sharing counters) last.
     fn save_state(frame: &SchemeFrame<Self>, enc: &mut Encoder) {
-        frame.save_layout(enc);
+        frame.mech.save(&frame.meta, enc);
+        enc.put_u16_slice(frame.meta.parts());
+        enc.put_u64_slice(&frame.sizes);
+        frame.stats.save_state(enc);
+        enc.put_u64(frame.accesses);
+        frame.tele.save_state(enc);
+        frame.array.save_state(enc);
+        frame.own.save_state(enc);
     }
 
     /// Restores what [`save_state`](Self::save_state) wrote into a cache
     /// freshly built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`](vantage_snapshot::SnapshotError) on torn,
-    /// hostile, or mismatched input.
     fn load_state(
         frame: &mut SchemeFrame<Self>,
         dec: &mut Decoder<'_>,
     ) -> vantage_snapshot::Result<()> {
-        frame.load_layout(dec)
+        let frames = frame.meta.len();
+        let partitions = frame.sizes.len();
+        let stamps = frame.mech.load(&frame.meta, dec)?;
+        let owner = dec.take_u16_vec()?;
+        let sizes = dec.take_u64_vec()?;
+        if stamps.len() != frames || owner.len() != frames || sizes.len() != partitions {
+            return Err(dec.mismatch("frame metadata lengths differ"));
+        }
+        // Never-filled frames carry the [`TAG_UNMANAGED`] sentinel; every
+        // other owner must name a partition.
+        if owner
+            .iter()
+            .any(|&o| o != TAG_UNMANAGED && o as usize >= partitions)
+        {
+            return Err(dec.invalid("frame owner beyond partition count"));
+        }
+        frame.stats.load_state(dec)?;
+        let accesses = dec.take_u64()?;
+        frame.tele.load_state(dec)?;
+        frame.array.load_state(dec)?;
+        frame.meta.load_lanes(owner, stamps);
+        // Input validation: an unoccupied frame carries the sentinel
+        // whatever the payload claims (a forged owner would corrupt the
+        // `TagMeta` count index), and an occupied frame must carry a real
+        // partition ID.
+        for f in 0..frames {
+            if frame.array.occupant(f as u32).is_some() {
+                if frame.meta.part(f) == TAG_UNMANAGED {
+                    return Err(dec.invalid("occupied frame without an owner"));
+                }
+            } else if Self::STAMPS_EMPTY_FRAMES {
+                frame.meta.set_part(f, TAG_UNMANAGED);
+            } else {
+                frame.meta.set(f, TAG_UNMANAGED, 0);
+            }
+        }
+        frame.sizes = sizes;
+        frame.accesses = accesses;
+        frame.own.load_state(dec)
     }
 }
 
@@ -247,7 +272,8 @@ impl<M: Mechanism> SchemeFrame<M> {
     /// constructors validate geometry first.
     pub(crate) fn new(array: Box<M::Array>, partitions: usize, mech: M) -> Self {
         let (frames, ways) = (array.num_frames(), array.ways());
-        let prefetch_batches = batch_footprint(frames, ways) >= PREFETCH_MIN_FOOTPRINT;
+        let footprint = batch_footprint(frames, ways, array.candidates_per_walk());
+        let prefetch_batches = footprint >= PREFETCH_MIN_FOOTPRINT;
         Self {
             meta: TagMeta::with_partitions(frames, partitions),
             walk: Walk::with_capacity(array.candidates_per_walk()),
@@ -270,11 +296,10 @@ impl<M: Mechanism> SchemeFrame<M> {
         &self.array
     }
 
-    /// Resizes every per-partition table the frame keeps — the size lane,
-    /// statistics, tag count rows, ownership counters and the telemetry
-    /// binding — to `partitions` slots, keeping existing slots' values
-    /// (the lifecycle growth and restore paths of a scheme whose slot table
-    /// moves).
+    /// Resizes the frame's per-partition tables — size lane, statistics,
+    /// tag count rows, ownership counters, telemetry binding — to
+    /// `partitions` slots, keeping existing slots (lifecycle growth and
+    /// restore).
     pub(crate) fn resize_partitions(&mut self, partitions: usize) {
         self.sizes.resize(partitions, 0);
         self.stats.resize(partitions);
@@ -365,13 +390,9 @@ impl<M: Mechanism> SchemeFrame<M> {
     /// mechanism rank it.
     #[inline]
     fn hit(&mut self, part: usize, frame: Frame) {
-        let tag = self.meta.part(frame as usize);
-        let mut owner = usize::from(tag);
-        if owner >= self.sizes.len() {
-            let (mech, mut cx) = self.split();
-            mech.claim(&mut cx, part, tag);
-            owner = part;
-        } else if owner != part && self.shared_hit(frame as usize, part, owner) {
+        let mut owner = usize::from(self.meta.part(frame as usize));
+        if owner != part && owner < self.sizes.len() && self.shared_hit(frame as usize, part, owner)
+        {
             owner = part;
         }
         let (mech, mut cx) = self.split();
@@ -460,63 +481,6 @@ impl<M: Mechanism> SchemeFrame<M> {
         }
         let (mech, mut cx) = self.split();
         mech.on_fill(&mut cx, landing, part, addr);
-    }
-
-    /// The shared snapshot layout: mechanism state, then the owner lane,
-    /// line counts, stats, access counter and telemetry schedule, then the
-    /// array, with the ownership tail (share mode + sharing counters) last.
-    fn save_layout(&self, enc: &mut Encoder) {
-        self.mech.save(&self.meta, enc);
-        enc.put_u16_slice(self.meta.parts());
-        enc.put_u64_slice(&self.sizes);
-        self.stats.save_state(enc);
-        enc.put_u64(self.accesses);
-        self.tele.save_state(enc);
-        self.array.save_state(enc);
-        self.own.save_state(enc);
-    }
-
-    /// Restores [`Self::save_layout`]'s bytes.
-    fn load_layout(&mut self, dec: &mut Decoder<'_>) -> vantage_snapshot::Result<()> {
-        let frames = self.meta.len();
-        let partitions = self.sizes.len();
-        let stamps = self.mech.load(&self.meta, dec)?;
-        let owner = dec.take_u16_vec()?;
-        let sizes = dec.take_u64_vec()?;
-        if stamps.len() != frames || owner.len() != frames || sizes.len() != partitions {
-            return Err(dec.mismatch("frame metadata lengths differ"));
-        }
-        // Never-filled frames carry the [`TAG_UNMANAGED`] sentinel; every
-        // other owner must name a partition.
-        if owner
-            .iter()
-            .any(|&o| o != TAG_UNMANAGED && o as usize >= partitions)
-        {
-            return Err(dec.invalid("frame owner beyond partition count"));
-        }
-        self.stats.load_state(dec)?;
-        let accesses = dec.take_u64()?;
-        self.tele.load_state(dec)?;
-        self.array.load_state(dec)?;
-        self.meta.load_lanes(owner, stamps);
-        // Input validation: an unoccupied frame carries the sentinel
-        // whatever the payload claims (a forged owner would corrupt the
-        // `TagMeta` count index), and an occupied frame must carry a real
-        // partition ID.
-        for f in 0..frames {
-            if self.array.occupant(f as u32).is_some() {
-                if self.meta.part(f) == TAG_UNMANAGED {
-                    return Err(dec.invalid("occupied frame without an owner"));
-                }
-            } else if M::STAMPS_EMPTY_FRAMES {
-                self.meta.set_part(f, TAG_UNMANAGED);
-            } else {
-                self.meta.set(f, TAG_UNMANAGED, 0);
-            }
-        }
-        self.sizes = sizes;
-        self.accesses = accesses;
-        self.own.load_state(dec)
     }
 }
 
@@ -711,8 +675,8 @@ impl<M: Mechanism> Llc for SchemeFrame<M> {
     }
 }
 
-/// Delegates to the mechanism's codec, which for the three way- and
-/// rank-based schemes is the shared layout of `save_layout`.
+/// Delegates to the mechanism's codec, which for all but Vantage is the
+/// shared layout of [`Mechanism::save_state`].
 impl<M: Mechanism> Snapshot for SchemeFrame<M> {
     fn save_state(&self, enc: &mut Encoder) {
         M::save_state(self, enc);

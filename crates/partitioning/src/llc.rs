@@ -233,11 +233,6 @@ impl PartitionObservations {
     pub fn num_partitions(&self) -> usize {
         self.actual.len()
     }
-
-    /// Number of live partitions in the snapshot.
-    pub fn num_live(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
-    }
 }
 
 /// Requested configuration for a partition created at runtime (see
@@ -328,17 +323,11 @@ pub trait Llc: Send + vantage_snapshot::Snapshot {
 
     /// Serves `reqs` in order, appending one outcome per request to `out`.
     ///
-    /// Semantically identical to calling [`access`](Llc::access) in a loop
-    /// (which is the default implementation); schemes override it to amortize
-    /// per-access costs across the batch — software-prefetching upcoming
-    /// probes or grouping by bank. `out` is
+    /// Semantically identical to calling [`access`](Llc::access) in a loop;
+    /// implementations amortize per-access costs across the batch —
+    /// software-prefetching upcoming probes or grouping by bank. `out` is
     /// appended to, not cleared, so callers can accumulate across batches.
-    fn access_batch(&mut self, reqs: &[AccessRequest], out: &mut Vec<AccessOutcome>) {
-        out.reserve(reqs.len());
-        for &req in reqs {
-            out.push(self.access(req));
-        }
-    }
+    fn access_batch(&mut self, reqs: &[AccessRequest], out: &mut Vec<AccessOutcome>);
 
     /// Number of partitions this cache was configured with.
     fn num_partitions(&self) -> usize;
@@ -363,18 +352,14 @@ pub trait Llc: Send + vantage_snapshot::Snapshot {
     /// Schemes with a runtime lifecycle (Vantage and its banked wrappers)
     /// allocate a slot (reusing a fully drained one when available), seed
     /// it with as much of `spec.target` as current spare capacity allows,
-    /// and emit a partition-created telemetry event. The default is a
-    /// fixed-population scheme: [`LifecycleError::Unsupported`].
+    /// and emit a partition-created telemetry event.
     ///
     /// # Errors
     ///
     /// [`LifecycleError::Unsupported`] on fixed-population schemes and
     /// [`LifecycleError::Exhausted`] when the `u16` tag lane has no free
     /// slot left.
-    fn create_partition(&mut self, spec: PartitionSpec) -> Result<PartitionId, LifecycleError> {
-        let _ = spec;
-        Err(LifecycleError::Unsupported)
-    }
+    fn create_partition(&mut self, spec: PartitionSpec) -> Result<PartitionId, LifecycleError>;
 
     /// Destroys a live partition.
     ///
@@ -389,10 +374,7 @@ pub trait Llc: Send + vantage_snapshot::Snapshot {
     /// [`LifecycleError::OutOfRange`] for a handle this cache never
     /// allocated, and [`LifecycleError::NotLive`] when the partition was
     /// already destroyed.
-    fn destroy_partition(&mut self, part: PartitionId) -> Result<(), LifecycleError> {
-        let _ = part;
-        Err(LifecycleError::Unsupported)
-    }
+    fn destroy_partition(&mut self, part: PartitionId) -> Result<(), LifecycleError>;
 
     /// Hit/miss statistics.
     fn stats(&self) -> &LlcStats;
@@ -408,61 +390,38 @@ pub trait Llc: Send + vantage_snapshot::Snapshot {
     }
 
     /// Snapshots per-partition occupancy and dynamics (see
-    /// [`PartitionObservations`]).
-    ///
-    /// The default implementation reports current sizes and cumulative
-    /// hit/miss counters, with zeroed targets/churn/insertions; schemes
-    /// that meter dynamics (e.g. Vantage's demotion machinery) override it.
-    /// Takes `&mut self` so overriding schemes may drain epoch-relative
-    /// counters.
-    fn observations(&mut self) -> PartitionObservations {
-        let n = self.num_partitions();
-        let mut obs = PartitionObservations::new(n);
-        for p in 0..n {
-            obs.actual[p] = self.partition_size(PartitionId::from_index(p));
-        }
-        let stats = self.stats();
-        obs.hits.copy_from_slice(&stats.hits);
-        obs.misses.copy_from_slice(&stats.misses);
-        obs
-    }
+    /// [`PartitionObservations`]): current sizes and cumulative hit/miss
+    /// counters, plus targets, churn and insertions where the scheme meters
+    /// them (e.g. Vantage's demotion machinery). Takes `&mut self` so
+    /// schemes may drain epoch-relative counters.
+    fn observations(&mut self) -> PartitionObservations;
 
     /// Installs the cross-partition sharing mode (see [`ShareMode`]). Must
     /// be called on a cold cache — before any access — because lines
     /// already placed under the old mode keep their placement. Returns
-    /// `false` (leaving the scheme in its default [`ShareMode::Adopt`]
-    /// behavior) if the scheme does not implement the ownership layer.
-    fn set_share_mode(&mut self, _mode: ShareMode) -> bool {
-        false
-    }
+    /// `false` (leaving the cache in its default [`ShareMode::Adopt`]
+    /// behavior) if the cache refuses the mode.
+    fn set_share_mode(&mut self, mode: ShareMode) -> bool;
 
     /// The active cross-partition sharing mode.
-    fn share_mode(&self) -> ShareMode {
-        ShareMode::Adopt
-    }
+    fn share_mode(&self) -> ShareMode;
 
     /// Installs a telemetry handle; the cache emits dynamics events and
     /// periodic per-partition samples into it from now on. Returns `false`
-    /// (dropping the handle) if the scheme does not support telemetry.
-    fn set_telemetry(&mut self, _telemetry: Telemetry) -> bool {
-        false
-    }
+    /// (dropping the handle) if the cache refuses it.
+    fn set_telemetry(&mut self, telemetry: Telemetry) -> bool;
 
     /// Removes and returns the installed telemetry handle (flushing is the
     /// caller's or the handle's `Drop`'s job), or `None` if absent.
-    fn take_telemetry(&mut self) -> Option<Telemetry> {
-        None
-    }
+    fn take_telemetry(&mut self) -> Option<Telemetry>;
 
     /// Starts Fig. 8-style eviction/demotion priority sampling where the
     /// scheme supports it; other schemes ignore the request.
-    fn enable_priority_probe(&mut self) {}
+    fn enable_priority_probe(&mut self);
 
     /// Drains the priority samples taken since the last drain (empty when
     /// the probe is off or unsupported).
-    fn drain_priority_samples(&mut self) -> Vec<PrioritySample> {
-        Vec::new()
-    }
+    fn drain_priority_samples(&mut self) -> Vec<PrioritySample>;
 
     /// A short human-readable scheme name (e.g. `"Vantage"`, `"WayPart"`).
     fn name(&self) -> &str;
@@ -528,6 +487,7 @@ pub fn ways_from_targets(targets: &[u64], ways: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::caps::HasPartitionPolicy;
     use crate::config::{DemotionMode, RankMode, VantageConfig};
     use crate::fault::{Fault, FaultPlan};
     use crate::frame::{batch_footprint, PREFETCH_MIN_FOOTPRINT};
@@ -1447,12 +1407,12 @@ mod tests {
         // A frame costs an odd number of bytes (11 + 2 per way), so no
         // geometry lands exactly on the power-of-two constant. Z15 over
         // 25575 frames lands one byte short of it.
-        assert_eq!(batch_footprint(25_575, 15), PREFETCH_MIN_FOOTPRINT - 1);
+        assert_eq!(batch_footprint(25_575, 15, 52), PREFETCH_MIN_FOOTPRINT - 1);
         assert!(!pipelined(ZArray::new(25_575, 15, 52, 1)));
         // Z4 at 19 B per frame: the largest plain cache and the smallest
         // pipelined one (the size the batch-equivalence proptests use).
-        assert!(batch_footprint(55_188, 4) < PREFETCH_MIN_FOOTPRINT);
-        assert!(batch_footprint(55_192, 4) >= PREFETCH_MIN_FOOTPRINT);
+        assert!(batch_footprint(55_188, 4, 52) < PREFETCH_MIN_FOOTPRINT);
+        assert!(batch_footprint(55_192, 4, 52) >= PREFETCH_MIN_FOOTPRINT);
         assert!(!pipelined(ZArray::new(55_188, 4, 52, 1)));
         assert!(pipelined(ZArray::new(55_192, 4, 52, 1)));
         // The benchmark's single caches take the plain loop; its banked

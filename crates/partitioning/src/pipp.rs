@@ -215,12 +215,12 @@ impl Mechanism for Pipp {
         }
     }
 
+    /// The lowest-priority frame, preferring empty frames. The walk yields
+    /// the whole set in way order, so a way indexes its node.
     fn note_miss(&mut self, part: usize, _addr: LineAddr) {
         self.interval_misses[part] += 1;
     }
 
-    /// The lowest-priority frame, preferring empty frames. The walk yields
-    /// the whole set in way order, so a way indexes its node.
     fn select_victim(&mut self, _cx: &mut Ctx<'_>, walk: &Walk, _part: usize) -> (usize, bool) {
         let ways = self.ways as usize;
         let base = walk.nodes[0].frame as usize / ways * ways;

@@ -1,13 +1,12 @@
-//! Vantage's snapshot codec, which replaces the frame's shared layout.
+//! Vantage's snapshot codec, in place of the frame's shared layout.
 //!
 //! It serializes every architectural register plus the simulator-side
-//! meters: tags, per-partition controller state (each partition's
-//! `ActualSize` register is the frame's size lane, written in place), the
-//! unmanaged clock, RRIP policy state, statistics, churn meters, the fault
-//! schedule and the telemetry schedule, with the cache array, the lifecycle
-//! tail and the ownership tail last. Derived structures (threshold tables,
-//! the tag store's count index, walk scratch) are rebuilt on load rather
-//! than stored.
+//! meters: tags, per-partition controller state (with the frame's size
+//! lane), the unmanaged clock, RRIP policy state, statistics, churn meters,
+//! the fault schedule and the telemetry schedule, with the cache array, the
+//! lifecycle tail and the ownership tail last. Derived structures
+//! (threshold tables, the tag store's count index, walk scratch) are
+//! rebuilt on load rather than stored.
 
 use vantage_cache::{Frame, PartitionId};
 use vantage_snapshot::{Decoder, Encoder, Snapshot};
@@ -72,15 +71,7 @@ impl VantageLlc {
         self.array.save_state(enc);
         // Lifecycle tail: the slot-state lane plus the pending
         // arrival/departure queues.
-        let lane: Vec<u8> = v
-            .slot_state
-            .iter()
-            .map(|s| match s {
-                SlotState::Active => 0u8,
-                SlotState::Draining => 1,
-                SlotState::Free => 2,
-            })
-            .collect();
+        let lane: Vec<u8> = v.slot_state.iter().map(|&s| s as u8).collect();
         enc.put_u8_slice(&lane);
         let arrived: Vec<u16> = v.pending_arrived.iter().map(|p| p.raw()).collect();
         let departed: Vec<u16> = v.pending_departed.iter().map(|p| p.raw()).collect();
@@ -208,12 +199,10 @@ impl VantageLlc {
         }
         let mut slot_state = Vec::with_capacity(npart);
         for b in lane {
-            slot_state.push(match b {
-                0 => SlotState::Active,
-                1 => SlotState::Draining,
-                2 => SlotState::Free,
-                _ => return Err(dec.invalid("unknown slot state")),
-            });
+            let Some(&s) = SlotState::ALL.get(usize::from(b)) else {
+                return Err(dec.invalid("unknown slot state"));
+            };
+            slot_state.push(s);
         }
         let take_queue = |dec: &mut Decoder<'_>| -> vantage_snapshot::Result<Vec<PartitionId>> {
             let raw = dec.take_u16_vec()?;

@@ -37,6 +37,11 @@ pub enum SlotState {
     Free,
 }
 
+impl SlotState {
+    /// Every state; a state's snapshot tag (`state as u8`) is its index.
+    pub const ALL: [SlotState; 3] = [SlotState::Active, SlotState::Draining, SlotState::Free];
+}
+
 impl Vantage {
     /// Lazily retires drained slots: a [`SlotState::Draining`] slot whose
     /// last line has left (`sizes` is the frame's size lane) becomes
@@ -51,10 +56,8 @@ impl Vantage {
         }
     }
 
-    /// Resizes every per-slot table to `n` slots, alongside the frame's
-    /// [`resize_partitions`](crate::SchemeFrame). New slots start zeroed
-    /// and [`SlotState::Free`]; a create then activates its slot, a
-    /// restore overwrites each slot's state from the payload.
+    /// Resizes every per-slot table to `n` slots (the frame resizes its
+    /// own); new slots start zeroed and [`SlotState::Free`].
     pub(crate) fn resize_slots(&mut self, n: usize) {
         self.parts
             .resize_with(n, || PartitionState::new(0, &self.cfg, self.max_rrpv));

@@ -25,12 +25,11 @@
 //! (feedback-based aperture control, §4.1), so apertures are never computed
 //! explicitly at run time.
 //!
-//! The frame resolves ownership, counts lines per partition (the
-//! `ActualSize` registers), records statistics and telemetry and serves
-//! batches; what is Vantage's own lives here: the controller, the demotion
-//! rules, the unmanaged region and churn throttling, the partition
-//! lifecycle (`lifecycle.rs`), fault injection and scrubbing
-//! ([`crate::fault`]) and the snapshot codec (`codec.rs`).
+//! The frame resolves ownership, counts lines per partition and serves
+//! statistics, telemetry and batches. Vantage's own are the controller,
+//! the demotion rules, the unmanaged region, the lifecycle
+//! (`lifecycle.rs`), fault injection and scrub ([`crate::fault`]) and the
+//! snapshot codec (`codec.rs`).
 
 mod codec;
 mod lifecycle;
@@ -95,11 +94,6 @@ impl VantageStats {
             self.forced_managed_evictions as f64 / total as f64
         }
     }
-
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// What one [`VantageLlc::scrub`] pass found and repaired.
@@ -117,17 +111,8 @@ pub struct ScrubReport {
     pub setpoints_recentered: u64,
 }
 
-impl ScrubReport {
-    /// Whether the pass found anything to repair.
-    pub fn clean(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
-/// The Vantage [`Mechanism`]: per-partition controller registers (the
-/// `ActualSize` registers are the frame's size lane), the unmanaged region,
-/// lifecycle slots, churn meters, the fault schedule and the priority
-/// probe.
+/// The Vantage [`Mechanism`]: controller registers (`ActualSize` is the
+/// frame's size lane), the unmanaged region, slots, meters and faults.
 pub struct Vantage {
     pub(crate) cfg: VantageConfig,
     pub(crate) parts: Vec<PartitionState>,
@@ -289,15 +274,6 @@ impl VantageLlc {
         self.mech.parts[part.index()].target
     }
 
-    /// Sets the base policy (SRRIP/BRRIP) for one partition; only meaningful
-    /// with RRIP ranking, where the allocation policy picks per-partition
-    /// policies at each repartitioning (Vantage-DRRIP, §6.2).
-    pub fn set_partition_policy(&mut self, part: usize, policy: BasePolicy) {
-        if let Some(rr) = &mut self.mech.rrip {
-            rr.set_partition_policy(part, policy);
-        }
-    }
-
     /// [`Llc::set_targets`] for callers holding a concrete `VantageLlc`
     /// that treat a refused target vector as a bug. It stays because the
     /// frozen `benchmark/` uses this call's value as `()`; it goes with
@@ -394,7 +370,10 @@ impl Vantage {
             part: PartitionId::from_index(q),
         });
         if self.probe {
-            let pr = rank(cx.meta, &self.parts[q], q, ts);
+            // Ranks (Fig. 8 priorities) are only read while a miss
+            // resolves, when every tag is whole, so the count row holds
+            // exactly the partition's resident lines.
+            let pr = cx.meta.rank(q as u16, ts, self.parts[q].lru.current());
             self.samples.push((cx.access, q as u16, pr as f32));
         }
         cx.sizes[q] = cx.sizes[q].saturating_sub(1);
@@ -409,23 +388,16 @@ impl Vantage {
     #[cold]
     fn note_adjustment(&self, cx: &mut Ctx<'_>, part: usize, fb: Feedback) {
         let st = &self.parts[part];
-        let direction = match fb {
-            Feedback::TooMany => 1i8,
-            Feedback::TooFew => -1,
-            Feedback::OnTarget => 0,
-        };
-        let window = st.keep_window();
-        let aperture = st.table.aperture(cx.sizes[part]) as f32;
         cx.tele.event(TelemetryEvent::SetpointAdjust {
             access: cx.access,
             part: PartitionId::from_index(part),
-            direction,
-            window,
+            direction: fb as i8,
+            window: st.keep_window(),
         });
         cx.tele.event(TelemetryEvent::ApertureUpdate {
             access: cx.access,
             part: PartitionId::from_index(part),
-            aperture,
+            aperture: st.table.aperture(cx.sizes[part]) as f32,
         });
     }
 
@@ -474,13 +446,16 @@ impl Vantage {
         let mut first_demoted: Option<usize> = None;
         self.walk_setpoints.clear();
         let n = self.scan_part.len();
+        // Sliced to the slot count, so a candidate whose partition ID
+        // passed the `parts` lookup indexes `sizes` without a check.
+        let slots = self.parts.len();
         let mut i = 0;
         while i < n {
             let scan = Scan {
                 parts: &mut self.parts,
                 slot_state: &self.slot_state,
                 meta: &mut *cx.meta,
-                sizes: &*cx.sizes,
+                sizes: &cx.sizes[..slots],
                 walk_setpoints: &self.walk_setpoints,
             };
             let (lane_part, lane_ts, um_lru) =
@@ -597,19 +572,6 @@ impl Scan<'_> {
     }
 }
 
-/// The rank (Fig. 8 priority) of partition `q`'s line stamped `ts` among
-/// the partition's lines, read from the tag store's count row; `st` is
-/// `q`'s controller state. The total is the row's sum, never the
-/// `ActualSize` register, which faults corrupt.
-///
-/// Ranks are only read while a miss resolves, when every tag is whole: no
-/// frame is half-retired or awaiting its stamp. So the row counts exactly
-/// the partition's resident lines, corrupted tags included (a flip into an
-/// out-of-range ID leaves the row).
-fn rank(meta: &TagMeta, st: &PartitionState, q: usize, ts: u8) -> f64 {
-    meta.rank(q as u16, ts, st.lru.current())
-}
-
 impl Mechanism for Vantage {
     type Array = dyn CacheArray;
 
@@ -640,29 +602,29 @@ impl Mechanism for Vantage {
         }
     }
 
-    /// A hit on an unmanaged line promotes it; a hit on a corrupted
-    /// partition ID (fault injection / soft error) adopts the line. The
-    /// original owner's size register still counts a corrupted line; that
-    /// drift is repaired by the next scrub.
-    fn claim(&mut self, cx: &mut Ctx<'_>, part: usize, tag: u16) {
-        if tag == UNMANAGED {
-            self.vstats.promotions += 1;
-            cx.tele.event(TelemetryEvent::Promotion {
-                access: cx.access,
-                part: PartitionId::from_index(part),
-            });
-            // Saturating: tolerates a corrupted unmanaged-size register
-            // (scrub recomputes the true value).
-            self.um_size = self.um_size.saturating_sub(1);
-        } else {
-            self.vstats.corrupted_pid_fallbacks += 1;
-        }
-        cx.sizes[part] += 1;
-    }
-
+    /// A hit on an unmanaged line promotes it; one on a corrupted ID (a
+    /// fault) adopts it, still counted by its old owner until a scrub.
     /// Under RRIP a hit promotes to near-immediate re-reference.
     #[inline]
     fn on_hit(&mut self, cx: &mut Ctx<'_>, f: Frame, part: usize, owner: usize) {
+        let owner = if owner < cx.sizes.len() {
+            owner
+        } else {
+            if owner == usize::from(UNMANAGED) {
+                self.vstats.promotions += 1;
+                cx.tele.event(TelemetryEvent::Promotion {
+                    access: cx.access,
+                    part: PartitionId::from_index(part),
+                });
+                // Saturating: tolerates a corrupted unmanaged-size register
+                // (scrub recomputes the true value).
+                self.um_size = self.um_size.saturating_sub(1);
+            } else {
+                self.vstats.corrupted_pid_fallbacks += 1;
+            }
+            cx.sizes[part] += 1;
+            part
+        };
         self.stamp_managed(cx, f as usize, part, owner, 0);
     }
 
@@ -740,7 +702,8 @@ impl Mechanism for Vantage {
                 Some(
                     over && {
                         let aperture = st.table.aperture(scan.sizes[q]);
-                        aperture > 0.0 && rank(scan.meta, st, q, ts) > 1.0 - aperture
+                        aperture > 0.0
+                            && scan.meta.rank(q as u16, ts, st.lru.current()) > 1.0 - aperture
                     },
                 )
             }),
@@ -950,9 +913,13 @@ impl Mechanism for Vantage {
     }
 }
 
+/// Only meaningful with RRIP ranking, where the allocation policy picks
+/// per-partition policies at each repartitioning (Vantage-DRRIP, §6.2).
 impl HasPartitionPolicy for VantageLlc {
     fn set_partition_policy(&mut self, part: usize, policy: BasePolicy) {
-        VantageLlc::set_partition_policy(self, part, policy);
+        if let Some(rr) = &mut self.mech.rrip {
+            rr.set_partition_policy(part, policy);
+        }
     }
 }
 

@@ -36,17 +36,6 @@ impl PriorityProbe {
             samples: Vec::new(),
         }
     }
-
-    fn on_access(&mut self, part: usize, part_lines: u64) -> u8 {
-        self.lru[part].set_period_for_size(part_lines.max(16));
-        self.lru[part].on_access();
-        self.lru[part].current()
-    }
-
-    fn record_evict(&mut self, meta: &TagMeta, access_no: u64, part: u16, ts: u8) {
-        let rank = meta.rank(part, ts, self.lru[usize::from(part)].current());
-        self.samples.push((access_no, part, rank as f32));
-    }
 }
 
 /// The way-partitioning [`Mechanism`]: way ownership, exact per-frame LRU
@@ -180,7 +169,10 @@ impl Mechanism for WayPartition {
     fn before_lookup(frame: &mut SchemeFrame<Self>, part: usize) {
         let mech = &mut frame.mech;
         if let Some(pr) = mech.probe.as_mut() {
-            mech.now = pr.on_access(part, frame.sizes[part]);
+            let lru = &mut pr.lru[part];
+            lru.set_period_for_size(frame.sizes[part].max(16));
+            lru.on_access();
+            mech.now = lru.current();
         }
     }
 
@@ -215,7 +207,8 @@ impl Mechanism for WayPartition {
 
     fn note_eviction(&mut self, meta: &TagMeta, access: u64, tag: u16, stamp: u8) {
         if let Some(pr) = self.probe.as_mut() {
-            pr.record_evict(meta, access, tag, stamp);
+            let rank = meta.rank(tag, stamp, pr.lru[usize::from(tag)].current());
+            pr.samples.push((access, tag, rank as f32));
         }
     }
 
