@@ -234,6 +234,12 @@ mod tests {
     }
 
     #[test]
+    fn guarantees_type_a_nan_slack() {
+        let cfg = VantageConfig::try_for_guarantees(52, 1e-2, 0.4, f64::NAN);
+        assert!(matches!(cfg, Err(ConfigError::Slack(_))));
+    }
+
+    #[test]
     fn nan_slack_rejected() {
         // Partition controllers build their thresholds tables from a
         // validated config without re-checking it.
