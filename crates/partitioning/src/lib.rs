@@ -58,6 +58,6 @@ pub use llc::{
     PartitionSpec, PrioritySample,
 };
 pub use pipp::{PippConfig, PippLlc};
-pub use vantage::{ScrubReport, SlotState, Vantage, VantageLlc, VantageStats, UNMANAGED};
+pub use vantage::{ScrubReport, SlotState, VantageLlc, VantageStats, UNMANAGED};
 pub use vantage_cache::PartitionId;
 pub use way_part::WayPartLlc;

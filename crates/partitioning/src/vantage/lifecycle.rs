@@ -39,7 +39,8 @@ pub enum SlotState {
 
 impl SlotState {
     /// Every state; a state's snapshot tag (`state as u8`) is its index.
-    pub const ALL: [SlotState; 3] = [SlotState::Active, SlotState::Draining, SlotState::Free];
+    pub(crate) const ALL: [SlotState; 3] =
+        [SlotState::Active, SlotState::Draining, SlotState::Free];
 }
 
 impl Vantage {
