@@ -111,7 +111,8 @@ pub trait Mechanism: Send + Sized {
         false
     }
 
-    /// Ranks and stamps the line `part` just filled into `landing`.
+    /// Ranks and stamps the line `part` just filled into `landing`, which
+    /// the frame tags as `part`'s right after.
     fn on_fill(&mut self, cx: &mut Ctx<'_>, landing: Frame, part: usize, addr: LineAddr);
 
     /// Starts priority sampling; see [`Llc::enable_priority_probe`].
@@ -468,7 +469,6 @@ impl<M: Mechanism> SchemeFrame<M> {
         if mech.divert_fill(&mut cx, landing, part) {
             return;
         }
-        self.meta.set_part(landing as usize, part as u16);
         self.sizes[part] += 1;
         if self.own.mode() == ShareMode::Replicate {
             // Every install under Replicate carries the partition's
@@ -481,6 +481,10 @@ impl<M: Mechanism> SchemeFrame<M> {
         }
         let (mech, mut cx) = self.split();
         mech.on_fill(&mut cx, landing, part, addr);
+        // After the stamp: a whole-tag stamp (Vantage's) then moves the
+        // line's count once, and its re-pin (`TagMeta::clamp_stale`) never
+        // meets the landing frame's stale stamp under the new owner.
+        self.meta.set_part(landing as usize, part as u16);
     }
 }
 
