@@ -61,17 +61,23 @@ pub struct ZArray {
     /// positions never change, so the memo cannot go stale.
     probe_addr: Cell<u64>,
     probe_frames: Cell<[Frame; MAX_PROBE_WAYS]>,
-    /// Per-frame memo of the resident line's bank-local bucket in *every*
-    /// way (`pos[frame * ways + way]`), maintained on install and mirrored
-    /// along relocation chains. The BFS expansion reads a parent line's
-    /// alternative positions from one contiguous load here instead of
-    /// recomputing `W - 1` H3 hashes (8 table lookups each) per expanded
-    /// node — a line's hash positions never change, so the memo cannot go
-    /// stale. Empty when buckets do not fit in a `u16` (see `pos_ok`).
+    /// Per-frame memo of the resident line's bank-local bucket in each of
+    /// the `W - 1` ways it does *not* occupy, in ascending way order: row
+    /// entry `k` of frame `f` (`pos[f * (W - 1) + k]`) holds the bucket in
+    /// way `k + (k >= own)`, where `own` is `f`'s way. The own-way bucket
+    /// is implied by the frame index, so storing it would only spend 2 B
+    /// per frame. The BFS expansion reads a parent line's alternative
+    /// positions from this one row instead of recomputing `W - 1` H3
+    /// hashes (8 table lookups each) per expanded node; `install` rebuilds
+    /// a relocated line's row from its old row and the frame it leaves. A
+    /// line's hash positions never change, so the memo cannot go stale.
+    /// Empty when buckets do not fit in a `u16` (see `pos_ok`).
     pos: Vec<u16>,
     /// Whether `pos` is maintained (`bank_size <= 65536`); when false the
     /// walk falls back to hashing. Every paper configuration fits.
     pos_ok: bool,
+    /// Relocation scratch: one line's buckets in all `W` ways.
+    full_row: Vec<u16>,
 }
 
 impl ZArray {
@@ -110,28 +116,53 @@ impl ZArray {
             probe_addr: Cell::new(EMPTY_LINE),
             probe_frames: Cell::new([INVALID_FRAME; MAX_PROBE_WAYS]),
             pos: if pos_ok {
-                vec![0; frames * ways]
+                vec![0; frames * (ways - 1)]
             } else {
                 Vec::new()
             },
             pos_ok,
+            full_row: vec![0; ways],
         }
     }
 
-    /// Records `addr`'s bank-local bucket in every way into the position
-    /// memo for the frame it now occupies, reusing the probe memo's hashes
-    /// when they cover `addr`.
-    fn memo_positions(&mut self, addr: LineAddr, frame: Frame) {
+    /// Records `addr`'s bank-local bucket in every way but `own` into the
+    /// position memo row of `frame` (which lies in way `own`), reusing the
+    /// probe memo's hashes when they cover `addr`.
+    fn memo_positions(&mut self, addr: LineAddr, frame: Frame, own: usize) {
         let ways = self.hashers.len();
-        let base = frame as usize * ways;
+        let row = ways - 1;
+        let base = frame as usize * row;
         let memo = (ways <= MAX_PROBE_WAYS && self.probe_addr.get() == addr.0)
             .then(|| self.probe_frames.get());
-        for w in 0..ways {
+        for k in 0..row {
+            let w = k + usize::from(k >= own);
             let f = match memo {
                 Some(frames) => frames[w],
                 None => self.frame_in_way(addr, w),
             };
-            self.pos[base + w] = (f - w as u32 * self.bank_size) as u16;
+            self.pos[base + k] = (f - w as u32 * self.bank_size) as u16;
+        }
+    }
+
+    /// Moves the memo row of the line relocating from walk node `from` to
+    /// walk node `to` (a different way): the old row is spread over a
+    /// full `W`-way row, the bucket of the frame the line leaves fills
+    /// `from`'s way, and the new row is that full row without `to`'s way.
+    /// Both ways come from the walk nodes, so no hash and no `frame /
+    /// bank_size` division is needed, and no step branches on the ways.
+    #[inline]
+    fn relocate_positions(&mut self, from: WalkNode, to: WalkNode) {
+        let row = self.hashers.len() - 1;
+        let (from_way, to_way) = (from.way(), to.way());
+        debug_assert_ne!(from_way, to_way, "a walk child lies in another way");
+        let (src, dst) = (from.frame as usize * row, to.frame as usize * row);
+        let full = &mut self.full_row;
+        for k in 0..row {
+            full[k + usize::from(k >= from_way)] = self.pos[src + k];
+        }
+        full[from_way] = (from.frame - from_way as u32 * self.bank_size) as u16;
+        for k in 0..row {
+            self.pos[dst + k] = full[k + usize::from(k >= to_way)];
         }
     }
 
@@ -188,7 +219,6 @@ impl CacheArray for ZArray {
     }
 
     fn walk(&mut self, addr: LineAddr, walk: &mut Walk) {
-        walk.clear();
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Rare wrap (every 255 walks): reset stamps so stale epochs
@@ -196,66 +226,88 @@ impl CacheArray for ZArray {
             self.seen.fill(0);
             self.epoch = 1;
         }
+        let epoch = self.epoch;
         let ways = self.hashers.len();
+        let row = ways - 1;
+        // Nodes are distinct frames, so no walk outgrows the array.
+        let max = self.max_candidates.min(self.lines.len());
+        let (bank_size, pos_ok) = (self.bank_size, self.pos_ok);
+        let memo = (ways <= MAX_PROBE_WAYS && self.probe_addr.get() == addr.0)
+            .then(|| self.probe_frames.get());
+        // Slices bound once, so the loops below keep their bases and lengths
+        // in registers (reading them through `self` measured slower).
+        let (lines, seen, pos, hashers) = (
+            &self.lines[..],
+            &mut self.seen[..],
+            &self.pos[..],
+            &self.hashers[..],
+        );
+        let frame_in_way =
+            |addr: u64, w: usize| w as u32 * bank_size + hashers[w].bucket(addr, bank_size);
+        // Nodes are written by index into a buffer of `max` slots, cut to
+        // the walk's length on return: no per-node push.
+        walk.nodes
+            .resize(max, WalkNode::new(INVALID_FRAME, false, None, 0));
+        let nodes = &mut walk.nodes[..max];
+        let mut n = 0;
 
         // Depth 0: the incoming line's own positions (distinct banks, so no
         // dedup needed among them), reusing the missing lookup's hashes via
         // the probe memo when it matches. An empty frame ends the walk
         // early — the replacement process would use it directly.
-        let memo = (ways <= MAX_PROBE_WAYS && self.probe_addr.get() == addr.0)
-            .then(|| self.probe_frames.get());
         for w in 0..ways {
             let frame = match memo {
                 Some(frames) => frames[w],
-                None => self.frame_in_way(addr, w),
+                None => frame_in_way(addr.0, w),
             };
-            self.seen[frame as usize] = self.epoch;
-            let line = self.lines[frame as usize];
-            walk.nodes
-                .push(WalkNode::new(frame, line != EMPTY_LINE, None, w));
+            seen[frame as usize] = epoch;
+            let line = lines[frame as usize];
+            nodes[n] = WalkNode::new(frame, line != EMPTY_LINE, None, w);
+            n += 1;
             if line == EMPTY_LINE {
+                walk.nodes.truncate(n);
                 return;
             }
         }
 
         // BFS expansion: each occupied node contributes its line's
-        // alternative positions in the other ways — read from the position
-        // memo (one contiguous load per parent) when maintained, falling
-        // back to `W - 1` H3 hashes when not. The parent's way comes from
-        // the node itself, not a `frame / bank_size` division.
+        // alternative positions in the other ways — row entry `k` is way
+        // `k + (k >= own)`, read from the parent's position memo row (one
+        // slice) when maintained, or hashed when not (the row is then
+        // empty). The parent's way comes from the node itself, not a
+        // `frame / bank_size` division.
         let mut cursor = 0;
-        while walk.nodes.len() < self.max_candidates && cursor < walk.nodes.len() {
-            let parent = walk.nodes[cursor];
+        while n < max && cursor < n {
+            let parent = nodes[cursor];
             debug_assert!(parent.is_occupied(), "empty nodes end the walk below");
-            let parent_way = parent.way();
-            let base = parent.frame as usize * ways;
-            for w in 0..ways {
-                if w == parent_way {
-                    continue;
-                }
-                let frame = if self.pos_ok {
-                    w as u32 * self.bank_size + u32::from(self.pos[base + w])
-                } else {
-                    self.frame_in_way(LineAddr(self.lines[parent.frame as usize]), w)
+            let own = parent.way();
+            let memo_row: &[u16] = if pos_ok {
+                &pos[parent.frame as usize * row..][..row]
+            } else {
+                &[]
+            };
+            for k in 0..row {
+                let w = k + usize::from(k >= own);
+                let frame = match memo_row.get(k) {
+                    Some(&bucket) => w as u32 * bank_size + u32::from(bucket),
+                    None => frame_in_way(lines[parent.frame as usize], w),
                 };
-                if self.seen[frame as usize] == self.epoch {
+                if seen[frame as usize] == epoch {
                     continue; // duplicate frame, already a candidate
                 }
-                self.seen[frame as usize] = self.epoch;
-                let occupant = self.lines[frame as usize];
-                walk.nodes.push(WalkNode::new(
-                    frame,
-                    occupant != EMPTY_LINE,
-                    Some(cursor as u32),
-                    w,
-                ));
-                if occupant == EMPTY_LINE || walk.nodes.len() == self.max_candidates {
+                seen[frame as usize] = epoch;
+                let occupant = lines[frame as usize];
+                nodes[n] = WalkNode::new(frame, occupant != EMPTY_LINE, Some(cursor as u32), w);
+                n += 1;
+                if occupant == EMPTY_LINE || n == max {
+                    walk.nodes.truncate(n);
                     debug_check_walk(walk, ways);
                     return;
                 }
             }
             cursor += 1;
         }
+        walk.nodes.truncate(n);
         debug_check_walk(walk, ways);
     }
 
@@ -285,29 +337,24 @@ impl CacheArray for ZArray {
         // incoming line. The victim end moves first, so every destination
         // frame has just been vacated — the chain is walked directly, with
         // no per-install allocation.
-        let ways = self.hashers.len();
         let mut cur = victim;
         while let Some(p) = walk.nodes[cur].parent() {
-            let to = walk.nodes[cur].frame;
-            let from = walk.nodes[p as usize].frame;
-            self.lines[to as usize] = self.lines[from as usize];
+            let (to, from) = (walk.nodes[cur], walk.nodes[p as usize]);
+            self.lines[to.frame as usize] = self.lines[from.frame as usize];
             if self.pos_ok {
-                // A relocated line keeps its hash positions; move its memo
-                // entry along with it.
-                self.pos.copy_within(
-                    from as usize * ways..(from as usize + 1) * ways,
-                    to as usize * ways,
-                );
+                // A relocated line keeps its hash positions; its memo row
+                // moves with it, re-expressed for the way it lands in.
+                self.relocate_positions(from, to);
             }
-            moves.push((from, to));
+            moves.push((from.frame, to.frame));
             cur = p as usize;
         }
-        let root = walk.nodes[cur].frame;
-        self.lines[root as usize] = addr.0;
+        let root = walk.nodes[cur];
+        self.lines[root.frame as usize] = addr.0;
         if self.pos_ok {
-            self.memo_positions(addr, root);
+            self.memo_positions(addr, root.frame, root.way());
         }
-        root
+        root.frame
     }
 
     fn invalidate(&mut self, addr: LineAddr) -> Option<Frame> {
@@ -335,7 +382,7 @@ impl CacheArray for ZArray {
             if self.pos_ok {
                 // The walk's BFS expansion reads the position memo row of
                 // every occupied depth-0 frame; warm it alongside the line.
-                prefetch_slice(&self.pos, f as usize * self.hashers.len());
+                prefetch_slice(&self.pos, f as usize * (self.hashers.len() - 1));
             }
         }
         ways
@@ -346,6 +393,7 @@ impl CacheArray for ZArray {
             return; // no memo: expanding would cost W-1 hashes per frame
         }
         let ways = self.hashers.len();
+        let row = ways - 1;
         // The only producer of `frames` is `prefetch`, which writes the
         // depth-0 probe frames in way order — in that case the index *is*
         // the way, sparing a division per frame.
@@ -357,14 +405,12 @@ impl CacheArray for ZArray {
             // Mirror the walk's expansion: the occupant's alternative
             // positions in every other way, read from the (warm) memo row.
             let own = if way_ordered { i } else { self.way_of(f) };
-            let base = f as usize * ways;
-            for w in 0..ways {
-                if w == own {
-                    continue;
-                }
-                let g = w as u32 * self.bank_size + u32::from(self.pos[base + w]);
+            let memo_row = &self.pos[f as usize * row..][..row];
+            for (k, &bucket) in memo_row.iter().enumerate() {
+                let w = k + usize::from(k >= own);
+                let g = w as u32 * self.bank_size + u32::from(bucket);
                 prefetch_slice(&self.lines, g as usize);
-                prefetch_slice(&self.pos, g as usize * ways);
+                prefetch_slice(&self.pos, g as usize * row);
                 out.push(g);
             }
         }
@@ -420,10 +466,10 @@ impl vantage_snapshot::Snapshot for ZArray {
         self.probe_addr.set(EMPTY_LINE);
         self.probe_frames.set([INVALID_FRAME; MAX_PROBE_WAYS]);
         if self.pos_ok {
-            for f in 0..self.lines.len() {
-                let line = self.lines[f];
+            for f in 0..self.lines.len() as Frame {
+                let line = self.lines[f as usize];
                 if line != EMPTY_LINE {
-                    self.memo_positions(LineAddr(line), f as Frame);
+                    self.memo_positions(LineAddr(line), f, self.way_of(f));
                 }
             }
         }
@@ -434,8 +480,10 @@ impl vantage_snapshot::Snapshot for ZArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::mix64;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use vantage_snapshot::Snapshot;
 
     /// Checks the placement invariant: every line sits in one of the frames
     /// its hash functions map it to.
@@ -525,16 +573,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn position_memo_matches_hashes_after_relocations() {
-        let mut a = ZArray::new(1024, 4, 52, 21);
-        let mut rng = SmallRng::seed_from_u64(5);
-        fill(&mut a, 20_000, &mut rng);
+    /// Zcache geometries `(frames, ways, candidates)` that keep a position
+    /// memo: Z2, Z3, Z4/16, Z4/52, Z8/64, and Z15/52, whose way count is
+    /// past `MAX_PROBE_WAYS` (no probe memo, so rows are hashed).
+    const MEMO_GEOMETRIES: [(usize, usize, usize); 6] = [
+        (256, 2, 8),
+        (384, 3, 16),
+        (512, 4, 16),
+        (1024, 4, 52),
+        (1024, 8, 64),
+        (480, 15, 52),
+    ];
+
+    /// Checks every occupied frame's memo row against fresh hashes: entry
+    /// `k` is the line's bucket in way `k + (k >= own)`.
+    fn check_memo(a: &ZArray) {
         assert!(a.pos_ok);
+        let row = a.ways() - 1;
+        assert_eq!(a.pos.len(), a.num_frames() * row);
         for f in 0..a.num_frames() {
             if let Some(addr) = a.occupant(f as Frame) {
-                for w in 0..a.ways() {
-                    let memo = w as u32 * a.bank_size + u32::from(a.pos[f * a.ways() + w]);
+                let own = f / a.bank_size as usize;
+                for k in 0..row {
+                    let w = k + usize::from(k >= own);
+                    let memo = w as u32 * a.bank_size + u32::from(a.pos[f * row + k]);
                     assert_eq!(
                         memo,
                         a.frame_in_way(addr, w),
@@ -542,6 +604,156 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The replacement walk as the paper describes it, with nothing
+    /// memoized: every position is hashed, frames are deduplicated with a
+    /// `HashSet`, and a frame's way is its index over the bank size.
+    fn naive_walk(a: &ZArray, addr: LineAddr) -> Vec<WalkNode> {
+        let mut nodes = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for w in 0..a.ways() {
+            let frame = a.frame_in_way(addr, w);
+            assert!(seen.insert(frame), "depth-0 frames lie in distinct banks");
+            let occupied = a.occupant(frame).is_some();
+            nodes.push(WalkNode::new(frame, occupied, None, w));
+            if !occupied {
+                return nodes;
+            }
+        }
+        let mut cursor = 0;
+        while nodes.len() < a.candidates_per_walk() && cursor < nodes.len() {
+            let parent = nodes[cursor].frame;
+            let line = a.occupant(parent).expect("expanded nodes are occupied");
+            let own = (parent / a.bank_size) as usize;
+            for w in (0..a.ways()).filter(|&w| w != own) {
+                let frame = a.frame_in_way(line, w);
+                if !seen.insert(frame) {
+                    continue;
+                }
+                let occupied = a.occupant(frame).is_some();
+                nodes.push(WalkNode::new(frame, occupied, Some(cursor as u32), w));
+                if !occupied || nodes.len() == a.candidates_per_walk() {
+                    return nodes;
+                }
+            }
+            cursor += 1;
+        }
+        nodes
+    }
+
+    /// Drives `a` with random installs (random victims, so lines relocate
+    /// along deep chains) and invalidations over an address space twice
+    /// its size, with a `save_state`/`load_state` round-trip halfway. The
+    /// first `prefill` installs are unchecked; after each of the next
+    /// `steps` operations every walk must match [`naive_walk`] node for
+    /// node and, when the array keeps one, every memo row its hashes.
+    fn check_against_naive(mut a: ZArray, prefill: usize, steps: usize, seed: u64) {
+        let (frames, ways, candidates) = (a.num_frames(), a.ways(), a.candidates_per_walk());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let space = 2 * frames as u64;
+        let mut walk = Walk::new();
+        let mut moves = Vec::new();
+        let (mut relocated, mut full) = (0, 0);
+        for step in 0..prefill + steps {
+            let checked = step >= prefill;
+            if step == prefill + steps / 2 {
+                let mut enc = vantage_snapshot::Encoder::new();
+                a.save_state(&mut enc);
+                let bytes = enc.into_bytes();
+                let mut restored = ZArray::new(frames, ways, candidates, seed);
+                let mut dec = vantage_snapshot::Decoder::new(&bytes, "zarray");
+                restored
+                    .load_state(&mut dec)
+                    .expect("same-geometry restore");
+                dec.finish().expect("the whole payload is read");
+                assert_eq!(restored.lines, a.lines);
+                assert_eq!(restored.occupancy(), a.occupancy());
+                a = restored;
+            }
+            let addr = LineAddr(mix64(rng.gen_range(0..space)) >> 1);
+            if rng.gen_range(0..8) == 0 {
+                a.invalidate(addr);
+            } else if a.lookup(addr).is_none() {
+                a.walk(addr, &mut walk);
+                if checked {
+                    assert_eq!(
+                        walk.nodes,
+                        naive_walk(&a, addr),
+                        "walk diverged at step {step}"
+                    );
+                    full += usize::from(walk.len() == candidates);
+                }
+                // An empty frame is always taken while prefilling and half
+                // the time after, so the array stays near full while
+                // evicting victims also see holes.
+                let victim = walk
+                    .first_empty()
+                    .filter(|_| !checked || rng.gen_range(0..2) == 0)
+                    .unwrap_or_else(|| rng.gen_range(0..walk.len()));
+                a.install(addr, &walk, victim, &mut moves);
+                relocated += usize::from(checked && !moves.is_empty());
+                moves.clear();
+            }
+            if checked && a.pos_ok {
+                check_memo(&a);
+            }
+        }
+        // Walks through the array's first and last frames, where the row
+        // and bank arithmetic meet the ends of the stores: their depth-0
+        // holes are filled first, so the walk expands past depth 0.
+        for (way, frame) in [(0, 0), (ways - 1, frames as Frame - 1)] {
+            let mut i = 0;
+            loop {
+                let addr = loop {
+                    i += 1;
+                    let x = LineAddr(mix64(seed ^ i) >> 1);
+                    if a.frame_in_way(x, way) == frame && a.lookup(x).is_none() {
+                        break x;
+                    }
+                };
+                a.walk(addr, &mut walk);
+                assert_eq!(
+                    walk.nodes,
+                    naive_walk(&a, addr),
+                    "walk through frame {frame}"
+                );
+                match walk.first_empty() {
+                    Some(v) if v < ways => a.install(addr, &walk, v, &mut moves),
+                    _ => break,
+                };
+                moves.clear();
+            }
+        }
+        check_placement(&a);
+        assert!(full > steps / 8, "only {full} full-length walks");
+        assert!(
+            relocated > steps / 8,
+            "only {relocated} relocating installs"
+        );
+    }
+
+    #[test]
+    fn walks_and_memo_match_a_naive_reference() {
+        for (i, &(frames, ways, candidates)) in MEMO_GEOMETRIES.iter().enumerate() {
+            let a = ZArray::new(frames, ways, candidates, 30 + i as u64);
+            check_against_naive(a, 0, 6 * frames, 30 + i as u64);
+        }
+        // Banks of 65 537 buckets overflow a u16: no memo, every walk
+        // hashes.
+        let a = ZArray::new(4 * 65_537, 4, 52, 37);
+        assert!(!a.pos_ok && a.pos.is_empty());
+        check_against_naive(a, 2 * 4 * 65_537, 4000, 37);
+    }
+
+    #[test]
+    fn position_memo_matches_hashes_after_relocations() {
+        for (i, &(frames, ways, candidates)) in MEMO_GEOMETRIES.iter().enumerate() {
+            let mut a = ZArray::new(frames, ways, candidates, 21 + i as u64);
+            let mut rng = SmallRng::seed_from_u64(5 + i as u64);
+            fill(&mut a, 20 * frames as u64, &mut rng);
+            check_memo(&a);
         }
     }
 

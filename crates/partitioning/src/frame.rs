@@ -30,11 +30,11 @@ use crate::llc::{
 ///
 /// Placed between the two Z4/52 geometries the benchmark drives, measured
 /// one thread on a Xeon with a 2 MiB L2 per core. A 32K-frame cache
-/// (~0.6 MiB) is already L2-resident, so the pipeline's hashing, ~16
+/// (~0.5 MiB) is already L2-resident, so the pipeline's hashing, ~16
 /// prefetches and ~5 extra array calls per request are pure overhead: the
 /// plain loop serves an all-hit stream at 34.6M instead of 17.6M acc/s
 /// and a half-miss stream at 2.45M instead of 2.22M. Eight 64K-frame
-/// caches (~1.2 MiB each) served in alternation behind a banked engine
+/// caches (~1.1 MiB each) served in alternation behind a banked engine
 /// lose ~10% without the pipeline (1.94M → 1.75M acc/s), so 64K frames
 /// and every larger cache keep it. A lone 64K-frame cache would gain
 /// without it; a per-cache rule cannot tell the two apart (DESIGN.md §8).
@@ -44,9 +44,9 @@ pub(crate) const PREFETCH_MIN_FOOTPRINT: usize = 1 << 20;
 /// `ways` ways that yields `candidates` replacement candidates: the line
 /// store (8 B per frame), both tag lanes (3 B per frame) and, for a zcache
 /// — the arrays whose walk reaches past the ways it probes — its position
-/// memo (2 B per way per frame).
+/// memo (2 B for each of the `ways - 1` ways a line does not occupy).
 pub(crate) fn batch_footprint(frames: usize, ways: usize, candidates: usize) -> usize {
-    let memo = if candidates > ways { 2 * ways } else { 0 };
+    let memo = if candidates > ways { 2 * (ways - 1) } else { 0 };
     frames * (8 + memo + 3)
 }
 
@@ -495,7 +495,7 @@ impl<M: Mechanism> Llc for SchemeFrame<M> {
 
     /// The serial loop, with a two-stage software-prefetch pipeline for
     /// caches whose footprint reaches 1 MiB (`PREFETCH_MIN_FOOTPRINT`:
-    /// 55 192 frames and up for Z4), decided once, at construction. Smaller
+    /// 61 684 frames and up for Z4), decided once, at construction. Smaller
     /// caches sit in the host's own cache, where the pipeline's extra
     /// hashing and prefetches only cost, so they serve the batch as a plain
     /// [`Llc::access`] loop.

@@ -469,7 +469,7 @@ proptest! {
 /// constant, so `access_batch` runs its two-stage pipeline (pinned by the
 /// `batch_path_is_chosen_by_footprint_at_construction` unit test). Every
 /// machine above is far smaller and serves batches as a plain loop.
-const PIPELINED_FRAMES: usize = 55_192;
+const PIPELINED_FRAMES: usize = 61_684;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -487,7 +487,7 @@ proptest! {
     ) {
         use vantage_repro::cache::ShareMode;
 
-        // Private lines over 1.2x the capacity (16 557 per partition), one
+        // Private lines over 1.07x the capacity (16 557 per partition), one
         // request in eight to a 4096-line set every partition shares.
         let req = |p: usize, shared: bool, a: u64, write: bool| {
             let part = PartitionId::from_index(p);

@@ -5,12 +5,13 @@
 //! installed, the steady-state access path (hits, misses, demotions,
 //! evictions, periodic samples) must perform zero heap allocations — the
 //! zero-cost claim behind shipping telemetry enabled-but-null. The same
-//! holds for Vantage's batched entry point on either of its paths.
+//! holds for Vantage's batched entry point on either of its paths. The
+//! same allocator also pins the zcache's per-frame footprint.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vantage_repro::cache::{LineAddr, RripConfig, RripMode, SetAssocArray, ZArray};
+use vantage_repro::cache::{H3Hasher, LineAddr, RripConfig, RripMode, SetAssocArray, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{
     AccessRequest, BaselineLlc, Llc, PartitionId, PippConfig, PippLlc, RankPolicy, WayPartLlc,
@@ -23,19 +24,27 @@ thread_local! {
     /// Allocations made by this thread: the tests in this binary run
     /// concurrently, so each counts only its own.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has asked for: every allocation's size plus every
+    /// reallocation's growth (frees are not subtracted).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn allocated_bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
 
@@ -44,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -187,4 +196,24 @@ fn vantage_access_batch_is_allocation_free_on_both_paths() {
             "{frames} frames: the batch never hit"
         );
     }
+}
+
+/// A Z4/52 zcache allocates at most 15 B per frame — the 8 B line store,
+/// the 1 B walk-dedup stamp and a 6 B position memo row (the bucket in each
+/// of the three ways a line does not occupy) — plus its four H3 hashers
+/// with their tables and 64 B of per-array scratch. A memo that grew back
+/// to every way (17 B per frame) fails here.
+#[test]
+fn zarray_allocates_at_most_15_bytes_per_frame() {
+    const FRAMES: usize = 32 * 1024;
+    let hashers = 4 * (std::mem::size_of::<H3Hasher>() + std::mem::size_of::<[[u32; 256]; 8]>());
+    let budget = (FRAMES * 15 + hashers + 64) as u64;
+    let before = allocated_bytes();
+    let array = ZArray::new(FRAMES, 4, 52, 11);
+    let bytes = allocated_bytes() - before;
+    drop(array);
+    assert!(
+        bytes <= budget,
+        "ZArray::new({FRAMES}, 4, 52) allocated {bytes} B, budget {budget} B"
+    );
 }
