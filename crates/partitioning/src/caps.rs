@@ -1,21 +1,6 @@
 //! Capability traits: what a scheme *can do* beyond the base
-//! [`Llc`](crate::Llc) contract, advertised instead of downcast.
-//!
-//! The simulation layer used to reach into concrete scheme types (e.g.
-//! `as_vantage()` downcasts) to flip per-partition replacement policies or
-//! run integrity checks. These traits invert that: a scheme that supports
-//! a capability implements the trait, and callers ask for
-//! `&dyn HasInvariants` / `&mut dyn HasPartitionPolicy` without knowing
-//! which scheme they hold.
-
-use vantage_cache::replacement::rrip::BasePolicy;
-
-/// A scheme whose per-partition insertion policy can be switched at run
-/// time (e.g. Vantage-DRRIP dueling SRRIP vs BRRIP per partition, §6.2).
-pub trait HasPartitionPolicy {
-    /// Sets partition `part`'s base replacement/insertion policy.
-    fn set_partition_policy(&mut self, part: usize, policy: BasePolicy);
-}
+//! [`Llc`](crate::Llc) contract. [`HasInvariants`] audits and repairs a
+//! scheme's own bookkeeping.
 
 /// An internal-consistency violation reported by [`HasInvariants`].
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -47,7 +47,7 @@ pub mod way_part;
 
 pub use banked::{BankedLlc, RingStats};
 pub use baseline::{BaselineLlc, RankPolicy};
-pub use caps::{HasInvariants, HasPartitionPolicy, InvariantViolation};
+pub use caps::{HasInvariants, InvariantViolation};
 pub use config::{DemotionMode, RankMode, VantageConfig};
 pub use controller::{PartitionState, ThresholdTable};
 pub use error::{ConfigError, SchemeConfigError, TargetsError, VantageError};

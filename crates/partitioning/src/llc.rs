@@ -487,7 +487,6 @@ pub fn ways_from_targets(targets: &[u64], ways: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::caps::HasPartitionPolicy;
     use crate::config::{DemotionMode, RankMode, VantageConfig};
     use crate::fault::{Fault, FaultPlan};
     use crate::frame::{batch_footprint, PREFETCH_MIN_FOOTPRINT};

@@ -44,7 +44,7 @@ use vantage_cache::{
 use vantage_snapshot::{Decoder, Encoder};
 use vantage_telemetry::{PartitionSample, TelemetryEvent};
 
-use crate::caps::{HasInvariants, HasPartitionPolicy, InvariantViolation};
+use crate::caps::{HasInvariants, InvariantViolation};
 use crate::config::{DemotionMode, RankMode, VantageConfig};
 use crate::controller::{Feedback, PartitionState};
 use crate::error::VantageError;
@@ -301,6 +301,16 @@ impl VantageLlc {
     /// tracks).
     pub fn unmanaged_ts_period(&self) -> u32 {
         self.mech.um_lru.period()
+    }
+
+    /// Sets partition `part`'s base replacement/insertion policy. Only
+    /// meaningful with RRIP ranking, where the allocation policy picks
+    /// per-partition policies at each repartitioning (Vantage-DRRIP, §6.2);
+    /// ignored under LRU ranking.
+    pub fn set_partition_policy(&mut self, part: usize, policy: BasePolicy) {
+        if let Some(rr) = &mut self.mech.rrip {
+            rr.set_partition_policy(part, policy);
+        }
     }
 }
 
@@ -910,16 +920,6 @@ impl Mechanism for Vantage {
 
     fn load_state(llc: &mut VantageLlc, dec: &mut Decoder<'_>) -> vantage_snapshot::Result<()> {
         llc.load_vantage(dec)
-    }
-}
-
-/// Only meaningful with RRIP ranking, where the allocation policy picks
-/// per-partition policies at each repartitioning (Vantage-DRRIP, §6.2).
-impl HasPartitionPolicy for VantageLlc {
-    fn set_partition_policy(&mut self, part: usize, policy: BasePolicy) {
-        if let Some(rr) = &mut self.mech.rrip {
-            rr.set_partition_policy(part, policy);
-        }
     }
 }
 

@@ -154,14 +154,10 @@ impl CmpSim {
     /// the configuration is invalid.
     pub fn new(sys: SystemConfig, kind: &SchemeKind, mix: &Mix) -> Self {
         assert_eq!(mix.apps.len(), sys.cores, "mix size must match core count");
-        // The builder validates `sys` and applies its scrub period and
-        // banking in one place.
-        let scheme = Scheme::builder(kind.clone(), sys.clone())
-            .try_build()
-            .expect("valid scheme config");
+        let scheme = Scheme::try_build(kind, &sys).expect("valid scheme config");
         // Policy selection, epoch scheduling and invariant auditing all
         // live in the controller; the loop below only feeds it.
-        let epoch = EpochController::new(&sys, kind, &scheme);
+        let epoch = EpochController::new(&sys, kind);
         let cores = mix
             .apps
             .iter()
@@ -188,7 +184,7 @@ impl CmpSim {
         } else {
             kind.label()
         };
-        if sys.policy != PolicyKind::Ucp && scheme.uses_ucp() {
+        if sys.policy != PolicyKind::Ucp && kind.uses_ucp() {
             label = format!("{label}+{}", sys.policy.label());
         }
         Self {
@@ -246,7 +242,7 @@ impl CmpSim {
     /// Enables demotion/eviction priority probing where the scheme
     /// supports it (Vantage-LRU, way-partitioning).
     pub fn enable_priority_probe(&mut self) {
-        self.scheme.enable_priority_probe();
+        self.scheme.llc_mut().enable_priority_probe();
     }
 
     /// Direct access to the scheme under test.
@@ -447,11 +443,14 @@ impl CmpSim {
             l2_accesses: self.cores.iter().map(|c| c.measured_l2_accesses).collect(),
             l2_misses: self.cores.iter().map(|c| c.measured_l2_misses).collect(),
             mpki,
-            managed_eviction_fraction: self.scheme.managed_eviction_fraction(),
+            managed_eviction_fraction: self
+                .scheme
+                .vantage()
+                .map(|v| v.vantage_stats().managed_eviction_fraction()),
             invariant_recoveries: self.epoch.recoveries(),
             reconfig_rollbacks: self.epoch.reconfig_rollbacks(),
             trace: std::mem::take(&mut self.trace),
-            priority_samples: self.scheme.drain_priority_samples(),
+            priority_samples: self.scheme.llc_mut().drain_priority_samples(),
         }))
     }
 
@@ -631,6 +630,7 @@ pub fn run_solo(
 mod tests {
     use super::*;
     use crate::config::{ArrayKind, BaselineRank};
+    use vantage_partitioning::HasInvariants;
     use vantage_workloads::mixes;
 
     fn quick_sys() -> SystemConfig {
@@ -650,7 +650,13 @@ mod tests {
             },
             SchemeKind::vantage_paper(),
         ] {
-            let r = CmpSim::new(quick_sys(), &kind, mix).run();
+            let mut sim = CmpSim::new(quick_sys(), &kind, mix);
+            if matches!(kind, SchemeKind::Baseline { .. }) {
+                // Only unbanked Vantage hosts a fault plan.
+                let plan = vantage::FaultPlan::new(1, 100, &vantage::FaultKind::INJECTABLE);
+                assert!(!sim.set_fault_plan(plan));
+            }
+            let r = sim.run();
             assert_eq!(r.ipc.len(), 4);
             assert!(
                 r.throughput > 0.0 && r.throughput <= 4.0,
@@ -744,7 +750,7 @@ mod tests {
         let r = sim.run();
         assert!(r.throughput > 0.0);
         assert_eq!(r.invariant_recoveries, 0, "healthy run needed repairs");
-        let inv = sim.scheme().has_invariants().expect("vantage scheme");
+        let inv = sim.scheme().vantage().expect("vantage scheme");
         assert!(inv.scrubs() > 0, "periodic scrub never ran");
         assert_eq!(inv.corruption_fallbacks(), 0);
     }

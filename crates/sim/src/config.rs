@@ -113,6 +113,12 @@ impl SchemeKind {
             }
         }
     }
+
+    /// Whether UCP (or another allocation policy) drives this scheme;
+    /// baselines are unmanaged.
+    pub fn uses_ucp(&self) -> bool {
+        !matches!(self, SchemeKind::Baseline { .. })
+    }
 }
 
 /// Which [`AllocationPolicy`](vantage_ucp::AllocationPolicy) drives
@@ -266,14 +272,20 @@ pub struct SystemConfig {
     /// tag scan) at every repartitioning boundary. A violation is repaired
     /// in place (scrub + warning + telemetry event) unless
     /// [`fail_fast_invariants`](Self::fail_fast_invariants) is set. Off by
-    /// default — it is a correctness harness, not a model feature.
+    /// default — it is a correctness harness, not a model feature. Only
+    /// unbanked Vantage audits itself: set on any other machine,
+    /// [`Scheme::try_build`](crate::Scheme::try_build) fails with
+    /// [`BuildError::VantageOnly`](crate::BuildError::VantageOnly).
     pub check_invariants: bool,
     /// With [`check_invariants`](Self::check_invariants): treat a
     /// violation as a fatal simulation error instead of repairing it.
     pub fail_fast_invariants: bool,
     /// Run a Vantage recovery scrub every this many LLC accesses (see
-    /// [`VantageLlc::scrub`](vantage::VantageLlc::scrub)). `None` disables
-    /// scrubbing; only meaningful under fault injection.
+    /// [`VantageLlc::scrub`](vantage::VantageLlc::scrub)). `None` (or zero)
+    /// disables scrubbing; only meaningful under fault injection. Any
+    /// `Some` on a machine other than unbanked Vantage makes
+    /// [`Scheme::try_build`](crate::Scheme::try_build) fail with
+    /// [`BuildError::VantageOnly`](crate::BuildError::VantageOnly).
     pub scrub_period: Option<u64>,
     /// How the LLC resolves cross-partition sharing (see [`ShareMode`]).
     /// [`ShareMode::Adopt`] reproduces the historical behavior

@@ -17,7 +17,7 @@
 
 use vantage_cache::replacement::rrip::BasePolicy;
 use vantage_cache::LineAddr;
-use vantage_partitioning::{InvariantViolation, TargetsError};
+use vantage_partitioning::{HasInvariants, InvariantViolation, TargetsError};
 use vantage_snapshot::{Decoder, Encoder, Snapshot};
 use vantage_ucp::{
     AllocationPolicy, ClusteredPolicy, EqualShares, MissRatioEqualizer, PolicyInput, QosGuarantee,
@@ -226,11 +226,11 @@ pub struct EpochController {
 }
 
 impl EpochController {
-    /// Builds the controller for machine `sys` driving `scheme`. Baseline
-    /// (unmanaged) schemes get no policy; Vantage-DRRIP kinds additionally
-    /// get one RRIP monitor per core.
-    pub fn new(sys: &SystemConfig, kind: &SchemeKind, scheme: &Scheme) -> Self {
-        let active = scheme.uses_ucp().then(|| default_active(sys, sys.policy));
+    /// Builds the controller for machine `sys` driving a `kind` scheme.
+    /// Baseline (unmanaged) schemes get no policy; Vantage-DRRIP kinds
+    /// additionally get one RRIP monitor per core.
+    pub fn new(sys: &SystemConfig, kind: &SchemeKind) -> Self {
+        let active = kind.uses_ucp().then(|| default_active(sys, sys.policy));
         let policy = active.as_ref().map(|a| build_policy(sys, kind, a));
         let wants_stream = policy
             .as_deref()
@@ -472,12 +472,12 @@ impl EpochController {
         // of the service schedule.) A no-op on unbanked schemes.
         scheme.epoch_barrier();
         if self.check_invariants {
-            if let Some(inv) = scheme.has_invariants() {
-                if let Err(e) = inv.check_invariants() {
+            if let Some(v) = scheme.vantage_mut() {
+                if let Err(e) = v.check_invariants() {
                     if self.fail_fast {
                         return Err(SimError::Invariant(e));
                     }
-                    let repairs = scheme.has_invariants_mut().expect("checked above").repair();
+                    let repairs = v.repair();
                     eprintln!(
                         "warning: repartitioning invariant violation repaired \
                          ({repairs} corrections): {e}"
@@ -514,9 +514,9 @@ impl EpochController {
             for u in umons.iter_mut() {
                 u.decay();
             }
-            if let Some(pp) = scheme.has_partition_policy() {
+            if let Some(v) = scheme.vantage_mut() {
                 for (p, pol) in policies.into_iter().enumerate() {
-                    pp.set_partition_policy(p, pol);
+                    v.set_partition_policy(p, pol);
                 }
             }
         }

@@ -14,9 +14,13 @@
 //! * [`Scheme`] — the LLC under test: unpartitioned baseline (LRU or RRIP
 //!   variants), way-partitioning, PIPP, or Vantage over a configurable
 //!   array — optionally sharded across address-interleaved banks
-//!   ([`SystemConfig::banks`]).
-//! * [`LlcBuilder`] (via [`Scheme::builder`]) — the fluent front door:
-//!   telemetry, fault plans, scrub periods and banking in one chain.
+//!   ([`SystemConfig::banks`]). [`Scheme::try_build`] is the one
+//!   construction path; [`Scheme::vantage`] reaches unbanked Vantage's
+//!   audit, statistics and fault plan.
+//! * [`LlcBuilder`] (via [`Scheme::builder`]) — a fluent override of the
+//!   bank count over [`Scheme::try_build`]. Telemetry and fault plans
+//!   attach to a built simulation through [`CmpSim::set_telemetry`] and
+//!   [`CmpSim::set_fault_plan`].
 //! * [`CmpSim`] — the event-interleaved multicore simulation; returns
 //!   per-core IPCs, miss statistics, optional partition-size traces
 //!   (Fig. 8) and demotion/eviction priority samples.

@@ -9,8 +9,7 @@ use vantage_cache::{
     CacheArray, RandomArray, RripConfig, RripMode, SetAssocArray, SkewArray, ZArray,
 };
 use vantage_partitioning::{
-    BankedLlc, BaselineLlc, HasInvariants, HasPartitionPolicy, Llc, PippConfig, PippLlc,
-    RankPolicy, SchemeConfigError, WayPartLlc,
+    BankedLlc, BaselineLlc, Llc, PippConfig, PippLlc, RankPolicy, SchemeConfigError, WayPartLlc,
 };
 
 use crate::config::{ArrayKind, BaselineRank, SchemeKind, SysConfigError, SystemConfig};
@@ -29,12 +28,10 @@ pub enum BuildError {
     BankedDrrip,
     /// The machine description itself is inconsistent.
     System(SysConfigError),
-    /// A fault plan was requested for a scheme that cannot host one (only
-    /// unbanked Vantage carries an attached [`FaultPlan`](vantage::FaultPlan)).
-    FaultPlanUnsupported,
-    /// A telemetry handle was provided but the scheme rejected it (disabled
-    /// handle, or a bank refused the fan-out).
-    TelemetryRejected,
+    /// The named [`SystemConfig`] field (`check_invariants` or
+    /// `scrub_period`) was set on a machine other than unbanked Vantage,
+    /// the only scheme that audits and scrubs its own bookkeeping.
+    VantageOnly(&'static str),
     /// A non-default [`ShareMode`](vantage_cache::ShareMode) was requested
     /// but the scheme does not implement the ownership layer.
     ShareModeUnsupported,
@@ -50,10 +47,9 @@ impl fmt::Display for BuildError {
             }
             Self::BankedDrrip => f.write_str("Vantage-DRRIP cannot run on a banked machine"),
             Self::System(e) => e.fmt(f),
-            Self::FaultPlanUnsupported => {
-                f.write_str("fault plans attach to unbanked Vantage schemes only")
+            Self::VantageOnly(field) => {
+                write!(f, "`{field}` applies to unbanked Vantage schemes only")
             }
-            Self::TelemetryRejected => f.write_str("the scheme rejected the telemetry handle"),
             Self::ShareModeUnsupported => {
                 f.write_str("the scheme does not support the requested share mode")
             }
@@ -67,24 +63,8 @@ impl Error for BuildError {
             Self::Vantage(e) => Some(e),
             Self::Scheme(e) => Some(e),
             Self::System(e) => Some(e),
-            Self::DrripNeedsRrip
-            | Self::BankedDrrip
-            | Self::FaultPlanUnsupported
-            | Self::TelemetryRejected
-            | Self::ShareModeUnsupported => None,
+            _ => None,
         }
-    }
-}
-
-impl From<SysConfigError> for BuildError {
-    fn from(e: SysConfigError) -> Self {
-        Self::System(e)
-    }
-}
-
-impl From<VantageError> for BuildError {
-    fn from(e: VantageError) -> Self {
-        Self::Vantage(e)
     }
 }
 
@@ -94,32 +74,34 @@ impl From<SchemeConfigError> for BuildError {
     }
 }
 
-/// A live LLC of any scheme, with scheme-specific instrumentation surfaced
-/// without downcasting.
+/// A live LLC of any scheme, served through [`Scheme::llc`]. Unbanked
+/// Vantage stays concrete so its audit, scrub and fault-injection surface
+/// is reachable through [`Scheme::vantage`] without downcasting.
 ///
-/// `Vantage` dwarfs the other variants (controller registers, scan
-/// scratch), but exactly one `Scheme` exists per simulated system, so the
-/// wasted bytes never multiply and boxing would only add indirection.
+/// `Vantage` dwarfs the other variants, but exactly one `Scheme` exists per
+/// simulated system, so boxing it would only add indirection.
 #[allow(clippy::large_enum_variant)]
 pub enum Scheme {
-    /// Unpartitioned baseline.
-    Baseline(BaselineLlc),
-    /// Way-partitioning.
-    WayPart(WayPartLlc),
-    /// PIPP.
-    Pipp(PippLlc),
-    /// Vantage.
+    /// Unbanked Vantage.
     Vantage(VantageLlc),
-    /// Any of the above sharded across address-interleaved banks
-    /// (`SystemConfig::banks > 1`). Queued work flushes at epoch barriers
-    /// ([`Scheme::epoch_barrier`]). The name is historical — the frozen
-    /// `benchmark/` package matches on it — and covers every banked machine.
+    /// Any scheme sharded across `SystemConfig::banks > 1` address-interleaved
+    /// banks; queued work flushes at [`Scheme::epoch_barrier`]. The name is
+    /// historical: the frozen `benchmark/` package matches on it.
     Pipelined {
         /// The sharded cache and its per-bank runs.
         llc: BankedLlc,
-        /// Whether UCP drives the wrapped scheme (false for baselines).
-        ucp: bool,
     },
+    /// Unbanked baseline, way-partitioning or PIPP.
+    Other(Box<dyn Llc>),
+}
+
+/// Unwraps a built scheme to stack it as one bank of a [`BankedLlc`].
+fn into_llc(scheme: Scheme) -> Box<dyn Llc> {
+    match scheme {
+        Scheme::Vantage(l) => Box::new(l),
+        Scheme::Pipelined { llc } => Box::new(llc),
+        Scheme::Other(l) => l,
+    }
 }
 
 fn build_array(kind: ArrayKind, lines: usize, seed: u64) -> Box<dyn CacheArray> {
@@ -132,24 +114,77 @@ fn build_array(kind: ArrayKind, lines: usize, seed: u64) -> Box<dyn CacheArray> 
 }
 
 impl Scheme {
-    /// Builds the LLC described by `kind` for machine `sys`. Prefer
-    /// [`Scheme::builder`] when telemetry, fault plans or banking overrides
-    /// are also in play — it validates and applies everything in one chain.
+    /// Builds the LLC described by `kind` for machine `sys` — the one
+    /// construction path. Each bank of a banked machine is built through
+    /// it too, and every per-cache [`SystemConfig`] setting is applied here.
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] when the scheme cannot be instantiated:
-    /// [`BuildError::System`] for a machine
-    /// [`SystemConfig::try_validate`] rejects, controller configuration
-    /// errors for Vantage, geometry errors for the way-granularity schemes,
-    /// a Vantage-DRRIP request over a non-RRIP ranking mode, or a
-    /// Vantage-DRRIP request on a banked machine.
+    /// A [`BuildError`] for a machine [`SystemConfig::try_validate`]
+    /// rejects, a Vantage-only setting on another machine, a controller or
+    /// geometry error, a Vantage-DRRIP request over non-RRIP ranking or on a
+    /// banked machine, or a share mode the scheme cannot serve.
     pub fn try_build(kind: &SchemeKind, sys: &SystemConfig) -> Result<Self, BuildError> {
-        sys.try_validate()?;
-        let mut scheme = Self::try_build_unmoded(kind, sys)?;
-        // The ownership layer's mode is orthogonal to construction: every
-        // scheme starts in the bit-identical Adopt default and is switched
-        // while still cold. A banked machine fans the call out to every shard.
+        sys.try_validate().map_err(BuildError::System)?;
+        let unbanked_vantage = sys.banks == 1 && matches!(kind, SchemeKind::Vantage { .. });
+        if !unbanked_vantage && sys.check_invariants {
+            return Err(BuildError::VantageOnly("check_invariants"));
+        }
+        if !unbanked_vantage && sys.scrub_period.is_some() {
+            return Err(BuildError::VantageOnly("scrub_period"));
+        }
+        let seed = sys.seed ^ 0xCAC4E;
+        let mut scheme = match kind {
+            _ if sys.banks > 1 => {
+                if matches!(kind, SchemeKind::Vantage { drrip: true, .. }) {
+                    return Err(BuildError::BankedDrrip);
+                }
+                let mut shard = sys.clone();
+                shard.banks = 1;
+                shard.l2_lines = sys.l2_lines / sys.banks;
+                let banks = (0..sys.banks)
+                    .map(|b| {
+                        shard.seed = sys.seed ^ mix64(b as u64 + 0xBA);
+                        Self::try_build(kind, &shard).map(into_llc)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Scheme::Pipelined {
+                    llc: BankedLlc::try_new(banks, sys.seed ^ 0xBA2C)?,
+                }
+            }
+            SchemeKind::Baseline { array, rank } => {
+                let arr = build_array(*array, sys.l2_lines, seed);
+                let rrip = |mode| RankPolicy::Rrip(RripConfig::paper(mode, sys.cores, seed));
+                let policy = match rank {
+                    BaselineRank::Lru => RankPolicy::Lru,
+                    BaselineRank::Srrip => rrip(RripMode::Srrip),
+                    BaselineRank::Drrip => rrip(RripMode::Drrip),
+                    BaselineRank::TaDrrip => rrip(RripMode::TaDrrip),
+                };
+                Scheme::Other(Box::new(BaselineLlc::try_new(arr, sys.cores, policy)?))
+            }
+            SchemeKind::WayPart => {
+                let llc = WayPartLlc::try_new(sys.l2_lines, sys.l2_ways, sys.cores, seed)?;
+                Scheme::Other(Box::new(llc))
+            }
+            SchemeKind::Pipp => {
+                let cfg = PippConfig::default();
+                let llc = PippLlc::try_new(sys.l2_lines, sys.l2_ways, sys.cores, cfg, seed)?;
+                Scheme::Other(Box::new(llc))
+            }
+            SchemeKind::Vantage { array, cfg, drrip } => {
+                if *drrip && !matches!(cfg.rank, RankMode::Rrip { .. }) {
+                    return Err(BuildError::DrripNeedsRrip);
+                }
+                let arr = build_array(*array, sys.l2_lines, seed);
+                let mut llc = VantageLlc::try_new(arr, sys.cores, cfg.clone(), seed)
+                    .map_err(BuildError::Vantage)?;
+                llc.set_scrub_period(sys.scrub_period);
+                Scheme::Vantage(llc)
+            }
+        };
+        // Every scheme starts in the bit-identical Adopt default and is
+        // switched while still cold; a banked machine fans out to every bank.
         if sys.share_mode != vantage_cache::ShareMode::Adopt
             && !scheme.llc_mut().set_share_mode(sys.share_mode)
         {
@@ -158,193 +193,60 @@ impl Scheme {
         Ok(scheme)
     }
 
-    fn try_build_unmoded(kind: &SchemeKind, sys: &SystemConfig) -> Result<Self, BuildError> {
-        if sys.banks > 1 {
-            if matches!(kind, SchemeKind::Vantage { drrip: true, .. }) {
-                return Err(BuildError::BankedDrrip);
-            }
-            let mut shard = sys.clone();
-            shard.banks = 1;
-            shard.l2_lines = sys.l2_lines / sys.banks;
-            let banks = (0..sys.banks)
-                .map(|b| {
-                    shard.seed = sys.seed ^ mix64(b as u64 + 0xBA);
-                    Self::try_build(kind, &shard).map(Scheme::into_llc)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let llc = BankedLlc::try_new(banks, sys.seed ^ 0xBA2C)?;
-            let ucp = !matches!(kind, SchemeKind::Baseline { .. });
-            return Ok(Scheme::Pipelined { llc, ucp });
-        }
-        let seed = sys.seed ^ 0xCAC4E;
-        Ok(match kind {
-            SchemeKind::Baseline { array, rank } => {
-                let arr = build_array(*array, sys.l2_lines, seed);
-                let policy = match rank {
-                    BaselineRank::Lru => RankPolicy::Lru,
-                    BaselineRank::Srrip => {
-                        RankPolicy::Rrip(RripConfig::paper(RripMode::Srrip, sys.cores, seed))
-                    }
-                    BaselineRank::Drrip => {
-                        RankPolicy::Rrip(RripConfig::paper(RripMode::Drrip, sys.cores, seed))
-                    }
-                    BaselineRank::TaDrrip => {
-                        RankPolicy::Rrip(RripConfig::paper(RripMode::TaDrrip, sys.cores, seed))
-                    }
-                };
-                Scheme::Baseline(BaselineLlc::try_new(arr, sys.cores, policy)?)
-            }
-            SchemeKind::WayPart => Scheme::WayPart(WayPartLlc::try_new(
-                sys.l2_lines,
-                sys.l2_ways,
-                sys.cores,
-                seed,
-            )?),
-            SchemeKind::Pipp => Scheme::Pipp(PippLlc::try_new(
-                sys.l2_lines,
-                sys.l2_ways,
-                sys.cores,
-                PippConfig::default(),
-                seed,
-            )?),
-            SchemeKind::Vantage { array, cfg, drrip } => {
-                if *drrip && !matches!(cfg.rank, RankMode::Rrip { .. }) {
-                    return Err(BuildError::DrripNeedsRrip);
-                }
-                let arr = build_array(*array, sys.l2_lines, seed);
-                Scheme::Vantage(VantageLlc::try_new(arr, sys.cores, cfg.clone(), seed)?)
-            }
-        })
-    }
-
-    /// Consumes the scheme into a boxed trait object (used to stack
-    /// single-bank schemes into a [`BankedLlc`]).
-    fn into_llc(self) -> Box<dyn Llc> {
-        match self {
-            Scheme::Baseline(l) => Box::new(l),
-            Scheme::WayPart(l) => Box::new(l),
-            Scheme::Pipp(l) => Box::new(l),
-            Scheme::Vantage(l) => Box::new(l),
-            Scheme::Pipelined { llc, .. } => Box::new(llc),
-        }
-    }
-
     /// The scheme as a trait object.
     pub fn llc(&self) -> &dyn Llc {
         match self {
-            Scheme::Baseline(l) => l,
-            Scheme::WayPart(l) => l,
-            Scheme::Pipp(l) => l,
             Scheme::Vantage(l) => l,
-            Scheme::Pipelined { llc, .. } => llc,
+            Scheme::Pipelined { llc } => llc,
+            Scheme::Other(l) => &**l,
         }
     }
 
     /// The scheme as a mutable trait object.
     pub fn llc_mut(&mut self) -> &mut dyn Llc {
         match self {
-            Scheme::Baseline(l) => l,
-            Scheme::WayPart(l) => l,
-            Scheme::Pipp(l) => l,
             Scheme::Vantage(l) => l,
-            Scheme::Pipelined { llc, .. } => llc,
+            Scheme::Pipelined { llc } => llc,
+            Scheme::Other(l) => &mut **l,
         }
     }
 
-    /// Quiesces a banked machine's runs (drained bank-major) so every
-    /// access issued so far is reflected in stats, sizes and snapshots. A
-    /// no-op on unbanked schemes. Drive loops call this before epoch
-    /// repartitioning and before checkpoints — the two points whose results
-    /// must not depend on the service schedule.
+    /// Quiesces a banked machine (drained bank-major) so every access issued
+    /// so far shows in stats, sizes and snapshots; a no-op when unbanked.
+    /// Called before repartitioning and checkpoints, whose results must not
+    /// depend on the service schedule.
     pub fn epoch_barrier(&mut self) {
-        if let Scheme::Pipelined { llc, .. } = self {
+        if let Scheme::Pipelined { llc } = self {
             llc.barrier();
-        }
-    }
-
-    /// Whether UCP should drive this scheme (baselines are unmanaged).
-    pub fn uses_ucp(&self) -> bool {
-        match self {
-            Scheme::Baseline(_) => false,
-            Scheme::Pipelined { ucp, .. } => *ucp,
-            _ => true,
         }
     }
 
     /// The bank-level view of a sharded scheme (`None` when unbanked).
     pub fn as_sharded(&self) -> Option<&BankedLlc> {
-        match self {
-            Scheme::Pipelined { llc, .. } => Some(llc),
-            _ => None,
+        if let Scheme::Pipelined { llc } = self {
+            Some(llc)
+        } else {
+            None
         }
     }
 
-    /// The invariant-audit capability, when the scheme advertises one
-    /// (see [`HasInvariants`]). Schemes without self-auditing bookkeeping
-    /// return `None`.
-    pub fn has_invariants(&self) -> Option<&dyn HasInvariants> {
-        match self {
-            Scheme::Vantage(l) => Some(l),
-            _ => None,
+    /// The concrete cache of an unbanked Vantage scheme, for its invariant
+    /// audit, statistics and fault plan (`None` for any other scheme).
+    pub fn vantage(&self) -> Option<&VantageLlc> {
+        if let Scheme::Vantage(l) = self {
+            Some(l)
+        } else {
+            None
         }
     }
 
-    /// Mutable [`HasInvariants`] access (to run a repair pass).
-    pub fn has_invariants_mut(&mut self) -> Option<&mut dyn HasInvariants> {
-        match self {
-            Scheme::Vantage(l) => Some(l),
-            _ => None,
+    /// Mutable [`Scheme::vantage`].
+    pub fn vantage_mut(&mut self) -> Option<&mut VantageLlc> {
+        if let Scheme::Vantage(l) = self {
+            Some(l)
+        } else {
+            None
         }
-    }
-
-    /// The per-partition replacement-policy capability, when the scheme
-    /// advertises one (see [`HasPartitionPolicy`]; Vantage-DRRIP uses it
-    /// to install the dueling winner each epoch).
-    pub fn has_partition_policy(&mut self) -> Option<&mut dyn HasPartitionPolicy> {
-        match self {
-            Scheme::Vantage(l) => Some(l),
-            _ => None,
-        }
-    }
-
-    /// Fraction of evictions forced from the managed region — Vantage's
-    /// empirical isolation metric (`None` for schemes without a managed
-    /// region).
-    pub fn managed_eviction_fraction(&self) -> Option<f64> {
-        match self {
-            Scheme::Vantage(l) => Some(l.vantage_stats().managed_eviction_fraction()),
-            _ => None,
-        }
-    }
-
-    /// The attached fault-injection plan, if the scheme carries one.
-    pub fn fault_plan(&self) -> Option<&vantage::FaultPlan> {
-        match self {
-            Scheme::Vantage(l) => l.fault_plan(),
-            _ => None,
-        }
-    }
-
-    /// Concrete Vantage access for build-time wiring (scrub periods, fault
-    /// plans) — crate-private so external callers go through the
-    /// capability traits instead of downcasting.
-    pub(crate) fn vantage_mut(&mut self) -> Option<&mut VantageLlc> {
-        match self {
-            Scheme::Vantage(l) => Some(l),
-            _ => None,
-        }
-    }
-
-    /// Enables eviction/demotion priority probes where supported
-    /// (way-partitioning and Vantage-LRU, banked or not; others ignore the
-    /// request).
-    pub fn enable_priority_probe(&mut self) {
-        self.llc_mut().enable_priority_probe();
-    }
-
-    /// Drains accumulated priority samples (empty when unsupported).
-    pub fn drain_priority_samples(&mut self) -> Vec<(u64, u16, f32)> {
-        self.llc_mut().drain_priority_samples()
     }
 }
 
@@ -352,40 +254,67 @@ impl Scheme {
 mod tests {
     use super::*;
     use vantage::VantageConfig;
-    use vantage_partitioning::AccessRequest;
-    use vantage_partitioning::PartitionId;
+    use vantage_partitioning::{AccessRequest, HasInvariants, PartitionId};
+
+    /// Every kind the table-driven tests build, with whether UCP drives it.
+    fn kinds() -> Vec<(SchemeKind, bool)> {
+        vec![
+            (
+                SchemeKind::Baseline {
+                    array: ArrayKind::SetAssoc { ways: 16 },
+                    rank: BaselineRank::Lru,
+                },
+                false,
+            ),
+            (
+                SchemeKind::Baseline {
+                    array: ArrayKind::Z4_52,
+                    rank: BaselineRank::Lru,
+                },
+                false,
+            ),
+            (
+                SchemeKind::Baseline {
+                    array: ArrayKind::Z4_52,
+                    rank: BaselineRank::TaDrrip,
+                },
+                false,
+            ),
+            (SchemeKind::WayPart, true),
+            (SchemeKind::Pipp, true),
+            (SchemeKind::vantage_paper(), true),
+            (
+                SchemeKind::Vantage {
+                    array: ArrayKind::Random { candidates: 52 },
+                    cfg: VantageConfig::default(),
+                    drrip: false,
+                },
+                true,
+            ),
+        ]
+    }
 
     #[test]
     fn all_schemes_build_and_serve() {
-        let sys = SystemConfig::small_scale();
-        let kinds = [
-            SchemeKind::Baseline {
-                array: ArrayKind::SetAssoc { ways: 16 },
-                rank: BaselineRank::Lru,
-            },
-            SchemeKind::Baseline {
-                array: ArrayKind::Z4_52,
-                rank: BaselineRank::TaDrrip,
-            },
-            SchemeKind::WayPart,
-            SchemeKind::Pipp,
-            SchemeKind::vantage_paper(),
-            SchemeKind::Vantage {
-                array: ArrayKind::Random { candidates: 52 },
-                cfg: VantageConfig::default(),
-                drrip: false,
-            },
-        ];
-        for kind in &kinds {
-            let mut s = Scheme::try_build(kind, &sys).expect("valid scheme config");
-            for i in 0..1000u64 {
-                s.llc_mut().access(AccessRequest::read(
-                    PartitionId::from_index((i % 4) as usize),
-                    vantage_cache::LineAddr(i % 300),
-                ));
+        for banks in [1, 4] {
+            let mut sys = SystemConfig::small_scale();
+            sys.banks = banks;
+            for (kind, ucp) in &kinds() {
+                let label = format!("{} on {banks} banks", kind.label());
+                let mut s = Scheme::try_build(kind, &sys).expect("valid scheme config");
+                let unbanked_vantage = banks == 1 && matches!(kind, SchemeKind::Vantage { .. });
+                assert_eq!(s.vantage().is_some(), unbanked_vantage, "{label}");
+                assert_eq!(s.as_sharded().is_some(), banks > 1, "{label}");
+                assert_eq!(kind.uses_ucp(), *ucp, "{label}");
+                for i in 0..1000u64 {
+                    s.llc_mut().access(AccessRequest::read(
+                        PartitionId::from_index((i % 4) as usize),
+                        vantage_cache::LineAddr(i % 300),
+                    ));
+                }
+                assert!(s.llc_mut().stats_mut().total_hits() > 0, "{label}");
+                assert_eq!(s.llc().num_partitions(), 4);
             }
-            assert!(s.llc().stats().total_hits() > 0, "{}", kind.label());
-            assert_eq!(s.llc().num_partitions(), 4);
         }
     }
 
@@ -393,27 +322,12 @@ mod tests {
     fn banked_machines_build_every_bankable_scheme() {
         let mut sys = SystemConfig::small_scale();
         sys.banks = 4;
-        let kinds = [
-            SchemeKind::Baseline {
-                array: ArrayKind::Z4_52,
-                rank: BaselineRank::Lru,
-            },
-            SchemeKind::WayPart,
-            SchemeKind::Pipp,
-            SchemeKind::vantage_paper(),
-        ];
-        for kind in &kinds {
+        for (kind, _) in &kinds() {
             let mut s = Scheme::try_build(kind, &sys).expect("valid scheme config");
             let sharded = s.as_sharded().expect("banked scheme is sharded");
             assert_eq!(sharded.num_banks(), 4, "{}", kind.label());
             assert_eq!(s.llc().capacity(), sys.l2_lines);
             assert_eq!(s.llc().num_partitions(), 4);
-            assert_eq!(
-                s.uses_ucp(),
-                !matches!(kind, SchemeKind::Baseline { .. }),
-                "{}",
-                kind.label()
-            );
             for i in 0..2000u64 {
                 s.llc_mut().access(AccessRequest::read(
                     PartitionId::from_index((i % 4) as usize),
@@ -425,12 +339,50 @@ mod tests {
     }
 
     #[test]
+    fn try_build_applies_the_scrub_period() {
+        let mut sys = SystemConfig::small_scale();
+        sys.scrub_period = Some(1_000);
+        let mut s =
+            Scheme::try_build(&SchemeKind::vantage_paper(), &sys).expect("valid scheme config");
+        for i in 0..5_000u64 {
+            s.llc_mut().access(AccessRequest::read(
+                PartitionId::from_index((i % 4) as usize),
+                vantage_cache::LineAddr(i % 700),
+            ));
+        }
+        let scrubs = s.vantage().expect("unbanked Vantage").scrubs();
+        assert!(scrubs >= 5, "scrub period not applied: {scrubs} scrubs");
+    }
+
+    #[test]
+    fn vantage_only_settings_are_rejected_elsewhere() {
+        type Set = fn(&mut SystemConfig);
+        let settings: [(&str, Set); 2] = [
+            ("check_invariants", |s| s.check_invariants = true),
+            ("scrub_period", |s| s.scrub_period = Some(1_000)),
+        ];
+        for banks in [1, 4] {
+            for (kind, _) in &kinds() {
+                let unbanked_vantage = banks == 1 && matches!(kind, SchemeKind::Vantage { .. });
+                for (field, set) in settings {
+                    let mut sys = SystemConfig::small_scale();
+                    sys.banks = banks;
+                    set(&mut sys);
+                    let got = Scheme::try_build(kind, &sys).err();
+                    let want = (!unbanked_vantage).then_some(BuildError::VantageOnly(field));
+                    assert_eq!(got, want, "{field} on {} x{banks}", kind.label());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn banked_priority_probe_samples_every_bank_demotion() {
         use vantage_telemetry::{RingSink, Telemetry, TelemetryEvent, TelemetryRecord};
         let mut sys = SystemConfig::small_scale();
         sys.banks = 4;
         let mut s = Scheme::try_build(&SchemeKind::vantage_paper(), &sys).expect("valid config");
-        s.enable_priority_probe();
+        s.llc_mut().enable_priority_probe();
         // Demotion events count what the banks demote; the sample period
         // is long enough that no periodic sample is taken.
         let (sink, reader) = RingSink::with_capacity(1 << 18);
@@ -453,7 +405,7 @@ mod tests {
         for window in reqs.chunks(4096) {
             s.llc_mut().access_batch(window, &mut out);
         }
-        let samples = s.drain_priority_samples();
+        let samples = s.llc_mut().drain_priority_samples();
         s.llc_mut().take_telemetry();
         assert_eq!(reader.overwritten(), 0);
         let demotions = reader
@@ -467,7 +419,7 @@ mod tests {
             .iter()
             .all(|&(_, part, pr)| part < 4 && (0.0..=1.0).contains(&pr)));
         assert!(
-            s.drain_priority_samples().is_empty(),
+            s.llc_mut().drain_priority_samples().is_empty(),
             "drain empties every bank"
         );
     }
@@ -482,7 +434,6 @@ mod tests {
         let mut serial = Scheme::try_build(&kind, &sys).expect("valid scheme config");
         let mut pipe = Scheme::try_build(&kind, &sys).expect("valid scheme config");
         assert!(matches!(pipe, Scheme::Pipelined { .. }));
-        assert!(pipe.uses_ucp());
         assert_eq!(pipe.as_sharded().expect("sharded").num_banks(), 4);
         let reqs: Vec<AccessRequest> = (0..30_000u64)
             .map(|i| {
@@ -523,24 +474,6 @@ mod tests {
             Scheme::try_build(&kind, &sys).err(),
             Some(BuildError::BankedDrrip)
         );
-    }
-
-    #[test]
-    fn ucp_flag_matches_scheme() {
-        let sys = SystemConfig::small_scale();
-        let base = Scheme::try_build(
-            &SchemeKind::Baseline {
-                array: ArrayKind::Z4_52,
-                rank: BaselineRank::Lru,
-            },
-            &sys,
-        )
-        .expect("valid scheme config");
-        assert!(!base.uses_ucp());
-        let v = Scheme::try_build(&SchemeKind::vantage_paper(), &sys).expect("valid scheme config");
-        assert!(v.uses_ucp());
-        assert!(v.has_invariants().is_some());
-        assert!(v.managed_eviction_fraction().is_some());
     }
 
     #[test]

@@ -147,6 +147,14 @@ fn resume_at_arbitrary_odd_split_points() {
     }
 }
 
+/// The fault plan attached to a simulation's unbanked Vantage LLC.
+fn fault_plan(sim: &CmpSim) -> &FaultPlan {
+    sim.scheme()
+        .vantage()
+        .and_then(|v| v.fault_plan())
+        .expect("plan attached")
+}
+
 #[test]
 fn resume_is_bit_identical_under_active_fault_injection() {
     let mut sys = quick_sys();
@@ -162,9 +170,9 @@ fn resume_is_bit_identical_under_active_fault_injection() {
     let mut straight = build();
     let want = straight.run();
     let total = straight.steps();
-    let want_log = format!("{:?}", straight.scheme().fault_plan().unwrap().log());
+    let want_log = format!("{:?}", fault_plan(&straight).log());
     assert!(
-        !straight.scheme().fault_plan().unwrap().log().is_empty(),
+        !fault_plan(&straight).log().is_empty(),
         "fault plan never fired; injection not active"
     );
 
@@ -174,7 +182,7 @@ fn resume_is_bit_identical_under_active_fault_injection() {
         let mut resumed = fork(&warm, build());
         let got = resumed.run();
         assert_results_identical(&want, &got, &format!("faulted @ {split}"));
-        let got_log = format!("{:?}", resumed.scheme().fault_plan().unwrap().log());
+        let got_log = format!("{:?}", fault_plan(&resumed).log());
         assert_eq!(want_log, got_log, "fault-injection logs diverged");
     }
 }

@@ -20,7 +20,7 @@ use vantage_repro::cache::{LineAddr, ShareMode, ZArray};
 use vantage_repro::core::{
     DemotionMode, FaultKind, FaultPlan, RankMode, VantageConfig, VantageLlc,
 };
-use vantage_repro::partitioning::{AccessRequest, HasPartitionPolicy, Llc, PartitionId};
+use vantage_repro::partitioning::{AccessRequest, Llc, PartitionId};
 use vantage_repro::snapshot::{Encoder, Snapshot};
 
 const FRAMES: usize = 4096;
