@@ -319,6 +319,27 @@ mod tests {
     }
 
     #[test]
+    fn ucp_flag_matches_scheme() {
+        let sys = SystemConfig::small_scale();
+        let base_kind = SchemeKind::Baseline {
+            array: ArrayKind::Z4_52,
+            rank: BaselineRank::Lru,
+        };
+        let base = Scheme::try_build(&base_kind, &sys).expect("valid scheme config");
+        assert!(!base_kind.uses_ucp());
+        assert!(base.vantage().is_none());
+        let v_kind = SchemeKind::vantage_paper();
+        let v = Scheme::try_build(&v_kind, &sys).expect("valid scheme config");
+        assert!(v_kind.uses_ucp());
+        let vantage = v.vantage().expect("unbanked Vantage exposes its queries");
+        vantage
+            .check_invariants()
+            .expect("fresh Vantage holds its invariants");
+        let frac = vantage.vantage_stats().managed_eviction_fraction();
+        assert!((0.0..=1.0).contains(&frac), "{frac}");
+    }
+
+    #[test]
     fn banked_machines_build_every_bankable_scheme() {
         let mut sys = SystemConfig::small_scale();
         sys.banks = 4;
