@@ -57,9 +57,9 @@ pub const INVALID_FRAME: Frame = u32::MAX;
 /// lookup/walk hot path; [`CacheArray::install`] rejects this address.
 pub(crate) const EMPTY_LINE: u64 = u64::MAX;
 
-/// Widest way count the arrays' lookup→walk probe memo covers (every
-/// configuration in the paper uses far fewer ways). Also the size of the
-/// frame scratch handed to [`CacheArray::prefetch`].
+/// Most probe frames [`CacheArray::prefetch`] writes: the size of the frame
+/// scratch handed to it (every configuration in the paper uses far fewer
+/// ways).
 pub const MAX_PROBE_WAYS: usize = 8;
 
 /// Sentinel for "depth-0 node, no parent" in [`WalkNode`]'s packed parent
@@ -221,9 +221,12 @@ pub fn prefetch_slice<T>(s: &[T], i: usize) {
 /// [`Snapshot`](vantage_snapshot::Snapshot) so that checkpoint/restore can
 /// serialize arrays behind trait objects. Arrays save only their resident
 /// lines (plus any replacement RNG); derived structures — occupancy
-/// counters, hash tables, position memos, probe caches — are rebuilt on
-/// load, which restores into an array *constructed from the same
-/// configuration and seed* as the one saved.
+/// counters, walk-dedup stamps, probe caches — are rebuilt or reset on
+/// load, and hash tables come from the construction seed, so a restore
+/// goes into an array *constructed from the same configuration and seed*
+/// as the one saved. No array keeps per-frame state derived from its
+/// lines' hash positions: a zcache re-hashes a line whenever its walk
+/// expands it.
 pub trait CacheArray: Send + vantage_snapshot::Snapshot {
     /// Total number of frames (the cache's capacity in lines).
     fn num_frames(&self) -> usize;
@@ -287,20 +290,6 @@ pub trait CacheArray: Send + vantage_snapshot::Snapshot {
     fn prefetch(&self, _addr: LineAddr, _frames: &mut [Frame; MAX_PROBE_WAYS]) -> usize {
         0
     }
-
-    /// Deepens an earlier [`CacheArray::prefetch`]: expands `frames` (probe
-    /// or walk frames whose rows are already cache-resident from a prior
-    /// prefetch stage) one replacement-walk level, issuing prefetches for
-    /// each child candidate's state and appending the children to `out` so
-    /// callers can pipeline further stages (and warm their own per-frame
-    /// metadata).
-    ///
-    /// Like [`prefetch`](CacheArray::prefetch), this is purely a
-    /// performance hint: the expansion may be stale by the time a real walk
-    /// runs, correctness never depends on it, and the default
-    /// implementation does nothing. Implementations must not mutate
-    /// observable state.
-    fn prefetch_expand(&self, _frames: &[Frame], _out: &mut Vec<Frame>) {}
 
     /// [`lookup`](CacheArray::lookup) for callers that already hold the
     /// probe frames a prior [`prefetch`](CacheArray::prefetch) of `addr`

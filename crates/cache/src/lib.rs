@@ -56,7 +56,7 @@ pub mod zarray;
 pub use array::{
     prefetch_slice, CacheArray, Frame, LineAddr, Walk, WalkNode, INVALID_FRAME, MAX_PROBE_WAYS,
 };
-pub use hash::H3Hasher;
+pub use hash::{H3Hasher, WayHasher, WAY_LANES};
 pub use ownership::{Ownership, ShareMode};
 pub use part_id::PartitionId;
 pub use random_array::RandomArray;

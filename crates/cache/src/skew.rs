@@ -6,13 +6,13 @@
 //! which for well-hashed ways is statistically close to a uniform random
 //! sample of `W` lines — the property Vantage's analysis builds on.
 
-use std::cell::Cell;
+use std::ops::ControlFlow;
 
 use crate::array::{
     debug_check_walk, prefetch_slice, CacheArray, Frame, LineAddr, Walk, WalkNode, EMPTY_LINE,
-    INVALID_FRAME, MAX_PROBE_WAYS,
+    MAX_PROBE_WAYS,
 };
-use crate::hash::H3Hasher;
+use crate::hash::WayHasher;
 
 /// A skew-associative array: `ways` banks of `frames/ways` frames, each bank
 /// indexed by its own hash function.
@@ -32,13 +32,10 @@ pub struct SkewArray {
     /// Packed line store, [`EMPTY_LINE`] marking free frames (one `u64` per
     /// frame — see the note on [`EMPTY_LINE`]).
     lines: Vec<u64>,
-    hashers: Vec<H3Hasher>,
-    bank_size: u32,
+    /// Every way's H3 function, one bank of `hasher.buckets()` frames per
+    /// way, all evaluated in one table pass.
+    hasher: WayHasher,
     occupancy: usize,
-    /// Memo of the last missing lookup's frames, reused by `walk` for the
-    /// same address (hash positions never change, so it cannot go stale).
-    probe_addr: Cell<u64>,
-    probe_frames: Cell<[Frame; MAX_PROBE_WAYS]>,
 }
 
 impl SkewArray {
@@ -55,23 +52,14 @@ impl SkewArray {
             "frames must be a positive multiple of ways"
         );
         assert!(frames <= u32::MAX as usize, "frame count must fit in u32");
-        let hashers = (0..ways)
-            .map(|w| H3Hasher::new(seed.wrapping_add(w as u64 * 0x5851_F42D)))
+        let seeds: Vec<u64> = (0..ways)
+            .map(|w| seed.wrapping_add(w as u64 * 0x5851_F42D))
             .collect();
         Self {
             lines: vec![EMPTY_LINE; frames],
-            hashers,
-            bank_size: (frames / ways) as u32,
+            hasher: WayHasher::new(&seeds, (frames / ways) as u32),
             occupancy: 0,
-            probe_addr: Cell::new(EMPTY_LINE),
-            probe_frames: Cell::new([INVALID_FRAME; MAX_PROBE_WAYS]),
         }
-    }
-
-    /// The frame address `addr` maps to in way `way`.
-    #[inline]
-    pub(crate) fn frame_in_way(&self, addr: LineAddr, way: usize) -> Frame {
-        way as u32 * self.bank_size + self.hashers[way].bucket(addr.0, self.bank_size)
     }
 }
 
@@ -81,54 +69,40 @@ impl CacheArray for SkewArray {
     }
 
     fn ways(&self) -> usize {
-        self.hashers.len()
+        self.hasher.ways()
     }
 
     fn candidates_per_walk(&self) -> usize {
-        self.hashers.len()
+        self.hasher.ways()
     }
 
     fn lookup(&self, addr: LineAddr) -> Option<Frame> {
         if addr.0 == EMPTY_LINE {
             return None; // reserved sentinel, never stored
         }
-        let ways = self.hashers.len();
-        if ways <= MAX_PROBE_WAYS {
-            let mut frames = [INVALID_FRAME; MAX_PROBE_WAYS];
-            for (w, slot) in frames.iter_mut().enumerate().take(ways) {
-                let f = self.frame_in_way(addr, w);
-                *slot = f;
-                if self.lines[f as usize] == addr.0 {
-                    return Some(f);
-                }
+        match self.hasher.frames(addr.0, |_, f| {
+            if self.lines[f as usize] == addr.0 {
+                ControlFlow::Break(f)
+            } else {
+                ControlFlow::Continue(())
             }
-            self.probe_addr.set(addr.0);
-            self.probe_frames.set(frames);
-            None
-        } else {
-            (0..ways)
-                .map(|w| self.frame_in_way(addr, w))
-                .find(|&f| self.lines[f as usize] == addr.0)
+        }) {
+            ControlFlow::Break(f) => Some(f),
+            ControlFlow::Continue(()) => None,
         }
     }
 
     fn walk(&mut self, addr: LineAddr, walk: &mut Walk) {
         walk.clear();
-        let ways = self.hashers.len();
-        let memo = (ways <= MAX_PROBE_WAYS && self.probe_addr.get() == addr.0)
-            .then(|| self.probe_frames.get());
-        for w in 0..ways {
-            let frame = match memo {
-                Some(frames) => frames[w],
-                None => self.frame_in_way(addr, w),
-            };
-            // Different ways index disjoint banks, so frames never collide
-            // across ways; no dedup needed.
+        // Different ways index disjoint banks, so frames never collide
+        // across ways; no dedup needed.
+        let _ = self.hasher.frames(addr.0, |w, frame| {
             let line = self.lines[frame as usize];
             walk.nodes
                 .push(WalkNode::new(frame, line != EMPTY_LINE, None, w));
-        }
-        debug_check_walk(walk, ways);
+            ControlFlow::<()>::Continue(())
+        });
+        debug_check_walk(walk, self.hasher.ways());
     }
 
     fn install(
@@ -172,13 +146,17 @@ impl CacheArray for SkewArray {
     }
 
     fn prefetch(&self, addr: LineAddr, frames: &mut [Frame; MAX_PROBE_WAYS]) -> usize {
-        let ways = self.hashers.len().min(MAX_PROBE_WAYS);
-        for (w, slot) in frames.iter_mut().enumerate().take(ways) {
-            let f = self.frame_in_way(addr, w);
-            *slot = f;
+        let mut n = 0;
+        let _ = self.hasher.frames(addr.0, |_, f| {
+            if n == MAX_PROBE_WAYS {
+                return ControlFlow::Break(());
+            }
+            frames[n] = f;
+            n += 1;
             prefetch_slice(&self.lines, f as usize);
-        }
-        ways
+            ControlFlow::Continue(())
+        });
+        n
     }
 }
 
@@ -201,8 +179,6 @@ impl vantage_snapshot::Snapshot for SkewArray {
         }
         self.occupancy = lines.iter().filter(|&&l| l != EMPTY_LINE).count();
         self.lines = lines;
-        self.probe_addr.set(EMPTY_LINE);
-        self.probe_frames.set([INVALID_FRAME; MAX_PROBE_WAYS]);
         Ok(())
     }
 }
@@ -210,6 +186,12 @@ impl vantage_snapshot::Snapshot for SkewArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::WAY_LANES;
+
+    /// The frame `addr` maps to in `way`.
+    fn frame_in_way(a: &SkewArray, addr: LineAddr, way: usize) -> Frame {
+        way as u32 * a.hasher.buckets() + a.hasher.group(addr.0, way / WAY_LANES)[way % WAY_LANES]
+    }
 
     #[test]
     fn candidates_come_from_distinct_banks() {
@@ -240,15 +222,15 @@ mod tests {
     fn conflicting_lines_spread_across_ways() {
         // Lines that collide in way 0 should mostly not collide in way 1.
         let a = SkewArray::new(4096, 2, 3);
-        let target = a.frame_in_way(LineAddr(0), 0);
+        let target = frame_in_way(&a, LineAddr(0), 0);
         let colliders: Vec<LineAddr> = (1..100_000u64)
             .map(LineAddr)
-            .filter(|&x| a.frame_in_way(x, 0) == target)
+            .filter(|&x| frame_in_way(&a, x, 0) == target)
             .collect();
         assert!(colliders.len() > 5, "need some way-0 colliders to test");
         let mut way1 = std::collections::HashSet::new();
         for &c in &colliders {
-            way1.insert(a.frame_in_way(c, 1));
+            way1.insert(frame_in_way(&a, c, 1));
         }
         assert!(
             way1.len() > colliders.len() / 2,

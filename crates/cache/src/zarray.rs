@@ -17,13 +17,17 @@
 //! `FA(x) = x^R` regardless of workload, which is the property Vantage's
 //! analytical models are built on (paper §3.2).
 
-use std::cell::Cell;
+use std::ops::ControlFlow;
 
 use crate::array::{
     debug_check_walk, prefetch_slice, CacheArray, Frame, LineAddr, Walk, WalkNode, EMPTY_LINE,
     INVALID_FRAME, MAX_PROBE_WAYS,
 };
-use crate::hash::H3Hasher;
+use crate::hash::{WayHasher, WAY_LANES};
+
+/// Most hash groups a zcache has: a walk node records its way in a byte,
+/// so a zcache has at most 256 ways.
+const MAX_GROUPS: usize = 64;
 
 /// A zcache array: `ways` hashed banks with a multi-level candidate walk.
 ///
@@ -46,8 +50,10 @@ pub struct ZArray {
     /// frame instead of a 16-byte `Option<LineAddr>` halves the randomly
     /// probed footprint, which is what walk throughput is bound by.
     lines: Vec<u64>,
-    hashers: Vec<H3Hasher>,
-    bank_size: u32,
+    /// Every way's H3 function, one bank of `hasher.buckets()` frames per
+    /// way. A line's positions are hashed whenever they are needed, all
+    /// ways in one table pass, so no per-frame position state is kept.
+    hasher: WayHasher,
     max_candidates: usize,
     occupancy: usize,
     /// Frame-dedup scratch: `seen[f] == epoch` means frame `f` is already in
@@ -56,28 +62,6 @@ pub struct ZArray {
     /// clear every 255 walks.
     seen: Vec<u8>,
     epoch: u8,
-    /// Memo of the last missing lookup: `walk` for the same address reuses
-    /// the depth-0 frames the lookup already hashed. An address's hash
-    /// positions never change, so the memo cannot go stale.
-    probe_addr: Cell<u64>,
-    probe_frames: Cell<[Frame; MAX_PROBE_WAYS]>,
-    /// Per-frame memo of the resident line's bank-local bucket in each of
-    /// the `W - 1` ways it does *not* occupy, in ascending way order: row
-    /// entry `k` of frame `f` (`pos[f * (W - 1) + k]`) holds the bucket in
-    /// way `k + (k >= own)`, where `own` is `f`'s way. The own-way bucket
-    /// is implied by the frame index, so storing it would only spend 2 B
-    /// per frame. The BFS expansion reads a parent line's alternative
-    /// positions from this one row instead of recomputing `W - 1` H3
-    /// hashes (8 table lookups each) per expanded node; `install` rebuilds
-    /// a relocated line's row from its old row and the frame it leaves. A
-    /// line's hash positions never change, so the memo cannot go stale.
-    /// Empty when buckets do not fit in a `u16` (see `pos_ok`).
-    pos: Vec<u16>,
-    /// Whether `pos` is maintained (`bank_size <= 65536`); when false the
-    /// walk falls back to hashing. Every paper configuration fits.
-    pos_ok: bool,
-    /// Relocation scratch: one line's buckets in all `W` ways.
-    full_row: Vec<u16>,
 }
 
 impl ZArray {
@@ -100,82 +84,21 @@ impl ZArray {
             max_candidates >= ways,
             "max_candidates must be at least the way count"
         );
-        let hashers = (0..ways)
-            .map(|w| H3Hasher::new(seed.wrapping_add(w as u64 * 0x9E37_79B9)))
+        assert!(
+            ways <= MAX_GROUPS * WAY_LANES,
+            "a zcache has at most 256 ways"
+        );
+        let seeds: Vec<u64> = (0..ways)
+            .map(|w| seed.wrapping_add(w as u64 * 0x9E37_79B9))
             .collect();
-        let bank_size = (frames / ways) as u32;
-        let pos_ok = bank_size <= 1 << 16;
         Self {
             lines: vec![EMPTY_LINE; frames],
-            hashers,
-            bank_size,
+            hasher: WayHasher::new(&seeds, (frames / ways) as u32),
             max_candidates,
             occupancy: 0,
             seen: vec![0; frames],
             epoch: 0,
-            probe_addr: Cell::new(EMPTY_LINE),
-            probe_frames: Cell::new([INVALID_FRAME; MAX_PROBE_WAYS]),
-            pos: if pos_ok {
-                vec![0; frames * (ways - 1)]
-            } else {
-                Vec::new()
-            },
-            pos_ok,
-            full_row: vec![0; ways],
         }
-    }
-
-    /// Records `addr`'s bank-local bucket in every way but `own` into the
-    /// position memo row of `frame` (which lies in way `own`), reusing the
-    /// probe memo's hashes when they cover `addr`.
-    fn memo_positions(&mut self, addr: LineAddr, frame: Frame, own: usize) {
-        let ways = self.hashers.len();
-        let row = ways - 1;
-        let base = frame as usize * row;
-        let memo = (ways <= MAX_PROBE_WAYS && self.probe_addr.get() == addr.0)
-            .then(|| self.probe_frames.get());
-        for k in 0..row {
-            let w = k + usize::from(k >= own);
-            let f = match memo {
-                Some(frames) => frames[w],
-                None => self.frame_in_way(addr, w),
-            };
-            self.pos[base + k] = (f - w as u32 * self.bank_size) as u16;
-        }
-    }
-
-    /// Moves the memo row of the line relocating from walk node `from` to
-    /// walk node `to` (a different way): the old row is spread over a
-    /// full `W`-way row, the bucket of the frame the line leaves fills
-    /// `from`'s way, and the new row is that full row without `to`'s way.
-    /// Both ways come from the walk nodes, so no hash and no `frame /
-    /// bank_size` division is needed, and no step branches on the ways.
-    #[inline]
-    fn relocate_positions(&mut self, from: WalkNode, to: WalkNode) {
-        let row = self.hashers.len() - 1;
-        let (from_way, to_way) = (from.way(), to.way());
-        debug_assert_ne!(from_way, to_way, "a walk child lies in another way");
-        let (src, dst) = (from.frame as usize * row, to.frame as usize * row);
-        let full = &mut self.full_row;
-        for k in 0..row {
-            full[k + usize::from(k >= from_way)] = self.pos[src + k];
-        }
-        full[from_way] = (from.frame - from_way as u32 * self.bank_size) as u16;
-        for k in 0..row {
-            self.pos[dst + k] = full[k + usize::from(k >= to_way)];
-        }
-    }
-
-    /// The frame `addr` maps to in `way`.
-    #[inline]
-    fn frame_in_way(&self, addr: LineAddr, way: usize) -> Frame {
-        way as u32 * self.bank_size + self.hashers[way].bucket(addr.0, self.bank_size)
-    }
-
-    /// The way a frame belongs to.
-    #[inline]
-    fn way_of(&self, frame: Frame) -> usize {
-        (frame / self.bank_size) as usize
     }
 }
 
@@ -185,7 +108,7 @@ impl CacheArray for ZArray {
     }
 
     fn ways(&self) -> usize {
-        self.hashers.len()
+        self.hasher.ways()
     }
 
     fn candidates_per_walk(&self) -> usize {
@@ -196,25 +119,15 @@ impl CacheArray for ZArray {
         if addr.0 == EMPTY_LINE {
             return None; // reserved sentinel, never stored
         }
-        let ways = self.hashers.len();
-        if ways <= MAX_PROBE_WAYS {
-            let mut frames = [INVALID_FRAME; MAX_PROBE_WAYS];
-            for (w, slot) in frames.iter_mut().enumerate().take(ways) {
-                let f = self.frame_in_way(addr, w);
-                *slot = f;
-                if self.lines[f as usize] == addr.0 {
-                    return Some(f);
-                }
+        match self.hasher.frames(addr.0, |_, f| {
+            if self.lines[f as usize] == addr.0 {
+                ControlFlow::Break(f)
+            } else {
+                ControlFlow::Continue(())
             }
-            // Miss: every way was hashed, so memoize for the walk that the
-            // replacement process is about to run for this address.
-            self.probe_addr.set(addr.0);
-            self.probe_frames.set(frames);
-            None
-        } else {
-            (0..ways)
-                .map(|w| self.frame_in_way(addr, w))
-                .find(|&f| self.lines[f as usize] == addr.0)
+        }) {
+            ControlFlow::Break(f) => Some(f),
+            ControlFlow::Continue(()) => None,
         }
     }
 
@@ -227,23 +140,12 @@ impl CacheArray for ZArray {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        let ways = self.hashers.len();
-        let row = ways - 1;
+        let ways = self.hasher.ways();
         // Nodes are distinct frames, so no walk outgrows the array.
         let max = self.max_candidates.min(self.lines.len());
-        let (bank_size, pos_ok) = (self.bank_size, self.pos_ok);
-        let memo = (ways <= MAX_PROBE_WAYS && self.probe_addr.get() == addr.0)
-            .then(|| self.probe_frames.get());
         // Slices bound once, so the loops below keep their bases and lengths
         // in registers (reading them through `self` measured slower).
-        let (lines, seen, pos, hashers) = (
-            &self.lines[..],
-            &mut self.seen[..],
-            &self.pos[..],
-            &self.hashers[..],
-        );
-        let frame_in_way =
-            |addr: u64, w: usize| w as u32 * bank_size + hashers[w].bucket(addr, bank_size);
+        let (lines, seen, hasher) = (&self.lines[..], &mut self.seen[..], &self.hasher);
         // Nodes are written by index into a buffer of `max` slots, cut to
         // the walk's length on return: no per-node push.
         walk.nodes
@@ -252,46 +154,43 @@ impl CacheArray for ZArray {
         let mut n = 0;
 
         // Depth 0: the incoming line's own positions (distinct banks, so no
-        // dedup needed among them), reusing the missing lookup's hashes via
-        // the probe memo when it matches. An empty frame ends the walk
-        // early — the replacement process would use it directly.
-        for w in 0..ways {
-            let frame = match memo {
-                Some(frames) => frames[w],
-                None => frame_in_way(addr.0, w),
-            };
+        // dedup needed among them). An empty frame ends the walk early —
+        // the replacement process would use it directly.
+        let depth0 = hasher.frames(addr.0, |w, frame| {
             seen[frame as usize] = epoch;
             let line = lines[frame as usize];
             nodes[n] = WalkNode::new(frame, line != EMPTY_LINE, None, w);
             n += 1;
             if line == EMPTY_LINE {
-                walk.nodes.truncate(n);
-                return;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
+        });
+        if depth0.is_break() {
+            walk.nodes.truncate(n);
+            return;
         }
 
         // BFS expansion: each occupied node contributes its line's
-        // alternative positions in the other ways — row entry `k` is way
-        // `k + (k >= own)`, read from the parent's position memo row (one
-        // slice) when maintained, or hashed when not (the row is then
-        // empty). The parent's way comes from the node itself, not a
-        // `frame / bank_size` division.
+        // positions in the other ways, all hashed in one table pass. The
+        // parent's way comes from the node itself, not a `frame /
+        // bank_size` division.
+        let (groups, bank_size) = (hasher.groups(), hasher.buckets());
+        let mut buckets = [[0u32; WAY_LANES]; MAX_GROUPS];
         let mut cursor = 0;
-        while n < max && cursor < n {
+        'bfs: while n < max && cursor < n {
             let parent = nodes[cursor];
-            debug_assert!(parent.is_occupied(), "empty nodes end the walk below");
+            let line = lines[parent.frame as usize];
+            for (g, b) in buckets[..groups].iter_mut().enumerate() {
+                *b = hasher.group(line, g);
+            }
+            // Child `k` lies in way `k + (k >= own)`: every way but the
+            // parent's own, chosen without a branch on the way.
             let own = parent.way();
-            let memo_row: &[u16] = if pos_ok {
-                &pos[parent.frame as usize * row..][..row]
-            } else {
-                &[]
-            };
-            for k in 0..row {
+            for k in 0..ways - 1 {
                 let w = k + usize::from(k >= own);
-                let frame = match memo_row.get(k) {
-                    Some(&bucket) => w as u32 * bank_size + u32::from(bucket),
-                    None => frame_in_way(lines[parent.frame as usize], w),
-                };
+                let frame = w as u32 * bank_size + buckets[w / WAY_LANES][w % WAY_LANES];
                 if seen[frame as usize] == epoch {
                     continue; // duplicate frame, already a candidate
                 }
@@ -300,9 +199,7 @@ impl CacheArray for ZArray {
                 nodes[n] = WalkNode::new(frame, occupant != EMPTY_LINE, Some(cursor as u32), w);
                 n += 1;
                 if occupant == EMPTY_LINE || n == max {
-                    walk.nodes.truncate(n);
-                    debug_check_walk(walk, ways);
-                    return;
+                    break 'bfs;
                 }
             }
             cursor += 1;
@@ -336,25 +233,18 @@ impl CacheArray for ZArray {
         // receives its parent's line, freeing a depth-0 frame for the
         // incoming line. The victim end moves first, so every destination
         // frame has just been vacated — the chain is walked directly, with
-        // no per-install allocation.
+        // no per-install allocation. A relocated line keeps its hash
+        // positions, so nothing but the line moves.
         let mut cur = victim;
         while let Some(p) = walk.nodes[cur].parent() {
-            let (to, from) = (walk.nodes[cur], walk.nodes[p as usize]);
-            self.lines[to.frame as usize] = self.lines[from.frame as usize];
-            if self.pos_ok {
-                // A relocated line keeps its hash positions; its memo row
-                // moves with it, re-expressed for the way it lands in.
-                self.relocate_positions(from, to);
-            }
-            moves.push((from.frame, to.frame));
+            let (to, from) = (walk.nodes[cur].frame, walk.nodes[p as usize].frame);
+            self.lines[to as usize] = self.lines[from as usize];
+            moves.push((from, to));
             cur = p as usize;
         }
-        let root = walk.nodes[cur];
-        self.lines[root.frame as usize] = addr.0;
-        if self.pos_ok {
-            self.memo_positions(addr, root.frame, root.way());
-        }
-        root.frame
+        let root = walk.nodes[cur].frame;
+        self.lines[root as usize] = addr.0;
+        root
     }
 
     fn invalidate(&mut self, addr: LineAddr) -> Option<Frame> {
@@ -374,65 +264,27 @@ impl CacheArray for ZArray {
     }
 
     fn prefetch(&self, addr: LineAddr, frames: &mut [Frame; MAX_PROBE_WAYS]) -> usize {
-        let ways = self.hashers.len().min(MAX_PROBE_WAYS);
-        for (w, slot) in frames.iter_mut().enumerate().take(ways) {
-            let f = self.frame_in_way(addr, w);
-            *slot = f;
+        let mut n = 0;
+        let _ = self.hasher.frames(addr.0, |_, f| {
+            if n == MAX_PROBE_WAYS {
+                return ControlFlow::Break(());
+            }
+            frames[n] = f;
+            n += 1;
             prefetch_slice(&self.lines, f as usize);
-            if self.pos_ok {
-                // The walk's BFS expansion reads the position memo row of
-                // every occupied depth-0 frame; warm it alongside the line.
-                prefetch_slice(&self.pos, f as usize * (self.hashers.len() - 1));
-            }
-        }
-        ways
-    }
-
-    fn prefetch_expand(&self, frames: &[Frame], out: &mut Vec<Frame>) {
-        if !self.pos_ok {
-            return; // no memo: expanding would cost W-1 hashes per frame
-        }
-        let ways = self.hashers.len();
-        let row = ways - 1;
-        // The only producer of `frames` is `prefetch`, which writes the
-        // depth-0 probe frames in way order — in that case the index *is*
-        // the way, sparing a division per frame.
-        let way_ordered = frames.len() == ways;
-        for (i, &f) in frames.iter().enumerate() {
-            if f == INVALID_FRAME || self.lines[f as usize] == EMPTY_LINE {
-                continue;
-            }
-            // Mirror the walk's expansion: the occupant's alternative
-            // positions in every other way, read from the (warm) memo row.
-            let own = if way_ordered { i } else { self.way_of(f) };
-            let memo_row = &self.pos[f as usize * row..][..row];
-            for (k, &bucket) in memo_row.iter().enumerate() {
-                let w = k + usize::from(k >= own);
-                let g = w as u32 * self.bank_size + u32::from(bucket);
-                prefetch_slice(&self.lines, g as usize);
-                prefetch_slice(&self.pos, g as usize * row);
-                out.push(g);
-            }
-        }
+            ControlFlow::Continue(())
+        });
+        n
     }
 
     fn lookup_prefetched(&self, addr: LineAddr, frames: &[Frame]) -> Option<Frame> {
-        let ways = self.hashers.len();
-        if addr.0 == EMPTY_LINE || frames.len() != ways || ways > MAX_PROBE_WAYS {
+        if addr.0 == EMPTY_LINE || frames.len() != self.hasher.ways() {
             return self.lookup(addr);
         }
-        for &f in frames {
-            if self.lines[f as usize] == addr.0 {
-                return Some(f);
-            }
-        }
-        // Miss: memoize the (already computed) probe frames for the walk,
-        // exactly as a full lookup would.
-        let mut memo = [INVALID_FRAME; MAX_PROBE_WAYS];
-        memo[..ways].copy_from_slice(frames);
-        self.probe_addr.set(addr.0);
-        self.probe_frames.set(memo);
-        None
+        frames
+            .iter()
+            .copied()
+            .find(|&f| self.lines[f as usize] == addr.0)
     }
 }
 
@@ -455,24 +307,10 @@ impl vantage_snapshot::Snapshot for ZArray {
         }
         self.occupancy = lines.iter().filter(|&&l| l != EMPTY_LINE).count();
         self.lines = lines;
-        // Scratch and memo state is rebuilt, not restored: walk dedup
-        // stamps reset (behavior-identical — stamps only live within one
-        // walk), the probe memo is dropped (hash positions are
-        // recomputed), and the position memo is rebuilt from the resident
-        // lines (a line's hash positions depend only on the construction
-        // seed, which restore-into-same-config guarantees).
+        // Walk dedup stamps reset rather than restore: behavior-identical,
+        // since stamps only live within one walk.
         self.seen.fill(0);
         self.epoch = 0;
-        self.probe_addr.set(EMPTY_LINE);
-        self.probe_frames.set([INVALID_FRAME; MAX_PROBE_WAYS]);
-        if self.pos_ok {
-            for f in 0..self.lines.len() as Frame {
-                let line = self.lines[f as usize];
-                if line != EMPTY_LINE {
-                    self.memo_positions(LineAddr(line), f, self.way_of(f));
-                }
-            }
-        }
         Ok(())
     }
 }
@@ -480,17 +318,22 @@ impl vantage_snapshot::Snapshot for ZArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::mix64;
+    use crate::hash::{mix64, H3Hasher};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use vantage_snapshot::Snapshot;
+
+    /// The frame `addr` maps to in `way`.
+    fn frame_in_way(a: &ZArray, addr: LineAddr, way: usize) -> Frame {
+        way as u32 * a.hasher.buckets() + a.hasher.group(addr.0, way / WAY_LANES)[way % WAY_LANES]
+    }
 
     /// Checks the placement invariant: every line sits in one of the frames
     /// its hash functions map it to.
     fn check_placement(a: &ZArray) {
         for f in 0..a.num_frames() {
             if let Some(addr) = a.occupant(f as Frame) {
-                let ok = (0..a.ways()).any(|w| a.frame_in_way(addr, w) == f as Frame);
+                let ok = (0..a.ways()).any(|w| frame_in_way(a, addr, w) == f as Frame);
                 assert!(ok, "line {addr} at frame {f} violates placement invariant");
             }
         }
@@ -569,14 +412,15 @@ mod tests {
         // Each node carries the way its frame belongs to (the BFS relies on
         // this instead of dividing by the bank size).
         for n in &walk.nodes {
-            assert_eq!(n.way(), (n.frame / a.bank_size) as usize);
+            assert_eq!(n.way(), (n.frame / a.hasher.buckets()) as usize);
         }
     }
 
-    /// Zcache geometries `(frames, ways, candidates)` that keep a position
-    /// memo: Z2, Z3, Z4/16, Z4/52, Z8/64, and Z15/52, whose way count is
-    /// past `MAX_PROBE_WAYS` (no probe memo, so rows are hashed).
-    const MEMO_GEOMETRIES: [(usize, usize, usize); 6] = [
+    /// Zcache geometries `(frames, ways, candidates)`: Z2, Z3, Z4/16,
+    /// Z4/52, Z8/64, and Z15/52, whose way count spans four hash groups and
+    /// is past `MAX_PROBE_WAYS` (so its lookups cannot hand the pipeline
+    /// every probe frame).
+    const GEOMETRIES: [(usize, usize, usize); 6] = [
         (256, 2, 8),
         (384, 3, 16),
         (512, 4, 16),
@@ -585,36 +429,20 @@ mod tests {
         (480, 15, 52),
     ];
 
-    /// Checks every occupied frame's memo row against fresh hashes: entry
-    /// `k` is the line's bucket in way `k + (k >= own)`.
-    fn check_memo(a: &ZArray) {
-        assert!(a.pos_ok);
-        let row = a.ways() - 1;
-        assert_eq!(a.pos.len(), a.num_frames() * row);
-        for f in 0..a.num_frames() {
-            if let Some(addr) = a.occupant(f as Frame) {
-                let own = f / a.bank_size as usize;
-                for k in 0..row {
-                    let w = k + usize::from(k >= own);
-                    let memo = w as u32 * a.bank_size + u32::from(a.pos[f * row + k]);
-                    assert_eq!(
-                        memo,
-                        a.frame_in_way(addr, w),
-                        "stale position memo for frame {f} way {w}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The replacement walk as the paper describes it, with nothing
-    /// memoized: every position is hashed, frames are deduplicated with a
-    /// `HashSet`, and a frame's way is its index over the bank size.
-    fn naive_walk(a: &ZArray, addr: LineAddr) -> Vec<WalkNode> {
+    /// The replacement walk as the paper describes it, with nothing fused
+    /// or stamped: every position is hashed by the way's own [`H3Hasher`],
+    /// drawn from the array's construction `seed`, frames are deduplicated
+    /// with a `HashSet`, and a frame's way is its index over the bank size.
+    fn naive_walk(a: &ZArray, seed: u64, addr: LineAddr) -> Vec<WalkNode> {
+        let bank = (a.num_frames() / a.ways()) as u32;
+        let hashers: Vec<H3Hasher> = (0..a.ways() as u64)
+            .map(|w| H3Hasher::new(seed.wrapping_add(w * 0x9E37_79B9)))
+            .collect();
+        let frame_in_way = |x: LineAddr, w: usize| w as u32 * bank + hashers[w].bucket(x.0, bank);
         let mut nodes = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for w in 0..a.ways() {
-            let frame = a.frame_in_way(addr, w);
+            let frame = frame_in_way(addr, w);
             assert!(seen.insert(frame), "depth-0 frames lie in distinct banks");
             let occupied = a.occupant(frame).is_some();
             nodes.push(WalkNode::new(frame, occupied, None, w));
@@ -626,9 +454,9 @@ mod tests {
         while nodes.len() < a.candidates_per_walk() && cursor < nodes.len() {
             let parent = nodes[cursor].frame;
             let line = a.occupant(parent).expect("expanded nodes are occupied");
-            let own = (parent / a.bank_size) as usize;
+            let own = (parent / bank) as usize;
             for w in (0..a.ways()).filter(|&w| w != own) {
-                let frame = a.frame_in_way(line, w);
+                let frame = frame_in_way(line, w);
                 if !seen.insert(frame) {
                     continue;
                 }
@@ -648,7 +476,7 @@ mod tests {
     /// its size, with a `save_state`/`load_state` round-trip halfway. The
     /// first `prefill` installs are unchecked; after each of the next
     /// `steps` operations every walk must match [`naive_walk`] node for
-    /// node and, when the array keeps one, every memo row its hashes.
+    /// node.
     fn check_against_naive(mut a: ZArray, prefill: usize, steps: usize, seed: u64) {
         let (frames, ways, candidates) = (a.num_frames(), a.ways(), a.candidates_per_walk());
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -680,7 +508,7 @@ mod tests {
                 if checked {
                     assert_eq!(
                         walk.nodes,
-                        naive_walk(&a, addr),
+                        naive_walk(&a, seed, addr),
                         "walk diverged at step {step}"
                     );
                     full += usize::from(walk.len() == candidates);
@@ -696,9 +524,6 @@ mod tests {
                 relocated += usize::from(checked && !moves.is_empty());
                 moves.clear();
             }
-            if checked && a.pos_ok {
-                check_memo(&a);
-            }
         }
         // Walks through the array's first and last frames, where the row
         // and bank arithmetic meet the ends of the stores: their depth-0
@@ -709,14 +534,14 @@ mod tests {
                 let addr = loop {
                     i += 1;
                     let x = LineAddr(mix64(seed ^ i) >> 1);
-                    if a.frame_in_way(x, way) == frame && a.lookup(x).is_none() {
+                    if frame_in_way(&a, x, way) == frame && a.lookup(x).is_none() {
                         break x;
                     }
                 };
                 a.walk(addr, &mut walk);
                 assert_eq!(
                     walk.nodes,
-                    naive_walk(&a, addr),
+                    naive_walk(&a, seed, addr),
                     "walk through frame {frame}"
                 );
                 match walk.first_empty() {
@@ -735,26 +560,14 @@ mod tests {
     }
 
     #[test]
-    fn walks_and_memo_match_a_naive_reference() {
-        for (i, &(frames, ways, candidates)) in MEMO_GEOMETRIES.iter().enumerate() {
+    fn walks_match_a_naive_reference() {
+        for (i, &(frames, ways, candidates)) in GEOMETRIES.iter().enumerate() {
             let a = ZArray::new(frames, ways, candidates, 30 + i as u64);
             check_against_naive(a, 0, 6 * frames, 30 + i as u64);
         }
-        // Banks of 65 537 buckets overflow a u16: no memo, every walk
-        // hashes.
+        // Banks of 65 537 buckets, past what a `u16` bucket could hold.
         let a = ZArray::new(4 * 65_537, 4, 52, 37);
-        assert!(!a.pos_ok && a.pos.is_empty());
         check_against_naive(a, 2 * 4 * 65_537, 4000, 37);
-    }
-
-    #[test]
-    fn position_memo_matches_hashes_after_relocations() {
-        for (i, &(frames, ways, candidates)) in MEMO_GEOMETRIES.iter().enumerate() {
-            let mut a = ZArray::new(frames, ways, candidates, 21 + i as u64);
-            let mut rng = SmallRng::seed_from_u64(5 + i as u64);
-            fill(&mut a, 20 * frames as u64, &mut rng);
-            check_memo(&a);
-        }
     }
 
     #[test]

@@ -24,30 +24,26 @@ use crate::llc::{
 };
 
 /// Array footprint, in bytes (see [`batch_footprint`]), from which
-/// [`Llc::access_batch`] runs its two-stage prefetch pipeline; smaller
+/// [`Llc::access_batch`] runs its prefetch pipeline; smaller
 /// caches serve a batch as a plain [`Llc::access`] loop. Fixed per cache at
 /// construction, never re-checked per call.
 ///
 /// Placed between the two Z4/52 geometries the benchmark drives, measured
 /// one thread on a Xeon with a 2 MiB L2 per core. A 32K-frame cache
-/// (~0.5 MiB) is already L2-resident, so the pipeline's hashing, ~16
+/// (~0.34 MiB) is already L2-resident, so the pipeline's hashing, ~16
 /// prefetches and ~5 extra array calls per request are pure overhead: the
 /// plain loop serves an all-hit stream at 34.6M instead of 17.6M acc/s
 /// and a half-miss stream at 2.45M instead of 2.22M. Eight 64K-frame
-/// caches (~1.1 MiB each) served in alternation behind a banked engine
+/// caches (~0.69 MiB each) served in alternation behind a banked engine
 /// lose ~10% without the pipeline (1.94M → 1.75M acc/s), so 64K frames
 /// and every larger cache keep it. A lone 64K-frame cache would gain
 /// without it; a per-cache rule cannot tell the two apart (DESIGN.md §8).
-pub(crate) const PREFETCH_MIN_FOOTPRINT: usize = 1 << 20;
+pub(crate) const PREFETCH_MIN_FOOTPRINT: usize = 1 << 19;
 
-/// The bytes a request can touch across an array of `frames` frames and
-/// `ways` ways that yields `candidates` replacement candidates: the line
-/// store (8 B per frame), both tag lanes (3 B per frame) and, for a zcache
-/// — the arrays whose walk reaches past the ways it probes — its position
-/// memo (2 B for each of the `ways - 1` ways a line does not occupy).
-pub(crate) fn batch_footprint(frames: usize, ways: usize, candidates: usize) -> usize {
-    let memo = if candidates > ways { 2 * (ways - 1) } else { 0 };
-    frames * (8 + memo + 3)
+/// The bytes a request can touch across an array of `frames` frames: the
+/// line store (8 B per frame) and both tag lanes (3 B per frame).
+pub(crate) fn batch_footprint(frames: usize) -> usize {
+    frames * (8 + 3)
 }
 
 /// The frame state a [`Mechanism`] hook reads and writes besides its own.
@@ -263,18 +259,13 @@ pub struct SchemeFrame<M: Mechanism> {
     /// construction from the array's footprint (see
     /// [`PREFETCH_MIN_FOOTPRINT`]).
     pub(crate) prefetch_batches: bool,
-    /// The pipeline's walk-expansion scratch, sized at construction so a
-    /// batch never allocates (empty when `prefetch_batches` is false).
-    expand: Vec<Frame>,
 }
 
 impl<M: Mechanism> SchemeFrame<M> {
     /// Lays `mech` over `array` for `partitions` requestors; the scheme
     /// constructors validate geometry first.
     pub(crate) fn new(array: Box<M::Array>, partitions: usize, mech: M) -> Self {
-        let (frames, ways) = (array.num_frames(), array.ways());
-        let footprint = batch_footprint(frames, ways, array.candidates_per_walk());
-        let prefetch_batches = footprint >= PREFETCH_MIN_FOOTPRINT;
+        let frames = array.num_frames();
         Self {
             meta: TagMeta::with_partitions(frames, partitions),
             walk: Walk::with_capacity(array.candidates_per_walk()),
@@ -286,9 +277,7 @@ impl<M: Mechanism> SchemeFrame<M> {
             moves: Vec::with_capacity(8),
             tele: Telemetry::disabled(),
             accesses: 0,
-            prefetch_batches,
-            // One expansion adds at most `ways - 1` children per probe frame.
-            expand: Vec::with_capacity(if prefetch_batches { ways * ways } else { 0 }),
+            prefetch_batches: batch_footprint(frames) >= PREFETCH_MIN_FOOTPRINT,
         }
     }
 
@@ -493,54 +482,39 @@ impl<M: Mechanism> Llc for SchemeFrame<M> {
         self.access_probed(req, &[])
     }
 
-    /// The serial loop, with a two-stage software-prefetch pipeline for
-    /// caches whose footprint reaches 1 MiB (`PREFETCH_MIN_FOOTPRINT`:
-    /// 61 684 frames and up for Z4), decided once, at construction. Smaller
-    /// caches sit in the host's own cache, where the pipeline's extra
-    /// hashing and prefetches only cost, so they serve the batch as a plain
-    /// [`Llc::access`] loop.
+    /// The serial loop, with a software-prefetch stage for caches whose
+    /// footprint reaches 512 KiB (`PREFETCH_MIN_FOOTPRINT`: 47 664 frames
+    /// and up for Z4), decided once, at construction. Smaller caches sit in
+    /// the host's own cache, where the stage's extra hashing and prefetches
+    /// only cost, so they serve the batch as a plain [`Llc::access`] loop.
     ///
-    /// On larger arrays each access is otherwise a chain of dependent
-    /// random loads: `ways` line probes on every request, and on a miss
-    /// the replacement walk's BFS over the candidate frames (each level's
-    /// positions are read from the previous level's rows). The pipeline
-    /// mirrors that dependence structure across requests:
+    /// On larger arrays each access opens with `ways` dependent random
+    /// line probes. `D` requests ahead of the serving position, the
+    /// pipeline warms request `i + D`'s depth-0 probe rows
+    /// ([`CacheArray::prefetch`]) and the ranking tags (`meta`) of those
+    /// frames. (Deeper stages do not pay: expanding predicted misses one
+    /// walk level, hashing each depth-0 occupant, measured no gain on eight
+    /// 64K-frame banks, and warming the walk's final level *hurt* — the
+    /// ~70-110 extra prefetches per miss oversubscribe the fill buffers.)
     ///
-    /// * at `i + D1`, warm request `i + D1`'s depth-0 probe rows
-    ///   ([`CacheArray::prefetch`]);
-    /// * at `i + D2`, once those rows are resident, predict the outcome
-    ///   from them and — for predicted misses only — expand one walk level
-    ///   and warm the depth-1 candidates
-    ///   ([`CacheArray::prefetch_expand`]).
-    ///
-    /// Per-frame ranking tags (`meta`) are warmed alongside each stage.
-    /// (A third stage warming the walk's final level was tried — both the
-    /// full expansion and a leaf-only variant — and *hurt*: the ~70-110
-    /// extra prefetches per miss oversubscribe the fill buffers.)
-    ///
-    /// At serve time the request's probe frames — computed at stage 1 and
-    /// guaranteed current because the array's hash functions are fixed at
-    /// construction — are handed back to the lookup
-    /// ([`CacheArray::lookup_prefetched`]), sparing the rehash.
-    /// Replacement decisions are untouched — prefetches are hints and the
-    /// serve path is exactly [`Llc::access`] — so outcomes and statistics
-    /// are identical to the one-at-a-time path. Neither path allocates
-    /// beyond growing `out`.
+    /// At serve time the request's probe frames — guaranteed current
+    /// because the array's hash functions are fixed at construction — are
+    /// handed back to the lookup ([`CacheArray::lookup_prefetched`]),
+    /// sparing the rehash. Replacement decisions are untouched —
+    /// prefetches are hints and the serve path is exactly [`Llc::access`] —
+    /// so outcomes and statistics are identical to the one-at-a-time path.
+    /// Neither path allocates beyond growing `out`.
     fn access_batch(&mut self, reqs: &[AccessRequest], out: &mut Vec<AccessOutcome>) {
-        /// Prefetch distances (in requests ahead of the serving position)
-        /// of the two stages: far enough apart that stage 2's reads were
-        /// prefetched by stage 1, near enough that lines survive in cache
-        /// until their turn.
-        const D1: usize = 48;
-        const D2: usize = 16;
-        /// One slot more than the pipeline depth, so request `i`'s slot is
-        /// still intact when it is served at iteration `i` (stage 1 of
-        /// iteration `i` recycles a different slot).
-        const RING: usize = D1 + 1;
+        /// Prefetch distance, in requests ahead of the serving position:
+        /// near enough that lines survive in cache until their turn.
+        const D: usize = 48;
+        /// One slot more than the distance, so request `i`'s slot is still
+        /// intact when it is served at iteration `i` (iteration `i`
+        /// refills a different slot).
+        const RING: usize = D + 1;
 
         /// In-flight prefetch state for one request: its depth-0 probe
-        /// frames. (The walk candidates stage 2 expands from them are
-        /// consumed on the spot, in the shared `expand` scratch.)
+        /// frames.
         #[derive(Clone, Copy)]
         struct Slot {
             l0: [Frame; MAX_PROBE_WAYS],
@@ -558,8 +532,8 @@ impl<M: Mechanism> Llc for SchemeFrame<M> {
             n: 0,
         }; RING];
         for (i, &req) in reqs.iter().enumerate() {
-            if let Some(ahead) = reqs.get(i + D1) {
-                let slot = &mut ring[(i + D1) % RING];
+            if let Some(ahead) = reqs.get(i + D) {
+                let slot = &mut ring[(i + D) % RING];
                 // Prefetch what the serve path will actually look up: the
                 // ownership layer may salt the address per partition.
                 let a = self
@@ -570,28 +544,6 @@ impl<M: Mechanism> Llc for SchemeFrame<M> {
                     // The hit path reads both tag lanes; warm them
                     // alongside the array's own probe state.
                     self.meta.prefetch(f as usize);
-                }
-            }
-            if let Some(ahead) = reqs.get(i + D2) {
-                let slot = &ring[(i + D2) % RING];
-                // Only a miss walks; its probe rows are warm by now, so
-                // predict the outcome and skip the (much wider) expansion
-                // for hits. A mispredict — the line moving between now and
-                // serve time — only costs or spares some prefetches.
-                let a = self
-                    .own
-                    .effective_addr(ahead.part.index() as u16, ahead.addr);
-                let hit = slot.l0[..slot.n]
-                    .iter()
-                    .any(|&f| self.array.occupant(f) == Some(a));
-                if !hit {
-                    self.expand.clear();
-                    self.array
-                        .prefetch_expand(&slot.l0[..slot.n], &mut self.expand);
-                    for &f in &self.expand {
-                        // The replacement process ranks every candidate.
-                        self.meta.prefetch(f as usize);
-                    }
                 }
             }
             let slot = &ring[i % RING];

@@ -1403,18 +1403,14 @@ mod tests {
                 .expect("valid Vantage config")
                 .prefetch_batches
         };
-        // A zcache frame costs an odd number of bytes (11 + 2 per way it
-        // does not occupy), so no geometry lands exactly on the
-        // power-of-two constant. Z11 over 33 825 frames lands one byte
-        // short of it.
-        assert_eq!(batch_footprint(33_825, 11, 52), PREFETCH_MIN_FOOTPRINT - 1);
-        assert!(!pipelined(ZArray::new(33_825, 11, 52, 1)));
-        // Z4 at 17 B per frame: the largest plain cache and the smallest
-        // pipelined one (the size the batch-equivalence proptests use).
-        assert!(batch_footprint(61_680, 4, 52) < PREFETCH_MIN_FOOTPRINT);
-        assert!(batch_footprint(61_684, 4, 52) >= PREFETCH_MIN_FOOTPRINT);
-        assert!(!pipelined(ZArray::new(61_680, 4, 52, 1)));
-        assert!(pipelined(ZArray::new(61_684, 4, 52, 1)));
+        // Every array costs 11 B per frame, so no frame count lands exactly
+        // on the power-of-two constant. Z4 between the largest plain cache
+        // and the smallest pipelined one (the size the batch-equivalence
+        // proptests use):
+        assert!(batch_footprint(47_660) < PREFETCH_MIN_FOOTPRINT);
+        assert!(batch_footprint(47_664) >= PREFETCH_MIN_FOOTPRINT);
+        assert!(!pipelined(ZArray::new(47_660, 4, 52, 1)));
+        assert!(pipelined(ZArray::new(47_664, 4, 52, 1)));
         // The benchmark's single caches take the plain loop; its banked
         // engine's 64K-frame banks keep the pipeline.
         assert!(!pipelined(ZArray::new(32 * 1024, 4, 52, 1)));

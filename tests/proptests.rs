@@ -466,10 +466,10 @@ proptest! {
 }
 
 /// The smallest Z4 frame count whose footprint reaches Vantage's prefetch
-/// constant, so `access_batch` runs its two-stage pipeline (pinned by the
+/// constant, so `access_batch` runs its prefetch pipeline (pinned by the
 /// `batch_path_is_chosen_by_footprint_at_construction` unit test). Every
 /// machine above is far smaller and serves batches as a plain loop.
-const PIPELINED_FRAMES: usize = 61_684;
+const PIPELINED_FRAMES: usize = 47_664;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -477,7 +477,7 @@ proptest! {
     /// The prefetch pipeline is pure sugar too: on a warm Vantage cache
     /// that takes it, under every share mode (Replicate salts the address
     /// the pipeline must prefetch), `access_batch` in chunks straddling the
-    /// pipeline's depths (16 and 48 requests ahead) serves the same
+    /// pipeline's depth (48 requests ahead) serves the same
     /// outcomes and statistics as one `access` at a time.
     #[test]
     fn pipelined_access_batch_is_equivalent_to_repeated_access(
@@ -487,7 +487,7 @@ proptest! {
     ) {
         use vantage_repro::cache::ShareMode;
 
-        // Private lines over 1.07x the capacity (16 557 per partition), one
+        // Private lines over 1.39x the capacity (16 557 per partition), one
         // request in eight to a 4096-line set every partition shares.
         let req = |p: usize, shared: bool, a: u64, write: bool| {
             let part = PartitionId::from_index(p);

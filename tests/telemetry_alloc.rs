@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vantage_repro::cache::{H3Hasher, LineAddr, RripConfig, RripMode, SetAssocArray, ZArray};
+use vantage_repro::cache::{LineAddr, RripConfig, RripMode, SetAssocArray, ZArray, WAY_LANES};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{
     AccessRequest, BaselineLlc, Llc, PartitionId, PippConfig, PippLlc, RankPolicy, WayPartLlc,
@@ -198,16 +198,16 @@ fn vantage_access_batch_is_allocation_free_on_both_paths() {
     }
 }
 
-/// A Z4/52 zcache allocates at most 15 B per frame — the 8 B line store,
-/// the 1 B walk-dedup stamp and a 6 B position memo row (the bucket in each
-/// of the three ways a line does not occupy) — plus its four H3 hashers
-/// with their tables and 64 B of per-array scratch. A memo that grew back
-/// to every way (17 B per frame) fails here.
+/// A Z4/52 zcache allocates at most 9 B per frame — the 8 B line store and
+/// the 1 B walk-dedup stamp — plus its hash tables (one interleaved row
+/// set for its four ways) and 64 B of per-array scratch. Any per-frame
+/// position state (a memo of a line's buckets in the other ways) fails
+/// here.
 #[test]
-fn zarray_allocates_at_most_15_bytes_per_frame() {
+fn zarray_allocates_at_most_9_bytes_per_frame() {
     const FRAMES: usize = 32 * 1024;
-    let hashers = 4 * (std::mem::size_of::<H3Hasher>() + std::mem::size_of::<[[u32; 256]; 8]>());
-    let budget = (FRAMES * 15 + hashers + 64) as u64;
+    let tables = std::mem::size_of::<[[[u32; WAY_LANES]; 256]; 8]>();
+    let budget = (FRAMES * 9 + tables + 64) as u64;
     let before = allocated_bytes();
     let array = ZArray::new(FRAMES, 4, 52, 11);
     let bytes = allocated_bytes() - before;
