@@ -57,11 +57,6 @@ pub const INVALID_FRAME: Frame = u32::MAX;
 /// lookup/walk hot path; [`CacheArray::install`] rejects this address.
 pub(crate) const EMPTY_LINE: u64 = u64::MAX;
 
-/// Most probe frames [`CacheArray::prefetch`] writes: the size of the frame
-/// scratch handed to it (every configuration in the paper uses far fewer
-/// ways).
-pub const MAX_PROBE_WAYS: usize = 8;
-
 /// Sentinel for "depth-0 node, no parent" in [`WalkNode`]'s packed parent
 /// index. Walks are far shorter than `u16::MAX` nodes (R ≤ 64 in every
 /// paper configuration), so a `u16` index always fits.
@@ -185,28 +180,6 @@ impl Walk {
     }
 }
 
-/// Issues a best-effort read prefetch for the `i`-th element of `s`.
-///
-/// Purely a performance hint: out-of-bounds indices are ignored, and on
-/// architectures without a stable prefetch intrinsic this is a no-op.
-/// Batched access paths use it to overlap the memory latency of upcoming
-/// probes with current work (see [`CacheArray::prefetch`]).
-#[inline(always)]
-pub fn prefetch_slice<T>(s: &[T], i: usize) {
-    if let Some(p) = s.get(i) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `p` points into a live borrow of `s`; _mm_prefetch has no
-        // architectural effect beyond cache-state hints.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                (p as *const T).cast::<i8>(),
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = p;
-    }
-}
-
 /// A physical cache array: lookup, candidate generation and installation.
 ///
 /// Implementations must maintain the *placement invariant*: every stored line
@@ -276,32 +249,6 @@ pub trait CacheArray: Send + vantage_snapshot::Snapshot {
 
     /// Number of valid lines currently stored.
     fn occupancy(&self) -> usize;
-
-    /// Issues best-effort memory prefetches for the state a subsequent
-    /// [`lookup`](CacheArray::lookup) of `addr` will probe, and writes the
-    /// depth-0 frames `addr` hashes to into `frames` (so callers can
-    /// prefetch their *own* per-frame metadata alongside). Returns the
-    /// number of frames written, at most [`MAX_PROBE_WAYS`].
-    ///
-    /// Purely a performance hint for batched access paths: correctness
-    /// never depends on it, stale hints are merely wasted, and the default
-    /// implementation does nothing. Implementations must not mutate
-    /// observable state.
-    fn prefetch(&self, _addr: LineAddr, _frames: &mut [Frame; MAX_PROBE_WAYS]) -> usize {
-        0
-    }
-
-    /// [`lookup`](CacheArray::lookup) for callers that already hold the
-    /// probe frames a prior [`prefetch`](CacheArray::prefetch) of `addr`
-    /// wrote: implementations may skip rehashing and probe the given
-    /// frames directly. `frames` must be exactly what `prefetch(addr)`
-    /// produced for this same array (the hash functions are fixed at
-    /// construction, so those frames never go stale); implementations
-    /// fall back to a full [`lookup`](CacheArray::lookup) when the hint
-    /// does not fit. Observable behavior is identical to `lookup`.
-    fn lookup_prefetched(&self, addr: LineAddr, _frames: &[Frame]) -> Option<Frame> {
-        self.lookup(addr)
-    }
 }
 
 /// Checks, in debug builds, that a walk's parent links are well formed:

@@ -42,6 +42,8 @@
 //! assert_eq!(array.lookup(addr), Some(frame));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod hash;
 pub mod ownership;
@@ -53,9 +55,7 @@ pub mod skew;
 pub mod tagmeta;
 pub mod zarray;
 
-pub use array::{
-    prefetch_slice, CacheArray, Frame, LineAddr, Walk, WalkNode, INVALID_FRAME, MAX_PROBE_WAYS,
-};
+pub use array::{CacheArray, Frame, LineAddr, Walk, WalkNode, INVALID_FRAME};
 pub use hash::{H3Hasher, WayHasher, WAY_LANES};
 pub use ownership::{Ownership, ShareMode};
 pub use part_id::PartitionId;

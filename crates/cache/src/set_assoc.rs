@@ -2,10 +2,7 @@
 
 use std::cell::Cell;
 
-use crate::array::{
-    debug_check_walk, prefetch_slice, CacheArray, Frame, LineAddr, Walk, WalkNode, EMPTY_LINE,
-    MAX_PROBE_WAYS,
-};
+use crate::array::{debug_check_walk, CacheArray, Frame, LineAddr, Walk, WalkNode, EMPTY_LINE};
 use crate::hash::H3Hasher;
 
 /// How a [`SetAssocArray`] maps addresses to sets.
@@ -187,19 +184,6 @@ impl CacheArray for SetAssocArray {
 
     fn occupancy(&self) -> usize {
         self.occupancy
-    }
-
-    fn prefetch(&self, addr: LineAddr, frames: &mut [Frame; MAX_PROBE_WAYS]) -> usize {
-        let set = self.set_of(addr);
-        // A set's frames are contiguous; touching the first and last line
-        // covers the whole set regardless of way count.
-        prefetch_slice(&self.lines, self.frame_of(set, 0) as usize);
-        prefetch_slice(&self.lines, self.frame_of(set, self.ways - 1) as usize);
-        let n = (self.ways as usize).min(MAX_PROBE_WAYS);
-        for (w, slot) in frames.iter_mut().enumerate().take(n) {
-            *slot = self.frame_of(set, w as u32);
-        }
-        n
     }
 }
 

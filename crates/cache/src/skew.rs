@@ -8,10 +8,7 @@
 
 use std::ops::ControlFlow;
 
-use crate::array::{
-    debug_check_walk, prefetch_slice, CacheArray, Frame, LineAddr, Walk, WalkNode, EMPTY_LINE,
-    MAX_PROBE_WAYS,
-};
+use crate::array::{debug_check_walk, CacheArray, Frame, LineAddr, Walk, WalkNode, EMPTY_LINE};
 use crate::hash::WayHasher;
 
 /// A skew-associative array: `ways` banks of `frames/ways` frames, each bank
@@ -143,20 +140,6 @@ impl CacheArray for SkewArray {
 
     fn occupancy(&self) -> usize {
         self.occupancy
-    }
-
-    fn prefetch(&self, addr: LineAddr, frames: &mut [Frame; MAX_PROBE_WAYS]) -> usize {
-        let mut n = 0;
-        let _ = self.hasher.frames(addr.0, |_, f| {
-            if n == MAX_PROBE_WAYS {
-                return ControlFlow::Break(());
-            }
-            frames[n] = f;
-            n += 1;
-            prefetch_slice(&self.lines, f as usize);
-            ControlFlow::Continue(())
-        });
-        n
     }
 }
 

@@ -27,7 +27,7 @@
 //! lines to find, and the Vantage controller and the priority probes read
 //! ranks from its rows ([`TagMeta::rank`]).
 
-use crate::array::{prefetch_slice, Frame};
+use crate::array::Frame;
 
 /// The reserved partition ID tagging unmanaged lines and never-filled
 /// frames. Valid partition IDs are `0..TAG_UNMANAGED`.
@@ -319,13 +319,6 @@ impl TagMeta {
         self.parts = parts;
         self.ts = ts;
         self.rebuild_counts();
-    }
-
-    /// Issues prefetch hints for frame `f`'s entries in both lanes.
-    #[inline]
-    pub fn prefetch(&self, f: usize) {
-        prefetch_slice(&self.parts, f);
-        prefetch_slice(&self.ts, f);
     }
 
     /// Pins lines of `part` whose stamp is exactly `aliasing_ts` one tick

@@ -465,82 +465,6 @@ proptest! {
     }
 }
 
-/// The smallest Z4 frame count whose footprint reaches Vantage's prefetch
-/// constant, so `access_batch` runs its prefetch pipeline (pinned by the
-/// `batch_path_is_chosen_by_footprint_at_construction` unit test). Every
-/// machine above is far smaller and serves batches as a plain loop.
-const PIPELINED_FRAMES: usize = 47_664;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The prefetch pipeline is pure sugar too: on a warm Vantage cache
-    /// that takes it, under every share mode (Replicate salts the address
-    /// the pipeline must prefetch), `access_batch` in chunks straddling the
-    /// pipeline's depth (48 requests ahead) serves the same
-    /// outcomes and statistics as one `access` at a time.
-    #[test]
-    fn pipelined_access_batch_is_equivalent_to_repeated_access(
-        seed in 0u64..1000,
-        big in 400usize..1200,
-        ops in prop::collection::vec((0usize..4, 0u32..8, 0u64..16_557, 0u32..4), 3000..4500),
-    ) {
-        use vantage_repro::cache::ShareMode;
-
-        // Private lines over 1.39x the capacity (16 557 per partition), one
-        // request in eight to a 4096-line set every partition shares.
-        let req = |p: usize, shared: bool, a: u64, write: bool| {
-            let part = PartitionId::from_index(p);
-            let addr = if shared { LineAddr((5 << 40) + a % 4096) } else { LineAddr(((p as u64 + 1) << 40) + a) };
-            if write { AccessRequest::write(part, addr) } else { AccessRequest::read(part, addr) }
-        };
-        let warm: Vec<AccessRequest> = (0..16_557u64)
-            .flat_map(|a| (0..4).map(move |p| (p, a)))
-            .map(|(p, a)| req(p, false, a, false))
-            .collect();
-        let reqs: Vec<AccessRequest> =
-            ops.iter().map(|&(p, s, a, k)| req(p, s == 0, a, k == 0)).collect();
-        // Short chunks first, each over 300 requests, then the rest in
-        // `big` ones.
-        let (short, long) = reqs.split_at(1500);
-        for mode in [ShareMode::Adopt, ShareMode::Pin, ShareMode::Replicate] {
-            let build = || {
-                let mut llc = VantageLlc::try_new(
-                    Box::new(ZArray::new(PIPELINED_FRAMES, 4, 52, seed)),
-                    4,
-                    VantageConfig::default(),
-                    seed,
-                )
-                .expect("valid Vantage config");
-                assert!(llc.set_share_mode(mode), "vantage supports every mode");
-                for &r in &warm {
-                    llc.access(r);
-                }
-                llc
-            };
-            let mut one = build();
-            let serial: Vec<_> = reqs.iter().map(|&r| one.access(r)).collect();
-            let mut many = build();
-            let mut batched = Vec::with_capacity(reqs.len());
-            for (chunk, part) in [1, 15, 17, 47, 49].into_iter().zip(short.chunks(300)) {
-                for c in part.chunks(chunk) {
-                    many.access_batch(c, &mut batched);
-                }
-            }
-            for c in long.chunks(big) {
-                many.access_batch(c, &mut batched);
-            }
-            prop_assert_eq!(&batched, &serial, "outcomes diverged under {:?}", mode);
-            prop_assert_eq!(
-                format!("{:?} {:?}", many.stats(), many.vantage_stats()),
-                format!("{:?} {:?}", one.stats(), one.vantage_stats()),
-                "stats diverged under {:?}", mode
-            );
-            prop_assert!(one.stats().total_misses() > 0 && one.stats().total_hits() > 0);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -143,11 +143,10 @@ fn nullsink_miss_path_is_allocation_free() {
 }
 
 /// `VantageLlc::access_batch` allocates nothing beyond the outcome vector
-/// the caller already sized, on both of its paths: a 32K-frame Z4/52 cache
-/// (under the prefetch footprint constant: the plain `access` loop) and a
-/// 64K-frame one (over it: the prefetch pipeline).
+/// the caller already sized, on a 32K-frame Z4/52 cache (the benchmark's
+/// single caches) and a 64K-frame one (its banked machine's banks).
 #[test]
-fn vantage_access_batch_is_allocation_free_on_both_paths() {
+fn vantage_access_batch_is_allocation_free_at_both_sizes() {
     const CHUNK: usize = 4096;
     for frames in [32 * 1024, 64 * 1024] {
         let mut llc = VantageLlc::try_new(
