@@ -48,9 +48,9 @@ const GATE_BANKS: usize = 4;
 ///
 /// Rebased from 2.0x when the SoA tag-metadata layout landed: the layout
 /// change sped the *serial* per-access baseline up by ~30% (the ratio's
-/// denominator) while the windowed side — already hiding most of its tag
-/// misses behind walk prefetching — gained little, legitimately
-/// compressing the measured advantage to ~1.7x on the reference host. The
+/// denominator) while the windowed side — whose bank-major runs already
+/// kept each bank's tags warm — gained little, legitimately compressing
+/// the measured advantage to ~1.7x on the reference host. The
 /// absolute per-side rates are recorded alongside the ratio, so a
 /// per-access regression cannot masquerade as a windowed improvement.
 const GATE_MIN_SPEEDUP: f64 = 1.4;
@@ -118,11 +118,10 @@ struct Scale {
 
 impl Scale {
     /// The sweep scale, kept from the first `BENCH_parallel.json` entries so
-    /// their trajectories stay comparable. At the quick 4-bank gate point
-    /// each bank has 32K frames, small enough for the host's L2 on its own,
-    /// so `VantageLlc::access_batch` serves a run as a plain loop; full
-    /// mode's 64K-frame 4-bank banks keep the prefetch pipeline. Either way
-    /// the gain comes from bank-major service.
+    /// their trajectories stay comparable. Every bank serves its run as a
+    /// plain `access` loop (at the quick 4-bank gate point each bank has
+    /// 32K frames, in full mode 64K), so the gain comes from bank-major
+    /// service alone.
     fn sweep(quick: bool) -> Self {
         Self {
             frames: if quick { 128 * 1024 } else { 256 * 1024 },
