@@ -43,8 +43,8 @@ pub const USAGE: &str = "options:
   --seed N     master seed (default 42)
   --jobs N     worker threads for mix-level parallelism
   --banks N    shard each simulated LLC across N address-interleaved banks,
-               each with its own controller; windows of requests reach them
-               through per-bank rings drained bank-major
+               each with its own controller and a share of every
+               partition's target; each request is served by its bank
   --quick      drastically reduced scale for smoke runs
   --policy P   allocation policy driving partition targets on UCP-managed
                schemes: ucp (default), equal, missratio, qos, clustered

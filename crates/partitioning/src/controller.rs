@@ -143,10 +143,12 @@ pub enum Feedback {
 /// Per-partition controller registers (Fig. 4).
 ///
 /// Mirrors the hardware state: `TargetSize`, `CurrentTS` +
-/// `AccessCounter` (inside [`TsLru`]), `SetpointTS`, `CandsSeen`,
-/// `CandsDemoted` and the thresholds table. The RRIP variant reuses the
-/// setpoint register as a setpoint RRPV. `ActualSize` is the cache's size
-/// lane; the methods that read it take it as an argument.
+/// `AccessCounter` (inside [`TsLru`]), `SetpointTS`, `CandsSeen` and
+/// `CandsDemoted`. The RRIP variant reuses the setpoint register as a
+/// setpoint RRPV. `ActualSize` is the cache's size lane; the methods that
+/// read it take it as an argument. The thresholds table depends only on
+/// the target and the cache-wide [`VantageConfig`], so it is derived where
+/// it is read ([`Self::table`]) rather than stored: 32 B per partition.
 #[derive(Clone, Debug)]
 pub struct PartitionState {
     /// Target size in lines (`TargetSize`).
@@ -163,14 +165,12 @@ pub struct PartitionState {
     pub cands_seen: u32,
     /// Of those, how many were demoted (`CandsDemoted`).
     pub cands_demoted: u32,
-    /// The demotion thresholds lookup table.
-    pub table: ThresholdTable,
 }
 
 impl PartitionState {
-    /// Creates the state for a partition with the given `target`, under a
-    /// configuration [`VantageConfig::try_validate`] accepted.
-    pub fn new(target: u64, cfg: &VantageConfig, max_rrpv: u8) -> Self {
+    /// Creates the state for a partition with the given `target`, whose
+    /// RRIP setpoint starts at `max_rrpv`.
+    pub fn new(target: u64, max_rrpv: u8) -> Self {
         Self {
             target,
             lru: TsLru::for_size(target.max(16)),
@@ -179,19 +179,15 @@ impl PartitionState {
             setpoint_rrpv: max_rrpv, // initially demote only "distant" lines
             cands_seen: 0,
             cands_demoted: 0,
-            table: Self::table(target, cfg),
         }
     }
 
-    /// Installs a new target, rebuilding the thresholds table.
-    pub fn set_target(&mut self, target: u64, cfg: &VantageConfig) {
-        self.target = target;
-        self.table = Self::table(target, cfg);
-    }
-
-    fn table(target: u64, cfg: &VantageConfig) -> ThresholdTable {
+    /// The demotion thresholds lookup table for the current target under
+    /// `cfg` (a configuration [`VantageConfig::try_validate`] accepted).
+    #[inline]
+    pub fn table(&self, cfg: &VantageConfig) -> ThresholdTable {
         ThresholdTable::build(
-            target,
+            self.target,
             cfg.slack,
             cfg.a_max,
             cfg.cands_period,
@@ -261,16 +257,21 @@ impl PartitionState {
 
     /// The every-`c`-candidates feedback step (see [`Self::meter`]) for a
     /// partition of `actual` lines: compares the metered demotion count
-    /// against the thresholds table, nudges the setpoint, resets the
-    /// meters and returns the feedback applied.
+    /// against the thresholds table `cfg` gives the target, nudges the
+    /// setpoint, resets the meters and returns the feedback applied.
     #[cold]
-    pub(crate) fn adjust_setpoint(&mut self, max_rrpv: u8, actual: u64) -> Feedback {
+    pub(crate) fn adjust_setpoint(
+        &mut self,
+        cfg: &VantageConfig,
+        max_rrpv: u8,
+        actual: u64,
+    ) -> Feedback {
         // At or below target the aperture is 0, so the threshold is 0: any
         // demotions counted while transiently over target are "too many".
         // Keeping the comparison symmetric here is what stops the keep
         // window from ratcheting tight on partitions whose equilibrium
         // demotion rate is below the smallest table step.
-        let thr = self.table.threshold(actual).unwrap_or(0);
+        let thr = self.table(cfg).threshold(actual).unwrap_or(0);
         let fb = if self.cands_demoted > thr {
             Feedback::TooMany
         } else if self.cands_demoted < thr {
@@ -308,14 +309,26 @@ mod tests {
     use super::*;
 
     fn state(target: u64) -> PartitionState {
-        PartitionState::new(target, &VantageConfig::default(), 7)
+        PartitionState::new(target, 7)
     }
 
     /// Meters one candidate of a partition holding `actual` lines,
     /// adjusting at the end of a 256-candidate period as the candidate
     /// scan does.
     fn note(s: &mut PartitionState, actual: u64, demoted: bool) -> Option<Feedback> {
-        s.meter(demoted, 256).then(|| s.adjust_setpoint(7, actual))
+        s.meter(demoted, 256)
+            .then(|| s.adjust_setpoint(&VantageConfig::default(), 7, actual))
+    }
+
+    #[test]
+    fn partition_state_stores_no_table() {
+        // Registers only: the thresholds table is derived from the target.
+        assert_eq!(std::mem::size_of::<PartitionState>(), 32);
+        let cfg = VantageConfig::default();
+        let mut s = state(1000);
+        assert_eq!(s.table(&cfg).target(), 1000);
+        s.target = 2000;
+        assert_eq!(s.table(&cfg).threshold(2500), Some(128));
     }
 
     #[test]

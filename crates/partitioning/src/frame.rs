@@ -386,9 +386,10 @@ impl<M: Mechanism> SchemeFrame<M> {
         let landing = self
             .array
             .install(addr, &self.walk, victim, &mut self.moves);
-        // Per-frame state follows the relocated lines, tag lanes first.
+        // Per-frame state follows the relocated lines, tag lanes first:
+        // the whole chain's tags move with one recount.
+        self.meta.relocate(&self.moves);
         for &(from, to) in &self.moves {
-            self.meta.copy(from, to);
             self.mech.relocate(from, to);
         }
         let (mech, mut cx) = self.split();
@@ -409,8 +410,11 @@ impl<M: Mechanism> SchemeFrame<M> {
         mech.on_fill(&mut cx, landing, part, addr);
         // After the stamp: a whole-tag stamp (Vantage's) then moves the
         // line's count once, and its re-pin (`TagMeta::clamp_stale`) never
-        // meets the landing frame's stale stamp under the new owner.
-        self.meta.set_part(landing as usize, part as u16);
+        // meets the landing frame's stale stamp under the new owner. When
+        // the stamp already wrote the owner, there is nothing to move.
+        if self.meta.part(landing as usize) != part as u16 {
+            self.meta.set_part(landing as usize, part as u16);
+        }
     }
 }
 
@@ -596,5 +600,46 @@ mod tests {
         hostile_owner_lane("pipp", || {
             PippLlc::try_new(256, 4, PARTS, PippConfig::default(), 3).expect("valid geometry")
         });
+    }
+
+    /// A miss whose install relocates k ≥ 1 lines moves the whole chain's
+    /// tags with one recount (two count-index writes), plus one more to tag
+    /// the landing frame only when it held another partition's tag. LRU
+    /// Baseline writes no tag of its own, so these are all of a miss's.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_relocating_miss_recounts_its_chain_once() {
+        let array = Box::new(vantage_cache::ZArray::new(2048, 4, 52, 5));
+        let mut llc = BaselineLlc::try_new(array, 4, RankPolicy::Lru).expect("valid geometry");
+        let (mut chains, mut retags) = (0u32, 0u32);
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let part = (x % 4) as usize;
+            let addr = LineAddr(((part as u64 + 1) << 40) + (x >> 8) % 1024);
+            let before = llc.meta.parts().to_vec();
+            let writes = llc.meta.count_writes();
+            let outcome = llc.access(AccessRequest::read(PartitionId::from_index(part), addr));
+            let k = llc.moves.len();
+            if outcome == AccessOutcome::Hit || k == 0 {
+                continue;
+            }
+            let landing = llc.array.lookup(addr).expect("just filled") as usize;
+            let retag = before[landing] != part as u16;
+            assert_eq!(
+                llc.meta.count_writes() - writes,
+                2 + 2 * u64::from(retag),
+                "a miss with {k} relocations"
+            );
+            chains += 1;
+            retags += u32::from(retag);
+        }
+        assert!(chains > 1_000, "only {chains} relocating misses");
+        assert!(
+            0 < retags && retags < chains,
+            "{retags} of {chains} retagged"
+        );
     }
 }

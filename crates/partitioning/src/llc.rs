@@ -1379,7 +1379,7 @@ mod tests {
             }
             for (q, want) in recount.iter().enumerate() {
                 assert_eq!(
-                    llc.meta.stamp_counts(q as u16),
+                    &llc.meta.stamp_counts(q as u16),
                     want,
                     "partition {q} after access {i}"
                 );

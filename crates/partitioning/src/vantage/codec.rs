@@ -112,7 +112,7 @@ impl VantageLlc {
         for (st, size) in v.parts.iter_mut().zip(&mut self.sizes) {
             let target = dec.take_u64()?;
             *size = dec.take_u64()?;
-            st.set_target(target, &v.cfg);
+            st.target = target;
             st.setpoint = dec.take_u8()?;
             st.setpoint_rrpv = dec.take_u8()?;
             st.cands_seen = dec.take_u32()?;

@@ -61,7 +61,7 @@ impl Vantage {
     /// own); new slots start zeroed and [`SlotState::Free`].
     pub(crate) fn resize_slots(&mut self, n: usize) {
         self.parts
-            .resize_with(n, || PartitionState::new(0, &self.cfg, self.max_rrpv));
+            .resize_with(n, || PartitionState::new(0, self.max_rrpv));
         self.slot_state.resize(n, SlotState::Free);
         self.lost.resize(n, 0);
         self.filled.resize(n, 0);
@@ -119,7 +119,7 @@ impl VantageLlc {
                     v.slot_state[p] == SlotState::Draining || self.sizes[p] == 0,
                     "free slot still holds lines"
                 );
-                v.parts[p] = PartitionState::new(0, &v.cfg, v.max_rrpv);
+                v.parts[p] = PartitionState::new(0, v.max_rrpv);
                 self.stats.hits[p] = 0;
                 self.stats.misses[p] = 0;
                 self.own.reset_partition(p);
@@ -147,7 +147,7 @@ impl VantageLlc {
         let floor = (v.cfg.unmanaged_fraction * cap as f64).floor() as u64;
         let grant = want.min(v.um_target.saturating_sub(floor));
         v.um_target -= grant;
-        v.parts[p].set_target(grant, &v.cfg);
+        v.parts[p].target = grant;
         v.slot_state[p] = SlotState::Active;
         let id = PartitionId::from_index(p);
         v.pending_arrived.push(id);
@@ -179,7 +179,7 @@ impl VantageLlc {
             return Err(LifecycleError::NotLive(part));
         }
         v.um_target += v.parts[p].target;
-        v.parts[p].set_target(0, &v.cfg);
+        v.parts[p].target = 0;
         v.slot_state[p] = if self.sizes[p] == 0 {
             SlotState::Free
         } else {

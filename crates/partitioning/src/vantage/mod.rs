@@ -214,7 +214,7 @@ impl VantageLlc {
         };
         let mech = Vantage {
             parts: (0..partitions)
-                .map(|_| PartitionState::new(0, &cfg, max_rrpv))
+                .map(|_| PartitionState::new(0, max_rrpv))
                 .collect(),
             slot_state: vec![SlotState::Active; partitions],
             pending_arrived: Vec::new(),
@@ -407,7 +407,7 @@ impl Vantage {
         cx.tele.event(TelemetryEvent::ApertureUpdate {
             access: cx.access,
             part: PartitionId::from_index(part),
-            aperture: st.table.aperture(cx.sizes[part]) as f32,
+            aperture: st.table(&self.cfg).aperture(cx.sizes[part]) as f32,
         });
     }
 
@@ -546,7 +546,7 @@ impl Vantage {
         {
             self.walk_setpoints.push((q as u16, st.setpoint));
         }
-        let fb = st.adjust_setpoint(self.max_rrpv, cx.sizes[q]);
+        let fb = st.adjust_setpoint(&self.cfg, self.max_rrpv, cx.sizes[q]);
         self.vstats.setpoint_adjustments += 1;
         if cx.tele.enabled() {
             self.note_adjustment(cx, q, fb);
@@ -707,16 +707,19 @@ impl Mechanism for Vantage {
             }
             // Idealized controller: demote by exact rank against the
             // aperture.
-            (DemotionMode::PerfectAperture, _) => self.resolve(cx, walk, |scan, _, q, ts, over| {
-                let st = &scan.parts[q];
-                Some(
-                    over && {
-                        let aperture = st.table.aperture(scan.sizes[q]);
-                        aperture > 0.0
-                            && scan.meta.rank(q as u16, ts, st.lru.current()) > 1.0 - aperture
-                    },
-                )
-            }),
+            (DemotionMode::PerfectAperture, _) => {
+                let cfg = self.cfg.clone();
+                self.resolve(cx, walk, |scan, _, q, ts, over| {
+                    let st = &scan.parts[q];
+                    Some(
+                        over && {
+                            let aperture = st.table(&cfg).aperture(scan.sizes[q]);
+                            aperture > 0.0
+                                && scan.meta.rank(q as u16, ts, st.lru.current()) > 1.0 - aperture
+                        },
+                    )
+                })
+            }
             // Fig. 2b strawman: remember the oldest over-target candidate
             // and demote exactly that one after the scan (unmetered).
             (DemotionMode::ExactlyOne, _) => self.resolve(cx, walk, |scan, i, q, ts, over| {
@@ -785,7 +788,10 @@ impl Mechanism for Vantage {
     fn divert_fill(&mut self, cx: &mut Ctx<'_>, landing: Frame, part: usize) -> bool {
         let st = &self.parts[part];
         if self.cfg.churn_throttling
-            && st.table.aperture(cx.sizes[part].saturating_add(1)) >= self.cfg.a_max
+            && st
+                .table(&self.cfg)
+                .aperture(cx.sizes[part].saturating_add(1))
+                >= self.cfg.a_max
         {
             self.vstats.throttled_insertions += 1;
             self.stamp_unmanaged(cx.meta, landing as usize, self.fill_rrpv);
@@ -831,7 +837,7 @@ impl Mechanism for Vantage {
             } else {
                 0
             };
-            st.set_target(scaled, &self.cfg);
+            st.target = scaled;
             managed_total += scaled;
         }
         self.um_target = cx.meta.len() as u64 - managed_total;
@@ -850,7 +856,7 @@ impl Mechanism for Vantage {
                     cx.tele.event(TelemetryEvent::ApertureUpdate {
                         access: cx.access,
                         part: PartitionId::from_index(p),
-                        aperture: st.table.aperture(cx.sizes[p]) as f32,
+                        aperture: st.table(&self.cfg).aperture(cx.sizes[p]) as f32,
                     });
                 }
             }
@@ -873,7 +879,7 @@ impl Mechanism for Vantage {
         self.sample_lost[p] = self.lost[p];
         let st = &self.parts[p];
         s.target = st.target;
-        s.aperture = st.table.aperture(s.actual) as f32;
+        s.aperture = st.table(&self.cfg).aperture(s.actual) as f32;
         s.window = st.keep_window();
         self.slot_state[p] != SlotState::Free
     }

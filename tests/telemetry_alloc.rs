@@ -6,12 +6,15 @@
 //! evictions, periodic samples) must perform zero heap allocations — the
 //! zero-cost claim behind shipping telemetry enabled-but-null. The same
 //! holds for Vantage's batched entry point on either of its paths. The
-//! same allocator also pins the zcache's per-frame footprint.
+//! same allocator also pins the zcache's per-frame footprint and the tag
+//! store's per-partition count rows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vantage_repro::cache::{LineAddr, RripConfig, RripMode, SetAssocArray, ZArray, WAY_LANES};
+use vantage_repro::cache::{
+    LineAddr, RripConfig, RripMode, SetAssocArray, TagMeta, ZArray, WAY_LANES,
+};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{
     AccessRequest, BaselineLlc, Llc, PartitionId, PippConfig, PippLlc, RankPolicy, WayPartLlc,
@@ -214,5 +217,35 @@ fn zarray_allocates_at_most_9_bytes_per_frame() {
     assert!(
         bytes <= budget,
         "ZArray::new({FRAMES}, 4, 52) allocated {bytes} B, budget {budget} B"
+    );
+}
+
+/// The tag store's (partition, stamp) count index costs at most 512 B per
+/// row — one `u16` per stamp — plus 64 B (the spill list of a cache whose
+/// never-filled frames outnumber a row entry), beside the 3 B per frame of
+/// its two lanes. Grown one partition at a time, as service mode creates
+/// them, the rows of 1022 partitions fit a 1024-row capacity of 512 KiB.
+#[test]
+fn tag_count_rows_cost_at_most_512_bytes_each() {
+    const FRAMES: usize = 64 * 1024;
+    for partitions in [4, 1022] {
+        let before = allocated_bytes();
+        let meta = TagMeta::with_partitions(FRAMES, partitions);
+        let bytes = allocated_bytes() - before;
+        let budget = (FRAMES * 3 + meta.index_rows() * 512 + 64) as u64;
+        assert!(
+            bytes <= budget,
+            "{partitions} partitions: {bytes} B allocated, budget {budget} B"
+        );
+    }
+    let mut meta = TagMeta::with_partitions(FRAMES, 1);
+    let before = allocated_bytes();
+    for partitions in 2..=1022 {
+        meta.resize_partitions(partitions);
+    }
+    let grown = allocated_bytes() - before;
+    assert!(
+        grown <= 1024 * 512 + 64,
+        "growing to 1022 partitions allocated {grown} B"
     );
 }
