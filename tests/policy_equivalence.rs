@@ -10,7 +10,7 @@
 
 use vantage_repro::sim::{CmpSim, PolicyKind, SchemeKind, SimResult, SystemConfig};
 use vantage_repro::telemetry::{RingSink, Telemetry, TelemetryEvent, TelemetryRecord};
-use vantage_repro::workloads::mixes;
+use vantage_repro::workloads::{mixes, Mix};
 
 /// The machine the goldens were captured on: small-scale, shortened run.
 fn golden_sys() -> SystemConfig {
@@ -318,5 +318,208 @@ fn telemetry_multisets_match_goldens() {
             digest, want_digest,
             "telemetry multiset digest diverged: {ctx} (len {len}, digest {digest:#018x})"
         );
+    }
+}
+
+/// One run under a non-UCP policy: the epoch controller's targets are
+/// folded into an FNV-1a digest at every repartitioning boundary, next to
+/// the run's L2 misses and IPC bit patterns.
+struct PolicyGolden {
+    policy: PolicyKind,
+    kind: SchemeKind,
+    banks: usize,
+    epochs: usize,
+    targets_digest: u64,
+    misses: [u64; 4],
+    ipc_bits: [u64; 4],
+}
+
+/// References per `run_for` slice: small enough that no slice crosses two
+/// epoch boundaries, so every epoch's targets are read.
+const EPOCH_PROBE_STEP: u64 = 32;
+
+/// Runs `sys` on `kind` to completion, reading the installed targets after
+/// every epoch boundary. Returns the result, the epoch count and the digest.
+fn run_with_epoch_digest(
+    sys: SystemConfig,
+    kind: &SchemeKind,
+    mix: &Mix,
+) -> (SimResult, usize, u64) {
+    let interval = sys.repartition_interval;
+    let mut sim = CmpSim::new(sys, kind, mix);
+    let mut next = sim.epoch().next_at();
+    let mut epochs = 0;
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    loop {
+        let done = sim.run_for(EPOCH_PROBE_STEP);
+        if sim.epoch().next_at() != next {
+            assert_eq!(
+                sim.epoch().next_at(),
+                next + interval,
+                "a probe slice crossed two epoch boundaries"
+            );
+            next = sim.epoch().next_at();
+            epochs += 1;
+            for &t in sim.epoch().targets() {
+                digest ^= t;
+                digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        if let Some(r) = done {
+            return (r, epochs, digest);
+        }
+    }
+}
+
+/// Goldens for the Equal, MissRatio, Qos and Clustered policies on mix 8,
+/// on Vantage and WayPart, plus Qos on a 4-bank WayPart machine, where
+/// every bank turns its share of the targets into whole ways. Captured
+/// before the allocation layer's rounding was folded into one routine;
+/// they pin every policy's per-epoch targets, not only UCP's.
+#[test]
+fn alternative_policies_match_goldens() {
+    let goldens = [
+        PolicyGolden {
+            policy: PolicyKind::Equal,
+            kind: SchemeKind::vantage_paper(),
+            banks: 1,
+            epochs: 88,
+            targets_digest: 0x094a_9a6d_9b94_eea5,
+            misses: [19666, 15433, 9877, 1094],
+            ipc_bits: [
+                4589529644251122317,
+                4590824122991659840,
+                4593862152800600933,
+                4603115977430315138,
+            ],
+        },
+        PolicyGolden {
+            policy: PolicyKind::MissRatio,
+            kind: SchemeKind::vantage_paper(),
+            banks: 1,
+            epochs: 88,
+            targets_digest: 0xfe58_15b5_dbf6_03a5,
+            misses: [19668, 15434, 9877, 1094],
+            ipc_bits: [
+                4589529582933239823,
+                4590821752673552926,
+                4593862152800600933,
+                4603115977430315138,
+            ],
+        },
+        PolicyGolden {
+            policy: PolicyKind::Qos,
+            kind: SchemeKind::vantage_paper(),
+            banks: 1,
+            epochs: 88,
+            targets_digest: 0x07ea_8380_ba22_b815,
+            misses: [19662, 15435, 9877, 1094],
+            ipc_bits: [
+                4589531236867375948,
+                4590823775488204798,
+                4593862152800600933,
+                4603115977430315138,
+            ],
+        },
+        PolicyGolden {
+            policy: PolicyKind::Clustered,
+            kind: SchemeKind::vantage_paper(),
+            banks: 1,
+            epochs: 88,
+            targets_digest: 0x07ea_8380_ba22_b815,
+            misses: [19662, 15435, 9877, 1094],
+            ipc_bits: [
+                4589531236867375948,
+                4590823775488204798,
+                4593862152800600933,
+                4603115977430315138,
+            ],
+        },
+        PolicyGolden {
+            policy: PolicyKind::Equal,
+            kind: SchemeKind::WayPart,
+            banks: 1,
+            epochs: 89,
+            targets_digest: 0x347e_7a1b_f98c_9775,
+            misses: [19776, 15552, 9921, 1094],
+            ipc_bits: [
+                4589500851360015971,
+                4590777071091296156,
+                4593845379930739813,
+                4603116158115272499,
+            ],
+        },
+        PolicyGolden {
+            policy: PolicyKind::MissRatio,
+            kind: SchemeKind::WayPart,
+            banks: 1,
+            epochs: 89,
+            targets_digest: 0xf6bf_7732_f668_b775,
+            misses: [19754, 15538, 9947, 1094],
+            ipc_bits: [
+                4589506825175227524,
+                4590783291210504365,
+                4593835454642725029,
+                4603116158115272499,
+            ],
+        },
+        PolicyGolden {
+            policy: PolicyKind::Qos,
+            kind: SchemeKind::WayPart,
+            banks: 1,
+            epochs: 88,
+            targets_digest: 0xd7a9_5994_8ec5_afa3,
+            misses: [19640, 15452, 9921, 1094],
+            ipc_bits: [
+                4589532074120822581,
+                4590812955839483540,
+                4593844726239997791,
+                4603116158115272499,
+            ],
+        },
+        PolicyGolden {
+            policy: PolicyKind::Clustered,
+            kind: SchemeKind::WayPart,
+            banks: 1,
+            epochs: 88,
+            targets_digest: 0xd7a9_5994_8ec5_afa3,
+            misses: [19640, 15452, 9921, 1094],
+            ipc_bits: [
+                4589532074120822581,
+                4590812955839483540,
+                4593844726239997791,
+                4603116158115272499,
+            ],
+        },
+        PolicyGolden {
+            policy: PolicyKind::Qos,
+            kind: SchemeKind::WayPart,
+            banks: 4,
+            epochs: 89,
+            targets_digest: 0xa256_0b52_dd41_a087,
+            misses: [19704, 15459, 9912, 1094],
+            ipc_bits: [
+                4589519771219226105,
+                4590814409443108541,
+                4593848472764835894,
+                4603115977430315138,
+            ],
+        },
+    ];
+    let mix = &mixes(4, 1, 11)[8];
+    for g in &goldens {
+        let mut sys = golden_sys();
+        sys.policy = g.policy;
+        sys.banks = g.banks;
+        let (r, epochs, digest) = run_with_epoch_digest(sys, &g.kind, mix);
+        let bits: Vec<u64> = r.ipc.iter().map(|x| x.to_bits()).collect();
+        let ctx = format!(
+            "{} on {} banks: epochs {epochs}, digest {digest:#018x}, misses {:?}, ipc bits {bits:?}",
+            r.label, g.banks, r.l2_misses
+        );
+        assert_eq!(epochs, g.epochs, "epoch count diverged: {ctx}");
+        assert_eq!(digest, g.targets_digest, "target digest diverged: {ctx}");
+        assert_eq!(r.l2_misses, g.misses, "misses diverged: {ctx}");
+        assert_eq!(bits, g.ipc_bits, "IPC bit patterns diverged: {ctx}");
     }
 }
