@@ -12,6 +12,9 @@
 //!   [`ZArray`] (zcache with multi-level candidate walks and relocation),
 //!   and [`RandomArray`] (an idealized array returning uniformly random
 //!   candidates, used to validate the analytical models).
+//! * [`apportion`](mod@apportion) — largest-remainder rounding of
+//!   real-valued capacity shares to whole lines, blocks or ways, shared by
+//!   the allocation policies and the way-granularity schemes.
 //! * [`replacement`] — replacement policy building blocks: coarse-timestamp
 //!   LRU ([`TsLru`]) and the RRIP family ([`RripPolicy`], with SRRIP / BRRIP
 //!   / DRRIP / thread-aware DRRIP variants).
@@ -44,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod apportion;
 pub mod array;
 pub mod hash;
 pub mod ownership;

@@ -524,18 +524,6 @@ pub fn run_comparison_jobs(
     out
 }
 
-/// [`run_comparison_jobs`] with single-threaded execution (used by callers
-/// without an [`Options`] at hand).
-pub fn run_comparison(
-    sys: &SystemConfig,
-    baseline: &SchemeKind,
-    schemes: &[SchemeKind],
-    mixes: &[Mix],
-    progress: bool,
-) -> Vec<MixOutcome> {
-    run_comparison_jobs(sys, baseline, schemes, mixes, progress, 1, None)
-}
-
 /// Geometric mean of an iterator of positive values.
 pub fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     let (mut logsum, mut n) = (0.0, 0u64);

@@ -423,9 +423,6 @@ pub fn service_to(opts: &Options, path: &Path) {
         churn.floor_violations,
         churn.lifecycle_errors,
     );
-    if churn.lifecycle_errors > 0 {
-        // Already recorded per event; nothing to add.
-    }
     if churn.floor_violations > 0 {
         record_failure(
             "service qos floors",

@@ -17,7 +17,9 @@
 
 use vantage_cache::replacement::rrip::BasePolicy;
 use vantage_cache::LineAddr;
-use vantage_partitioning::{HasInvariants, InvariantViolation, TargetsError};
+use vantage_partitioning::{
+    HasInvariants, InvariantViolation, PartitionObservations, TargetsError,
+};
 use vantage_snapshot::{Decoder, Encoder, Snapshot};
 use vantage_ucp::{
     AllocationPolicy, ClusteredPolicy, EqualShares, MissRatioEqualizer, PolicyInput, QosGuarantee,
@@ -158,6 +160,24 @@ fn build_policy(
         } => Box::new(
             ClusteredPolicy::try_new(*max_clusters, *min_lines).expect("valid cluster config"),
         ),
+    }
+}
+
+/// The policy's view of an epoch: the scheme's observations over a cache
+/// of `capacity` lines.
+fn policy_input(capacity: u64, obs: &PartitionObservations) -> PolicyInput<'_> {
+    PolicyInput {
+        capacity,
+        actual: &obs.actual,
+        hits: &obs.hits,
+        misses: &obs.misses,
+        churn: &obs.churn,
+        insertions: &obs.insertions,
+        shared_hits: &obs.shared_hits,
+        ownership_transfers: &obs.ownership_transfers,
+        live: &obs.live,
+        arrived: &obs.arrived,
+        departed: &obs.departed,
     }
 }
 
@@ -393,19 +413,7 @@ impl EpochController {
     ) -> Result<Vec<u64>, String> {
         let capacity = scheme.llc().capacity() as u64;
         let obs = scheme.llc_mut().observations();
-        let input = PolicyInput {
-            capacity,
-            actual: &obs.actual,
-            hits: &obs.hits,
-            misses: &obs.misses,
-            churn: &obs.churn,
-            insertions: &obs.insertions,
-            shared_hits: &obs.shared_hits,
-            ownership_transfers: &obs.ownership_transfers,
-            live: &obs.live,
-            arrived: &obs.arrived,
-            departed: &obs.departed,
-        };
+        let input = policy_input(capacity, &obs);
         let nslots = input.num_partitions();
         let nlive = input.live_partitions();
         let policy = self.policy.as_mut().expect("swap installed a policy");
@@ -489,20 +497,7 @@ impl EpochController {
         if let Some(policy) = &mut self.policy {
             let capacity = scheme.llc().capacity() as u64;
             let obs = scheme.llc_mut().observations();
-            let input = PolicyInput {
-                capacity,
-                actual: &obs.actual,
-                hits: &obs.hits,
-                misses: &obs.misses,
-                churn: &obs.churn,
-                insertions: &obs.insertions,
-                shared_hits: &obs.shared_hits,
-                ownership_transfers: &obs.ownership_transfers,
-                live: &obs.live,
-                arrived: &obs.arrived,
-                departed: &obs.departed,
-            };
-            let targets = policy.reallocate(&input);
+            let targets = policy.reallocate(&policy_input(capacity, &obs));
             scheme
                 .llc_mut()
                 .set_targets(&targets)

@@ -49,7 +49,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"VNTGSNAP";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Hard ceiling on a single section payload (1 GiB). A hostile length
 /// prefix larger than this is reported as malformed instead of being
@@ -239,11 +239,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `i64`, little-endian.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends an `f64` as its IEEE-754 bit pattern, little-endian.
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -385,11 +380,6 @@ impl<'a> Decoder<'a> {
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn take_i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads an `f64` bit pattern.
@@ -740,13 +730,6 @@ impl SnapshotReader {
     }
 }
 
-/// Saves `source` into writer section `name`.
-pub fn save_section(w: &mut SnapshotWriter, name: &str, source: &dyn Snapshot) {
-    let mut enc = Encoder::new();
-    source.save_state(&mut enc);
-    w.add(name, enc);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -804,7 +787,7 @@ mod tests {
         SnapshotReader::from_bytes(&bytes).unwrap();
         // ...and every other header version, older or newer, is rejected
         // with the version it claimed.
-        for v in (0..=7u32).filter(|&v| v != FORMAT_VERSION) {
+        for v in (0..=FORMAT_VERSION + 1).filter(|&v| v != FORMAT_VERSION) {
             let mut other = bytes.clone();
             other[8..12].copy_from_slice(&v.to_le_bytes());
             match SnapshotReader::from_bytes(&other).unwrap_err() {

@@ -13,14 +13,17 @@
 //!
 //! * [`UcpPolicy`] — the paper's UCP/Lookahead allocator (stream-driven).
 //! * [`MissRatioEqualizer`] — UCP monitors feeding
-//!   [`equalize_miss_ratios`](crate::equalize_miss_ratios) ("communist" allocation; Hsu et al.).
+//!   [`equalize_miss_ratios`] ("communist" allocation; Hsu et al.).
 //! * [`EqualShares`] — a static equal split, the natural baseline.
 //! * [`QosGuarantee`] — per-partition minimums plus weighted shares of the
 //!   spare capacity (LFOC/Memshare-style multi-tenant allocation).
 
+pub use vantage_cache::apportion::apportion;
 use vantage_cache::{LineAddr, PartitionId};
 
-use crate::policy::{AllocationGoal, UcpGranularity, UcpPolicy};
+use crate::lookahead::equalize_miss_ratios;
+use crate::policy::{UcpGranularity, UcpPolicy};
+use crate::umon::Umon;
 
 /// A per-epoch snapshot of partition state, assembled by the caller from
 /// scheme statistics and handed to [`AllocationPolicy::reallocate`].
@@ -181,27 +184,19 @@ impl AllocationPolicy for EqualShares {
 
     fn reallocate(&mut self, input: &PolicyInput<'_>) -> Vec<u64> {
         let n = input.num_partitions();
-        let live = input.live_partitions() as u64;
-        let mut out = vec![0u64; n];
-        if live == 0 {
-            return out;
+        if input.live_partitions() == 0 {
+            return vec![0; n];
         }
-        let base = input.capacity / live;
-        let rem = input.capacity % live;
-        let mut rank = 0u64;
-        for (p, t) in out.iter_mut().enumerate() {
-            if input.is_live(p) {
-                *t = base + u64::from(rank < rem);
-                rank += 1;
-            }
-        }
-        out
+        let live: Vec<f64> = (0..n)
+            .map(|p| if input.is_live(p) { 1.0 } else { 0.0 })
+            .collect();
+        apportion(input.capacity, &live)
     }
 }
 
 /// Equalizes per-partition miss ratios using the same UMON machinery as
-/// UCP but the [`equalize_miss_ratios`](crate::equalize_miss_ratios)
-/// allocator instead of Lookahead.
+/// UCP — the same curves and the same blocks → lines rounding — but the
+/// [`equalize_miss_ratios`] allocator instead of Lookahead.
 #[derive(Clone, Debug)]
 pub struct MissRatioEqualizer {
     inner: UcpPolicy,
@@ -222,17 +217,17 @@ impl MissRatioEqualizer {
         granularity: UcpGranularity,
         seed: u64,
     ) -> Self {
-        let mut inner = UcpPolicy::new(
-            partitions,
-            umon_ways,
-            sampled_sets,
-            model_sets,
-            cache_lines,
-            granularity,
-            seed,
-        );
-        inner.set_goal(AllocationGoal::Fairness);
-        Self { inner }
+        Self {
+            inner: UcpPolicy::new(
+                partitions,
+                umon_ways,
+                sampled_sets,
+                model_sets,
+                cache_lines,
+                granularity,
+                seed,
+            ),
+        }
     }
 }
 
@@ -264,7 +259,10 @@ impl AllocationPolicy for MissRatioEqualizer {
     }
 
     fn reallocate(&mut self, _input: &PolicyInput<'_>) -> Vec<u64> {
-        self.inner.reallocate()
+        self.inner.reallocate_with(|curves, umons, blocks| {
+            let accesses: Vec<u64> = umons.iter().map(Umon::accesses).collect();
+            equalize_miss_ratios(curves, &accesses, blocks, 1)
+        })
     }
 }
 
@@ -379,14 +377,6 @@ impl QosGuarantee {
             QosMode::Uniform { .. } => &[],
         }
     }
-
-    /// The guaranteed floor for slot `p`, in lines.
-    pub fn floor_for(&self, p: usize) -> u64 {
-        match &self.mode {
-            QosMode::Fixed { mins, .. } => mins.get(p).copied().unwrap_or(0),
-            QosMode::Uniform { min, .. } => *min,
-        }
-    }
 }
 
 impl vantage_snapshot::Snapshot for QosGuarantee {
@@ -462,46 +452,6 @@ impl AllocationPolicy for QosGuarantee {
         }
         targets
     }
-}
-
-/// Distributes `total` units across `weights` proportionally, exactly
-/// (largest-remainder; ties broken by lowest index). All-zero weights
-/// fall back to an even split.
-pub fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let sum: f64 = weights.iter().sum();
-    if !sum.is_finite() || sum <= 0.0 {
-        let base = total / n as u64;
-        let rem = total % n as u64;
-        return (0..n as u64).map(|p| base + u64::from(p < rem)).collect();
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut fracs: Vec<(usize, f64)> = Vec::with_capacity(n);
-    let mut assigned = 0u64;
-    for (p, &w) in weights.iter().enumerate() {
-        let exact = total as f64 * (w / sum);
-        let whole = exact.floor().min(total as f64) as u64;
-        out.push(whole);
-        fracs.push((p, exact - whole as f64));
-        assigned += whole;
-    }
-    // Ties broken by index so the result is deterministic across runs.
-    fracs.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("finite fractions")
-            .then(a.0.cmp(&b.0))
-    });
-    let mut left = total.saturating_sub(assigned);
-    let mut i = 0;
-    while left > 0 {
-        out[fracs[i % n].0] += 1;
-        left -= 1;
-        i += 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -701,5 +651,37 @@ mod tests {
         let inp = input(32_768, &zeros, &zeros, &zeros);
         let t = eq.reallocate(&inp);
         assert_eq!(t.iter().sum::<u64>(), 32_768);
+    }
+
+    #[test]
+    fn missratio_equalizer_allocates_by_equalize_miss_ratios() {
+        let mut eq = MissRatioEqualizer::new(
+            2,
+            16,
+            64,
+            2048,
+            32_768,
+            UcpGranularity::Fine { blocks: 256 },
+            6,
+        );
+        for i in 0..300_000u64 {
+            eq.observe(0, LineAddr((1 << 40) + i % 4_000));
+            eq.observe(1, LineAddr((2 << 40) + i % 60_000));
+        }
+        let curves: Vec<Vec<u64>> = (0..2)
+            .map(|p| crate::interpolate_curve(&eq.inner.umon(p).miss_curve(), 256))
+            .collect();
+        let accesses: Vec<u64> = (0..2).map(|p| eq.inner.umon(p).accesses()).collect();
+        let fair = equalize_miss_ratios(&curves, &accesses, 256, 1);
+        assert_ne!(
+            fair,
+            crate::lookahead(&curves, 256, 1),
+            "the stream must tell the two allocators apart"
+        );
+        let zeros = [0u64; 2];
+        let t = eq.reallocate(&input(32_768, &zeros, &zeros, &zeros));
+        // 128 lines per block: the rounding is exact.
+        let want: Vec<u64> = fair.iter().map(|&b| u64::from(b) * 128).collect();
+        assert_eq!(t, want);
     }
 }

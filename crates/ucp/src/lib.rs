@@ -34,6 +34,6 @@ pub use alloc_policy::{
 };
 pub use cluster::{ClusterError, ClusteredPolicy};
 pub use lookahead::{equalize_miss_ratios, interpolate_curve, lookahead};
-pub use policy::{AllocationGoal, UcpGranularity, UcpPolicy};
+pub use policy::{UcpGranularity, UcpPolicy};
 pub use rrip_umon::RripUmon;
 pub use umon::Umon;

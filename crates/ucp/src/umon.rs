@@ -93,11 +93,6 @@ impl Umon {
         }
     }
 
-    /// Hit counters by stack distance.
-    pub fn hit_counters(&self) -> &[u64] {
-        &self.hits
-    }
-
     /// Misses observed (at full monitored associativity).
     pub fn misses(&self) -> u64 {
         self.misses
